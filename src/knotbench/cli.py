@@ -2,8 +2,9 @@
 
 Subcommands: invariants, rho, sigfn, bdim, grope, magnus, table.
 JSON (sorted keys) is the canonical output; --csv switches the tabular
-commands.  Exit codes: 0 success, 1 malformed input, 2 precondition or
-budget violation, 3 certified refinement ran out ("possibly singular").
+commands (rho, sigfn, bdim, table).  Exit codes: 0 success, 1 malformed
+input, 2 precondition or budget violation, 3 the evaluation point is
+exactly a root of the Alexander polynomial ("possibly singular").
 """
 
 from __future__ import annotations
@@ -159,11 +160,14 @@ def cmd_bdim(args) -> None:
     budget = args.budget
     if budget is None:
         budget = GROPE_BUDGET if grading == "grope" else VASSILIEV_BUDGET
+    if args.max > budget:
+        raise BudgetExceededError(
+            f"degree {args.max} exceeds the configured budget {budget}")
     start = 2 if grading == "grope" else 1
     rows = []
     for degree in range(start, args.max + 1):
         rows.append(dim_graded_piece(degree, grading, budget=budget))
-    if args.csv or not args.json_out:
+    if args.csv:
         lines = ["grading,degree,num_diagrams,num_relations,dimension"]
         for r in rows:
             lines.append(f"{r['grading']},{r['degree']},{r['num_diagrams']},"
@@ -263,6 +267,20 @@ def cmd_table(args) -> None:
         n_mismatch += len(mismatches)
         rows.append({"name": entry.name, "results": results,
                      "mismatches": mismatches})
+    if args.csv:
+        import csv
+
+        columns = ("alexander", "d0", "determinant", "arf",
+                   "signature_at_minus_1", "fox_milnor")
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(("name",) + columns + ("mismatches",))
+        for row in rows:
+            cells = [row["results"][c] for c in columns]
+            out.writerow([row["name"]]
+                         + [str(c).lower() if isinstance(c, bool) else c
+                            for c in cells]
+                         + [len(row["mismatches"])])
+        return
     _emit(_report({"file": args.path, "entries": len(entries)},
                   {"knots": rows, "total_mismatches": n_mismatch}))
 
@@ -279,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--digits", type=int, default=12,
                        help="decimal digits for rendered angles (default 12)")
         p.add_argument("--csv", action="store_true", help="CSV output")
-        p.add_argument("--json", dest="json_out", action="store_true",
-                       default=True, help="JSON output (default)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized property tests (unused here)")
 
     p = sub.add_parser("invariants", help="classical invariant report")
     _add_knot_args(p)

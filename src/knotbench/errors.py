@@ -14,12 +14,13 @@ class PreconditionError(KnotbenchError):
 
 
 class BudgetExceededError(KnotbenchError):
-    """A configured resource budget (degree, rank, refinement) ran out."""
+    """A configured budget (degree, rank, polynomial degree) ran out."""
 
 
 class PossiblySingularError(KnotbenchError):
-    """A certified signature could not separate a pivot from zero.
+    """A signature was asked of an exactly singular form.
 
-    For twisted signatures this signals that the evaluation point lies at
-    (or indistinguishably near) a root of the Alexander polynomial.
+    Signatures are computed exactly, so this is never a matter of
+    precision: for twisted signatures the evaluation point is exactly a
+    root of the Alexander polynomial.
     """

@@ -1,132 +1,60 @@
-"""Certified signatures of symmetric matrices with interval entries.
+"""Exact signatures of rational symmetric matrices.
 
-The signature (#positive - #negative eigenvalues) of a nonsingular real
-symmetric matrix is computed by congruence elimination.  Pivots are
-intervals; a pivot is only used once its interval excludes zero, so the
-returned signature is exact whenever the routine returns at all.  When a
-pivot cannot be separated from zero the caller-supplied refinement is
-invoked; if refinement runs out the matrix may be singular and we refuse
-to answer.
+The signature (#positive - #negative eigenvalues) of a nonsingular
+symmetric matrix is computed by fraction-free congruence elimination over
+the integers: every pivot is an exact nonzero integer, so the answer is
+exact, and a matrix is refused only when it is exactly singular.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Sequence
+import math
+from typing import Sequence
 
 from .errors import PossiblySingularError
-from .intervals import IntervalReal
-
-Matrix = Sequence[Sequence[IntervalReal]]
-
-
-class _NeedsRefinement(Exception):
-    pass
-
-
-def _attempt(mat, work_bits=None) -> int:
-    """One elimination pass; raises _NeedsRefinement on an undecidable pivot.
-
-    With `work_bits` set, every Schur update is rounded outward to dyadic
-    endpoints, keeping exact-rational bit growth linear instead of
-    exponential in the matrix size.
-    """
-
-    def rnd(x: IntervalReal) -> IntervalReal:
-        return x if work_bits is None else x.round_outward(work_bits)
-
-    n = len(mat)
-    a = [[mat[i][j] for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    sig = 0
-    while active:
-        # prefer a 1x1 pivot whose interval is farthest from zero
-        pivot = None
-        best = Fraction(0)
-        for k in active:
-            s = a[k][k].sign()
-            if s != 0:
-                gap = min(abs(a[k][k].lo), abs(a[k][k].hi))
-                if pivot is None or gap > best:
-                    pivot, best = k, gap
-        if pivot is not None:
-            k = pivot
-            sig += a[k][k].sign()
-            piv = a[k][k]
-            rest = [i for i in active if i != k]
-            for i in rest:
-                if a[i][k].lo == 0 == a[i][k].hi:
-                    continue
-                f = a[i][k] / piv
-                for j in rest:
-                    a[i][j] = rnd(a[i][j] - f * a[k][j])
-            active = rest
-            continue
-
-        # all remaining diagonal entries straddle zero; hunt for an
-        # off-diagonal 2x2 block with certifiably negative determinant
-        block = None
-        for ii in range(len(active)):
-            for jj in range(ii + 1, len(active)):
-                k, l = active[ii], active[jj]
-                if a[k][l].sign() == 0:
-                    continue
-                det = a[k][k] * a[l][l] - a[k][l] * a[k][l]
-                if det.hi < 0:
-                    block = (k, l, det)
-                    break
-            if block:
-                break
-        if block is None:
-            if all(a[i][j].lo == 0 == a[i][j].hi
-                   for i in active for j in active):
-                # exactly the zero matrix on the remaining block
-                raise PossiblySingularError("possibly singular")
-            raise _NeedsRefinement
-        k, l, det = block
-        # det < 0 certified: the block contributes one +1 and one -1
-        rest = [i for i in active if i not in (k, l)]
-        bkk, bkl, bll = a[k][k], a[k][l], a[l][l]
-        for i in rest:
-            cik, cil = a[i][k], a[i][l]
-            if (cik.lo == 0 == cik.hi) and (cil.lo == 0 == cil.hi):
-                continue
-            # subtract  c B^{-1} c^T  with  B^{-1} = adj(B)/det
-            wk = (cik * bll - cil * bkl) / det
-            wl = (cil * bkk - cik * bkl) / det
-            for j in rest:
-                a[i][j] = rnd(a[i][j] - wk * a[j][k] - wl * a[j][l])
-        active = rest
-    return sig
-
-
-def interval_symmetric_signature(
-        entries: Matrix,
-        refine: Callable[[int], Matrix] | None = None,
-        max_rounds: int = 24,
-        work_bits: int | None = None) -> int:
-    """Signature of the exact symmetric matrix enclosed by `entries`.
-
-    `refine(round_index)` must return a sharper enclosure of the same
-    matrix.  `work_bits` bounds the endpoint precision used inside one
-    elimination pass (doubled per refinement round so refinement always
-    outruns the rounding slack).  Raises PossiblySingularError when the
-    pivots cannot be separated from zero within the refinement budget (in
-    particular for genuinely singular input).
-    """
-    mat = entries
-    for round_index in range(max_rounds):
-        bits = None if work_bits is None else work_bits << round_index
-        try:
-            return _attempt(mat, bits)
-        except _NeedsRefinement:
-            if refine is None:
-                raise PossiblySingularError("possibly singular") from None
-            mat = refine(round_index)
-    raise PossiblySingularError("possibly singular")
 
 
 def rational_symmetric_signature(rows: Sequence[Sequence]) -> int:
-    """Signature of an exact rational symmetric matrix."""
-    entries = [[IntervalReal.exact(Fraction(v)) for v in row] for row in rows]
-    return interval_symmetric_signature(entries, refine=None)
+    """Signature of an exact rational symmetric matrix.
+
+    Fraction-free (Bareiss) elimination with 1x1 pivots: after each pivot
+    the remaining block is the Schur complement times the last pivot, so
+    the sign of the true pivot is sign(pivot) * sign(previous pivot).
+    When every remaining diagonal entry is 0, a [[0, b], [b, 0]] block is
+    turned into a 1x1 pivot 2b by adding one row and column to the other,
+    a unimodular congruence.  Raises PossiblySingularError when the matrix
+    is singular.
+    """
+    n = len(rows)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    a = [[int(x * scale) for x in row] for row in rows]
+    active = list(range(n))
+    prev = 1
+    sig = 0
+    while active:
+        k = next((i for i in active if a[i][i]), None)
+        if k is None:
+            k, l = next(((i, j) for i in active for j in active if a[i][j]),
+                        (None, None))
+            if k is None:
+                raise PossiblySingularError(
+                    "possibly singular: the matrix is singular")
+            for j in active:
+                a[k][j] += a[l][j]
+            for j in active:
+                a[j][k] = a[k][j]
+            a[k][k] += a[k][l]
+        d = a[k][k]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        active.remove(k)
+        row_k = a[k]
+        for ii, i in enumerate(active):
+            ai, aik = a[i], a[i][k]
+            for j in active[ii:]:
+                ai[j] = a[j][i] = (d * ai[j] - aik * row_k[j]) // prev
+        prev = d
+    return sig
+
+
+# bench/tracer.py wraps the function under this name
+interval_symmetric_signature = rational_symmetric_signature

@@ -1,7 +1,7 @@
 """Certified interval arithmetic with exact rational endpoints.
 
 ``IntervalReal`` endpoints are ``fractions.Fraction``; all interval
-operations here are outward-correct.  Enclosures of cos/sin/arccos come
+operations here are outward-correct.  Enclosures of cos and arccos come
 from mpmath's interval context and are converted back to exact rationals
 (binary floats are rationals, so the conversion loses nothing).
 """
@@ -78,46 +78,12 @@ class IntervalReal:
         vals = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return IntervalReal(min(vals), max(vals))
 
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, o):
-        return _coerce(o) - self
-
-    def __truediv__(self, o):
-        o = _coerce(o)
-        if o.contains_zero():
-            raise ZeroDivisionError("division by an interval containing 0")
-        vals = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return IntervalReal(min(vals), max(vals))
-
     def contains(self, v) -> bool:
         v = Fraction(v)
         return self.lo <= v <= self.hi
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def sign(self) -> int:
-        """+1 / -1 when the interval excludes zero, else 0 (undecided)."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
-
     def intersects(self, o: "IntervalReal") -> bool:
         return self.lo <= o.hi and o.lo <= self.hi
-
-    def round_outward(self, bits: int) -> "IntervalReal":
-        """Widen to dyadic endpoints with denominator 2^bits; caps the bit
-        growth of long exact computations at a cost of 2^-bits per call."""
-        scale = 1 << bits
-        lo = self.lo * scale
-        hi = self.hi * scale
-        lo_n = lo.numerator // lo.denominator  # floor
-        hi_n = -((-hi.numerator) // hi.denominator)  # ceil
-        return IntervalReal(Fraction(lo_n, scale), Fraction(hi_n, scale))
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -142,17 +108,6 @@ def cos_2pi(theta: Fraction, prec_bits: int = 64) -> IntervalReal:
     try:
         iv.prec = prec_bits
         val = iv.cos(2 * iv.pi * _fraction_to_iv(Fraction(theta)))
-    finally:
-        iv.prec = old
-    return _iv_to_interval(val)
-
-
-def sin_2pi(theta: Fraction, prec_bits: int = 64) -> IntervalReal:
-    """Certified enclosure of sin(2*pi*theta)."""
-    old = iv.prec
-    try:
-        iv.prec = prec_bits
-        val = iv.sin(2 * iv.pi * _fraction_to_iv(Fraction(theta)))
     finally:
         iv.prec = old
     return _iv_to_interval(val)

@@ -1,11 +1,13 @@
 """Classical knot invariants computed from a Seifert matrix.
 
 Everything here is exact: the Alexander polynomial is a determinant over
-Z[t], the signature function is evaluated through certified interval
-arithmetic, and jump angles of the signature function are kept as algebraic
+Z[t], and jump angles of the signature function are kept as algebraic
 numbers via the substitution x = t + 1/t, which turns unit-circle roots of
 the Alexander polynomial into real roots of an integer polynomial in
-(-2, 2).
+(-2, 2).  The signature is constant on the arcs between those roots, so
+each arc value is the signature of an integer matrix at one rational point
+tan(pi theta) = p/q of the arc; intervals only locate a given theta among
+the roots.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import PossiblySingularError, PreconditionError
-from .hermitian import interval_symmetric_signature
-from .intervals import AlgebraicAngle, IntervalReal, cos_2pi, format_decimal, sin_2pi
+from .errors import InputError, PossiblySingularError, PreconditionError
+from .hermitian import rational_symmetric_signature
+from .intervals import AlgebraicAngle, cos_2pi, format_decimal
 from .polynomials import (
     LaurentPoly,
     count_real_roots,
@@ -25,6 +27,7 @@ from .polynomials import (
     factor_integer_poly,
     poly_add,
     poly_divmod,
+    poly_eval,
     poly_gcd,
     poly_matrix_det,
     poly_scale,
@@ -32,6 +35,7 @@ from .polynomials import (
     poly_sub,
     poly_to_str,
     poly_trim,
+    refine_isolating_interval,
     sturm_isolate,
 )
 from .seifert import SeifertMatrix
@@ -61,9 +65,8 @@ def d0(v: SeifertMatrix) -> int:
 
 def determinant(v: SeifertMatrix) -> int:
     """|Delta(-1)|, the knot determinant."""
-    val = abs(alexander_polynomial(v)(-1))
-    assert val.denominator == 1
-    return int(val)
+    coeffs, _ = alexander_polynomial(v).to_int_poly()
+    return abs(poly_eval(coeffs, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +114,8 @@ def arf(v: SeifertMatrix) -> int:
             if _pairing(j_rows, e, w):
                 f = w
                 break
-        assert f is not None, "intersection form degenerate mod 2"
+        if f is None:
+            raise InputError("intersection form V + V^T is degenerate mod 2")
         total ^= q(e) & q(f)
         rest = []
         for u in basis:
@@ -149,46 +153,75 @@ def _omega_is_alexander_root(delta: LaurentPoly, theta: Fraction) -> bool:
     return not poly_divmod(coeffs, phi)[1]
 
 
+def _arc_signature(v: SeifertMatrix, r: Optional[Fraction]) -> int:
+    """Signature at theta = atan(r)/pi in (0, 1/2]; r = None is theta = 1/2.
+
+    With S = V + V^T, K = V^T - V and omega = c + i s the form is
+    (1-c)S + i s K.  As (1-c)/s = tan(pi theta) = r = p/q, it is s/q > 0
+    times pS + i qK, whose realification [[pS, -qK], [qK, pS]] is an
+    integer matrix of twice its signature.  At theta = 1/2 the form is 2S.
+    """
+    n = v.size
+    sym = [[v.rows[i][j] + v.rows[j][i] for j in range(n)] for i in range(n)]
+    if r is None:
+        return rational_symmetric_signature(sym)
+    p, q = r.numerator, r.denominator
+    a = [[p * x for x in row] for row in sym]
+    b = [[q * (v.rows[j][i] - v.rows[i][j]) for j in range(n)]
+         for i in range(n)]
+    mat = ([a[i] + [-x for x in b[i]] for i in range(n)]
+           + [b[i] + a[i] for i in range(n)])
+    return rational_symmetric_signature(mat) // 2
+
+
+def _tan_in_gap(x_lo: Fraction, x_hi: Fraction) -> Fraction:
+    """A rational r > 0 with x_lo < 2(1 - r^2)/(1 + r^2) < x_hi.
+
+    Requires -2 < x_lo < x_hi <= 2.  x decreases in r and
+    r^2 = (2 - x)/(2 + x); r is k/2^m with m, then k, as small as possible.
+    """
+    lo2 = (2 - x_hi) / (2 + x_hi)
+    hi2 = (2 - x_lo) / (2 + x_lo)
+    q = 1
+    while True:
+        k = math.isqrt(math.floor(lo2 * q * q)) + 1
+        if k * k < hi2 * q * q:
+            return Fraction(k, q)
+        q *= 2
+
+
 def levine_tristram(v: SeifertMatrix, theta: Fraction,
                     _delta: Optional[LaurentPoly] = None) -> int:
     """Signature of (1-w)V + (1-conj w)V^T at w = exp(2 pi i theta).
 
-    The hermitian form is realified to a symmetric matrix of twice the
-    size with certified interval entries; its signature is exactly twice
-    the twisted signature.
+    An enclosure of x = 2cos(2 pi theta), its precision doubled until it
+    holds no root of the x-polynomial of Delta, lies in one arc of the
+    signature function; the signature is evaluated exactly at a rational
+    point of that enclosure.  x and the signature are the same at theta
+    and 1 - theta, so the point is taken in (0, 1/2].  Raises
+    PossiblySingularError when omega is a root of Delta.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise PreconditionError("theta must lie in (0, 1)")
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return 0
     delta = alexander_polynomial(v) if _delta is None else _delta
     if _omega_is_alexander_root(delta, theta):
         raise PossiblySingularError(
             "possibly singular: omega is a root of the Alexander polynomial")
-
-    sym = [[v.rows[i][j] + v.rows[j][i] for j in range(n)] for i in range(n)]
-    skew = [[v.rows[j][i] - v.rows[i][j] for j in range(n)] for i in range(n)]
-
-    def entries(prec_bits: int):
-        one_minus_c = 1 - cos_2pi(theta, prec_bits)
-        s = sin_2pi(theta, prec_bits)
-        a = [[one_minus_c * sym[i][j] for j in range(n)] for i in range(n)]
-        b = [[s * skew[i][j] for j in range(n)] for i in range(n)]
-        out = []
-        for i in range(n):
-            out.append(a[i] + [-x for x in b[i]])
-        for i in range(n):
-            out.append(b[i] + a[i])
-        return out
-
-    sig = interval_symmetric_signature(
-        entries(_BASE_PREC),
-        refine=lambda r: entries(_BASE_PREC << (r + 1)),
-        work_bits=4 * _BASE_PREC)
-    assert sig % 2 == 0
-    return sig // 2
+    ps = poly_squarefree_part(_laurent_to_x(delta))
+    prec = _BASE_PREC
+    while True:
+        c = cos_2pi(theta, prec)
+        x_lo, x_hi = max(2 * c.lo, Fraction(-2)), min(2 * c.hi, Fraction(2))
+        if len(ps) == 1 or (poly_eval(ps, x_lo) and poly_eval(ps, x_hi)
+                            and count_real_roots(ps, x_lo, x_hi) == 0):
+            break
+        prec *= 2
+    if x_lo == -2:
+        return _arc_signature(v, None)
+    return _arc_signature(v, _tan_in_gap(x_lo, x_hi))
 
 
 def _laurent_to_x(delta: LaurentPoly) -> tuple:
@@ -252,54 +285,54 @@ class SignatureStepFunction:
                                      self.x_poly, self.delta_coeffs)
 
 
+def _separate_boxes(ps: tuple, boxes: list) -> list:
+    """Refine Sturm boxes (ascending in x) until each lies strictly below
+    the next one and below x = 2, so every arc has an open x-gap."""
+    out = list(boxes)
+    for i, (lo, hi) in enumerate(out):
+        upper = out[i + 1][0] if i + 1 < len(out) else 2
+        while hi >= upper:
+            lo, hi = refine_isolating_interval(ps, lo, hi, (hi - lo) / 2)
+        out[i] = (lo, hi)
+    return out
+
+
 def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
-    """Full signature step function: exact jump angles plus arc values."""
+    """Full signature step function: exact jump angles plus arc values.
+
+    The n roots of the x-polynomial in (-2, 2) cut theta in (0, 1/2] into
+    n + 1 arcs.  Each arc but the last is evaluated at a rational point of
+    the x-gap between its Sturm boxes; the last one holds theta = 1/2.
+    The arcs in [1/2, 1) mirror them, as sigma(theta) = sigma(1 - theta).
+    """
     delta = alexander_polynomial(v)
     coeffs, _ = delta.to_int_poly()
     p = _laurent_to_x(delta)
     ps = poly_squarefree_part(p)
     boxes = sturm_isolate(p, Fraction(-2), Fraction(2)) if len(p) > 1 else []
+    boxes = _separate_boxes(ps, boxes)
 
     _, factors = factor_integer_poly(ps)
     angles_low = []
-    for lo, hi in boxes:
-        minpoly = None
-        for f, _mult in factors:
-            if len(f) > 1 and count_real_roots(f, lo, hi) == 1:
-                minpoly = f
-                break
-        assert minpoly is not None
-        angles_low.append(AlgebraicAngle(minpoly, lo, hi, upper=False))
     # theta = acos(x/2)/2pi is decreasing in x
-    angles_low.sort(key=lambda a: a.x_lo, reverse=True)
+    for lo, hi in reversed(boxes):
+        minpoly = next((f for f, _mult in factors
+                        if len(f) > 1 and count_real_roots(f, lo, hi) == 1),
+                       None)
+        if minpoly is None:
+            raise PreconditionError(
+                f"no irreducible factor of {poly_to_str(ps)} has its root"
+                f" in ({lo}, {hi})")
+        angles_low.append(AlgebraicAngle(minpoly, lo, hi, upper=False))
     jumps = tuple(angles_low
                   + [a.conjugate() for a in reversed(angles_low)])
 
-    if not jumps:
-        sample = Fraction(1, 2)
-        return SignatureStepFunction((), (levine_tristram(v, sample, delta),),
-                                     ps, coeffs)
-
-    # shrink enclosures 16-fold per round until consecutive jump enclosures
-    # are disjoint; enclosure_to_width sets the precision from the width
-    encs = [a.enclosure(_BASE_PREC) for a in jumps]
-    while any(encs[i].hi >= encs[i + 1].lo for i in range(len(encs) - 1)):
-        encs = [a.enclosure_to_width(e.width / 16) for a, e in zip(jumps, encs)]
-
-    samples = []
-    first = encs[0]
-    while first.lo - first.width <= 0:
-        first = jumps[0].enclosure_to_width(first.width / 16)
-    samples.append(first.lo - first.width)
-    for i in range(len(jumps) - 1):
-        samples.append((encs[i].hi + encs[i + 1].lo) / 2)
-    last = encs[-1]
-    while last.hi + last.width >= 1:
-        last = jumps[-1].enclosure_to_width(last.width / 16)
-    samples.append(last.hi + last.width)
-
-    values = tuple(levine_tristram(v, s, delta) for s in samples)
-    return SignatureStepFunction(jumps, values, ps, coeffs)
+    # x-gaps from x = 2 down, one per arc of (0, 1/2) left of the last root
+    edges = [Fraction(2)] + [x for lo, hi in reversed(boxes) for x in (hi, lo)]
+    half = [_arc_signature(v, _tan_in_gap(edges[2 * k + 1], edges[2 * k]))
+            for k in range(len(boxes))]
+    half.append(_arc_signature(v, None))
+    return SignatureStepFunction(jumps, tuple(half + half[-2::-1]), ps, coeffs)
 
 
 def signature_csv(sf: SignatureStepFunction, digits: int = 12) -> str:

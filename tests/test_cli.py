@@ -150,6 +150,20 @@ class TestTableCommand:
         assert r["total_mismatches"] == 0
         assert len(r["knots"]) >= 12
 
+    def test_csv_one_row_per_knot(self, capsys):
+        code, out, _ = run(capsys, "table", str(TABLE_PATH), "--csv")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == ("name,alexander,d0,determinant,arf,"
+                            "signature_at_minus_1,fox_milnor,mismatches")
+        rows = {line.split(",")[0]: line.split(",")[1:] for line in lines[1:]}
+        _, js, _ = run(capsys, "table", str(TABLE_PATH))
+        knots = json.loads(js)["results"]["knots"]
+        assert len(rows) == len(knots)
+        assert rows["3_1"] == ["t - 1 + t^-1", "2", "3", "1", "-2", "false",
+                               "0"]
+        assert all(r[-1] == "0" for r in rows.values())
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "table", "/nonexistent/knots.json")
         assert code == 1

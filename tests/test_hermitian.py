@@ -1,21 +1,12 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from knotbench.errors import PossiblySingularError
-from knotbench.hermitian import (
-    interval_symmetric_signature,
-    rational_symmetric_signature,
-)
-from knotbench.intervals import IntervalReal
+from knotbench.hermitian import rational_symmetric_signature
 from knotbench.seifert import integer_determinant
 
 from oracles import charpoly_signature
-
-
-def iv(lo, hi=None):
-    return IntervalReal(Fraction(lo), Fraction(hi if hi is not None else lo))
 
 
 class TestExactMatrices:
@@ -65,48 +56,3 @@ class TestOracleAgreement:
             sym = v.symmetric_part()
             assert rational_symmetric_signature(sym) == charpoly_signature(sym)
 
-
-class TestRefinement:
-    def test_refinement_resolves_coarse_enclosures(self):
-        # enclosures of diag(1/1000, -1/1000) too coarse at round 0
-        target = [[Fraction(1, 1000), Fraction(0)],
-                  [Fraction(0), Fraction(-1, 1000)]]
-
-        def entries(width):
-            w = Fraction(width)
-            return [[IntervalReal(target[i][j] - w, target[i][j] + w)
-                     for j in range(2)] for i in range(2)]
-
-        calls = []
-
-        def refine(round_index):
-            calls.append(round_index)
-            return entries(Fraction(1, 10 ** (4 + round_index)))
-
-        sig = interval_symmetric_signature(entries(Fraction(1, 100)), refine)
-        assert sig == 0
-        assert calls  # refinement actually happened
-
-    def test_budget_exhaustion_raises(self):
-        ent = [[iv(-1, 1)]]
-        with pytest.raises(PossiblySingularError):
-            interval_symmetric_signature(ent, refine=lambda r: ent, max_rounds=3)
-
-    def test_result_independent_of_refinement_schedule(self):
-        target = [[Fraction(3), Fraction(1), Fraction(0)],
-                  [Fraction(1), Fraction(0), Fraction(2)],
-                  [Fraction(0), Fraction(2), Fraction(-1)]]
-        exact = rational_symmetric_signature(target)
-
-        for start_width, shrink in ((Fraction(1, 2), 4), (Fraction(2), 16)):
-            def entries(w):
-                return [[IntervalReal(x - w, x + w) for x in row]
-                        for row in target]
-
-            state = {"w": start_width}
-
-            def refine(_round):
-                state["w"] /= shrink
-                return entries(state["w"])
-
-            assert interval_symmetric_signature(entries(state["w"]), refine) == exact

@@ -18,6 +18,7 @@ from knotbench.invariants import (
     signature_csv,
     signature_function,
 )
+from knotbench.intervals import cos_2pi
 from knotbench.polynomials import LaurentPoly
 from knotbench.seifert import SeifertMatrix, UNKNOT, connected_sum, mirror
 
@@ -112,6 +113,29 @@ class TestLevineTristram:
         with pytest.raises(PossiblySingularError, match="possibly singular"):
             levine_tristram(trefoil, Fraction(1, 6))
 
+    def test_next_to_a_jump(self, trefoil, monkeypatch):
+        # the trefoil jumps from 0 to -2 at theta = 1/6; at 2^-100 from it
+        # the 64-bit enclosure of x still holds the root x = 1
+        import knotbench.invariants as inv
+
+        precs = []
+
+        def recording_cos_2pi(theta, prec_bits):
+            precs.append(prec_bits)
+            return cos_2pi(theta, prec_bits)
+
+        monkeypatch.setattr(inv, "cos_2pi", recording_cos_2pi)
+        for e in (60, 100):
+            eps = Fraction(1, 2 ** e)
+            for theta, want in ((Fraction(1, 6) - eps, 0),
+                                (Fraction(1, 6) + eps, -2),
+                                (Fraction(5, 6) - eps, -2),
+                                (Fraction(5, 6) + eps, 0)):
+                precs.clear()
+                assert levine_tristram(trefoil, theta) == want, (e, theta)
+                if e == 100:
+                    assert max(precs) > 64  # the precision loop ran
+
     def test_theta_domain(self, trefoil):
         with pytest.raises(PreconditionError):
             levine_tristram(trefoil, Fraction(0))
@@ -195,6 +219,24 @@ class TestSignatureFunction:
                     assert levine_tristram(v, q) == sf.value_at(q)
                 except (PossiblySingularError, PreconditionError):
                     pass
+
+    def test_unimodular_congruence_invariant(self):
+        # P V P^T is a Seifert matrix of the same knot for unimodular P
+        rng = random.Random(71)
+        for _ in range(20):
+            v = random_seifert(rng, rng.randint(1, 3))
+            n = v.size
+            p = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(3 * n):
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice((-2, -1, 1, 2))
+                p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+            pv = [[sum(p[i][k] * v.rows[k][l] for k in range(n))
+                   for l in range(n)] for i in range(n)]
+            w = SeifertMatrix([[sum(pv[i][l] * p[j][l] for l in range(n))
+                                for j in range(n)] for i in range(n)])
+            assert w != v
+            assert signature_function(w).values == signature_function(v).values
 
     def test_mirror_negates(self, trefoil, corpus):
         for v in (trefoil, corpus["6_2"], corpus["5_2"]):
