@@ -118,7 +118,6 @@ def seifert_matrix_from_braid(b: BraidWord) -> SeifertMatrix:
         for j in range(len(ps) - 1):
             loops.append((col, ps[j], ps[j + 1]))
     m = len(loops)
-    assert m == len(b.letters) - b.strands + 1
 
     V = [[0] * m for _ in range(m)]
     for idx, (col, top, bot) in enumerate(loops):

@@ -5,8 +5,22 @@ ordering (rotation) at each trivalent vertex; it generates a rational
 vector space graded either by Vassiliev degree (half the vertex count) or
 by grope degree (Vassiliev degree plus the first Betti number).  For a
 connected diagram with at least one univalent vertex the grope degree
-equals the number of trivalent vertices plus one, which keeps exhaustive
-enumeration small.
+equals the number of trivalent vertices plus one.
+
+Generation starts from the strut.  Write (t, u) for the connected
+diagrams with t trivalent vertices and u legs (univalent vertices).  The
+trees (t, t + 2) come from the trees at t - 1 by replacing one leg with
+a Y, and the layer (t, u) comes from (t, u + 2) by joining two legs into
+one edge.  ``canonical_form`` is the only deduplicator: each layer keeps
+one diagram per key.  The key minimises over the rotation directions, so
+it names the underlying graph, and one diagram per key is enough to grow
+the next layer from.  The generation is complete:
+
+* every tree with t >= 2 has a trivalent vertex carrying two legs, and
+  replacing that Y by one leg gives a tree at t - 1;
+* a diagram in (t, u) with u < t + 2 has a cycle, and cutting an edge on
+  it gives a connected diagram in (t, u + 2) whose two new legs sit on
+  different trivalent vertices unless the edge was a tadpole.
 
 Relations: reversing one rotation negates a diagram (AS), and the Jacobi
 identity ties the three ways of reconnecting an internal edge (IHX).  In
@@ -25,7 +39,6 @@ them for consistency checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -99,9 +112,6 @@ class UniTrivalentGraph:
     def univalent_count(self) -> int:
         return sum(1 for v in self.vertices if len(v) == 1)
 
-    def trivalent_count(self) -> int:
-        return sum(1 for v in self.vertices if len(v) == 3)
-
     def with_rotation_reversed(self, vertex_index: int) -> "UniTrivalentGraph":
         vs = list(self.vertices)
         vs[vertex_index] = tuple(reversed(vs[vertex_index]))
@@ -118,9 +128,7 @@ class UniTrivalentGraph:
 
 def vassiliev_degree(d: UniTrivalentGraph) -> int:
     """Half the number of vertices."""
-    n = d.n_vertices
-    assert n % 2 == 0
-    return n // 2
+    return d.n_vertices // 2
 
 
 def grope_degree(d: UniTrivalentGraph) -> int:
@@ -256,198 +264,66 @@ def canonical_form(d: UniTrivalentGraph) -> tuple:
         queue.append(v[0])
         dfs(0, 0, False)
 
-    assert best is not None
     key = ".".join(str(x) for x in best)
     sign = -1 if best_par == {1} else 1
     return key, sign
-
-
-def canonical_key(d: UniTrivalentGraph) -> str:
-    return canonical_form(d)[0]
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 
-def _connected_labeled_multigraphs(t: int, n_edges: int, allow_loops: bool):
-    """Yield multiplicity dicts {(i, j): m} (i <= j) of connected loopless
-    (or loop-allowing) multigraphs on t labeled nodes, max degree 3."""
-    pairs = [(i, j) for i in range(t) for j in range(i, t)
-             if (i < j or allow_loops)]
-    deg = [0] * t
-    chosen = {}
-    out = []
-
-    def rec(idx: int, remaining: int):
-        if remaining == 0:
-            if _is_connected(t, chosen):
-                out.append(dict(chosen))
-            return
-        if idx >= len(pairs):
-            return
-        # prune: remaining capacity
-        cap = sum(3 - d for d in deg) // 2
-        if cap < remaining:
-            return
-        i, j = pairs[idx]
-        unit = 2 if i == j else 1
-        max_m = 3
-        for m in range(0, max_m + 1):
-            di = deg[i] + m * unit if i == j else deg[i] + m
-            dj = deg[j] + m if i != j else di
-            if i == j:
-                if di > 3:
-                    break
-            else:
-                if di > 3 or dj > 3:
-                    break
-            if m > remaining:
-                break
-            if m:
-                chosen[(i, j)] = m
-                if i == j:
-                    deg[i] += 2 * m
-                else:
-                    deg[i] += m
-                    deg[j] += m
-            rec(idx + 1, remaining - m)
-            if m:
-                del chosen[(i, j)]
-                if i == j:
-                    deg[i] -= 2 * m
-                else:
-                    deg[i] -= m
-                    deg[j] -= m
-
-    rec(0, n_edges)
-    return out
-
-
-def _is_connected(t: int, mult: dict) -> bool:
-    if t == 1:
-        return True
-    parent = list(range(t))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j) in mult:
-        if i != j:
-            parent[find(i)] = find(j)
-    return len({find(i) for i in range(t)}) == 1
-
-
-def _canon_multigraph(t: int, mult: dict) -> tuple:
-    """Canonical form of a labeled multigraph under node permutations."""
-    deg = [0] * t
-    for (i, j), m in mult.items():
-        if i == j:
-            deg[i] += 2 * m
-        else:
-            deg[i] += m
-            deg[j] += m
-
-    best = None
-    # only degree-preserving permutations can map the graph to itself
-    nodes_by_deg: dict = {}
-    for i, dv in enumerate(deg):
-        nodes_by_deg.setdefault(dv, []).append(i)
-    groups = [nodes_by_deg[k] for k in sorted(nodes_by_deg)]
-
-    for perm_parts in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = {}
-        for orig, image in zip(groups, perm_parts):
-            for a, b in zip(orig, image):
-                perm[a] = b
-        key = []
-        for (i, j), m in mult.items():
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            key.append((a, b, m))
-        key.sort()
-        key = tuple(key)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _diagram_from_multigraph(t: int, mult_key: tuple, rotations: Sequence[int],
-                             allow_tadpoles: bool) -> UniTrivalentGraph:
-    """Assemble a uni-trivalent diagram: internal nodes filled to degree 3
-    with legs, rotation direction per internal node from `rotations`."""
-    incident: list = [[] for _ in range(t)]
-    half = 0
-    pairing_pairs = []
-    for (i, j, m) in mult_key:
-        for _ in range(m):
-            h1, h2 = half, half + 1
-            half += 2
-            incident[i].append(h1)
-            incident[j].append(h2)
-            pairing_pairs.append((h1, h2))
-    vertices = []
-    leg_vertices = []
-    for i in range(t):
-        hs = list(incident[i])
-        while len(hs) < 3:
-            h_node, h_leg = half, half + 1
-            half += 2
-            hs.append(h_node)
-            leg_vertices.append((h_leg,))
-            pairing_pairs.append((h_node, h_leg))
-        if rotations[i]:
-            hs = [hs[0]] + list(reversed(hs[1:]))
-        vertices.append(tuple(hs))
-    vertices.extend(leg_vertices)
-    pairing = [0] * half
-    for a, b in pairing_pairs:
-        pairing[a] = b
-        pairing[b] = a
-    return UniTrivalentGraph(vertices, pairing, allow_tadpoles=allow_tadpoles)
-
-
 def _strut() -> UniTrivalentGraph:
     return UniTrivalentGraph(((0,), (1,)), (1, 0))
 
 
-def _generators_for_counts(t: int, n_edges: int,
-                           allow_tadpoles: bool) -> list:
-    """One stored representative per canonical class with t internal nodes
-    and the given internal edge count."""
-    if t == 0:
-        return [("strut", _strut())] if n_edges == 0 else []
-    seen_graphs = set()
+def _legs(d: UniTrivalentGraph) -> list:
+    return [i for i, v in enumerate(d.vertices) if len(v) == 1]
+
+
+def _grow_leg(d: UniTrivalentGraph, leg: int) -> UniTrivalentGraph:
+    """Replace univalent vertex `leg` by a Y: it becomes trivalent and
+    carries two new legs."""
+    n = len(d.pairing)
+    vs = list(d.vertices)
+    vs[leg] = (vs[leg][0], n, n + 1)
+    vs += [(n + 2,), (n + 3,)]
+    return UniTrivalentGraph(vs, d.pairing + (n + 2, n + 3, n, n + 1))
+
+
+def _join_legs(d: UniTrivalentGraph, a: int, b: int,
+               allow_tadpoles: bool) -> UniTrivalentGraph:
+    """Delete univalent vertices a and b and join the two half-edges they
+    were attached to into one edge; half-edges are renumbered densely."""
+    ha, hb = d.vertices[a][0], d.vertices[b][0]
+    vs = [v for i, v in enumerate(d.vertices) if i not in (a, b)]
+    ids = {h: k for k, h in enumerate(h for v in vs for h in v)}
+    pairing = [0] * len(ids)
+    for h, p in d.edges() + [(d.pairing[ha], d.pairing[hb])]:
+        if h in ids and p in ids:
+            pairing[ids[h]], pairing[ids[p]] = ids[p], ids[h]
+    return UniTrivalentGraph([[ids[h] for h in v] for v in vs], pairing,
+                             allow_tadpoles=allow_tadpoles)
+
+
+def _distinct(diagrams: Iterable[UniTrivalentGraph]) -> list:
+    """The first diagram of each canonical key, as (key, diagram) pairs."""
     found: dict = {}
-    for mult in _connected_labeled_multigraphs(t, n_edges, allow_tadpoles):
-        gkey = _canon_multigraph(t, mult)
-        if gkey in seen_graphs:
-            continue
-        seen_graphs.add(gkey)
-        deg = [0] * t
-        for (i, j, m) in gkey:
-            if i == j:
-                deg[i] += 2 * m
-            else:
-                deg[i] += m
-                deg[j] += m
-        # rotation choice is only material at nodes with at most one leg
-        free_nodes = [i for i in range(t) if 3 - deg[i] <= 1]
-        for bits in range(1 << len(free_nodes)):
-            rot = [0] * t
-            for k, node in enumerate(free_nodes):
-                rot[node] = (bits >> k) & 1
-            diag = _diagram_from_multigraph(t, gkey, rot, allow_tadpoles)
-            if not allow_tadpoles and diag.has_tadpole():
-                continue
-            key, _sign = canonical_form(diag)
-            if key not in found:
-                found[key] = diag
-    return sorted(found.items())
+    for d in diagrams:
+        found.setdefault(canonical_form(d)[0], d)
+    return list(found.items())
+
+
+def _joined(layer: list, allow_tadpoles: bool) -> list:
+    """Layer (t, u - 2) from layer (t, u): every way of joining two legs."""
+    def joins(d):
+        owner = d.owner_map()
+        ends = [(i, owner[d.pairing[d.vertices[i][0]]]) for i in _legs(d)]
+        for k, (a, va) in enumerate(ends):
+            for b, vb in ends[k + 1:]:
+                if allow_tadpoles or va != vb:
+                    yield _join_legs(d, a, b, allow_tadpoles)
+    return _distinct(g for _, d in layer for g in joins(d))
 
 
 def enumerate_diagrams(i: int, grading: str = "grope",
@@ -455,64 +331,42 @@ def enumerate_diagrams(i: int, grading: str = "grope",
                        include_strut: bool = True) -> list:
     """Canonical diagram representatives of the given degree, sorted by key.
 
-    grading="grope": degree i needs exactly i - 1 trivalent vertices.
-    grading="vassiliev": degree n ranges over all internal vertex counts
-    t <= 2n - 1; the degree-1 strut is included per `include_strut`.
+    A connected diagram with t trivalent vertices and u legs lies in layer
+    (t, u), with 3t + u even and u <= t + 2 (its first Betti number is
+    (t - u)/2 + 1).  grading="grope": degree i is t = i - 1 with
+    1 <= u <= t + 2.  grading="vassiliev": degree n is t + u = 2n; the
+    degree-1 strut (t = 0, key "strut") is included per `include_strut`.
     """
-    out = []
     if grading == "grope":
         if i < 2:
             raise PreconditionError("below grading range")
-        t = i - 1
-        min_e = t - 1
-        max_e = (3 * t - 1) // 2
-        for n_edges in range(min_e, max_e + 1):
-            u = 3 * t - 2 * n_edges
-            if u < 1:
-                continue
-            out.extend(_generators_for_counts(t, n_edges, allow_tadpoles))
+        cells = {(i - 1, u) for u in range(i + 1, 0, -2)}
     elif grading == "vassiliev":
         if i < 0:
             raise PreconditionError("below grading range")
-        for t in range(0, 2 * i):
-            u = 2 * i - t
-            if u < 1:
-                continue
-            if (3 * t - u) % 2:
-                continue
-            n_edges = (3 * t - u) // 2
-            if t == 0:
-                if u == 2 and i == 1 and include_strut:
-                    out.extend(_generators_for_counts(0, 0, allow_tadpoles))
-                continue
-            if n_edges < t - 1:
-                continue
-            out.extend(_generators_for_counts(t, n_edges, allow_tadpoles))
+        cells = {(t, 2 * i - t) for t in range(max(1, i - 1), 2 * i)}
     else:
         raise ValueError(f"unknown grading {grading!r}")
+    out = []
+    if grading == "vassiliev" and i == 1 and include_strut:
+        out.append(("strut", _strut()))
+    trees = [("strut", _strut())]
+    for t in range(1, max((t for t, _ in cells), default=0) + 1):
+        trees = _distinct(_grow_leg(d, leg) for _, d in trees
+                          for leg in _legs(d))
+        layer = trees
+        for u in range(t + 2, 0, -2):
+            if (t, u) in cells:
+                out.extend(layer)
+            if not any(s == t and w < u for s, w in cells):
+                break
+            layer = _joined(layer, allow_tadpoles)
     out.sort()
     return out
 
 
 # ---------------------------------------------------------------------------
 # relations
-
-
-@dataclass(frozen=True)
-class DiagramVector:
-    """Sparse rational combination of canonical diagrams, homogeneous in
-    the chosen grading."""
-
-    coefficients: tuple  # ((key, Fraction), ...) sorted by key
-    degree: int
-
-    @classmethod
-    def from_dict(cls, d: dict, degree: int) -> "DiagramVector":
-        items = tuple(sorted((k, v) for k, v in d.items() if v != 0))
-        return cls(items, degree)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
 
 
 @dataclass
@@ -527,10 +381,6 @@ class RelationMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-
-def _rotate_at(d: UniTrivalentGraph, vertex_index: int) -> UniTrivalentGraph:
-    return d.with_rotation_reversed(vertex_index)
 
 
 def _ihx_terms(d: UniTrivalentGraph, h: int) -> list:
@@ -572,25 +422,23 @@ def relation_matrix(i: int, grading: str = "grope",
     kinds = []
     degrees = []
 
-    def term_vector(terms) -> Optional[dict]:
+    def term_vector(terms) -> dict:
         vec: dict = {}
-        degs = set()
         for diag, coeff in terms:
             if not allow_tadpoles and diag.has_tadpole():
                 continue  # rationally zero, dropped
             key, sign = canonical_form(diag)
             j = col_index.get(key)
-            assert j is not None, "relation term escapes the generator basis"
+            if j is None:
+                raise PreconditionError(
+                    f"relation term {key} escapes the generator basis")
             vec[j] = vec.get(j, 0) + coeff * sign
-            degs.add(degree_of(diag))
-        vec = {k: v for k, v in vec.items() if v}
-        assert len(degs) <= 1, "relation row mixes degrees"
-        return vec
+        return {k: v for k, v in vec.items() if v}
 
     for key, diag in gens:
         tri = [idx for idx, v in enumerate(diag.vertices) if len(v) == 3]
         for vi in tri:
-            vec = term_vector([(diag, 1), (_rotate_at(diag, vi), 1)])
+            vec = term_vector([(diag, 1), (diag.with_rotation_reversed(vi), 1)])
             rows.append(vec)
             kinds.append("AS")
             degrees.append(degree_of(diag))
@@ -675,11 +523,3 @@ def dim_B_by_vassiliev(n: int, include_strut: bool = True,
         return 0
     return dim_graded_piece(n, "vassiliev", include_strut=include_strut,
                             budget=budget)["dimension"]
-
-
-def dump_diagram(key: str, d: UniTrivalentGraph) -> str:
-    """One-line dump: canonical key, rotations, and the edge list."""
-    rots = ";".join("(" + ",".join(str(h) for h in v) + ")"
-                    for v in d.vertices)
-    edges = ";".join(f"{a}-{b}" for a, b in d.edges())
-    return f"{key} | rotations {rots} | edges {edges}"

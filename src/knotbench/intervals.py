@@ -8,18 +8,12 @@ from mpmath's interval context and are converted back to exact rationals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mpmath import iv
 
-from .polynomials import (
-    count_real_roots,
-    poly_eval,
-    poly_gcd,
-    poly_to_str,
-    refine_isolating_interval,
-)
+from .polynomials import poly_to_str, refine_isolating_interval
 
 _ZERO = Fraction(0)
 _GUARD_BITS = 32
@@ -139,47 +133,65 @@ def angle_from_cos_half(x: IntervalReal, prec_bits: int = 64) -> IntervalReal:
     return IntervalReal(max(out.lo, _ZERO), min(out.hi, Fraction(1, 2)))
 
 
+@dataclass(frozen=True, slots=True)
 class AlgebraicAngle:
     """An angle theta in (0, 1) with x = 2*cos(2*pi*theta) algebraic.
 
     The angle is stored as a squarefree integer polynomial with a rational
     isolating interval for x in (-2, 2), plus a flag selecting theta (the
-    branch in (0, 1/2)) or its conjugate 1 - theta.
+    branch in (0, 1/2)) or its conjugate 1 - theta.  Values are immutable:
+    refinement returns a new angle.
     """
 
-    __slots__ = ("poly", "x_lo", "x_hi", "upper")
+    poly: tuple
+    x_lo: Fraction
+    x_hi: Fraction
+    upper: bool = False
 
-    def __init__(self, poly, x_lo, x_hi, upper: bool = False):
-        self.poly = tuple(poly)
-        self.x_lo = Fraction(x_lo)
-        self.x_hi = Fraction(x_hi)
-        self.upper = bool(upper)
+    def __post_init__(self):
+        object.__setattr__(self, "poly", tuple(self.poly))
+        object.__setattr__(self, "x_lo", Fraction(self.x_lo))
+        object.__setattr__(self, "x_hi", Fraction(self.x_hi))
 
     def conjugate(self) -> "AlgebraicAngle":
-        return AlgebraicAngle(self.poly, self.x_lo, self.x_hi, not self.upper)
+        return replace(self, upper=not self.upper)
 
-    def refine_x(self, width: Fraction) -> None:
-        self.x_lo, self.x_hi = refine_isolating_interval(
+    def refine_x(self, width: Fraction) -> "AlgebraicAngle":
+        """The same angle with an x-interval of width at most ``width``."""
+        lo, hi = refine_isolating_interval(
             self.poly, self.x_lo, self.x_hi, Fraction(width))
+        return replace(self, x_lo=lo, x_hi=hi)
 
     def enclosure(self, prec_bits: int = 64) -> IntervalReal:
-        """Certified enclosure of theta; sharpened by refine_x first."""
+        """Certified enclosure of theta from the stored x-interval."""
         base = angle_from_cos_half(
             IntervalReal(self.x_lo, self.x_hi), prec_bits)
         if self.upper:
             return IntervalReal(1 - base.hi, 1 - base.lo)
         return base
 
+    def narrowing(self, prec_bits: int = 64):
+        """Endless sequence of certified enclosures of theta.
+
+        Each one comes from an x-interval 16 times narrower than the one
+        before.  When an enclosure fails to halve, rounding rather than x
+        limits it (as for x within 2^-prec of +-2, where arccos loses half
+        the bits), and the precision doubles.
+        """
+        angle, enc = self, self.enclosure(prec_bits)
+        while True:
+            yield enc
+            angle = angle.refine_x((angle.x_hi - angle.x_lo) / 16)
+            prev, enc = enc, angle.enclosure(prec_bits)
+            if 2 * enc.width > prev.width:
+                prec_bits *= 2
+
     def enclosure_to_width(self, width: Fraction,
                            prec_bits: int = 64) -> IntervalReal:
         """Certified enclosure of theta of width at most ``width``.
 
         The working precision follows from ``width``: about log2(1/width)
-        plus guard bits, with ``prec_bits`` only a floor.  Each round
-        narrows the x-interval 16-fold, refining ``x_lo``/``x_hi`` in
-        place.  When a round fails to halve the enclosure, rounding rather
-        than x limits it (as for x within 2^-prec of +-2, where arccos
-        loses half the bits), and the precision doubles.
+        plus guard bits, with ``prec_bits`` only a floor.
         """
         width = Fraction(width)
         if width <= 0:
@@ -187,37 +199,8 @@ class AlgebraicAngle:
         # bit_length of 1/width rounded down is about log2(1/width)
         need = (width.denominator // width.numerator).bit_length()
         prec_bits = max(prec_bits, need + _GUARD_BITS)
-        enc = self.enclosure(prec_bits)
-        while enc.width > width:
-            self.refine_x((self.x_hi - self.x_lo) / 16)
-            prev, enc = enc, self.enclosure(prec_bits)
-            if 2 * enc.width > prev.width:
-                prec_bits *= 2
-        return enc
-
-    def same_angle(self, other: "AlgebraicAngle", max_iter: int = 128) -> bool:
-        """Exact equality of the represented angles."""
-        if self.upper != other.upper:
-            return False
-        g = poly_gcd(self.poly, other.poly)
-        if len(g) <= 1:
-            return False
-        for _ in range(max_iter):
-            lo = max(self.x_lo, other.x_lo)
-            hi = min(self.x_hi, other.x_hi)
-            if lo >= hi:
-                return False
-            if (count_real_roots(g, lo, hi) == 1
-                    and count_real_roots(self.poly, lo, hi) == 1
-                    and count_real_roots(other.poly, lo, hi) == 1
-                    and poly_eval(self.poly, lo) != 0
-                    and poly_eval(self.poly, hi) != 0
-                    and poly_eval(other.poly, lo) != 0
-                    and poly_eval(other.poly, hi) != 0):
-                return True
-            self.refine_x((self.x_hi - self.x_lo) / 4)
-            other.refine_x((other.x_hi - other.x_lo) / 4)
-        raise RuntimeError("angle comparison did not converge")
+        return next(enc for enc in self.narrowing(prec_bits)
+                    if enc.width <= width)
 
     def __repr__(self):
         branch = "1-acos" if self.upper else "acos"

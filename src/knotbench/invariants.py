@@ -272,9 +272,8 @@ class SignatureStepFunction:
                 "signature undefined exactly at a jump angle")
         k = 0
         for angle in self.jumps:
-            enc = angle.enclosure(_BASE_PREC)
-            while enc.contains(theta):
-                enc = angle.enclosure_to_width(enc.width / 16)
+            enc = next(e for e in angle.narrowing(_BASE_PREC)
+                       if not e.contains(theta))
             if theta > enc.hi:
                 k += 1
         return self.values[k]

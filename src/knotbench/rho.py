@@ -34,24 +34,20 @@ class RhoResult:
 
     def endpoint_enclosure(self, endpoint: ArcEndpoint,
                            width: Fraction) -> IntervalReal:
-        if isinstance(endpoint, AlgebraicAngle):
-            return endpoint.enclosure_to_width(width)
-        return IntervalReal.exact(endpoint)
+        return _enclosure(endpoint, width)
 
     def reevaluate(self, precision: Fraction) -> IntervalReal:
         """Re-sum the exact form with endpoint enclosures of a new width."""
         return _sum_arcs(self.exact_form, Fraction(precision))
 
     def to_json_dict(self, digits: int = 12) -> dict:
-        width = Fraction(1, 10 ** (digits + 2))
+        enc = _enclosures(self.exact_form, Fraction(1, 10 ** (digits + 2)))
         arcs = []
         for sigma, lo, hi in self.exact_form:
-            lo_e = self.endpoint_enclosure(lo, width)
-            hi_e = self.endpoint_enclosure(hi, width)
             arcs.append({
                 "sigma": sigma,
-                "theta_lo": format_decimal(lo_e.mid, digits),
-                "theta_hi": format_decimal(hi_e.mid, digits),
+                "theta_lo": format_decimal(enc[lo].mid, digits),
+                "theta_hi": format_decimal(enc[hi].mid, digits),
             })
         return {
             "rho0": {
@@ -63,19 +59,32 @@ class RhoResult:
         }
 
 
+def _enclosure(endpoint: ArcEndpoint, width: Fraction) -> IntervalReal:
+    if isinstance(endpoint, AlgebraicAngle):
+        return endpoint.enclosure_to_width(width)
+    return IntervalReal.exact(endpoint)
+
+
+def _enclosures(exact_form, width: Fraction) -> dict:
+    """One enclosure of width at most ``width`` per distinct arc endpoint;
+    a jump angle ends one arc and starts the next, and is enclosed once."""
+    enc: dict = {}
+    for _, lo, hi in exact_form:
+        for e in (lo, hi):
+            if e not in enc:
+                enc[e] = _enclosure(e, width)
+    return enc
+
+
 def _sum_arcs(exact_form, precision: Fraction) -> IntervalReal:
     nonzero = [item for item in exact_form if item[0] != 0]
     if not nonzero:
         return IntervalReal.exact(0)
     weight = sum(2 * abs(sigma) for sigma, _, _ in nonzero)
-    per_endpoint = precision / weight
+    enc = _enclosures(nonzero, precision / weight)
     total = IntervalReal.exact(0)
     for sigma, lo, hi in nonzero:
-        lo_e = (lo.enclosure_to_width(per_endpoint)
-                if isinstance(lo, AlgebraicAngle) else IntervalReal.exact(lo))
-        hi_e = (hi.enclosure_to_width(per_endpoint)
-                if isinstance(hi, AlgebraicAngle) else IntervalReal.exact(hi))
-        total = total + (hi_e - lo_e) * sigma
+        total = total + (enc[hi] - enc[lo]) * sigma
     return total
 
 

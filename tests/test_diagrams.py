@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -136,6 +137,37 @@ class TestEnumeration:
                 assert grope_degree(d) == i
                 assert d.univalent_count() >= 1
 
+    @pytest.mark.parametrize("grading,degree,count,digest", [
+        ("grope", 2, 1, "5c4b52a611a407a3"),
+        ("grope", 3, 2, "f9bfa7ded74018e7"),
+        ("grope", 4, 4, "7d6327644733f95b"),
+        ("grope", 5, 10, "2d964d202d64dcae"),
+        ("grope", 6, 22, "d25d4a09e5460ce8"),
+        ("grope", 7, 62, "3d82841604db1c31"),
+        ("vassiliev", 2, 3, "3195c7f599303fdb"),
+        ("vassiliev", 3, 11, "d49723c55f64c46d"),
+        ("vassiliev", 4, 51, "19561f07cd9e32e5"),
+    ])
+    def test_pinned_generator_keys(self, grading, degree, count, digest):
+        # counts and key digests of the labeled-multigraph enumeration that
+        # generation from the strut replaced
+        keys = [k for k, _ in enumerate_diagrams(degree, grading)]
+        assert len(keys) == count
+        assert keys == sorted(keys)
+        sha = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        assert sha[:16] == digest
+
+    def test_strut_key_at_vassiliev_1(self):
+        assert [k for k, _ in enumerate_diagrams(1, "vassiliev")] == ["strut"]
+        assert enumerate_diagrams(1, "vassiliev", include_strut=False) == []
+
+    def test_tadpole_toggle_counts(self):
+        counts = [len(enumerate_diagrams(i, allow_tadpoles=True))
+                  for i in (3, 4, 5)]
+        assert counts == [3, 7, 17]
+        for _, d in enumerate_diagrams(5, allow_tadpoles=True):
+            assert grope_degree(d) == 5
+
 
 class TestRelationMatrix:
     def test_as_kills_y(self):
@@ -155,6 +187,11 @@ class TestRelationMatrix:
                 if deg != i:
                     violations += 1
         assert violations == 0
+
+    def test_incomplete_generators_rejected(self):
+        gens = enumerate_diagrams(4)
+        with pytest.raises(PreconditionError, match="escapes the generator"):
+            relation_matrix(4, generators=gens[:1] + gens[2:])
 
     def test_ihx_rows_have_at_most_three_terms(self):
         rel = relation_matrix(4)
@@ -201,6 +238,10 @@ class TestDimensions:
         assert dim_B_by_vassiliev(1, include_strut=False) == 0
         assert dim_B_by_vassiliev(2) == 1
         assert dim_B_by_vassiliev(3) == 1
+
+    def test_vassiliev_4_bar_natan(self):
+        # Bar-Natan, "On the Vassiliev knot invariants" (1995): 1, 1, 1, 2
+        assert dim_B_by_vassiliev(4) == 2
 
     def test_rank_over_q_simple(self):
         assert rank_over_q([{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}]) == 2

@@ -91,9 +91,11 @@ class TestAlgebraicAngle:
     def test_refinement_shrinks_monotonically(self):
         a = AlgebraicAngle((-2, 0, 1), Fraction(0), Fraction(2))
         w0 = a.enclosure(64).width
-        a.refine_x(Fraction(1, 2 ** 10))
-        assert a.enclosure(64).width < w0
-        assert a.enclosure(64).contains(Fraction(1, 8))  # acos(sqrt2/2)/2pi
+        b = a.refine_x(Fraction(1, 2 ** 10))
+        assert b.enclosure(64).width < w0
+        assert b.enclosure(64).contains(Fraction(1, 8))  # acos(sqrt2/2)/2pi
+        assert b.x_hi - b.x_lo <= Fraction(1, 2 ** 10)
+        assert (a.x_lo, a.x_hi) == (0, 2)  # the refined copy is a new value
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_root_near_cos_half_endpoint(self, sign):
@@ -112,13 +114,12 @@ class TestAlgebraicAngle:
         assert enc.width <= width
         assert enc.lo - tol <= ref <= enc.hi + tol
 
-    def test_same_angle(self):
+    def test_immutable(self):
         a = AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2))
-        b = AlgebraicAngle((-1, 1), Fraction(0), Fraction(7, 4))
-        c = AlgebraicAngle((-2, 0, 1), Fraction(0), Fraction(2))
-        assert a.same_angle(b)
-        assert not a.same_angle(c)
-        assert not a.same_angle(b.conjugate())
+        with pytest.raises(AttributeError):
+            a.x_lo = Fraction(0)
+        a.enclosure_to_width(Fraction(1, 10 ** 30))
+        assert (a.x_lo, a.x_hi) == (Fraction(1, 2), Fraction(3, 2))
 
 
 class TestFormatDecimal:

@@ -5,7 +5,8 @@ import pytest
 
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
 from knotbench.intervals import IntervalReal
-from knotbench.rho import rho0, rho0_properties_check
+from knotbench.invariants import signature_csv, signature_function
+from knotbench.rho import rho0, rho0_from_step_function, rho0_properties_check
 from knotbench.seifert import UNKNOT, connected_sum, mirror
 
 from conftest import random_seifert
@@ -50,6 +51,18 @@ class TestRho0:
             total = total + (r.endpoint_enclosure(hi, w)
                              - r.endpoint_enclosure(lo, w))
         assert total.contains(1)
+
+    def test_jump_bounds_unchanged_by_evaluation(self):
+        # angles held by a step function are values: evaluating rho0, the
+        # step function and its CSV rendering must not narrow them
+        sf = signature_function(
+            seifert_matrix_from_braid(BraidWord(2, [1] * 5)))
+        before = [(a.x_lo, a.x_hi) for a in sf.jumps]
+        assert before[0] == (Fraction(3, 2), Fraction(7, 4))
+        rho0_from_step_function(sf, PREC)
+        assert sf.value_at(Fraction(1, 7)) == sf.values[1]
+        signature_csv(sf)
+        assert [(a.x_lo, a.x_hi) for a in sf.jumps] == before
 
     def test_reevaluate_at_fifty_digits(self, trefoil):
         r = rho0(trefoil, PREC)
