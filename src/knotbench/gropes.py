@@ -342,39 +342,32 @@ def bracket_word(b: Bracket) -> FreeWord:
 # Magnus expansion
 
 
-def _series_mul(a: dict, b: dict, cutoff: int) -> dict:
-    out: dict = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            if len(wa) + len(wb) >= cutoff:
-                continue
-            w = wa + wb
-            out[w] = out.get(w, 0) + ca * cb
-    return {w: c for w, c in out.items() if c}
-
-
 def magnus_depth(w: FreeWord, cutoff: int = MAGNUS_CUTOFF_BUDGET) -> Optional[int]:
     """Least degree of a nonvanishing term of the Magnus expansion minus 1.
 
-    Each generator maps to 1 + X, inverses to the truncated geometric
-    series; the returned k means the word lies in the k-th but not the
-    (k+1)-st lower central subgroup.  None means "no term below the
-    cutoff", in particular for the identity.
+    Each generator maps to 1 + X; the expansion is kept below ``cutoff``
+    as one dict of words per degree.  A letter x_g adds acc[d-1] X_g to
+    acc[d], top degree first; a letter x_g^-1 solves new (1 + X_g) = acc by
+    subtracting new[d-1] X_g from acc[d], lowest degree first.  The
+    returned k means the word lies in the k-th but not the (k+1)-st lower
+    central subgroup.  None means "no term below the cutoff", in particular
+    for the identity.
     """
     if w.rank > MAGNUS_RANK_BUDGET:
         raise BudgetExceededError(f"rank {w.rank} exceeds {MAGNUS_RANK_BUDGET}")
     if not 1 <= cutoff <= MAGNUS_CUTOFF_BUDGET:
         raise BudgetExceededError(
             f"cutoff {cutoff} outside 1..{MAGNUS_CUTOFF_BUDGET}")
-    acc = {(): 1}
+    acc = [{(): 1}] + [{} for _ in range(cutoff - 1)]
     for x in w.letters:
-        g = abs(x) - 1
-        if x > 0:
-            term = {(): 1, (g,): 1}
-        else:
-            term = {tuple([g] * k): (-1) ** k for k in range(cutoff)}
-        acc = _series_mul(acc, term, cutoff)
-    acc.pop((), None)
-    if not acc:
-        return None
-    return min(len(word) for word in acc)
+        g, sign = abs(x) - 1, (1 if x > 0 else -1)
+        for d in range(cutoff - 1, 0, -1) if x > 0 else range(1, cutoff):
+            row = acc[d]
+            for word, c in acc[d - 1].items():
+                key = word + (g,)
+                c = row.get(key, 0) + sign * c
+                if c:
+                    row[key] = c
+                else:
+                    del row[key]
+    return next((d for d in range(1, cutoff) if acc[d]), None)

@@ -1,9 +1,11 @@
 """Certified interval arithmetic with exact rational endpoints.
 
 ``IntervalReal`` endpoints are ``fractions.Fraction``; all interval
-operations here are outward-correct.  Enclosures of cos and arccos come
-from mpmath's interval context and are converted back to exact rationals
-(binary floats are rationals, so the conversion loses nothing).
+operations here are outward-correct.  Enclosures of cos and of jump angles
+come from mpmath's interval context and are converted back to exact
+rationals (binary floats are rationals, so the conversion loses nothing).
+A jump angle theta = arccos(x/2) / (2 pi) is never taken through arccos:
+it is the half-angle form atan2(sqrt(2 - x), sqrt(2 + x)) / pi.
 """
 
 from __future__ import annotations
@@ -109,27 +111,24 @@ def cos_2pi(theta: Fraction, prec_bits: int = 64) -> IntervalReal:
 
 def angle_from_cos_half(x: IntervalReal, prec_bits: int = 64) -> IntervalReal:
     """Enclosure of arccos(x/2) / (2*pi) for an enclosure x of a value in
-    (-2, 2); the result lies in (0, 1/2).
+    [-2, 2]; the result lies in [0, 1/2].
 
-    mpmath's interval context has no acos, so we use
-    acos(v) = atan2(sqrt(1 - v^2), v), which is certified elementwise.
+    As 2 - x = 4 sin^2(pi theta) and 2 + x = 4 cos^2(pi theta), theta is
+    atan2(sqrt(2 - x), sqrt(2 + x)) / pi.  The differences 2 -+ x are exact
+    rationals, so nothing cancels near x = +-2.
     """
     lo = max(x.lo, Fraction(-2))
     hi = min(x.hi, Fraction(2))
     old = iv.prec
     try:
         iv.prec = prec_bits
-        v = iv.mpf([_fraction_to_iv(lo).a, _fraction_to_iv(hi).b]) / 2
-        s = 1 - v * v
-        # outward rounding can push the lower endpoint of 1 - v^2 below 0
-        s_lo, s_hi = (_raw_mpf_to_fraction(r) for r in s._mpi_)
-        if s_lo < 0:
-            s = iv.mpf([0, s.b])
-        val = iv.atan2(iv.sqrt(s), v) / (2 * iv.pi)
+        s = iv.mpf([_fraction_to_iv(2 - hi).a, _fraction_to_iv(2 - lo).b])
+        c = iv.mpf([_fraction_to_iv(2 + lo).a, _fraction_to_iv(2 + hi).b])
+        val = iv.atan2(iv.sqrt(s), iv.sqrt(c)) / iv.pi
     finally:
         iv.prec = old
     out = _iv_to_interval(val)
-    # arccos/2pi maps into [0, 1/2]; trim rounding spill
+    # theta lies in [0, 1/2]; trim rounding spill
     return IntervalReal(max(out.lo, _ZERO), min(out.hi, Fraction(1, 2)))
 
 
@@ -170,37 +169,28 @@ class AlgebraicAngle:
             return IntervalReal(1 - base.hi, 1 - base.lo)
         return base
 
-    def narrowing(self, prec_bits: int = 64):
-        """Endless sequence of certified enclosures of theta.
-
-        Each one comes from an x-interval 16 times narrower than the one
-        before.  When an enclosure fails to halve, rounding rather than x
-        limits it (as for x within 2^-prec of +-2, where arccos loses half
-        the bits), and the precision doubles.
-        """
-        angle, enc = self, self.enclosure(prec_bits)
-        while True:
-            yield enc
-            angle = angle.refine_x((angle.x_hi - angle.x_lo) / 16)
-            prev, enc = enc, angle.enclosure(prec_bits)
-            if 2 * enc.width > prev.width:
-                prec_bits *= 2
-
-    def enclosure_to_width(self, width: Fraction,
-                           prec_bits: int = 64) -> IntervalReal:
+    def enclosure_to_width(self, width: Fraction) -> IntervalReal:
         """Certified enclosure of theta of width at most ``width``.
 
-        The working precision follows from ``width``: about log2(1/width)
-        plus guard bits, with ``prec_bits`` only a floor.
+        On an x-box with m = max |x| < 2 the slope |d theta / dx| =
+        1/(2 pi sqrt(4 - x^2)) is at most 1/(2 pi sqrt(2 (2 - m))), hence at
+        most 1/(6 (2 - m)) as 2 - m <= 2 < 8 pi^2 / 36.  So x is refined
+        once, to width 3 (2 - m) width, which spreads theta by at most
+        width / 2; a box touching +-2 is halved first until it does not.
+        One enclosure at about log2(1/width) + 32 bits then adds rounding of
+        order 2^-32 width.
         """
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
+        angle = self
+        while max(-angle.x_lo, angle.x_hi) >= 2:
+            angle = angle.refine_x((angle.x_hi - angle.x_lo) / 2)
+        m = max(-angle.x_lo, angle.x_hi)
+        angle = angle.refine_x(3 * (2 - m) * width)
         # bit_length of 1/width rounded down is about log2(1/width)
         need = (width.denominator // width.numerator).bit_length()
-        prec_bits = max(prec_bits, need + _GUARD_BITS)
-        return next(enc for enc in self.narrowing(prec_bits)
-                    if enc.width <= width)
+        return angle.enclosure(need + _GUARD_BITS)
 
     def __repr__(self):
         branch = "1-acos" if self.upper else "acos"

@@ -23,6 +23,7 @@ from .intervals import AlgebraicAngle, cos_2pi, format_decimal
 from .polynomials import (
     LaurentPoly,
     count_real_roots,
+    count_roots_halfopen,
     cyclotomic_poly,
     factor_integer_poly,
     poly_add,
@@ -37,6 +38,7 @@ from .polynomials import (
     poly_trim,
     refine_isolating_interval,
     sturm_isolate,
+    sturm_sequence,
 )
 from .seifert import SeifertMatrix
 
@@ -190,12 +192,30 @@ def _tan_in_gap(x_lo: Fraction, x_hi: Fraction) -> Fraction:
         q *= 2
 
 
+def _x_enclosure(ps: tuple, theta: Fraction) -> tuple:
+    """An enclosure (x_lo, x_hi) in [-2, 2] of x = 2cos(2 pi theta) that
+    holds no root of the squarefree x-polynomial ps, and the number of
+    roots of ps in (x_hi, 2), which is the index of theta's arc in (0, 1/2].
+    The precision doubles until the enclosure misses every root, so theta
+    must not be a jump."""
+    chain = sturm_sequence(ps)
+    prec = _BASE_PREC
+    while True:
+        c = cos_2pi(theta, prec)
+        x_lo, x_hi = max(2 * c.lo, Fraction(-2)), min(2 * c.hi, Fraction(2))
+        above = count_roots_halfopen(chain, x_hi, 2)
+        if (poly_eval(ps, x_lo) and poly_eval(ps, x_hi)
+                and count_roots_halfopen(chain, x_lo, 2) == above):
+            return x_lo, x_hi, above
+        prec *= 2
+
+
 def levine_tristram(v: SeifertMatrix, theta: Fraction,
                     _delta: Optional[LaurentPoly] = None) -> int:
     """Signature of (1-w)V + (1-conj w)V^T at w = exp(2 pi i theta).
 
-    An enclosure of x = 2cos(2 pi theta), its precision doubled until it
-    holds no root of the x-polynomial of Delta, lies in one arc of the
+    The enclosure of x = 2cos(2 pi theta) from ``_x_enclosure`` holds no
+    root of the x-polynomial of Delta, so it lies in one arc of the
     signature function; the signature is evaluated exactly at a rational
     point of that enclosure.  x and the signature are the same at theta
     and 1 - theta, so the point is taken in (0, 1/2].  Raises
@@ -211,14 +231,7 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction,
         raise PossiblySingularError(
             "possibly singular: omega is a root of the Alexander polynomial")
     ps = poly_squarefree_part(_laurent_to_x(delta))
-    prec = _BASE_PREC
-    while True:
-        c = cos_2pi(theta, prec)
-        x_lo, x_hi = max(2 * c.lo, Fraction(-2)), min(2 * c.hi, Fraction(2))
-        if len(ps) == 1 or (poly_eval(ps, x_lo) and poly_eval(ps, x_hi)
-                            and count_real_roots(ps, x_lo, x_hi) == 0):
-            break
-        prec *= 2
+    x_lo, x_hi, _ = _x_enclosure(ps, theta)
     if x_lo == -2:
         return _arc_signature(v, None)
     return _arc_signature(v, _tan_in_gap(x_lo, x_hi))
@@ -270,18 +283,10 @@ class SignatureStepFunction:
         if _omega_is_alexander_root(delta, theta):
             raise PreconditionError(
                 "signature undefined exactly at a jump angle")
-        k = 0
-        for angle in self.jumps:
-            enc = next(e for e in angle.narrowing(_BASE_PREC)
-                       if not e.contains(theta))
-            if theta > enc.hi:
-                k += 1
-        return self.values[k]
-
-    def negate(self) -> "SignatureStepFunction":
-        return SignatureStepFunction(self.jumps,
-                                     tuple(-v for v in self.values),
-                                     self.x_poly, self.delta_coeffs)
+        if not self.jumps:
+            return self.values[0]
+        # theta and 1 - theta share x, and the values are symmetric
+        return self.values[_x_enclosure(self.x_poly, theta)[2]]
 
 
 def _separate_boxes(ps: tuple, boxes: list) -> list:

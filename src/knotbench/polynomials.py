@@ -160,11 +160,6 @@ def poly_squarefree_part(p: Sequence) -> Coeffs:
     return poly_primitive(poly_div_exact(poly_primitive(p), g))
 
 
-def poly_reciprocal(p: Sequence) -> Coeffs:
-    """x^deg(p) * p(1/x); the coefficient sequence reversed."""
-    return poly_trim(list(reversed(poly_trim(p))))
-
-
 def poly_to_str(p: Sequence, var: str = "x") -> str:
     if not p:
         return "0"
@@ -211,7 +206,7 @@ def _sign_variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_halfopen(chain, p_sf, a, b) -> int:
+def count_roots_halfopen(chain, a, b) -> int:
     """Distinct real roots of the squarefree polynomial in (a, b]."""
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
@@ -226,7 +221,7 @@ def count_real_roots(p: Sequence, lo, hi) -> int:
         return 0
     sf = poly_squarefree_part(p)
     chain = sturm_sequence(sf)
-    n = count_roots_halfopen(chain, sf, lo, hi)
+    n = count_roots_halfopen(chain, lo, hi)
     if poly_eval(sf, hi) == 0:
         n -= 1
     return n
@@ -251,7 +246,7 @@ def sturm_isolate(p: Sequence, lo, hi) -> list:
     chain = sturm_sequence(sf)
 
     def count_open(a, b):
-        n = count_roots_halfopen(chain, sf, a, b)
+        n = count_roots_halfopen(chain, a, b)
         if poly_eval(sf, b) == 0:
             n -= 1
         return n

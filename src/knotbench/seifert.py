@@ -69,11 +69,6 @@ class SeifertMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def transpose(self) -> "SeifertMatrix":
-        n = self.size
-        return SeifertMatrix([[self.rows[j][i] for j in range(n)]
-                              for i in range(n)])
-
     def symmetric_part(self):
         """V + V^T as plain rows (not itself a Seifert matrix)."""
         n = self.size

@@ -8,6 +8,8 @@ These deliberately avoid the library code paths they check:
 * Signatures of exact symmetric matrices come from Sturm counts on the
   characteristic polynomial (no interval elimination).
 * rho0 comes from a plain Riemann sum over numpy float eigenvalues.
+* Magnus depths come from the full product of the truncated series
+  1 + X and 1 - X + X^2 - ... (no per-degree update).
 """
 
 from __future__ import annotations
@@ -177,3 +179,26 @@ def sample_levine_tristram_float(v: SeifertMatrix, theta: float) -> int:
     h = (1 - om) * V + (1 - om.conjugate()) * V.T
     ev = np.linalg.eigvalsh(h)
     return int((ev > 1e-9).sum()) - int((ev < -1e-9).sum())
+
+
+def _series_mul(a: dict, b: dict, cutoff: int) -> dict:
+    out: dict = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if len(wa) + len(wb) < cutoff:
+                out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def magnus_depth_full_product(letters, cutoff: int):
+    """Least degree below ``cutoff`` of a nonconstant term of the Magnus
+    expansion of the word (letters as in FreeWord), or None."""
+    acc = {(): 1}
+    for x in letters:
+        g = abs(x) - 1
+        if x > 0:
+            term = {(): 1, (g,): 1}
+        else:
+            term = {(g,) * k: (-1) ** k for k in range(cutoff)}
+        acc = _series_mul(acc, term, cutoff)
+    return min((len(w) for w in acc if w), default=None)

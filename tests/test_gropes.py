@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from knotbench.gropes import (
     symmetric_grope,
     weight,
 )
+
+from oracles import magnus_depth_full_product
 
 
 def balanced_bracket(depth, names="xy"):
@@ -223,3 +226,21 @@ class TestMagnus:
         w = bracket_word(b)
         assert w.letters  # the word itself is nontrivial
         assert magnus_depth(w, 8) is None  # >= cutoff
+
+    def test_matches_full_product_oracle(self):
+        # random words wrapped in up to two commutators with random words,
+        # so the depths run from 1 to 4; every cutoff up to the budget
+        rng = random.Random(97)
+
+        def rand_word():
+            return FreeWord("xyz", [rng.choice((1, -1, 2, -2, 3, -3))
+                                    for _ in range(rng.randint(1, 4))])
+
+        for _ in range(200):
+            w = rand_word()
+            for _ in range(rng.randint(0, 2)):
+                u = rand_word()
+                w = w * u * w.inverse() * u.inverse()
+            for cutoff in range(1, 9):
+                assert magnus_depth(w, cutoff) == magnus_depth_full_product(
+                    w.letters, cutoff), (str(w), cutoff)

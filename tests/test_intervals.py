@@ -97,14 +97,16 @@ class TestAlgebraicAngle:
         assert b.x_hi - b.x_lo <= Fraction(1, 2 ** 10)
         assert (a.x_lo, a.x_hi) == (0, 2)  # the refined copy is a new value
 
+    @pytest.mark.parametrize("width", [Fraction(1, 10 ** 18),
+                                       Fraction(1, 10 ** 100)],
+                             ids=["1e-18", "1e-100"])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_root_near_cos_half_endpoint(self, sign):
-        # x = sign * (2 - 2^-100): arccos(x/2) loses half the bits there, so
-        # a precision tied to the width alone cannot reach 1e-18
+    def test_root_near_cos_half_endpoint(self, sign, width):
+        # x = sign * (2 - 2^-100): arccos(x/2) would lose half the bits
+        # there, and the isolating box starts out touching +-2
         x = sign * (2 - Fraction(1, 2 ** 100))
         lo, hi = sorted((sign * Fraction(1), sign * Fraction(2)))
         a = AlgebraicAngle((-x.numerator, x.denominator), lo, hi)
-        width = Fraction(1, 10 ** 18)
         enc = a.enclosure_to_width(width)
         with mpmath.workprec(600):
             ref = mpf_to_fraction(

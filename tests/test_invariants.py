@@ -204,6 +204,14 @@ class TestSignatureFunction:
         sf = signature_function(trefoil)
         assert sf.value_at(Fraction(1, 3)) == -2
         assert sf.value_at(Fraction(1, 100)) == 0
+        assert sf.value_at(Fraction(1, 2)) == -2
+        # next to the jumps at 1/6 and 5/6, in both halves of the circle
+        eps = Fraction(1, 2 ** 60)
+        for theta, want in ((Fraction(1, 6) - eps, 0),
+                            (Fraction(1, 6) + eps, -2),
+                            (Fraction(5, 6) - eps, -2),
+                            (Fraction(5, 6) + eps, 0)):
+            assert sf.value_at(theta) == want, theta
         with pytest.raises(PreconditionError, match="jump"):
             sf.value_at(Fraction(1, 6))
 
