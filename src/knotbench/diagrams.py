@@ -422,24 +422,32 @@ def relation_matrix(i: int, grading: str = "grope",
     kinds = []
     degrees = []
 
-    def term_vector(terms) -> dict:
+    def term(diag):
+        # (column, sign) of one relation term; None for a tadpole, which is
+        # rationally zero and dropped
+        if not allow_tadpoles and diag.has_tadpole():
+            return None
+        key, sign = canonical_form(diag)
+        j = col_index.get(key)
+        if j is None:
+            raise PreconditionError(
+                f"relation term {key} escapes the generator basis")
+        return j, sign
+
+    def term_vector(own, others) -> dict:
         vec: dict = {}
-        for diag, coeff in terms:
-            if not allow_tadpoles and diag.has_tadpole():
-                continue  # rationally zero, dropped
-            key, sign = canonical_form(diag)
-            j = col_index.get(key)
-            if j is None:
-                raise PreconditionError(
-                    f"relation term {key} escapes the generator basis")
-            vec[j] = vec.get(j, 0) + coeff * sign
+        for t in [own] + [term(d) for d in others]:
+            if t is not None:
+                vec[t[0]] = vec.get(t[0], 0) + t[1]
         return {k: v for k, v in vec.items() if v}
 
     for key, diag in gens:
         tri = [idx for idx, v in enumerate(diag.vertices) if len(v) == 3]
+        # the generator is a term of each of its rows, all of which need a
+        # trivalent vertex: canonicalise it once
+        own = term(diag) if tri else None
         for vi in tri:
-            vec = term_vector([(diag, 1), (diag.with_rotation_reversed(vi), 1)])
-            rows.append(vec)
+            rows.append(term_vector(own, [diag.with_rotation_reversed(vi)]))
             kinds.append("AS")
             degrees.append(degree_of(diag))
         owner = diag.owner_map()
@@ -448,9 +456,7 @@ def relation_matrix(i: int, grading: str = "grope",
                 continue
             if owner[h] == owner[p]:
                 continue  # tadpole edge (toggle mode only); IHX degenerate
-            t2, t3 = _ihx_terms(diag, h)
-            vec = term_vector([(diag, 1), (t2, 1), (t3, 1)])
-            rows.append(vec)
+            rows.append(term_vector(own, _ihx_terms(diag, h)))
             kinds.append("IHX")
             degrees.append(degree_of(diag))
     return RelationMatrix(columns, rows, kinds, degrees)

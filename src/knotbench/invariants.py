@@ -32,6 +32,7 @@ from .polynomials import (
     poly_gcd,
     poly_matrix_det,
     poly_scale,
+    poly_sign_at,
     poly_squarefree_part,
     poly_sub,
     poly_to_str,
@@ -204,7 +205,7 @@ def _x_enclosure(ps: tuple, theta: Fraction) -> tuple:
         c = cos_2pi(theta, prec)
         x_lo, x_hi = max(2 * c.lo, Fraction(-2)), min(2 * c.hi, Fraction(2))
         above = count_roots_halfopen(chain, x_hi, 2)
-        if (poly_eval(ps, x_lo) and poly_eval(ps, x_hi)
+        if (poly_sign_at(ps, x_lo) and poly_sign_at(ps, x_hi)
                 and count_roots_halfopen(chain, x_lo, 2) == above):
             return x_lo, x_hi, above
         prec *= 2

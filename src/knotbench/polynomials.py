@@ -103,19 +103,27 @@ def poly_divmod(p: Sequence, q: Sequence):
 
 
 def poly_div_exact(p: Sequence, q: Sequence) -> Coeffs:
-    """Exact division; integer output when the inputs divide over Z."""
-    quo, rem = poly_divmod(p, q)
-    if rem:
+    """Exact division; integer output when the inputs divide over Z.
+
+    Divides top-down over Z while each leading division is exact, and over
+    the rationals (``poly_divmod``) from the first one that is not; raises
+    ArithmeticError when q does not divide p.
+    """
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    quo = [0] * max(len(p) - len(q) + 1, 0)
+    for k in reversed(range(len(quo))):
+        c, r = divmod(rem[k + len(q) - 1], q[-1])
+        if r:
+            quo, rem = poly_divmod(p, q)
+            break
+        quo[k] = c
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+    if any(rem):
         raise ArithmeticError("inexact polynomial division")
-    out = []
-    for a in quo:
-        if isinstance(a, Fraction):
-            if a.denominator != 1:
-                return quo
-            out.append(a.numerator)
-        else:
-            out.append(a)
-    return poly_trim(out)
+    return poly_trim(quo)
 
 
 def poly_content(p: Sequence) -> int:
@@ -137,18 +145,21 @@ def poly_primitive(p: Sequence) -> Coeffs:
 
 def poly_gcd(p: Sequence, q: Sequence) -> Coeffs:
     """Primitive gcd over Z with positive leading coefficient."""
-    a = [Fraction(x) for x in p]
-    b = [Fraction(x) for x in q]
+    a, b = p, q
     while poly_trim(b):
-        a, b = b, list(poly_divmod(a, b)[1])
-    a = poly_trim(a)
-    if not a:
+        a, b = b, poly_divmod(a, b)[1]
+    return poly_primitive(_primitive_multiple(poly_trim(a)))
+
+
+def _primitive_multiple(p: Sequence) -> Coeffs:
+    """The primitive integer polynomial that is a positive rational multiple
+    of the rational polynomial p, so it has the same sign as p everywhere."""
+    if not p:
         return ()
-    # clear denominators, then strip the content
-    den = 1
-    for x in a:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    return poly_primitive([int(x * den) for x in a])
+    den = math.lcm(*(Fraction(a).denominator for a in p))
+    ints = [int(a * den) for a in p]
+    g = math.gcd(*ints)
+    return tuple(a // g for a in ints)
 
 
 def poly_squarefree_part(p: Sequence) -> Coeffs:
@@ -185,24 +196,43 @@ def poly_to_str(p: Sequence, var: str = "x") -> str:
 # Sturm sequences and root isolation
 
 
+def poly_sign_at(p: Sequence, x) -> int:
+    """Sign of the integer polynomial p at the rational x, exactly.
+
+    For x = n/d with d > 0 this is the sign of d^k p(n/d) = sum c_i n^i
+    d^(k-i), k = deg p, computed by homogeneous integer Horner.
+    """
+    v = _scaled_value(p, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
+def _scaled_value(p: Sequence, n: int, d: int) -> int:
+    # d^k p(n/d) for d > 0, k = deg p
+    acc, dk = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
+
+
 def sturm_sequence(p: Sequence) -> list:
-    """Sturm chain of the squarefree part of p, over the rationals."""
-    sf = poly_squarefree_part(p)
-    chain = [tuple(Fraction(a) for a in sf),
-             tuple(Fraction(a) for a in poly_derivative(sf))]
-    while poly_trim(chain[-1]):
+    """Sturm chain of the squarefree integer polynomial p.
+
+    p must be squarefree; callers pass ``poly_squarefree_part`` or an
+    irreducible factor.  Every member after p is a positive rational
+    multiple of the classical one, scaled to a primitive integer
+    polynomial, so it has the same signs and ``poly_sign_at`` applies.
+    """
+    chain = [tuple(p), _primitive_multiple(poly_derivative(p))]
+    while chain[-1]:
         rem = poly_divmod(chain[-2], chain[-1])[1]
-        chain.append(poly_neg(rem))
+        chain.append(_primitive_multiple(poly_neg(rem)))
     chain.pop()
     return chain
 
 
 def _sign_variations(chain, x) -> int:
-    signs = []
-    for q in chain:
-        v = poly_eval(q, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (poly_sign_at(q, x) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -220,19 +250,18 @@ def count_real_roots(p: Sequence, lo, hi) -> int:
     if not lo < hi:
         return 0
     sf = poly_squarefree_part(p)
-    chain = sturm_sequence(sf)
-    n = count_roots_halfopen(chain, lo, hi)
-    if poly_eval(sf, hi) == 0:
-        n -= 1
-    return n
+    n = count_roots_halfopen(sturm_sequence(sf), lo, hi)
+    return n - (poly_sign_at(sf, hi) == 0)
 
 
 def sturm_isolate(p: Sequence, lo, hi) -> list:
     """Disjoint rational isolating intervals for the distinct real roots of
-    p in the open interval (lo, hi).
+    p in the open interval (lo, hi), in ascending order.
 
     Interval endpoints are never roots; each interval contains exactly one
-    root of the squarefree part of p.
+    root of the squarefree part of p.  Intervals are bisected at their
+    midpoint, or, when that is a root, at the first non-root of the points
+    halfway towards the left end.
     """
     if not poly_trim(p):
         raise InputError("indeterminate roots")
@@ -241,82 +270,82 @@ def sturm_isolate(p: Sequence, lo, hi) -> list:
     if not lo < hi:
         return []
     sf = poly_squarefree_part(p)
-    if poly_degree(sf) == 0:
-        return []
     chain = sturm_sequence(sf)
 
     def count_open(a, b):
-        n = count_roots_halfopen(chain, a, b)
-        if poly_eval(sf, b) == 0:
-            n -= 1
-        return n
-
-    def nudge_off_root(x, toward):
-        # replace a root endpoint by a nearby non-root on the `toward` side
-        step = Fraction(toward - x, 4)
-        y = x + step
-        while poly_eval(sf, y) == 0:
-            step /= 2
-            y = x + step
-        return y
+        return count_roots_halfopen(chain, a, b) - (poly_sign_at(sf, b) == 0)
 
     out = []
 
     def split(a, b, n):
         if n == 0:
             return
-        if n == 1:
+        if n == 1 and poly_sign_at(sf, a) and poly_sign_at(sf, b):
             out.append((a, b))
             return
         m = (a + b) / 2
-        if poly_eval(sf, m) == 0:
-            # the midpoint is itself a root: carve out a tiny box around it
-            w = (b - a) / 8
-            while (poly_eval(sf, m - w) == 0 or poly_eval(sf, m + w) == 0
-                   or count_open(m - w, m + w) != 1):
-                w /= 2
-            out.append((m - w, m + w))
-            split(a, m - w, count_open(a, m - w))
-            split(m + w, b, count_open(m + w, b))
-            return
+        while not poly_sign_at(sf, m):  # sf has at most deg sf roots
+            m = (a + m) / 2
         split(a, m, count_open(a, m))
         split(m, b, count_open(m, b))
 
-    a = nudge_off_root(lo, hi) if poly_eval(sf, lo) == 0 else lo
-    b = nudge_off_root(hi, lo) if poly_eval(sf, hi) == 0 else hi
-    if not a < b:
-        return []
-    split(a, b, count_open(a, b))
-    out.sort()
+    split(lo, hi, count_open(lo, hi))
     return out
 
 
 def refine_isolating_interval(p_sf: Sequence, a: Fraction, b: Fraction,
                               width: Fraction):
-    """Bisect an isolating interval of the squarefree p_sf down to `width`.
+    """Shrink an isolating interval (a, b) of a root of the squarefree
+    integer polynomial p_sf to width at most ``width``, by quadratic
+    interval refinement (J. Abbott, "Quadratic interval refinement for real
+    roots", 2006).
+
+    Each step rounds the secant point of (a, b) to a grid of N cells and
+    keeps the grid cell on the root's side of that point when
+    ``poly_sign_at`` shows a sign change across it; N then becomes N^2.
+    Otherwise it bisects (a, b), and N becomes max(4, sqrt N).  Near a
+    simple root the secant point errs by O(width^2), so the accepted cells
+    converge quadratically, and no step shrinks the interval by less than
+    half.  When a grid point or midpoint is the root itself, the result is
+    the box of width ``width`` around it, clipped to the current interval:
+    it holds no other root.
 
     Endpoint signs must differ (simple root); returned endpoints are never
-    roots.
+    roots, and their signs differ.
     """
-    fa = poly_eval(p_sf, a)
-    fb = poly_eval(p_sf, b)
-    if fa == 0 or fb == 0:
+    a, b, width = Fraction(a), Fraction(b), Fraction(width)
+    s_a = poly_sign_at(p_sf, a)
+    if s_a == 0 or poly_sign_at(p_sf, b) == 0:
         raise ValueError("isolating interval endpoints must not be roots")
+
+    def around(r):
+        return max(a, r - width / 2), min(b, r + width / 2)
+
+    cells = 4
     while b - a > width:
-        m = (a + b) / 2
-        fm = poly_eval(p_sf, m)
-        if fm == 0:
-            w = (b - a) / 8
-            while poly_eval(p_sf, m - w) == 0 or poly_eval(p_sf, m + w) == 0:
-                w /= 2
-            a, b = m - w, m + w
-            fa = poly_eval(p_sf, a)
-            fb = poly_eval(p_sf, b)
+        d = math.lcm(a.denominator, b.denominator)
+        f_a = _scaled_value(p_sf, a.numerator * (d // a.denominator), d)
+        f_b = _scaled_value(p_sf, b.numerator * (d // b.denominator), d)
+        # the secant point a + (b - a) f_a / (f_a - f_b), rounded to the grid
+        step = (b - a) / cells
+        g = a + step * ((2 * cells * f_a + f_a - f_b) // (2 * (f_a - f_b)))
+        s_g = poly_sign_at(p_sf, g)
+        if s_g == 0:
+            return around(g)
+        h = g + step if s_g == s_a else g - step
+        s_h = poly_sign_at(p_sf, h)
+        if s_h == 0:
+            return around(h)
+        if s_h != s_g:
+            a, b = min(g, h), max(g, h)
+            cells *= cells
             continue
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
+        m = (a + b) / 2
+        s_m = poly_sign_at(p_sf, m)
+        if s_m == 0:
+            return around(m)
+        a, b = (m, b) if s_m == s_a else (a, m)
+        cells = max(4, math.isqrt(cells))
     return a, b
 
 

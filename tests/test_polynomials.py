@@ -1,20 +1,31 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+import knotbench.polynomials as polynomials
+import oracles
+from knotbench.braids import BraidWord, seifert_matrix_from_braid
 from knotbench.errors import BudgetExceededError, InputError
+from knotbench.invariants import signature_function
 from knotbench.polynomials import (
     LaurentPoly,
     count_real_roots,
     cyclotomic_poly,
     factor_integer_poly,
+    poly_add,
+    poly_div_exact,
     poly_eval,
     poly_matrix_det,
     poly_mul,
     poly_scale,
+    poly_sign_at,
     poly_squarefree_part,
     poly_trim,
+    refine_isolating_interval,
     sturm_isolate,
 )
 
@@ -67,6 +78,13 @@ class TestSturmIsolate:
             for (_, b1), (a2, _) in zip(boxes, boxes[1:]):
                 assert b1 <= a2
 
+    def test_root_at_the_end_does_not_hide_a_neighbour(self):
+        # x (10 x - 1): lo = 0 is a root, and 1/10 must still be found
+        boxes = sturm_isolate((0, -1, 10), 0, 2)
+        assert len(boxes) == 1
+        lo, hi = boxes[0]
+        assert lo < Fraction(1, 10) < hi and lo > 0
+
 
 class TestCountRoots:
     def test_counts_in_subintervals(self):
@@ -74,6 +92,151 @@ class TestCountRoots:
         assert count_real_roots(p, 0, 2) == 1
         assert count_real_roots(p, -2, 2) == 2
         assert count_real_roots(p, -1, 1) == 0
+
+    def test_rational_roots_non_dyadic_bounds(self):
+        # -prod (3x - r): negative leading coefficient, roots r/3, bounds
+        # k/7 that are not dyadic and sometimes roots themselves
+        rng = random.Random(7)
+        for _ in range(40):
+            roots = rng.sample(range(-12, 13), rng.randint(1, 5))
+            p = (-1,)
+            for r in roots:
+                p = poly_mul(p, (-r, 3))
+            lo, hi = sorted(Fraction(rng.randint(-35, 35), 7) for _ in range(2))
+            expect = sum(1 for r in roots if lo < Fraction(r, 3) < hi)
+            assert count_real_roots(p, lo, hi) == expect
+
+    def test_against_sympy_count_roots(self):
+        # random coefficients give complex roots too, so Sturm members
+        # with negative leading coefficients occur
+        import sympy
+
+        x = sympy.symbols("x")
+        rng = random.Random(17)
+        for _ in range(60):
+            p = poly_trim([rng.randint(-9, 9) for _ in range(rng.randint(2, 8))])
+            if len(p) < 2:
+                continue
+            lo, hi = sorted(Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                            for _ in range(2))
+            if lo == hi:
+                continue
+            sp = sympy.Poly(list(reversed(p)), x)
+            expect = (sp.count_roots(lo, hi) - (poly_eval(p, lo) == 0)
+                      - (poly_eval(p, hi) == 0))
+            assert count_real_roots(p, lo, hi) == expect
+
+
+class TestSignAt:
+    def test_matches_fraction_horner(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            p = poly_trim([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))])
+            x = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+            v = poly_eval(p, x)
+            assert poly_sign_at(p, x) == (v > 0) - (v < 0)
+
+    def test_integer_argument(self):
+        assert poly_sign_at((-2, 0, 1), 1) == -1
+        assert poly_sign_at((-1, 1), 1) == 0
+        assert poly_sign_at((), Fraction(1, 3)) == 0
+
+
+@functools.cache
+def _t_2_21_x_poly():
+    return signature_function(
+        seifert_matrix_from_braid(BraidWord(2, [1] * 21))).x_poly
+
+
+def _refine_cases():
+    p = _t_2_21_x_poly()
+    cases = [((-2, 0, 1), Fraction(1), Fraction(2)),
+             ((-3, 0, 1), Fraction(5, 3), Fraction(7, 4))]
+    cases += [(p, lo, hi) for lo, hi in sturm_isolate(p, -2, 2)]
+    return cases
+
+
+class TestRefineIsolatingInterval:
+    WIDTH = Fraction(1, 10 ** 100)
+
+    def test_t_2_21_x_poly(self):
+        p = _t_2_21_x_poly()
+        assert len(p) - 1 == 10
+        assert len(sturm_isolate(p, -2, 2)) == 10
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_refines_to_1e_100(self, case):
+        p, lo, hi = _refine_cases()[case]
+        a, b = refine_isolating_interval(p, lo, hi, self.WIDTH)
+        assert lo <= a < b <= hi
+        assert b - a <= self.WIDTH
+        assert poly_sign_at(p, a) * poly_sign_at(p, b) == -1
+        # at least 400 bits, and more when the accepted cells overshot
+        prec = max(400, 64 + max(a.denominator, b.denominator).bit_length())
+        with mpmath.workprec(prec):
+            roots = mpmath.polyroots(list(reversed(p)), maxsteps=200,
+                                     extraprec=prec)
+            real = [mpmath.re(r) for r in roots
+                    if abs(mpmath.im(r)) < mpmath.mpf(2) ** (64 - prec)]
+            inside = [r for r in real
+                      if mpmath.mpf(a.numerator) / a.denominator < r
+                      < mpmath.mpf(b.numerator) / b.denominator]
+        assert len(inside) == 1
+
+    def test_rational_root_hit_by_a_grid_point(self):
+        p = poly_mul((-1, 2), (-3, 0, 1))  # (2x - 1)(x^2 - 3), root 1/2
+        a, b = refine_isolating_interval(p, Fraction(0), Fraction(1),
+                                         self.WIDTH)
+        assert a < Fraction(1, 2) < b
+        assert b - a <= self.WIDTH
+        assert poly_sign_at(p, a) * poly_sign_at(p, b) == -1
+
+    def test_endpoint_roots_rejected(self):
+        with pytest.raises(ValueError):
+            refine_isolating_interval((-1, 1), Fraction(1), Fraction(2),
+                                      Fraction(1, 8))
+
+    def test_newton_steps_are_accepted(self, monkeypatch):
+        # plain bisection needs about 333 sign evaluations for 2^-332
+        calls = []
+
+        def counting(p, x):
+            calls.append(x)
+            return poly_sign_at(p, x)
+
+        monkeypatch.setattr(polynomials, "poly_sign_at", counting)
+        refine_isolating_interval((-2, 0, 1), Fraction(1), Fraction(2),
+                                  Fraction(1, 2 ** 332))
+        assert 0 < len(calls) < 80
+        calls.clear()
+        refine_isolating_interval(poly_mul((-1, 2), (-3, 0, 1)), Fraction(0),
+                                  Fraction(1), self.WIDTH)
+        assert 0 < len(calls) < 80
+
+
+class TestPolyDivExact:
+    def test_integer_quotient(self):
+        q = poly_div_exact(poly_mul((1, -3, 2), (-5, 0, 7)), (-5, 0, 7))
+        assert q == (1, -3, 2)
+        assert all(type(c) is int for c in q)
+
+    def test_rational_quotient(self):
+        assert poly_div_exact((0, 0, 1), (0, 2)) == (0, Fraction(1, 2))
+        # the leading division is exact, a later one is not
+        assert poly_div_exact((1, 2), (2,)) == (Fraction(1, 2), 1)
+
+    def test_not_divisible(self):
+        with pytest.raises(ArithmeticError, match="inexact"):
+            poly_div_exact((1, 0, 1), (1, 1))
+        with pytest.raises(ZeroDivisionError):
+            poly_div_exact((1, 1), ())
+
+    def test_burau_oracle_catches_non_divisible_determinant(self, monkeypatch):
+        det = oracles.poly_matrix_det
+        monkeypatch.setattr(oracles, "poly_matrix_det",
+                            lambda rows: poly_add(det(rows), (1,)))
+        with pytest.raises(ArithmeticError):
+            oracles.alexander_via_burau(BraidWord(3, [1, -2, 1, -2]))
 
 
 class TestFactorInteger:
@@ -156,31 +319,41 @@ class TestPolyMatrixDet:
             n = rng.randint(1, 4)
             mat = [[tuple(rng.randint(-2, 2) for _ in range(2))
                     for _ in range(n)] for _ in range(n)]
+            assert poly_matrix_det([row[:] for row in mat]) == _leibniz_det(mat)
+
+    def test_8_by_8_linear_entries(self):
+        rng = random.Random(8)
+        for _ in range(2):
+            mat = [[poly_trim((rng.randint(-3, 3), rng.randint(-3, 3)))
+                    for _ in range(8)] for _ in range(8)]
             det = poly_matrix_det([row[:] for row in mat])
-            # Leibniz expansion oracle
-            import itertools
-            acc = ()
-            for perm in itertools.permutations(range(n)):
-                sign = 1
-                seen = [False] * n
-                for i in range(n):
-                    if seen[i]:
-                        continue
-                    j = i
-                    clen = 0
-                    while not seen[j]:
-                        seen[j] = True
-                        j = perm[j]
-                        clen += 1
-                    if clen % 2 == 0:
-                        sign = -sign
-                term = (sign,)
-                for i in range(n):
-                    term = poly_mul(term, mat[i][perm[i]])
-                acc = poly_trim(tuple(
-                    (acc[k] if k < len(acc) else 0) + (term[k] if k < len(term) else 0)
-                    for k in range(max(len(acc), len(term)))))
-            assert det == acc
+            assert all(type(c) is int for c in det)
+            assert det == _leibniz_det(mat)
+
+
+def _leibniz_det(mat):
+    """Permanent-style expansion over all permutations, with signs."""
+    n = len(mat)
+    acc = ()
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for i in range(n):
+            if seen[i]:
+                continue
+            j = i
+            clen = 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                clen += 1
+            if clen % 2 == 0:
+                sign = -sign
+        term = (sign,)
+        for i in range(n):
+            term = poly_mul(term, mat[i][perm[i]])
+        acc = poly_add(acc, term)
+    return acc
 
 
 def test_cyclotomic_small_cases():
