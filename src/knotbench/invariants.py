@@ -12,6 +12,7 @@ the roots.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,6 @@ from .polynomials import (
     factor_integer_poly,
     poly_add,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_matrix_det,
     poly_scale,
@@ -41,7 +41,7 @@ from .polynomials import (
     sturm_isolate,
     sturm_sequence,
 )
-from .seifert import SeifertMatrix
+from .seifert import SeifertMatrix, integer_determinant
 
 _BASE_PREC = 64
 
@@ -67,9 +67,8 @@ def d0(v: SeifertMatrix) -> int:
 
 
 def determinant(v: SeifertMatrix) -> int:
-    """|Delta(-1)|, the knot determinant."""
-    coeffs, _ = alexander_polynomial(v).to_int_poly()
-    return abs(poly_eval(coeffs, -1))
+    """|Delta(-1)| = |det(V + V^T)|, the knot determinant."""
+    return abs(integer_determinant(v.symmetric_part()))
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +181,22 @@ def _tan_in_gap(x_lo: Fraction, x_hi: Fraction) -> Fraction:
 
     Requires -2 < x_lo < x_hi <= 2.  x decreases in r and
     r^2 = (2 - x)/(2 + x); r is k/2^m with m, then k, as small as possible.
+    If k/2^m lies in the r-gap so does 2k/2^(m+1), so m is found by binary
+    search below a bound where 2^-m is less than the gap's width.
     """
     lo2 = (2 - x_hi) / (2 + x_hi)
     hi2 = (2 - x_lo) / (2 + x_lo)
-    q = 1
-    while True:
-        k = math.isqrt(math.floor(lo2 * q * q)) + 1
-        if k * k < hi2 * q * q:
-            return Fraction(k, q)
-        q *= 2
+
+    def smallest(m):
+        # the least k with (k/2^m)^2 > lo2, if (k/2^m)^2 < hi2 too
+        k = math.isqrt(math.floor(lo2 * 4 ** m)) + 1
+        return k if k * k < hi2 * 4 ** m else None
+
+    # sqrt(hi2) - sqrt(lo2) >= (hi2 - lo2) / (2 max(1, hi2)) > 2^-m_hi
+    m_hi = (math.floor(2 * max(1, hi2) / (hi2 - lo2)) + 1).bit_length()
+    m = bisect.bisect_left(range(m_hi), True,
+                           key=lambda j: smallest(j) is not None)
+    return Fraction(smallest(m), 2 ** m)
 
 
 def _x_enclosure(ps: tuple, theta: Fraction) -> tuple:

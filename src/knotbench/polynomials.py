@@ -9,7 +9,9 @@ exponents.  Everything is big-integer / rational exact; no floats.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -105,25 +107,33 @@ def poly_divmod(p: Sequence, q: Sequence):
 def poly_div_exact(p: Sequence, q: Sequence) -> Coeffs:
     """Exact division; integer output when the inputs divide over Z.
 
-    Divides top-down over Z while each leading division is exact, and over
-    the rationals (``poly_divmod``) from the first one that is not; raises
-    ArithmeticError when q does not divide p.
+    Divides over Z (``_quotient``), and over the rationals
+    (``poly_divmod``) when that fails; raises ArithmeticError when q does
+    not divide p.
     """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
+    quo = _quotient(p, q)
+    if quo is None:
+        quo, rem = poly_divmod(p, q)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+    return quo
+
+
+def _quotient(p: Sequence, q: Sequence):
+    """p / q when the nonzero q divides the integer polynomial p over Z,
+    else None; divides top-down and stops at the first inexact step."""
     rem = list(p)
     quo = [0] * max(len(p) - len(q) + 1, 0)
     for k in reversed(range(len(quo))):
         c, r = divmod(rem[k + len(q) - 1], q[-1])
         if r:
-            quo, rem = poly_divmod(p, q)
-            break
+            return None
         quo[k] = c
         for i, b in enumerate(q):
             rem[k + i] -= c * b
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return poly_trim(quo)
+    return None if any(rem) else poly_trim(quo)
 
 
 def poly_content(p: Sequence) -> int:
@@ -350,15 +360,193 @@ def refine_isolating_interval(p_sf: Sequence, a: Fraction, b: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# factorization over Z (desk scale)
+# factorization over Z
+#
+# Zassenhaus's algorithm as in von zur Gathen & Gerhard, *Modern Computer
+# Algebra* (3rd ed.), ch. 14-16: distinct- and equal-degree factorisation
+# mod a small prime p (Algorithms 14.3 and 14.8), quadratic Hensel lifting
+# of all modular factors along a binary factor tree (Algorithms 15.10 and
+# 15.17) to p^(2^j) past twice the Mignotte bound, and recombination of the
+# lifted factors by subsets of growing size (Algorithm 15.19), each
+# candidate tested by exact division.  Polynomials mod m are coefficient
+# tuples reduced into [0, m).
+
+
+def _pmod(p: Sequence, m: int) -> Coeffs:
+    return poly_trim([a % m for a in p])
+
+
+def _pdivmod(p: Sequence, q: Sequence, m: int):
+    """Quotient and remainder mod m; lc(q) must be a unit mod m."""
+    inv = pow(q[-1], -1, m)
+    rem = list(p)
+    quo = [0] * max(len(p) - len(q) + 1, 0)
+    for k in reversed(range(len(quo))):
+        c = quo[k] = rem[k + len(q) - 1] * inv % m
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+    return poly_trim(quo), _pmod(rem[:len(q) - 1], m)
+
+
+def _monic(p: Sequence, m: int) -> Coeffs:
+    inv = pow(p[-1], -1, m)
+    return tuple(a * inv % m for a in p)
+
+
+def _pgcd(p: Sequence, q: Sequence, m: int) -> Coeffs:
+    """Monic gcd mod the prime m."""
+    while q:
+        p, q = q, _pdivmod(p, q, m)[1]
+    return _monic(p, m)
+
+
+def _ppow(b: Sequence, e: int, f: Sequence, m: int) -> Coeffs:
+    """b^e mod (f, m) by repeated squaring."""
+    out = (1,)
+    while e:
+        if e & 1:
+            out = _pdivmod(poly_mul(out, b), f, m)[1]
+        b = _pdivmod(poly_mul(b, b), f, m)[1]
+        e >>= 1
+    return out
+
+
+def _good_primes(f: Sequence, tries=None):
+    """The odd primes p, among the first ``tries`` (all when None), for
+    which f mod p keeps the degree of f and is squarefree; each of them
+    proves f squarefree over Z."""
+    primes = (p for p in itertools.count(3, 2)
+              if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+    for p in itertools.islice(primes, tries):
+        fp = _pmod(f, p)
+        if (len(fp) == len(f)
+                and len(_pgcd(fp, _pmod(poly_derivative(fp), p), p)) == 1):
+            yield p
+
+
+def _distinct_degree(f: Coeffs, p: int) -> list:
+    """[(g, d)]: g is the product of the degree-d monic irreducible factors
+    of the monic squarefree f mod p."""
+    out, h, d = [], (0, 1), 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _ppow(h, p, f, p)
+        g = _pgcd(f, _pmod(poly_sub(h, (0, 1)), p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _pdivmod(f, g, p)[0]
+            h = _pdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g: Coeffs, d: int, p: int, rng) -> list:
+    """The monic degree-d irreducible factors of g mod the odd prime p, by
+    Cantor-Zassenhaus splitting."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = poly_trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        b = _pmod(poly_sub(_ppow(a, (p ** d - 1) // 2, g, p), (1,)), p)
+        h = _pgcd(g, b, p)
+        if 1 < len(h) < len(g):
+            return (_equal_degree(h, d, p, rng)
+                    + _equal_degree(_pdivmod(g, h, p)[0], d, p, rng))
+
+
+def _hensel_lift(f: Coeffs, facs: list, p: int, steps: int) -> list:
+    """Monic u_i with f = lc(f) prod u_i mod p^(2^steps), from the monic,
+    pairwise coprime facs with f = lc(f) prod facs mod p."""
+    if len(facs) == 1:
+        m = p ** 2 ** steps
+        return [_monic(_pmod(f, m), m)]
+    half = len(facs) // 2
+    g, h = (f[-1] % p,), (1,)
+    for u in facs[:half]:
+        g = _pmod(poly_mul(g, u), p)
+    for u in facs[half:]:
+        h = _pmod(poly_mul(h, u), p)
+    # s g + t h = 1 mod p, by the extended Euclidean algorithm
+    r0, r1, s, s1, t, t1 = g, h, (1,), (), (), (1,)
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s, s1 = s1, _pmod(poly_sub(s, poly_mul(q, s1)), p)
+        t, t1 = t1, _pmod(poly_sub(t, poly_mul(q, t1)), p)
+    inv = pow(r0[0], -1, p)
+    s, t = _pmod(poly_scale(s, inv), p), _pmod(poly_scale(t, inv), p)
+    m = p
+    for _ in range(steps):
+        m *= m
+        e = _pmod(poly_sub(f, poly_mul(g, h)), m)
+        q, r = _pdivmod(poly_mul(s, e), h, m)
+        g = _pmod(poly_add(g, poly_add(poly_mul(t, e), poly_mul(q, g))), m)
+        h = _pmod(poly_add(h, r), m)
+        b = _pmod(poly_sub(poly_add(poly_mul(s, g), poly_mul(t, h)), (1,)), m)
+        c, d = _pdivmod(poly_mul(s, b), h, m)
+        s = _pmod(poly_sub(s, d), m)
+        t = _pmod(poly_sub(t, poly_add(poly_mul(t, b), poly_mul(c, g))), m)
+    return (_hensel_lift(g, facs[:half], p, steps)
+            + _hensel_lift(h, facs[half:], p, steps))
+
+
+def _zassenhaus(f: Coeffs, rng) -> list:
+    """Irreducible factors of the primitive squarefree f with lc(f) > 0
+    and f(0) != 0.  Of the first three good primes, the one with the
+    fewest modular factors is lifted."""
+    if len(f) == 2:
+        return [f]
+    best = None
+    for p in itertools.islice(_good_primes(f), 3):
+        dd = _distinct_degree(_monic(_pmod(f, p), p), p)
+        n = sum((len(g) - 1) // d for g, d in dd)
+        if n == 1:
+            return [f]
+        if best is None or n < best[0]:
+            best = n, p, dd
+    _, p, dd = best
+    facs = [u for g, d in dd for u in _equal_degree(g, d, p, rng)]
+    # every factor of f times lc(f) has coefficients below the bound
+    bound = 2 ** len(f) * f[-1] * (math.isqrt(sum(a * a for a in f)) + 1)
+    steps = 0
+    while p ** 2 ** steps <= bound:
+        steps += 1
+    m = p ** 2 ** steps
+    lifted = _hensel_lift(f, facs, p, steps)
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            # the constant term of lc(f) g divides lc(f) f(0) for a factor g
+            c = f[-1]
+            for i in subset:
+                c = c * lifted[i][0] % m
+            c = c - m if 2 * c > m else c
+            if not c or f[-1] * f[0] % c:
+                continue
+            g = (f[-1],)
+            for i in subset:
+                g = _pmod(poly_mul(g, lifted[i]), m)
+            g = poly_primitive([a - m if 2 * a > m else a for a in g])
+            q = _quotient(f, g)
+            if q is not None:
+                out.append(g)
+                f = q
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [f] if len(f) > 1 else out
 
 
 def factor_integer_poly(p: Sequence, degree_budget: int = FACTOR_DEGREE_BUDGET):
     """Factor an integer polynomial into content and irreducible parts.
 
-    Returns ``(content, [(factor, multiplicity), ...])`` where each factor
-    is primitive with positive leading coefficient and irreducible over Q,
-    and content * prod(factor^mult) reproduces the input exactly.
+    Returns ``(content, [(factor, multiplicity), ...])`` sorted, where each
+    factor is primitive with positive leading coefficient and irreducible
+    over Q, and content * prod(factor^mult) reproduces the input exactly.
+    When no small good prime proves the primitive part squarefree, its
+    squarefree part is factored; multiplicities come from exact division.
     """
     p = poly_trim(p)
     if not p:
@@ -367,22 +555,22 @@ def factor_integer_poly(p: Sequence, degree_budget: int = FACTOR_DEGREE_BUDGET):
         raise BudgetExceededError("degree too large")
     if poly_degree(p) == 0:
         return int(p[0]), []
-
-    from sympy import Poly, symbols
-
-    x = symbols("x")
-    sp = Poly(list(reversed([int(a) for a in p])), x, domain="ZZ")
-    content, factors = sp.factor_list()
-    out = []
-    for f, mult in factors:
-        coeffs = poly_trim(list(reversed([int(c) for c in f.all_coeffs()])))
-        if coeffs[-1] < 0:
-            coeffs = poly_neg(coeffs)
-            if mult % 2 == 1:
-                content = -content
-        out.append((coeffs, int(mult)))
+    rng = random.Random(0)
+    f = poly_primitive(p)
+    low = next(i for i, a in enumerate(f) if a)
+    f = f[low:]
+    out = [((0, 1), low)] if low else []
+    if len(f) > 1:
+        sf = f
+        if len(f) > 2 and next(_good_primes(f, 10), None) is None:
+            sf = poly_squarefree_part(f)  # f may have a repeated factor
+        for g in _zassenhaus(sf, rng):
+            mult, q = 0, _quotient(f, g)
+            while q is not None:
+                f, mult, q = q, mult + 1, _quotient(q, g)
+            out.append((g, mult))
     out.sort()
-    return int(content), out
+    return poly_content(p), out
 
 
 # ---------------------------------------------------------------------------

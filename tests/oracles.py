@@ -10,10 +10,13 @@ These deliberately avoid the library code paths they check:
 * rho0 comes from a plain Riemann sum over numpy float eigenvalues.
 * Magnus depths come from the full product of the truncated series
   1 + X and 1 - X + X^2 - ... (no per-degree update).
+* A rational point k/q of an x-gap comes from doubling q from 1 (no
+  search over the exponent), and irreducible factors over Z from sympy.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -105,8 +108,6 @@ def charpoly_signature(rows) -> int:
     """Signature of an exact rational symmetric matrix via Sturm counts on
     the characteristic polynomial (Faddeev-LeVerrier, exact, with
     multiplicities recovered through iterated gcds)."""
-    import math
-
     from knotbench.polynomials import poly_degree, poly_derivative, poly_gcd
 
     n = len(rows)
@@ -202,3 +203,41 @@ def magnus_depth_full_product(letters, cutoff: int):
             term = {(g,) * k: (-1) ** k for k in range(cutoff)}
         acc = _series_mul(acc, term, cutoff)
     return min((len(w) for w in acc if w), default=None)
+
+
+def tan_in_gap_by_doubling(x_lo: Fraction, x_hi: Fraction) -> Fraction:
+    """The least k/q, q = 1, 2, 4, ... doubling, then k, with
+    x_lo < 2(1 - r^2)/(1 + r^2) < x_hi for r = k/q."""
+    lo2 = (2 - x_hi) / (2 + x_hi)
+    hi2 = (2 - x_lo) / (2 + x_lo)
+    q = 1
+    while True:
+        k = math.isqrt(math.floor(lo2 * q * q)) + 1
+        if k * k < hi2 * q * q:
+            return Fraction(k, q)
+        q *= 2
+
+
+def sympy_factor_list(p):
+    """sympy's factorisation of the integer polynomial p (lowest degree
+    first) as (content, sorted [(primitive factor with lc > 0, mult)])."""
+    import sympy
+
+    x = sympy.symbols("x")
+    content, factors = sympy.Poly(list(reversed(p)), x,
+                                  domain="ZZ").factor_list()
+    out = []
+    for f, mult in factors:
+        coeffs = tuple(reversed([int(c) for c in f.all_coeffs()]))
+        if coeffs[-1] < 0:
+            coeffs = tuple(-c for c in coeffs)
+            content = -content if mult % 2 else content
+        out.append((coeffs, int(mult)))
+    return int(content), sorted(out)
+
+
+def sympy_is_irreducible(p) -> bool:
+    import sympy
+
+    x = sympy.symbols("x")
+    return sympy.Poly(list(reversed(p)), x, domain="ZZ").is_irreducible

@@ -6,6 +6,9 @@ import pytest
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
 from knotbench.errors import PossiblySingularError, PreconditionError
 from knotbench.invariants import (
+    _separate_boxes,
+    _tan_in_gap,
+    _x_enclosure,
     alexander_polynomial,
     algebraically_concordant_test,
     arf,
@@ -19,11 +22,11 @@ from knotbench.invariants import (
     signature_function,
 )
 from knotbench.intervals import cos_2pi
-from knotbench.polynomials import LaurentPoly
+from knotbench.polynomials import LaurentPoly, poly_eval, sturm_isolate
 from knotbench.seifert import SeifertMatrix, UNKNOT, connected_sum, mirror
 
 from conftest import random_seifert
-from oracles import sample_levine_tristram_float
+from oracles import sample_levine_tristram_float, tan_in_gap_by_doubling
 
 K61 = SeifertMatrix([[1, 1], [0, -2]])
 
@@ -76,6 +79,58 @@ class TestD0AndDeterminant:
     def test_d0_bounded_by_twice_genus(self, corpus):
         for name, v in corpus.items():
             assert d0(v) <= 2 * v.genus, name
+
+    def test_determinant_is_alexander_at_minus_one(self, corpus):
+        # det(V + V^T) against |Delta(-1)| from the Bareiss determinant
+        rng = random.Random(29)
+        forms = list(corpus.values()) + [random_seifert(rng, rng.randint(1, 4))
+                                         for _ in range(80)]
+        for v in forms:
+            coeffs, _ = alexander_polynomial(v).to_int_poly()
+            assert determinant(v) == abs(poly_eval(coeffs, -1)), v
+
+
+def _signature_gaps(v):
+    """The x-gaps between Sturm boxes that signature_function evaluates."""
+    ps = signature_function(v).x_poly
+    boxes = _separate_boxes(ps, sturm_isolate(ps, -2, 2))
+    edges = [Fraction(2)] + [x for lo, hi in reversed(boxes) for x in (hi, lo)]
+    return [(edges[2 * k + 1], edges[2 * k]) for k in range(len(boxes))]
+
+
+class TestTanInGap:
+    T_2_21 = seifert_matrix_from_braid(BraidWord(2, [1] * 21))
+
+    def check(self, x_lo, x_hi):
+        r = _tan_in_gap(x_lo, x_hi)
+        assert r == tan_in_gap_by_doubling(x_lo, x_hi)
+        assert x_lo < 2 * (1 - r * r) / (1 + r * r) < x_hi
+
+    def test_signature_function_gaps(self, trefoil):
+        for v in (trefoil, self.T_2_21):
+            gaps = _signature_gaps(v)
+            assert gaps
+            for x_lo, x_hi in gaps:
+                self.check(x_lo, x_hi)
+
+    @pytest.mark.parametrize("e", [60, 100])
+    def test_levine_tristram_enclosures_near_a_jump(self, trefoil, e):
+        # jumps at 1/6 (trefoil) and 1/42 (T(2,21)): 2^-64-wide and
+        # narrower x-enclosures next to a root
+        for v, jump in ((trefoil, Fraction(1, 6)),
+                        (self.T_2_21, Fraction(1, 42))):
+            ps = signature_function(v).x_poly
+            for theta in (jump - Fraction(1, 2 ** e), jump + Fraction(1, 2 ** e)):
+                x_lo, x_hi, _ = _x_enclosure(ps, theta)
+                self.check(x_lo, x_hi)
+
+    def test_random_gaps(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            x_lo = Fraction(rng.randint(-1999, 1999), 1000)
+            x_hi = min(x_lo + Fraction(rng.randint(1, 999),
+                                       2 ** rng.randint(0, 120)), Fraction(2))
+            self.check(x_lo, x_hi)
 
 
 class TestArf:

@@ -10,7 +10,11 @@ import knotbench.polynomials as polynomials
 import oracles
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
 from knotbench.errors import BudgetExceededError, InputError
-from knotbench.invariants import signature_function
+from knotbench.invariants import (
+    _laurent_to_x,
+    alexander_polynomial,
+    signature_function,
+)
 from knotbench.polynomials import (
     LaurentPoly,
     count_real_roots,
@@ -21,6 +25,7 @@ from knotbench.polynomials import (
     poly_eval,
     poly_matrix_det,
     poly_mul,
+    poly_neg,
     poly_scale,
     poly_sign_at,
     poly_squarefree_part,
@@ -28,6 +33,7 @@ from knotbench.polynomials import (
     refine_isolating_interval,
     sturm_isolate,
 )
+from conftest import random_seifert
 
 
 class TestSturmIsolate:
@@ -272,6 +278,98 @@ class TestFactorInteger:
                 for _ in range(mult):
                     prod = poly_mul(prod, f)
             assert prod == p
+
+
+# the torus knots T(p, q) of the benchmark's torus workload
+TORUS_FAMILY = ((2, 3), (2, 5), (2, 7), (2, 9), (2, 13), (2, 21),
+                (3, 4), (3, 5), (4, 3))
+
+X4_10X2_1 = (1, 0, -10, 0, 1)  # reducible mod every prime, irreducible
+
+
+def _knot_polys(forms):
+    """Delta, the x-polynomial and its squarefree part of every form."""
+    out = []
+    for v in forms:
+        delta = alexander_polynomial(v)
+        x_poly = _laurent_to_x(delta)
+        out += [delta.to_int_poly()[0], x_poly, poly_squarefree_part(x_poly)]
+    return out
+
+
+def _power(p, k):
+    out = (1,)
+    for _ in range(k):
+        out = poly_mul(out, p)
+    return out
+
+
+class TestFactorAgainstSympy:
+    """sympy's factor_list is the oracle; it is imported by the tests only."""
+
+    def check(self, p):
+        content, factors = factor_integer_poly(p)
+        assert (content, factors) == oracles.sympy_factor_list(p), p
+        prod = (content,)
+        for f, mult in factors:
+            assert f[-1] > 0 and oracles.sympy_is_irreducible(f), (p, f)
+            prod = poly_mul(prod, _power(f, mult))
+        assert prod == poly_trim(p)
+
+    def test_bundled_table(self, corpus):
+        for p in _knot_polys(corpus.values()):
+            self.check(p)
+
+    def test_random_seifert_forms(self):
+        rng = random.Random(41)
+        forms = [random_seifert(rng, rng.randint(1, 4)) for _ in range(60)]
+        for p in _knot_polys(forms):
+            self.check(p)
+
+    def test_torus_family(self):
+        forms = [seifert_matrix_from_braid(BraidWord(p, list(range(1, p)) * q))
+                 for p, q in TORUS_FAMILY]
+        for p in _knot_polys(forms):
+            self.check(p)
+
+    def test_x_n_minus_1(self):
+        for n in range(1, 25):
+            self.check((-1,) + (0,) * (n - 1) + (1,))
+        self.check((1,) + (0,) * 11 + (1,) + (0,) * 11 + (1,))
+
+    def test_swinnerton_dyer_quartic(self):
+        self.check(X4_10X2_1)
+        self.check(poly_mul(X4_10X2_1, X4_10X2_1))
+        self.check(poly_mul(X4_10X2_1, (1, 0, -10, 0, 1, 0, 3)))
+        self.check(_power(X4_10X2_1, 3))
+        self.check(poly_mul(poly_mul(X4_10X2_1, cyclotomic_poly(12)),
+                            (-2, 0, 0, 3)))
+
+    def test_repeated_factors_content_and_zero_root(self):
+        rng = random.Random(43)
+        for _ in range(80):
+            p = (rng.choice((-6, -2, -1, 1, 3, 4)),)
+            for _ in range(rng.randint(1, 3)):
+                f = poly_trim([rng.randint(-4, 4)
+                               for _ in range(rng.randint(2, 5))])
+                if len(f) > 1:
+                    p = poly_mul(p, _power(f, rng.randint(1, 3)))
+            p = (0,) * rng.randint(0, 3) + p
+            if len(p) <= 25:
+                self.check(p)
+        self.check(poly_neg(_power((0, 2, 4), 3)))  # -8 x^3 (1 + 2x)^3
+
+    def test_large_coefficients(self):
+        # factors with coefficients far above every small prime need the
+        # Hensel lift past the Mignotte bound
+        rng = random.Random(47)
+        for _ in range(40):
+            p = (rng.randint(1, 50),)
+            for _ in range(rng.randint(2, 4)):
+                f = (rng.randint(-10 ** 6, 10 ** 6),) + tuple(
+                    rng.randint(-999, 999) for _ in range(rng.randint(0, 3)))
+                p = poly_mul(p, f + (rng.randint(1, 30),))
+            self.check(p)
 
 
 class TestLaurentPoly:

@@ -1,7 +1,11 @@
 """Source-level guards over the package modules."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import knotbench
 
@@ -17,3 +21,54 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# each request and in-process call prints one JSON line; the same script
+# runs with sympy blocked and as it is
+_REQUESTS_SCRIPT = r"""
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["sympy"] = None  # any import of sympy raises ImportError
+from knotbench import cli
+from knotbench.braids import BraidWord, seifert_matrix_from_braid
+from knotbench.invariants import (alexander_polynomial, fox_milnor_test,
+                                  signature_function)
+
+requests = [
+    ["invariants", "--braid", "n=3; 1 -2 1 -2"],
+    ["invariants", "--seifert", "[[1,1],[0,-2]]"],
+    ["rho", "--braid", "n=2; 1 1 1 1 1"],
+    ["sigfn", "--braid", "n=3; 1 2 1 2 1 2 1 2"],
+    ["table", sys.argv[2]],
+]
+for argv in requests:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    print(json.dumps([code, json.loads(out.getvalue())]))
+for n, word in ((2, [1] * 7), (3, [1, 2] * 5), (3, [1, -2] * 2)):
+    v = seifert_matrix_from_braid(BraidWord(n, word))
+    sf = signature_function(v)
+    delta = alexander_polynomial(v)
+    print(json.dumps([sf.values, [a.poly for a in sf.jumps], sf.x_poly,
+                      fox_milnor_test(delta), fox_milnor_test(delta * delta)]))
+print(json.dumps(sys.modules.get("sympy") is not None))  # sympy loaded
+"""
+
+
+def test_requests_never_import_sympy():
+    from conftest import TABLE_PATH
+
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+
+    def run(mode):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REQUESTS_SCRIPT, mode, str(TABLE_PATH)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return [json.loads(line) for line in proc.stdout.splitlines()]
+
+    blocked, plain = run("blocked"), run("plain")
+    assert blocked[-1] is False and plain[-1] is False
+    assert all(code == 0 for code, _ in blocked[:5])
+    assert blocked[:-1] == plain[:-1]
