@@ -108,7 +108,7 @@ def cmd_invariants(args) -> None:
         "d0": d0(v),
         "determinant": determinant(v),
         "arf": arf(v),
-        "signature_at_minus_1": levine_tristram(v, Fraction(1, 2)) if v.size else 0,
+        "signature_at_minus_1": levine_tristram(v, Fraction(1, 2), delta),
         "fibered_obstruction": {"passes": fib.passes, "reason": fib.reason},
         "fox_milnor": fox_milnor_test(delta),
         "surface_genus": v.genus,
@@ -256,7 +256,7 @@ def cmd_table(args) -> None:
             "d0": d0(v),
             "determinant": determinant(v),
             "arf": arf(v),
-            "signature_at_minus_1": levine_tristram(v, Fraction(1, 2)) if v.size else 0,
+            "signature_at_minus_1": levine_tristram(v, Fraction(1, 2), delta),
             "fox_milnor": fox_milnor_test(delta),
         }
         mismatches = []

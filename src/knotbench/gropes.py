@@ -10,13 +10,18 @@ derived series; a symmetric grope of height h has class 2^h.
 On the group-theory side, formal commutator brackets carry weight (lower
 central class) and derived depth, and free-group words get their lower
 central depth from the truncated Magnus expansion x -> 1 + X over the free
-associative ring.
+associative ring, one packed integer per degree (Kronecker substitution):
+the word g_1 ... g_d of 0-based generator indices has the signed slot
+sum g_i r^(i-1) at rank r.  A word of length L has degree-d coefficients
+of at most C(L+d-1, d), so slots one sign bit wider than C(L + cutoff,
+cutoff) hold them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceededError, InputError, PreconditionError
@@ -343,31 +348,34 @@ def bracket_word(b: Bracket) -> FreeWord:
 
 
 def magnus_depth(w: FreeWord, cutoff: int = MAGNUS_CUTOFF_BUDGET) -> Optional[int]:
-    """Least degree of a nonvanishing term of the Magnus expansion minus 1.
+    """Least degree d >= 1 of a nonzero term of M(w) - 1 for the Magnus
+    expansion M: x_g -> 1 + X_g.  The returned k means the word lies in the
+    k-th but not the (k+1)-st lower central subgroup.  None means "no term
+    below the cutoff", in particular for the identity.
 
-    Each generator maps to 1 + X; the expansion is kept below ``cutoff``
-    as one dict of words per degree.  A letter x_g adds acc[d-1] X_g to
-    acc[d], top degree first; a letter x_g^-1 solves new (1 + X_g) = acc by
-    subtracting new[d-1] X_g from acc[d], lowest degree first.  The
-    returned k means the word lies in the k-th but not the (k+1)-st lower
-    central subgroup.  None means "no term below the cutoff", in particular
-    for the identity.
+    Degree d of M(w) is one integer of ``bits``-wide signed slots; slot k
+    holds the word whose generator indices are the base-r digits of k, last
+    letter most significant, so appending X_g shifts by bits * g * r^(d-1).
+    A letter x_g adds acc[d-1] X_g to acc[d], top degree first; a letter
+    x_g^-1 solves new (1 + X_g) = acc by subtracting new[d-1] X_g from
+    acc[d], lowest degree first.  A degree-d coefficient of L letters sums
+    at most C(L+d-1, d) terms +-1 and fits its slot, so acc[d] is 0 exactly
+    when all its coefficients are.
     """
     if w.rank > MAGNUS_RANK_BUDGET:
         raise BudgetExceededError(f"rank {w.rank} exceeds {MAGNUS_RANK_BUDGET}")
     if not 1 <= cutoff <= MAGNUS_CUTOFF_BUDGET:
         raise BudgetExceededError(
             f"cutoff {cutoff} outside 1..{MAGNUS_CUTOFF_BUDGET}")
-    acc = [{(): 1}] + [{} for _ in range(cutoff - 1)]
+    r, bits = w.rank, comb(len(w.letters) + cutoff, cutoff).bit_length() + 1
+    shifts = [[(d, bits * g * r ** (d - 1)) for d in range(cutoff - 1, 0, -1)]
+              for g in range(r)]
+    acc = [1] + [0] * (cutoff - 1)
     for x in w.letters:
-        g, sign = abs(x) - 1, (1 if x > 0 else -1)
-        for d in range(cutoff - 1, 0, -1) if x > 0 else range(1, cutoff):
-            row = acc[d]
-            for word, c in acc[d - 1].items():
-                key = word + (g,)
-                c = row.get(key, 0) + sign * c
-                if c:
-                    row[key] = c
-                else:
-                    del row[key]
+        if x > 0:
+            for d, s in shifts[x - 1]:
+                acc[d] += acc[d - 1] << s
+        else:
+            for d, s in reversed(shifts[-x - 1]):
+                acc[d] -= acc[d - 1] << s
     return next((d for d in range(1, cutoff) if acc[d]), None)

@@ -405,14 +405,24 @@ def fox_milnor_test(delta: LaurentPoly) -> bool:
     self-reciprocal factors need even multiplicity.  Necessary for a knot
     to be algebraically slice.
     """
-    if delta.is_zero():
-        raise ValueError("zero polynomial")
-    coeffs, _ = delta.to_int_poly()
-    content, factors = factor_integer_poly(coeffs)
+    return _fox_milnor(delta)
+
+
+def _fox_milnor(*deltas: LaurentPoly) -> bool:
+    """``fox_milnor_test`` of the product of ``deltas``, each factored
+    apart so that the degree budget applies to one factor of the product
+    at a time; the multiplicities of equal irreducible factors add."""
+    content, mult = 1, {}
+    for delta in deltas:
+        if delta.is_zero():
+            raise ValueError("zero polynomial")
+        c, factors = factor_integer_poly(delta.to_int_poly()[0])
+        content *= c
+        for f, m in factors:
+            mult[f] = mult.get(f, 0) + m
     if not _is_square(abs(content)):
         return False
-    mult = {f: m for f, m in factors}
-    for f, m in factors:
+    for f, m in mult.items():
         rev = poly_trim(tuple(reversed(f)))
         if rev[-1] < 0:
             rev = tuple(-c for c in rev)
@@ -464,6 +474,6 @@ def algebraically_concordant_test(v1: SeifertMatrix,
         if sf1.values != sf2.values:
             found.append("signature function")
 
-    if not fox_milnor_test(d1 * d2):
+    if not _fox_milnor(d1, d2):
         found.append("fox_milnor")
     return ConcordanceComparison(not found, tuple(found))

@@ -244,3 +244,48 @@ class TestMagnus:
             for cutoff in range(1, 9):
                 assert magnus_depth(w, cutoff) == magnus_depth_full_product(
                     w.letters, cutoff), (str(w), cutoff)
+
+    def test_rank_4_matches_full_product_oracle(self):
+        # the packed slots hold base-4 digit strings at rank 4
+        rng = random.Random(41)
+
+        def rand_word():
+            return FreeWord("xyzw", [rng.choice((1, -1, 2, -2, 3, -3, 4, -4))
+                                     for _ in range(rng.randint(1, 3))])
+
+        for _ in range(60):
+            w = rand_word()
+            for _ in range(rng.randint(0, 2)):
+                u = rand_word()
+                w = w * u * w.inverse() * u.inverse()
+            for cutoff in range(1, 9):
+                assert magnus_depth(w, cutoff) == magnus_depth_full_product(
+                    w.letters, cutoff), (str(w), cutoff)
+
+    def test_long_runs_match_full_product_oracle(self):
+        # x^-L has X^d coefficient (-1)^d C(L+d-1, d), the bound the slot
+        # width is sized for; runs x^+-L also build the words below
+        rng = random.Random(53)
+        words = []
+        for n in (1, 2, 7, 19, 40):
+            for s in (1, -1):
+                words.append(FreeWord("xy", [s] * n))
+                words.append(FreeWord("xy", [s] * n + [2] + [-s] * n + [-2]))
+        for _ in range(40):
+            w = FreeWord("xyz", [g for _ in range(rng.randint(1, 3))
+                                 for g in [rng.choice((1, -1, 2, -2, 3, -3))]
+                                 * rng.randint(1, 12)])
+            u = FreeWord("xyz", [rng.choice((1, -1, 2, -2, 3, -3))])
+            words.append(w * u * w.inverse() * u.inverse())
+        for w in words:
+            for cutoff in range(1, 9):
+                assert magnus_depth(w, cutoff) == magnus_depth_full_product(
+                    w.letters, cutoff), (str(w), cutoff)
+
+    def test_slot_width_follows_word_length(self):
+        # the degree-1 part of x^(2^k) y^-1 is 2^k X - Y, which a slot of
+        # k bits would read as zero
+        for k in range(1, 13):
+            w = FreeWord("xy", [1] * 2 ** k + [-2])
+            for cutoff in range(2, 9):
+                assert magnus_depth(w, cutoff) == 1, (k, cutoff)

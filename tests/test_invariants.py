@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from knotbench.invariants import (
     signature_function,
 )
 from knotbench.intervals import cos_2pi
-from knotbench.polynomials import LaurentPoly, poly_eval, sturm_isolate
+from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly, poly_eval,
+                                   sturm_isolate)
 from knotbench.seifert import SeifertMatrix, UNKNOT, connected_sum, mirror
 
 from conftest import random_seifert
@@ -378,3 +380,25 @@ class TestAlgebraicConcordance:
         # 5_1 and trefoil have different jump sets (x-1 vs golden-ratio poly)
         r = algebraically_concordant_test(trefoil, corpus["5_1"])
         assert "signature function" in r.distinguished_by
+
+    def test_pair_beyond_one_factor_budget(self):
+        # deg 20 + deg 20 exceeds FACTOR_DEGREE_BUDGET for the product, but
+        # each Alexander polynomial is factored on its own
+        t21 = seifert_matrix_from_braid(BraidWord(2, [1] * 21))
+        t13 = seifert_matrix_from_braid(BraidWord(2, [1] * 13))
+        assert algebraically_concordant_test(t21, t21).indistinguishable
+        r = algebraically_concordant_test(t21, t13)
+        assert not r.indistinguishable
+        assert "fox_milnor" in r.distinguished_by
+
+    def test_fox_milnor_matches_product_route(self, corpus):
+        # on table pairs whose product fits the budget, the verdict is the
+        # Fox-Milnor test of the product polynomial
+        for (n1, v1), (n2, v2) in itertools.combinations_with_replacement(
+                sorted(corpus.items()), 2):
+            d1, d2 = alexander_polynomial(v1), alexander_polynomial(v2)
+            if d1.span + d2.span > FACTOR_DEGREE_BUDGET:
+                continue
+            r = algebraically_concordant_test(v1, v2)
+            assert ("fox_milnor" in r.distinguished_by) == (
+                not fox_milnor_test(d1 * d2)), (n1, n2)
