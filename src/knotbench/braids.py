@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError, PreconditionError
-from .seifert import SeifertMatrix
+from .seifert import SeifertMatrix, as_integer
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,15 @@ class BraidWord:
     letters: tuple
 
     def __init__(self, strands: int, letters: Sequence[int]):
+        strands = as_integer(strands, "strand count")
         if strands < 1:
             raise InputError("strand count must be >= 1")
-        letters = tuple(int(x) for x in letters)
+        letters = tuple(as_integer(x, "braid letter") for x in letters)
         for x in letters:
             if x == 0 or abs(x) > strands - 1:
                 raise InputError(
                     f"letter {x} out of range for {strands} strands")
-        object.__setattr__(self, "strands", int(strands))
+        object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", letters)
 
     def permutation(self) -> tuple:

@@ -2,7 +2,8 @@
 
 Subcommands: invariants, rho, sigfn, bdim, grope, magnus, table.
 JSON (sorted keys) is the canonical output; --csv switches the tabular
-commands (rho, sigfn, bdim, table).  Exit codes: 0 success, 1 malformed
+commands (rho, sigfn, bdim, table) to CSV, and --digits sets the decimal
+digits of rendered angles (rho, sigfn).  Exit codes: 0 success, 1 malformed
 input, 2 precondition or budget violation, 3 the evaluation point is
 exactly a root of the Alexander polynomial ("possibly singular").
 """
@@ -77,6 +78,8 @@ def _load_knot(args):
             rec = json.load(fh)
         except json.JSONDecodeError as e:
             raise InputError(f"{args.input}:{e.lineno}: {e.msg}") from None
+    if not isinstance(rec, dict):
+        raise InputError(f"{args.input}: top level must be a JSON object")
     if "name" not in rec:
         rec = dict(rec, name=args.input)
     entry = _entry_from_record(rec, args.input)
@@ -135,6 +138,7 @@ def cmd_rho(args) -> None:
 def cmd_sigfn(args) -> None:
     from .invariants import signature_csv, signature_function
     from .intervals import format_decimal
+    from .polynomials import poly_to_str
 
     echo, v = _load_knot(args)
     sf = signature_function(v)
@@ -145,7 +149,6 @@ def cmd_sigfn(args) -> None:
     jumps = []
     for a in sf.jumps:
         enc = a.enclosure_to_width(width)
-        from .polynomials import poly_to_str
         jumps.append({
             "theta": format_decimal(enc.mid, args.digits),
             "min_poly_x": poly_to_str(a.poly),
@@ -293,34 +296,32 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--digits", type=int, default=12,
-                       help="decimal digits for rendered angles (default 12)")
-        p.add_argument("--csv", action="store_true", help="CSV output")
-
     p = sub.add_parser("invariants", help="classical invariant report")
     _add_knot_args(p)
     p.add_argument("--claimed-genus", type=int, default=None)
-    common(p)
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("rho", help="certified rho0 enclosure")
     _add_knot_args(p)
     p.add_argument("--precision", default="1e-6",
                    help="enclosure width target (default 1e-6)")
-    common(p)
+    p.add_argument("--digits", type=int, default=12,
+                   help="decimal digits for rendered angles (default 12)")
+    p.add_argument("--csv", action="store_true", help="CSV output")
     p.set_defaults(fn=cmd_rho)
 
     p = sub.add_parser("sigfn", help="signature step function")
     _add_knot_args(p)
-    common(p)
+    p.add_argument("--digits", type=int, default=12,
+                   help="decimal digits for rendered angles (default 12)")
+    p.add_argument("--csv", action="store_true", help="CSV output")
     p.set_defaults(fn=cmd_sigfn)
 
     p = sub.add_parser("bdim", help="diagram algebra dimension table")
     p.add_argument("--grading", choices=("grope", "vassiliev"), default="grope")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
-    common(p)
+    p.add_argument("--csv", action="store_true", help="CSV output")
     p.set_defaults(fn=cmd_bdim)
 
     p = sub.add_parser("grope", help="grope class/height queries")
@@ -328,18 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", help="grope tree JSON")
     p.add_argument("--tree-file", help="path to grope tree JSON")
     p.add_argument("--bracket", help='bracket text, e.g. "[[x,y],z]"')
-    common(p)
     p.set_defaults(fn=cmd_grope)
 
     p = sub.add_parser("magnus", help="lower-central depth via Magnus expansion")
     p.add_argument("word", help='free word, e.g. "x y x^-1 y^-1"')
     p.add_argument("--cutoff", type=int, default=8)
-    common(p)
     p.set_defaults(fn=cmd_magnus)
 
     p = sub.add_parser("table", help="batch invariants over a knot table")
     p.add_argument("path")
-    common(p)
+    p.add_argument("--csv", action="store_true", help="CSV output")
     p.set_defaults(fn=cmd_table)
     return ap
 
@@ -358,7 +357,7 @@ def main(argv=None) -> int:
     except PossiblySingularError as e:
         sys.stderr.write(f"error: resource: {e}\n")
         return EXIT_RESOURCE
-    except FileNotFoundError as e:
+    except OSError as e:
         sys.stderr.write(f"error: input: {e}\n")
         return EXIT_INPUT
     return 0

@@ -23,12 +23,12 @@ from .hermitian import rational_symmetric_signature
 from .intervals import AlgebraicAngle, cos_2pi, format_decimal
 from .polynomials import (
     LaurentPoly,
+    _quotient,
     count_real_roots,
     count_roots_halfopen,
     cyclotomic_poly,
     factor_integer_poly,
     poly_add,
-    poly_divmod,
     poly_gcd,
     poly_matrix_det,
     poly_scale,
@@ -152,7 +152,7 @@ def _omega_is_alexander_root(delta: LaurentPoly, theta: Fraction) -> bool:
     phi = cyclotomic_poly(q)
     if len(phi) - 1 > deg:
         return False
-    return not poly_divmod(coeffs, phi)[1]
+    return _quotient(coeffs, phi) is not None
 
 
 def _arc_signature(v: SeifertMatrix, r: Optional[Fraction]) -> int:
@@ -327,9 +327,10 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     angles_low = []
     # theta = acos(x/2)/2pi is decreasing in x
     for lo, hi in reversed(boxes):
+        # the box holds one simple root of ps, the product of the distinct
+        # factors, and none at its ends: only its minimal polynomial changes sign
         minpoly = next((f for f, _mult in factors
-                        if len(f) > 1 and count_real_roots(f, lo, hi) == 1),
-                       None)
+                        if poly_sign_at(f, lo) != poly_sign_at(f, hi)), None)
         if minpoly is None:
             raise PreconditionError(
                 f"no irreducible factor of {poly_to_str(ps)} has its root"

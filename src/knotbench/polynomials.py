@@ -1,9 +1,11 @@
 """Exact univariate polynomial arithmetic.
 
-Integer polynomials are dense coefficient tuples, lowest degree first, with
-no trailing zeros; the zero polynomial is the empty tuple.  Laurent
+Polynomials are dense tuples of integer coefficients, lowest degree first,
+with no trailing zeros; the zero polynomial is the empty tuple.  Laurent
 polynomials carry a sparse exponent -> coefficient map and may have negative
-exponents.  Everything is big-integer / rational exact; no floats.
+exponents.  Division, gcds and Sturm chains stay in Z (exact division and
+pseudo-remainders); ``Fraction`` appears only for rational points such as
+interval ends and widths.  No floats.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError
 
-Coeffs = tuple  # integer or Fraction coefficients, index = degree
+Coeffs = tuple  # integer coefficients, index = degree
 
 FACTOR_DEGREE_BUDGET = 24
 
@@ -82,42 +84,14 @@ def poly_derivative(p: Sequence) -> Coeffs:
     return poly_trim([i * a for i, a in enumerate(p)][1:])
 
 
-def poly_divmod(p: Sequence, q: Sequence):
-    """Division over the rationals; returns (quotient, remainder)."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(a) for a in p]
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = len(q) - 1
-    lead = Fraction(q[-1])
-    while len(rem) - 1 >= dq and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        k = len(rem) - 1 - dq
-        f = rem[-1] / lead
-        quo[k] = f
-        for i, b in enumerate(q):
-            rem[k + i] -= f * b
-        rem.pop()
-    return poly_trim(quo), poly_trim(rem)
-
-
 def poly_div_exact(p: Sequence, q: Sequence) -> Coeffs:
-    """Exact division; integer output when the inputs divide over Z.
-
-    Divides over Z (``_quotient``), and over the rationals
-    (``poly_divmod``) when that fails; raises ArithmeticError when q does
-    not divide p.
-    """
+    """p / q for integer polynomials where q divides p over Z; raises
+    ArithmeticError when it does not."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     quo = _quotient(p, q)
     if quo is None:
-        quo, rem = poly_divmod(p, q)
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
+        raise ArithmeticError("inexact polynomial division")
     return quo
 
 
@@ -136,40 +110,50 @@ def _quotient(p: Sequence, q: Sequence):
     return None if any(rem) else poly_trim(quo)
 
 
+def _prem(a: Sequence, b: Sequence) -> Coeffs:
+    """The primitive integer polynomial that is a positive multiple of the
+    remainder of a by the nonzero b over Q, so it has the same signs.
+
+    b is negated when lc(b) < 0, as a mod -b = a mod b; then each step
+    rem = lc(b) rem - c x^k b cancels a nonzero top term c x^(k + deg b)
+    and multiplies by lc(b) > 0, and a zero top term is dropped.  The
+    result is divided by its positive content.
+    """
+    if b[-1] < 0:
+        b = poly_neg(b)
+    lc, db = b[-1], len(b) - 1
+    rem = list(a)
+    while len(rem) > db:
+        c = rem.pop()
+        if c:
+            k = len(rem) - db
+            rem = [lc * r for r in rem]
+            for i in range(db):
+                rem[k + i] -= c * b[i]
+    rem = poly_trim(rem)
+    g = math.gcd(*rem)
+    return tuple(r // g for r in rem)
+
+
 def poly_content(p: Sequence) -> int:
     """GCD of the integer coefficients, signed by the leading coefficient."""
-    if not p:
-        return 0
-    g = 0
-    for a in p:
-        g = math.gcd(g, abs(int(a)))
-    return -g if p[-1] < 0 else g
+    g = math.gcd(*p)
+    return -g if p and p[-1] < 0 else g
 
 
 def poly_primitive(p: Sequence) -> Coeffs:
     c = poly_content(p)
     if c == 0:
         return ()
-    return tuple(int(a) // c for a in p)
+    return tuple(a // c for a in p)
 
 
 def poly_gcd(p: Sequence, q: Sequence) -> Coeffs:
     """Primitive gcd over Z with positive leading coefficient."""
-    a, b = p, q
-    while poly_trim(b):
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_primitive(_primitive_multiple(poly_trim(a)))
-
-
-def _primitive_multiple(p: Sequence) -> Coeffs:
-    """The primitive integer polynomial that is a positive rational multiple
-    of the rational polynomial p, so it has the same sign as p everywhere."""
-    if not p:
-        return ()
-    den = math.lcm(*(Fraction(a).denominator for a in p))
-    ints = [int(a * den) for a in p]
-    g = math.gcd(*ints)
-    return tuple(a // g for a in ints)
+    a, b = poly_trim(p), poly_trim(q)
+    while b:
+        a, b = b, _prem(a, b)
+    return poly_primitive(a)
 
 
 def poly_squarefree_part(p: Sequence) -> Coeffs:
@@ -229,14 +213,13 @@ def sturm_sequence(p: Sequence) -> list:
     """Sturm chain of the squarefree integer polynomial p.
 
     p must be squarefree; callers pass ``poly_squarefree_part`` or an
-    irreducible factor.  Every member after p is a positive rational
-    multiple of the classical one, scaled to a primitive integer
-    polynomial, so it has the same signs and ``poly_sign_at`` applies.
+    irreducible factor.  Every member after p is the primitive integer
+    polynomial that is a positive multiple of the classical one, so it has
+    the same signs; remainders are integer pseudo-remainders (``_prem``).
     """
-    chain = [tuple(p), _primitive_multiple(poly_derivative(p))]
+    chain = [tuple(p), _prem(poly_derivative(p), p)]  # p' mod p is p'
     while chain[-1]:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        chain.append(_primitive_multiple(poly_neg(rem)))
+        chain.append(poly_neg(_prem(chain[-2], chain[-1])))
     chain.pop()
     return chain
 
@@ -554,7 +537,7 @@ def factor_integer_poly(p: Sequence, degree_budget: int = FACTOR_DEGREE_BUDGET):
     if poly_degree(p) > degree_budget:
         raise BudgetExceededError("degree too large")
     if poly_degree(p) == 0:
-        return int(p[0]), []
+        return p[0], []
     rng = random.Random(0)
     f = poly_primitive(p)
     low = next(i for i, a in enumerate(f) if a)

@@ -5,11 +5,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError
+
+
+def as_integer(v, what: str) -> int:
+    """v as an int; bools, floats and strings are refused, not truncated."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise InputError(f"{what} {v!r} is not an integer")
+    return operator.index(v)
 
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -47,7 +54,11 @@ class SeifertMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        try:
+            rows = tuple(tuple(as_integer(v, "Seifert entry") for v in row)
+                         for row in rows)
+        except TypeError:
+            raise InputError("Seifert matrix must be an array of rows") from None
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise InputError("Seifert matrix must be square")

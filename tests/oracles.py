@@ -12,6 +12,8 @@ These deliberately avoid the library code paths they check:
   1 + X and 1 - X + X^2 - ... (no per-degree update).
 * A rational point k/q of an x-gap comes from doubling q from 1 (no
   search over the exponent), and irreducible factors over Z from sympy.
+* Remainders and Sturm chains come from long division over Q with
+  ``Fraction`` coefficients (no pseudo-remainders), gcds from sympy.
 """
 
 from __future__ import annotations
@@ -99,8 +101,6 @@ def alexander_via_burau(b: BraidWord) -> LaurentPoly:
     if not det:
         return LaurentPoly({})
     quo = poly_div_exact(det, tuple([1] * n))  # 1 + t + ... + t^(n-1)
-    if any(isinstance(c, Fraction) for c in quo):
-        raise AssertionError("Burau determinant not divisible by 1+t+..+t^(n-1)")
     return LaurentPoly.from_int_poly(quo).unit_normalize_symmetric()
 
 
@@ -241,3 +241,40 @@ def sympy_is_irreducible(p) -> bool:
 
     x = sympy.symbols("x")
     return sympy.Poly(list(reversed(p)), x, domain="ZZ").is_irreducible
+
+
+def rational_divmod(p, q):
+    """Quotient and remainder of p by the nonzero q over Q, by long
+    division with ``Fraction`` coefficients."""
+    rem = [Fraction(a) for a in p]
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    for k in reversed(range(len(quo))):
+        f = quo[k] = rem[k + len(q) - 1] / q[-1]
+        for i, b in enumerate(q):
+            rem[k + i] -= f * b
+    return poly_trim(quo), poly_trim(rem[:len(q) - 1])
+
+
+def classical_sturm_chain(p) -> list:
+    """p, p', -rem(p, p'), ... over Q, up to the last nonzero member."""
+    chain = [tuple(Fraction(a) for a in p),
+             tuple(Fraction(i * a) for i, a in enumerate(p))[1:]]
+    while chain[-1]:
+        chain.append(tuple(-a for a in rational_divmod(chain[-2],
+                                                       chain[-1])[1]))
+    return chain[:-1]
+
+
+def sympy_gcd(p, q):
+    """sympy's gcd of the integer polynomials p and q, made primitive with
+    a positive leading coefficient; () when both are zero."""
+    import sympy
+
+    x = sympy.symbols("x")
+    g = sympy.Poly(list(reversed(p)) or [0], x, domain="ZZ").gcd(
+        sympy.Poly(list(reversed(q)) or [0], x, domain="ZZ"))
+    coeffs = poly_trim(tuple(reversed([int(c) for c in g.all_coeffs()])))
+    if not coeffs:
+        return ()
+    c = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return tuple(a // c for a in coeffs)

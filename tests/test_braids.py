@@ -46,6 +46,12 @@ class TestParse:
         with pytest.raises(InputError):
             BraidWord(2, [0])
 
+    @pytest.mark.parametrize("strands, word", [
+        (2, [1.0, 1, 1]), (2, [True, 1, 1]), (2.5, [1, 1, 1]), (2, ["1"])])
+    def test_non_integer_refused(self, strands, word):
+        with pytest.raises(InputError, match="not an integer"):
+            BraidWord(strands, word)
+
 
 class TestClosure:
     def test_examples(self):

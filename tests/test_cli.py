@@ -52,6 +52,40 @@ class TestInvariantsCommand:
         assert r["fibered_obstruction"] == {"passes": False, "reason": "not monic"}
         assert r["fox_milnor"] is True
 
+    @pytest.mark.parametrize("text", [
+        "[[-1.9,1],[0,-1]]",     # truncated to the trefoil by int()
+        "5",                     # not an array
+        '[[1,"a"],[0,1]]',       # a string entry
+        "[[true,1],[0,-1]]",     # a bool entry
+        '{"rows": [[-1,1],[0,-1]]}',
+    ])
+    def test_non_integer_seifert_exits_1(self, capsys, text):
+        code, out, err = run(capsys, "invariants", "--seifert", text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: input:")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"trefoil"'])
+    def test_input_file_not_an_object_exits_1(self, capsys, tmp_path, text):
+        path = tmp_path / "knot.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "invariants", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: input:") and "JSON object" in err
+
+    def test_input_directory_exits_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "invariants", "--input", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: input:")
+
+    def test_flags_only_where_read(self, capsys):
+        for argv in (["invariants", "--braid", "n=2; 1 1 1", "--csv"],
+                     ["magnus", "x", "--digits", "3"],
+                     ["table", str(TABLE_PATH), "--digits", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "invariants", "--braid", "n=3; 1 -2 1 -2")
         _, out2, _ = run(capsys, "invariants", "--braid", "n=3; 1 -2 1 -2")

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -227,9 +228,12 @@ class TestPolyDivExact:
         assert all(type(c) is int for c in q)
 
     def test_rational_quotient(self):
-        assert poly_div_exact((0, 0, 1), (0, 2)) == (0, Fraction(1, 2))
+        # q divides p over Q but not over Z: refused, not returned as Fractions
+        with pytest.raises(ArithmeticError, match="inexact"):
+            poly_div_exact((0, 0, 1), (0, 2))
         # the leading division is exact, a later one is not
-        assert poly_div_exact((1, 2), (2,)) == (Fraction(1, 2), 1)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            poly_div_exact((1, 2), (2,))
 
     def test_not_divisible(self):
         with pytest.raises(ArithmeticError, match="inexact"):
@@ -243,6 +247,87 @@ class TestPolyDivExact:
                             lambda rows: poly_add(det(rows), (1,)))
         with pytest.raises(ArithmeticError):
             oracles.alexander_via_burau(BraidWord(3, [1, -2, 1, -2]))
+
+
+def _sparse_negative_lc(rng, degree):
+    """A random integer polynomial of the given degree with a negative
+    leading coefficient and about half its other coefficients zero, so that
+    remainders often drop by two or more degrees."""
+    return tuple(rng.choice((0, rng.randint(-9, 9))) for _ in range(degree)) + (
+        -rng.randint(1, 9),)
+
+
+def _positive_multiple(p, ref) -> bool:
+    """p = r ref for some rational r > 0."""
+    if len(p) != len(ref) or not p:
+        return p == ref
+    r = Fraction(p[-1]) / ref[-1]
+    return r > 0 and all(a == r * b for a, b in zip(p, ref))
+
+
+class TestIntegerRemainders:
+    """Pseudo-remainders against Fraction long division (tests/oracles.py)."""
+
+    def test_prem_is_primitive_positive_multiple(self):
+        rng = random.Random(53)
+        gaps = 0
+        for _ in range(400):
+            a = _sparse_negative_lc(rng, rng.randint(0, 9))
+            b = _sparse_negative_lc(rng, rng.randint(0, 6))
+            if rng.random() < 0.5:
+                b = poly_neg(b)
+            rem = polynomials._prem(a, b)
+            want = oracles.rational_divmod(a, b)[1]
+            assert all(type(c) is int for c in rem)
+            assert _positive_multiple(rem, want), (a, b)
+            if rem:
+                assert math.gcd(*rem) == 1
+            gaps += len(a) - len(b) >= 2 and b[-1] < 0
+        assert gaps > 100
+
+    def test_sturm_members_are_positive_multiples_of_classical(self):
+        rng = random.Random(59)
+        checked = gaps = 0
+        while checked < 200:
+            p = _sparse_negative_lc(rng, rng.randint(2, 9))
+            want = oracles.classical_sturm_chain(p)
+            if len(want[-1]) > 1:  # not squarefree
+                continue
+            checked += 1
+            chain = polynomials.sturm_sequence(p)
+            assert len(chain) == len(want), p
+            for got, ref in zip(chain, want):
+                assert all(type(c) is int for c in got)
+                assert _positive_multiple(got, ref), (p, got, ref)
+            # a remainder of a by b with deg a - deg b >= 2 and lc(b) < 0
+            gaps += any(len(a) - len(b) >= 2 and b[-1] < 0
+                        for a, b in zip(want, want[1:]))
+        assert gaps > 15
+
+    def test_gcd_against_sympy(self):
+        rng = random.Random(61)
+        for _ in range(150):
+            g = _sparse_negative_lc(rng, rng.randint(0, 4))
+            a = poly_mul(g, _sparse_negative_lc(rng, rng.randint(0, 5)))
+            b = poly_mul(g, _sparse_negative_lc(rng, rng.randint(0, 5)))
+            b = poly_scale(b, rng.choice((-6, -1, 1, 4)))
+            want = oracles.sympy_gcd(a, b)
+            assert polynomials.poly_gcd(a, b) == want, (a, b)
+            assert polynomials.poly_gcd(b, a) == want, (a, b)
+        assert polynomials.poly_gcd((), ()) == ()
+        assert polynomials.poly_gcd((0, -4, -6), ()) == (0, 2, 3)
+
+    def test_kernel_creates_no_fraction(self, corpus, monkeypatch):
+        # squarefree parts, gcds and Sturm chains stay in Z: a Fraction
+        # created by the polynomial module fails the test
+        def refuse(*args):
+            raise AssertionError("Fraction created in polynomial division")
+
+        polys = [p for p in _knot_polys(corpus.values()) if len(p) > 1]
+        monkeypatch.setattr(polynomials, "Fraction", refuse)
+        for p in polys:
+            polynomials.sturm_sequence(poly_squarefree_part(p))
+            polynomials.poly_gcd(p, polynomials.poly_derivative(p))
 
 
 class TestFactorInteger:

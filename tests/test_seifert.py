@@ -23,6 +23,27 @@ class TestSeifertMatrix:
         with pytest.raises(InputError, match="Seifert"):
             SeifertMatrix([[0, 0], [0, 0]])  # skew part singular
 
+    @pytest.mark.parametrize("rows", [
+        [[-1.9, 1], [0, -1]],          # int() would truncate it to a knot
+        [[-1, 1], [0, True]],
+        [[1, "a"], [0, 1]],
+    ])
+    def test_non_integer_entries_refused(self, rows):
+        with pytest.raises(InputError, match="not an integer"):
+            SeifertMatrix(rows)
+
+    @pytest.mark.parametrize("rows", [5, [1, 2]])
+    def test_non_array_refused(self, rows):
+        with pytest.raises(InputError, match="array of rows"):
+            SeifertMatrix(rows)
+
+    def test_integer_like_entries_accepted(self):
+        import numpy as np
+
+        v = SeifertMatrix(np.array([[-1, 1], [0, -1]]))
+        assert v.rows == ((-1, 1), (0, -1))
+        assert all(type(x) is int for row in v.rows for x in row)
+
     def test_genus(self):
         assert UNKNOT.genus == 0
         assert SeifertMatrix([[-1, 1], [0, -1]]).genus == 1
@@ -82,6 +103,13 @@ class TestKnotTable:
         path = tmp_path / "noinput.json"
         path.write_text(json.dumps([{"name": "nothing"}]))
         with pytest.raises(InputError, match="braid' or 'seifert"):
+            load_knot_table(str(path))
+
+    def test_non_integer_braid_letter_names_entry(self, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(
+            [{"name": "floaty", "braid": {"strands": 2, "word": [1, 1.5, 1]}}]))
+        with pytest.raises(InputError, match="floaty.*not an integer"):
             load_knot_table(str(path))
 
     def test_csv_variant(self, tmp_path):
