@@ -92,30 +92,37 @@ def _add_knot_args(p):
     p.add_argument("--input", help="path to a knot spec JSON file")
 
 
-def cmd_invariants(args) -> None:
+def _classical_invariants(v) -> dict:
+    """The invariants that ``invariants`` and ``table`` both report."""
     from .invariants import (
         alexander_polynomial,
         arf,
         d0,
         determinant,
-        fibered_obstruction,
         fox_milnor_test,
         levine_tristram,
     )
 
-    echo, v = _load_knot(args)
     delta = alexander_polynomial(v)
-    fib = fibered_obstruction(v, args.claimed_genus)
-    results = {
+    return {
         "alexander": str(delta),
         "d0": d0(v),
         "determinant": determinant(v),
         "arf": arf(v),
         "signature_at_minus_1": levine_tristram(v, Fraction(1, 2), delta),
-        "fibered_obstruction": {"passes": fib.passes, "reason": fib.reason},
         "fox_milnor": fox_milnor_test(delta),
-        "surface_genus": v.genus,
     }
+
+
+def cmd_invariants(args) -> None:
+    from .invariants import fibered_obstruction
+
+    echo, v = _load_knot(args)
+    fib = fibered_obstruction(v, args.claimed_genus)
+    results = _classical_invariants(v)
+    results.update(fibered_obstruction={"passes": fib.passes,
+                                        "reason": fib.reason},
+                   surface_genus=v.genus)
     _emit(_report(echo, results))
 
 
@@ -238,30 +245,13 @@ def cmd_magnus(args) -> None:
 
 
 def cmd_table(args) -> None:
-    from .invariants import (
-        alexander_polynomial,
-        arf,
-        d0,
-        determinant,
-        fox_milnor_test,
-        levine_tristram,
-    )
     from .seifert import load_knot_table
 
     entries = load_knot_table(args.path)
     rows = []
     n_mismatch = 0
     for entry in entries:
-        v = entry.seifert_matrix()
-        delta = alexander_polynomial(v)
-        results = {
-            "alexander": str(delta),
-            "d0": d0(v),
-            "determinant": determinant(v),
-            "arf": arf(v),
-            "signature_at_minus_1": levine_tristram(v, Fraction(1, 2), delta),
-            "fox_milnor": fox_milnor_test(delta),
-        }
+        results = _classical_invariants(entry.seifert_matrix())
         mismatches = []
         for key, want in entry.expected.items():
             if key in results and results[key] != want:
@@ -347,6 +337,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "digits", 0) < 0:
+            raise InputError(f"--digits {args.digits} is negative")
         args.fn(args)
     except InputError as e:
         sys.stderr.write(f"error: input: {e}\n")

@@ -1,11 +1,12 @@
 """Classical knot invariants computed from a Seifert matrix.
 
-Everything here is exact: the Alexander polynomial is a determinant over
-Z[t], and jump angles of the signature function are kept as algebraic
-numbers via the substitution x = t + 1/t, which turns unit-circle roots of
-the Alexander polynomial into real roots of an integer polynomial in
-(-2, 2).  The signature is constant on the arcs between those roots, so
-each arc value is the signature of an integer matrix at one rational point
+Everything here is exact: the Alexander polynomial det(V - tV^T) is
+interpolated from integer determinants at t = 0, 1, ..., 2g, and jump
+angles of the signature function are kept as algebraic numbers via the
+substitution x = t + 1/t, which turns unit-circle roots of the Alexander
+polynomial into real roots of an integer polynomial in (-2, 2).  The
+signature is constant on the arcs between those roots, so each arc value
+is the signature of an integer matrix at one rational point
 tan(pi theta) = p/q of the arc; intervals only locate a given theta among
 the roots.
 """
@@ -24,13 +25,12 @@ from .intervals import AlgebraicAngle, cos_2pi, format_decimal
 from .polynomials import (
     LaurentPoly,
     _quotient,
-    count_real_roots,
     count_roots_halfopen,
     cyclotomic_poly,
     factor_integer_poly,
     poly_add,
-    poly_gcd,
     poly_matrix_det,
+    poly_mul,
     poly_scale,
     poly_sign_at,
     poly_squarefree_part,
@@ -308,6 +308,21 @@ def _separate_boxes(ps: tuple, boxes: list) -> list:
     return out
 
 
+def _arcs(p: tuple) -> tuple:
+    """The squarefree part ps of the x-polynomial p, separated Sturm boxes
+    of its roots in (-2, 2), ascending, and one point per arc of theta in
+    (0, 1/2] that those roots cut, from theta = 0 on: r = tan(pi theta) in
+    the x-gap between consecutive boxes, then None for the last arc, which
+    holds theta = 1/2."""
+    ps = poly_squarefree_part(p)
+    boxes = sturm_isolate(p, Fraction(-2), Fraction(2)) if len(p) > 1 else []
+    boxes = _separate_boxes(ps, boxes)
+    edges = [Fraction(2)] + [x for lo, hi in reversed(boxes) for x in (hi, lo)]
+    points = [_tan_in_gap(edges[2 * k + 1], edges[2 * k])
+              for k in range(len(boxes))]
+    return ps, boxes, points + [None]
+
+
 def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     """Full signature step function: exact jump angles plus arc values.
 
@@ -318,10 +333,7 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     """
     delta = alexander_polynomial(v)
     coeffs, _ = delta.to_int_poly()
-    p = _laurent_to_x(delta)
-    ps = poly_squarefree_part(p)
-    boxes = sturm_isolate(p, Fraction(-2), Fraction(2)) if len(p) > 1 else []
-    boxes = _separate_boxes(ps, boxes)
+    ps, boxes, points = _arcs(_laurent_to_x(delta))
 
     _, factors = factor_integer_poly(ps)
     angles_low = []
@@ -339,11 +351,7 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     jumps = tuple(angles_low
                   + [a.conjugate() for a in reversed(angles_low)])
 
-    # x-gaps from x = 2 down, one per arc of (0, 1/2) left of the last root
-    edges = [Fraction(2)] + [x for lo, hi in reversed(boxes) for x in (hi, lo)]
-    half = [_arc_signature(v, _tan_in_gap(edges[2 * k + 1], edges[2 * k]))
-            for k in range(len(boxes))]
-    half.append(_arc_signature(v, None))
+    half = [_arc_signature(v, r) for r in points]
     return SignatureStepFunction(jumps, tuple(half + half[-2::-1]), ps, coeffs)
 
 
@@ -461,19 +469,11 @@ def algebraically_concordant_test(v1: SeifertMatrix,
 
     d1 = alexander_polynomial(v1)
     d2 = alexander_polynomial(v2)
-    p1 = poly_squarefree_part(_laurent_to_x(d1))
-    p2 = poly_squarefree_part(_laurent_to_x(d2))
-    n1 = count_real_roots(p1, -2, 2) if len(p1) > 1 else 0
-    n2 = count_real_roots(p2, -2, 2) if len(p2) > 1 else 0
-    g = poly_gcd(p1, p2)
-    ng = count_real_roots(g, -2, 2) if len(g) > 1 else 0
-    if not (n1 == n2 == ng):
+    # both signature functions are constant on every arc cut by the roots
+    # of Delta_1 Delta_2, so they agree iff they agree at one point of each
+    _, _, points = _arcs(poly_mul(_laurent_to_x(d1), _laurent_to_x(d2)))
+    if any(_arc_signature(v1, r) != _arc_signature(v2, r) for r in points):
         found.append("signature function")
-    else:
-        sf1 = signature_function(v1)
-        sf2 = signature_function(v2)
-        if sf1.values != sf2.values:
-            found.append("signature function")
 
     if not _fox_milnor(d1, d2):
         found.append("fox_milnor")

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError
+from .seifert import integer_determinant
 
 Coeffs = tuple  # integer coefficients, index = degree
 
@@ -717,31 +718,28 @@ def _as_laurent(o) -> LaurentPoly:
 
 
 def poly_matrix_det(mat) -> Coeffs:
-    """Determinant of a matrix of integer polynomials (coefficient tuples),
-    by fraction-free Bareiss elimination over Z[x]."""
-    n = len(mat)
-    if n == 0:
-        return (1,)
-    a = [[poly_trim(e) for e in row] for row in mat]
-    sign = 1
-    prev = (1,)
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = poly_sub(poly_mul(a[i][j], a[k][k]),
-                               poly_mul(a[i][k], a[k][j]))
-                a[i][j] = poly_div_exact(num, prev) if num else ()
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return poly_neg(d) if sign < 0 else d
+    """Determinant of a square matrix of integer polynomials (coefficient
+    tuples), by evaluation and interpolation over Z.
+
+    The determinant has degree at most D, the sum over rows of the largest
+    entry degree.  It is evaluated at x = 0, 1, ..., D by the integer
+    Bareiss elimination of ``integer_determinant``.  The k-th forward
+    differences divided by k! are the integer k-th Newton coefficients of
+    the determinant on the nodes i, ..., i + k, so dividing the differences
+    of row k - 1 by k is exact.  Row k starts with the coefficient of
+    x(x - 1)...(x - k + 1), and Horner in (x - k) expands them to monomials.
+    """
+    deg = sum(max(map(len, row)) - 1 for row in mat)
+    vals = [integer_determinant([[poly_eval(e, x) for e in row] for row in mat])
+            for x in range(deg + 1)]
+    newton = []
+    for k in range(1, len(vals) + 1):
+        newton.append(vals[0])
+        vals = [(b - a) // k for a, b in zip(vals, vals[1:])]
+    out = ()
+    for k in reversed(range(len(newton))):
+        out = poly_add(poly_mul(out, (-k, 1)), (newton[k],))
+    return out
 
 
 @functools.lru_cache(maxsize=None)

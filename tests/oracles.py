@@ -5,6 +5,9 @@ These deliberately avoid the library code paths they check:
 * Alexander polynomials of braid closures come from the reduced Burau
   representation (quotient of the unreduced by its fixed vector), divided
   by 1 + t + ... + t^(n-1).
+* Determinants of polynomial matrices come from fraction-free Bareiss
+  elimination over Z[x] (``poly_matrix_det``), not from evaluation at
+  integer points and interpolation.
 * Signatures of exact symmetric matrices come from Sturm counts on the
   characteristic polynomial (no interval elimination).
 * rho0 comes from a plain Riemann sum over numpy float eigenvalues.
@@ -28,7 +31,9 @@ from knotbench.polynomials import (
     LaurentPoly,
     count_real_roots,
     poly_div_exact,
-    poly_matrix_det,
+    poly_mul,
+    poly_neg,
+    poly_sub,
     poly_trim,
 )
 from knotbench.seifert import SeifertMatrix
@@ -77,6 +82,34 @@ def _laurent_to_shifted_poly(e: LaurentPoly, base: int):
         return ()
     assert e.min_exp >= base
     return poly_trim(tuple(e.coeff(k) for k in range(base, e.max_exp + 1)))
+
+
+def poly_matrix_det(mat):
+    """Determinant of a matrix of integer polynomials (coefficient tuples),
+    by fraction-free Bareiss elimination over Z[x]."""
+    n = len(mat)
+    if n == 0:
+        return (1,)
+    a = [[poly_trim(e) for e in row] for row in mat]
+    sign = 1
+    prev = (1,)
+    for k in range(n - 1):
+        if not a[k][k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return ()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = poly_sub(poly_mul(a[i][j], a[k][k]),
+                               poly_mul(a[i][k], a[k][j]))
+                a[i][j] = poly_div_exact(num, prev) if num else ()
+        prev = a[k][k]
+    d = a[n - 1][n - 1]
+    return poly_neg(d) if sign < 0 else d
 
 
 def alexander_via_burau(b: BraidWord) -> LaurentPoly:

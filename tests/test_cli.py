@@ -115,6 +115,16 @@ class TestRhoCommand:
         assert "0.166666666667,0.833333333333,-2" in out
 
 
+@pytest.mark.parametrize("command", ["rho", "sigfn"])
+@pytest.mark.parametrize("csv", [[], ["--csv"]])
+@pytest.mark.parametrize("digits", ["-1", "-3"])
+def test_negative_digits_exits_1(capsys, command, csv, digits):
+    code, out, err = run(capsys, command, "--braid", "n=2; 1 1 1",
+                         "--digits", digits, *csv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: input:") and "--digits" in err
+
+
 class TestSigfnCommand:
     def test_json_jumps(self, capsys):
         code, out, _ = run(capsys, "sigfn", "--braid", "n=2; 1 1 1")

@@ -381,6 +381,26 @@ class TestAlgebraicConcordance:
         r = algebraically_concordant_test(trefoil, corpus["5_1"])
         assert "signature function" in r.distinguished_by
 
+    def test_slice_sum_vs_unknot(self):
+        # T(2,5) # -T(2,5) is slice; its signature function is 0 on every
+        # arc although Delta has unit-circle roots
+        t25 = seifert_matrix_from_braid(BraidWord(2, [1] * 5))
+        r = algebraically_concordant_test(connected_sum(t25, mirror(t25)),
+                                          UNKNOT)
+        assert r.indistinguishable, r.distinguished_by
+
+    def test_adding_a_slice_summand(self, trefoil):
+        t25 = seifert_matrix_from_braid(BraidWord(2, [1] * 5))
+        k = connected_sum(trefoil, connected_sum(t25, mirror(t25)))
+        r = algebraically_concordant_test(trefoil, k)
+        assert r.indistinguishable, r.distinguished_by
+
+    def test_knot_minus_itself_vs_unknot(self, corpus):
+        for name, v in corpus.items():
+            r = algebraically_concordant_test(connected_sum(v, mirror(v)),
+                                              UNKNOT)
+            assert r.indistinguishable, (name, r.distinguished_by)
+
     def test_pair_beyond_one_factor_budget(self):
         # deg 20 + deg 20 exceeds FACTOR_DEGREE_BUDGET for the product, but
         # each Alexander polynomial is factored on its own

@@ -513,6 +513,58 @@ class TestPolyMatrixDet:
             assert all(type(c) is int for c in det)
             assert det == _leibniz_det(mat)
 
+    def test_empty_matrix_and_zero_row(self):
+        assert poly_matrix_det([]) == (1,)
+        assert poly_matrix_det([[()]]) == ()
+        assert poly_matrix_det([[(1, 2), (0, 0, 3)], [(), ()]]) == ()
+        assert poly_matrix_det([[(), (5,)], [(0, 0, 1), (1, 1)]]) == (0, 0, -5)
+
+    def test_degree_zero_entries(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            mat = [[poly_trim((rng.randint(-4, 4),)) for _ in range(n)]
+                   for _ in range(n)]
+            det = poly_matrix_det(mat)
+            assert det == _leibniz_det(mat) == oracles.poly_matrix_det(mat)
+            assert len(det) <= 1
+
+    def test_entries_of_degree_2_and_3(self):
+        rng = random.Random(23)
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            mat = [[poly_trim([rng.randint(-3, 3)
+                               for _ in range(rng.randint(0, 4))])
+                    for _ in range(n)] for _ in range(n)]
+            det = poly_matrix_det(mat)
+            assert all(type(c) is int for c in det)
+            assert det == poly_trim(det)
+            assert det == _leibniz_det(mat) == oracles.poly_matrix_det(mat)
+
+    def test_one_integer_determinant_per_node(self, monkeypatch):
+        # D = 3 + 1 + 2 is the sum over rows of the largest entry degree
+        calls = []
+        det = polynomials.integer_determinant
+        monkeypatch.setattr(polynomials, "integer_determinant",
+                            lambda rows: calls.append(rows) or det(rows))
+        mat = [[(1, 0, 0, 1), (2,), ()], [(0, 1), (1, 1), (3,)],
+               [(1,), (0, 0, 1), (4, 0, 2)]]
+        assert poly_matrix_det(mat) == _leibniz_det(mat)
+        assert len(calls) == 7
+
+    def test_alexander_polynomial_matches_oracle(self, corpus):
+        forms = list(corpus.values()) + [
+            seifert_matrix_from_braid(BraidWord(p, list(range(1, p)) * q))
+            for p, q in TORUS_FAMILY]
+        for v in forms:
+            n = v.size
+            mat = [[poly_trim((v.rows[i][j], -v.rows[j][i])) for j in range(n)]
+                   for i in range(n)]
+            det = oracles.poly_matrix_det(mat)
+            assert poly_matrix_det(mat) == det
+            assert alexander_polynomial(v) == (
+                LaurentPoly.from_int_poly(det).unit_normalize_symmetric())
+
 
 def _leibniz_det(mat):
     """Permanent-style expansion over all permutations, with signs."""

@@ -1,6 +1,7 @@
 """Source-level guards over the package modules."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -72,3 +73,24 @@ def test_requests_never_import_sympy():
     assert blocked[-1] is False and plain[-1] is False
     assert all(code == 0 for code, _ in blocked[:5])
     assert blocked[:-1] == plain[:-1]
+
+
+def test_traced_layers_resolve():
+    # the benchmark's tracer wraps these names; a renamed or deleted layer
+    # should fail here, not only in a traced benchmark run
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED"
+                          for t in node.targets))
+    missing = []
+    for mod, names in traced.items():
+        module = importlib.import_module(f"knotbench.{mod}")
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{mod}.{name}")
+    assert traced and missing == []
