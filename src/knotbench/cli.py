@@ -3,9 +3,10 @@
 Subcommands: invariants, rho, sigfn, bdim, grope, magnus, table.
 JSON (sorted keys) is the canonical output; --csv switches the tabular
 commands (rho, sigfn, bdim, table) to CSV, and --digits sets the decimal
-digits of rendered angles (rho, sigfn).  Exit codes: 0 success, 1 malformed
-input, 2 precondition or budget violation, 3 the evaluation point is
-exactly a root of the Alexander polynomial ("possibly singular").
+digits of rendered angles (rho, sigfn).  Exit codes: 0 success (and
+--help, --version), 1 malformed input or command line, 2 precondition or
+budget violation, 3 the evaluation point is exactly a root of the
+Alexander polynomial ("possibly singular").
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import __version__
 from .errors import (
     BudgetExceededError,
     InputError,
-    KnotbenchError,
     PossiblySingularError,
     PreconditionError,
 )
@@ -278,8 +278,16 @@ def cmd_table(args) -> None:
                   {"knots": rows, "total_mismatches": n_mismatch}))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an InputError (exit 1), not by
+    argparse's own exit 2, which is the precondition code here."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="knotbench",
         description="Exact knot invariants, rho-invariant integrals, "
                     "diagram algebra dimensions, and grope calculus.")
@@ -334,9 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "digits", 0) < 0:
             raise InputError(f"--digits {args.digits} is negative")
         args.fn(args)

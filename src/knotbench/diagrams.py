@@ -33,8 +33,9 @@ the diagram counterpart of the structure-constant identity
 f_abe f_ecd + f_bce f_ead + f_cae f_ebd = 0.
 
 Diagrams with a tadpole (an edge closing on its own vertex) are rationally
-zero by AS and are excluded from generation by default; a toggle keeps
-them for consistency checks.
+zero by AS.  A graph may carry one, since IHX reconnections can create
+tadpole terms, but generation never joins two legs on one vertex, and
+``relation_matrix`` drops tadpole terms and refuses tadpole generators.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ class UniTrivalentGraph:
 
     __slots__ = ("vertices", "pairing")
 
-    def __init__(self, vertices: Sequence[Sequence[int]], pairing: Sequence[int],
-                 allow_tadpoles: bool = False):
+    def __init__(self, vertices: Sequence[Sequence[int]], pairing: Sequence[int]):
         vertices = tuple(tuple(v) for v in vertices)
         pairing = tuple(pairing)
         n_half = sum(len(v) for v in vertices)
@@ -74,10 +74,6 @@ class UniTrivalentGraph:
         for i, v in enumerate(vertices):
             for h in v:
                 owner[h] = i
-        if not allow_tadpoles:
-            for h, p in enumerate(pairing):
-                if owner[h] == owner[p]:
-                    raise ValueError("tadpole edge")
         # connectivity
         if vertices:
             stack = [0]
@@ -109,13 +105,10 @@ class UniTrivalentGraph:
         owner = self.owner_map()
         return any(owner[h] == owner[p] for h, p in enumerate(self.pairing))
 
-    def univalent_count(self) -> int:
-        return sum(1 for v in self.vertices if len(v) == 1)
-
     def with_rotation_reversed(self, vertex_index: int) -> "UniTrivalentGraph":
         vs = list(self.vertices)
         vs[vertex_index] = tuple(reversed(vs[vertex_index]))
-        return UniTrivalentGraph(vs, self.pairing, allow_tadpoles=True)
+        return UniTrivalentGraph(vs, self.pairing)
 
     def edges(self) -> list:
         return [(h, self.pairing[h]) for h in range(len(self.pairing))
@@ -291,8 +284,7 @@ def _grow_leg(d: UniTrivalentGraph, leg: int) -> UniTrivalentGraph:
     return UniTrivalentGraph(vs, d.pairing + (n + 2, n + 3, n, n + 1))
 
 
-def _join_legs(d: UniTrivalentGraph, a: int, b: int,
-               allow_tadpoles: bool) -> UniTrivalentGraph:
+def _join_legs(d: UniTrivalentGraph, a: int, b: int) -> UniTrivalentGraph:
     """Delete univalent vertices a and b and join the two half-edges they
     were attached to into one edge; half-edges are renumbered densely."""
     ha, hb = d.vertices[a][0], d.vertices[b][0]
@@ -302,8 +294,7 @@ def _join_legs(d: UniTrivalentGraph, a: int, b: int,
     for h, p in d.edges() + [(d.pairing[ha], d.pairing[hb])]:
         if h in ids and p in ids:
             pairing[ids[h]], pairing[ids[p]] = ids[p], ids[h]
-    return UniTrivalentGraph([[ids[h] for h in v] for v in vs], pairing,
-                             allow_tadpoles=allow_tadpoles)
+    return UniTrivalentGraph([[ids[h] for h in v] for v in vs], pairing)
 
 
 def _distinct(diagrams: Iterable[UniTrivalentGraph]) -> list:
@@ -314,28 +305,28 @@ def _distinct(diagrams: Iterable[UniTrivalentGraph]) -> list:
     return list(found.items())
 
 
-def _joined(layer: list, allow_tadpoles: bool) -> list:
-    """Layer (t, u - 2) from layer (t, u): every way of joining two legs."""
+def _joined(layer: list) -> list:
+    """Layer (t, u - 2) from layer (t, u): every way of joining two legs
+    that sit on different vertices (two legs on one vertex would close a
+    tadpole)."""
     def joins(d):
         owner = d.owner_map()
         ends = [(i, owner[d.pairing[d.vertices[i][0]]]) for i in _legs(d)]
         for k, (a, va) in enumerate(ends):
             for b, vb in ends[k + 1:]:
-                if allow_tadpoles or va != vb:
-                    yield _join_legs(d, a, b, allow_tadpoles)
+                if va != vb:
+                    yield _join_legs(d, a, b)
     return _distinct(g for _, d in layer for g in joins(d))
 
 
-def enumerate_diagrams(i: int, grading: str = "grope",
-                       allow_tadpoles: bool = False,
-                       include_strut: bool = True) -> list:
+def enumerate_diagrams(i: int, grading: str = "grope") -> list:
     """Canonical diagram representatives of the given degree, sorted by key.
 
     A connected diagram with t trivalent vertices and u legs lies in layer
     (t, u), with 3t + u even and u <= t + 2 (its first Betti number is
     (t - u)/2 + 1).  grading="grope": degree i is t = i - 1 with
     1 <= u <= t + 2.  grading="vassiliev": degree n is t + u = 2n; the
-    degree-1 strut (t = 0, key "strut") is included per `include_strut`.
+    degree-1 strut (t = 0, key "strut") is included.
     """
     if grading == "grope":
         if i < 2:
@@ -348,7 +339,7 @@ def enumerate_diagrams(i: int, grading: str = "grope",
     else:
         raise ValueError(f"unknown grading {grading!r}")
     out = []
-    if grading == "vassiliev" and i == 1 and include_strut:
+    if grading == "vassiliev" and i == 1:
         out.append(("strut", _strut()))
     trees = [("strut", _strut())]
     for t in range(1, max((t for t, _ in cells), default=0) + 1):
@@ -360,7 +351,7 @@ def enumerate_diagrams(i: int, grading: str = "grope",
                 out.extend(layer)
             if not any(s == t and w < u for s, w in cells):
                 break
-            layer = _joined(layer, allow_tadpoles)
+            layer = _joined(layer)
     out.sort()
     return out
 
@@ -375,8 +366,6 @@ class RelationMatrix:
 
     columns: tuple        # canonical keys, sorted
     rows: list            # list of {column_index: int coefficient}
-    row_kinds: list       # parallel list of "AS" / "IHX"
-    row_degrees: list     # grading degree of every nonzero term in the row
 
     @property
     def n_rows(self) -> int:
@@ -402,30 +391,23 @@ def _ihx_terms(d: UniTrivalentGraph, h: int) -> list:
         vs = list(d.vertices)
         vs[v1] = (x, y, h)
         vs[v2] = (z, w, p)
-        out.append(UniTrivalentGraph(vs, d.pairing, allow_tadpoles=True))
+        out.append(UniTrivalentGraph(vs, d.pairing))
     return out
 
 
 def relation_matrix(i: int, grading: str = "grope",
-                    allow_tadpoles: bool = False,
-                    include_strut: bool = True,
                     generators: Optional[list] = None) -> RelationMatrix:
     """All AS rows (per diagram, per trivalent vertex) and IHX rows (per
     diagram, per internal edge) over the canonical generators of degree i."""
-    gens = (enumerate_diagrams(i, grading, allow_tadpoles, include_strut)
-            if generators is None else generators)
+    gens = enumerate_diagrams(i, grading) if generators is None else generators
     columns = tuple(k for k, _ in gens)
     col_index = {k: j for j, k in enumerate(columns)}
-    degree_of = vassiliev_degree if grading == "vassiliev" else grope_degree
-
     rows = []
-    kinds = []
-    degrees = []
 
     def term(diag):
         # (column, sign) of one relation term; None for a tadpole, which is
         # rationally zero and dropped
-        if not allow_tadpoles and diag.has_tadpole():
+        if diag.has_tadpole():
             return None
         key, sign = canonical_form(diag)
         j = col_index.get(key)
@@ -442,24 +424,19 @@ def relation_matrix(i: int, grading: str = "grope",
         return {k: v for k, v in vec.items() if v}
 
     for key, diag in gens:
+        if diag.has_tadpole():
+            raise PreconditionError(f"generator {key} has a tadpole")
         tri = [idx for idx, v in enumerate(diag.vertices) if len(v) == 3]
         # the generator is a term of each of its rows, all of which need a
         # trivalent vertex: canonicalise it once
         own = term(diag) if tri else None
         for vi in tri:
             rows.append(term_vector(own, [diag.with_rotation_reversed(vi)]))
-            kinds.append("AS")
-            degrees.append(degree_of(diag))
         owner = diag.owner_map()
         for h, p in diag.edges():
-            if len(diag.vertices[owner[h]]) != 3 or len(diag.vertices[owner[p]]) != 3:
-                continue
-            if owner[h] == owner[p]:
-                continue  # tadpole edge (toggle mode only); IHX degenerate
-            rows.append(term_vector(own, _ihx_terms(diag, h)))
-            kinds.append("IHX")
-            degrees.append(degree_of(diag))
-    return RelationMatrix(columns, rows, kinds, degrees)
+            if len(diag.vertices[owner[h]]) == 3 == len(diag.vertices[owner[p]]):
+                rows.append(term_vector(own, _ihx_terms(diag, h)))
+    return RelationMatrix(columns, rows)
 
 
 def rank_over_q(rows: Iterable[dict]) -> int:
@@ -489,8 +466,6 @@ def rank_over_q(rows: Iterable[dict]) -> int:
 
 
 def dim_graded_piece(i: int, grading: str = "grope",
-                     allow_tadpoles: bool = False,
-                     include_strut: bool = True,
                      budget: Optional[int] = None) -> dict:
     """Number of generators, relations, and the rational dimension at one
     degree of the chosen grading."""
@@ -501,9 +476,8 @@ def dim_graded_piece(i: int, grading: str = "grope",
     if i > budget:
         raise BudgetExceededError(
             f"degree {i} exceeds the configured budget {budget}")
-    gens = enumerate_diagrams(i, grading, allow_tadpoles, include_strut)
-    rel = relation_matrix(i, grading, allow_tadpoles, include_strut,
-                          generators=gens)
+    gens = enumerate_diagrams(i, grading)
+    rel = relation_matrix(i, grading, generators=gens)
     rank = rank_over_q(rel.rows)
     return {
         "grading": grading,
@@ -512,20 +486,3 @@ def dim_graded_piece(i: int, grading: str = "grope",
         "num_relations": rel.n_rows,
         "dimension": len(gens) - rank,
     }
-
-
-def dim_Bg(i: int, budget: Optional[int] = None,
-           allow_tadpoles: bool = False) -> int:
-    """Rational dimension of the grope-degree-i piece of the diagram algebra."""
-    return dim_graded_piece(i, "grope", allow_tadpoles, budget=budget)["dimension"]
-
-
-def dim_B_by_vassiliev(n: int, include_strut: bool = True,
-                       budget: Optional[int] = None) -> int:
-    """Cross-check grading: dimension of the Vassiliev-degree-n piece."""
-    if n < 0:
-        raise PreconditionError("below grading range")
-    if n == 0:
-        return 0
-    return dim_graded_piece(n, "vassiliev", include_strut=include_strut,
-                            budget=budget)["dimension"]

@@ -17,7 +17,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InputError, PossiblySingularError, PreconditionError
 from .hermitian import rational_symmetric_signature
@@ -130,11 +130,6 @@ def arf(v: SeifertMatrix) -> int:
             rest.append(u)
         basis = rest
     return total
-
-
-def arf_via_determinant(v: SeifertMatrix) -> int:
-    """Determinant rule: Arf = 0 iff |Delta(-1)| = +-1 mod 8."""
-    return 0 if determinant(v) % 8 in (1, 7) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +272,6 @@ class SignatureStepFunction:
     values: tuple
     x_poly: tuple
     delta_coeffs: tuple
-
-    @property
-    def is_zero(self) -> bool:
-        return all(val == 0 for val in self.values)
 
     def value_at(self, theta: Fraction) -> int:
         theta = Fraction(theta)

@@ -166,14 +166,11 @@ def poly_squarefree_part(p: Sequence) -> Coeffs:
     return poly_primitive(poly_div_exact(poly_primitive(p), g))
 
 
-def poly_to_str(p: Sequence, var: str = "x") -> str:
-    if not p:
-        return "0"
+def _terms_to_str(terms: Iterable, var: str) -> str:
+    """Render (exponent, nonzero coefficient) pairs, highest exponent
+    first, as "3*x^2 - x + 1"; no terms render as "0"."""
     parts = []
-    for e in range(len(p) - 1, -1, -1):
-        a = p[e]
-        if a == 0:
-            continue
+    for e, a in terms:
         mag = abs(a)
         if e == 0:
             term = str(mag)
@@ -184,7 +181,12 @@ def poly_to_str(p: Sequence, var: str = "x") -> str:
             parts.append(term if a > 0 else f"-{term}")
         else:
             parts.append(f"+ {term}" if a > 0 else f"- {term}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
+
+
+def poly_to_str(p: Sequence, var: str = "x") -> str:
+    return _terms_to_str(((e, p[e]) for e in range(len(p) - 1, -1, -1)
+                          if p[e]), var)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +525,7 @@ def _zassenhaus(f: Coeffs, rng) -> list:
     return out + [f] if len(f) > 1 else out
 
 
-def factor_integer_poly(p: Sequence, degree_budget: int = FACTOR_DEGREE_BUDGET):
+def factor_integer_poly(p: Sequence):
     """Factor an integer polynomial into content and irreducible parts.
 
     Returns ``(content, [(factor, multiplicity), ...])`` sorted, where each
@@ -535,7 +537,7 @@ def factor_integer_poly(p: Sequence, degree_budget: int = FACTOR_DEGREE_BUDGET):
     p = poly_trim(p)
     if not p:
         raise InputError("indeterminate roots")
-    if poly_degree(p) > degree_budget:
+    if poly_degree(p) > FACTOR_DEGREE_BUDGET:
         raise BudgetExceededError("degree too large")
     if poly_degree(p) == 0:
         return p[0], []
@@ -688,22 +690,7 @@ class LaurentPoly:
         return tuple(out), m
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e in sorted(self._c, reverse=True):
-            a = self._c[e]
-            mag = abs(a)
-            if e == 0:
-                term = str(mag)
-            else:
-                pow_s = "t" if e == 1 else f"t^{e}"
-                term = pow_s if mag == 1 else f"{mag}*{pow_s}"
-            if not parts:
-                parts.append(term if a > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if a > 0 else f"- {term}")
-        return " ".join(parts)
+        return _terms_to_str(sorted(self._c.items(), reverse=True), "t")
 
     def __repr__(self):
         return f"LaurentPoly({self._c!r})"

@@ -6,17 +6,21 @@ that convention the right-handed trefoil integrates to -4/3.  The value
 is returned both as a certified rational enclosure of requested width and
 as the exact symbolic step sum (arc value times arc length), so callers
 can re-refine without recomputing the signature function.
+
+rho0 changes sign under mirror image, adds under connected sum and is
+bounded by 2g in absolute value; the tests check these identities on the
+enclosures, and nothing here re-checks them at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .intervals import AlgebraicAngle, IntervalReal, format_decimal
 from .invariants import SignatureStepFunction, signature_function
-from .seifert import SeifertMatrix, connected_sum, mirror
+from .seifert import SeifertMatrix
 
 MEASURE = "normalized_1"
 
@@ -31,10 +35,6 @@ class RhoResult:
     exact_form: tuple  # ((sigma, theta_lo, theta_hi), ...) endpoints exact or algebraic
     precision: Fraction
     measure: str = MEASURE
-
-    def endpoint_enclosure(self, endpoint: ArcEndpoint,
-                           width: Fraction) -> IntervalReal:
-        return _enclosure(endpoint, width)
 
     def reevaluate(self, precision: Fraction) -> IntervalReal:
         """Re-sum the exact form with endpoint enclosures of a new width."""
@@ -104,54 +104,3 @@ def rho0_from_step_function(sf: SignatureStepFunction,
 def rho0(v: SeifertMatrix, precision: Fraction = Fraction(1, 10 ** 6)) -> RhoResult:
     """Certified enclosure of the circle integral of the signature function."""
     return rho0_from_step_function(signature_function(v), precision)
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    holds: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class RhoPropertyReport:
-    checks: tuple
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-
-def rho0_properties_check(v: SeifertMatrix,
-                          other: Optional[SeifertMatrix] = None,
-                          precision: Fraction = Fraction(1, 10 ** 6)) -> RhoPropertyReport:
-    """Certified checks of the computable rho0 identities.
-
-    Verifies mirror antisymmetry, additivity under connected sum (against
-    `other`, or against v itself), and the genus bound |rho0| <= 2g, all
-    as interval statements.
-    """
-    precision = Fraction(precision)
-    w = other if other is not None else v
-    r_v = rho0(v, precision)
-    r_w = rho0(w, precision) if other is not None else r_v
-    r_mirror = rho0(mirror(v), precision)
-    r_sum = rho0(connected_sum(v, w), 2 * precision)
-
-    checks = []
-    neg = -r_v.value
-    checks.append(IdentityCheck(
-        "mirror_antisymmetry",
-        r_mirror.value.intersects(neg),
-        f"rho0(mirror) in {r_mirror.value}, -rho0 in {neg}"))
-    add = r_v.value + r_w.value
-    checks.append(IdentityCheck(
-        "connected_sum_additivity",
-        r_sum.value.intersects(add),
-        f"rho0(sum) in {r_sum.value}, rho0+rho0' in {add}"))
-    bound = Fraction(2 * v.genus)
-    checks.append(IdentityCheck(
-        "genus_bound",
-        r_v.value.lo >= -bound - precision and r_v.value.hi <= bound + precision,
-        f"rho0 in {r_v.value}, bound {bound}"))
-    return RhoPropertyReport(tuple(checks))

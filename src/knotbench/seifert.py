@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import operator
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -161,8 +162,9 @@ def _entry_from_record(rec: dict, where: str) -> KnotTableEntry:
     return KnotTableEntry(name, braid, seifert, dict(expected))
 
 
-def load_knot_table(path: str) -> list:
+def load_knot_table(path: str | os.PathLike) -> list:
     """Load a knot table (JSON array, or CSV with name,strands,word)."""
+    path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".csv"):

@@ -17,6 +17,8 @@ These deliberately avoid the library code paths they check:
   search over the exponent), and irreducible factors over Z from sympy.
 * Remainders and Sturm chains come from long division over Q with
   ``Fraction`` coefficients (no pseudo-remainders), gcds from sympy.
+* Arf invariants come from Levine's rule on the determinant (no
+  symplectic basis).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from knotbench.braids import BraidWord
+from knotbench.invariants import determinant
 from knotbench.polynomials import (
     LaurentPoly,
     count_real_roots,
@@ -37,6 +40,11 @@ from knotbench.polynomials import (
     poly_trim,
 )
 from knotbench.seifert import SeifertMatrix
+
+
+def arf_via_determinant(v: SeifertMatrix) -> int:
+    """Levine's rule: Arf = 0 iff |Delta(-1)| = +-1 mod 8."""
+    return 0 if determinant(v) % 8 in (1, 7) else 1
 
 
 def _ident(n):

@@ -81,10 +81,10 @@ class TestInvariantsCommand:
         for argv in (["invariants", "--braid", "n=2; 1 1 1", "--csv"],
                      ["magnus", "x", "--digits", "3"],
                      ["table", str(TABLE_PATH), "--digits", "3"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: input:")
+            assert "unrecognized arguments" in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "invariants", "--braid", "n=3; 1 -2 1 -2")
@@ -125,6 +125,27 @@ def test_negative_digits_exits_1(capsys, command, csv, digits):
     assert err.startswith("error: input:") and "--digits" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sigfn", "--braid", "n=2; 1 1 1", "--digits", "abc"],
+     "argument --digits: invalid int value: 'abc'"),
+    (["bdim", "--max", "x"], "argument --max: invalid int value: 'x'"),
+    (["bdim"], "required: --max"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+], ids=["digits-abc", "max-x", "max-missing", "unknown-command"])
+def test_usage_errors_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: input:") and message in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 class TestSigfnCommand:
     def test_json_jumps(self, capsys):
         code, out, _ = run(capsys, "sigfn", "--braid", "n=2; 1 1 1")
@@ -143,6 +164,17 @@ class TestBdimCommand:
         assert lines[0] == "grading,degree,num_diagrams,num_relations,dimension"
         assert lines[1].startswith("grope,2,1,") and lines[1].endswith(",0")
         assert lines[2].startswith("grope,3,2,") and lines[2].endswith(",1")
+
+    @pytest.mark.parametrize("grading,top,rows", [
+        ("grope", "6", ["2,1,1,0", "3,2,7,1", "4,4,24,0", "5,10,82,2",
+                        "6,22,235,0"]),
+        ("vassiliev", "3", ["1,1,0,1", "2,3,12,1", "3,11,99,1"]),
+    ])
+    def test_pinned_csv_rows(self, capsys, grading, top, rows):
+        code, out, _ = run(capsys, "bdim", "--grading", grading, "--max", top,
+                           "--csv")
+        assert code == 0
+        assert out.split("\n")[1:] == [f"{grading},{r}" for r in rows] + [""]
 
     def test_max_1_empty_table(self, capsys):
         code, out, _ = run(capsys, "bdim", "--grading", "grope", "--max", "1",

@@ -5,9 +5,8 @@ import pytest
 
 from knotbench.diagrams import (
     UniTrivalentGraph,
+    _ihx_terms,
     canonical_form,
-    dim_B_by_vassiliev,
-    dim_Bg,
     dim_graded_piece,
     enumerate_diagrams,
     grope_degree,
@@ -30,6 +29,15 @@ def H_tree():
 def theta_legs():
     return UniTrivalentGraph(((0, 2, 4), (1, 3, 5), (6,), (7,)),
                              (1, 0, 3, 2, 6, 7, 4, 5))
+
+
+def tadpole_vertices(d):
+    owner = d.owner_map()
+    return sorted({owner[h] for h, p in d.edges() if owner[h] == owner[p]})
+
+
+def dimension(i, grading="grope"):
+    return dim_graded_piece(i, grading)["dimension"]
 
 
 def relabel(d, seed, flips=()):
@@ -66,8 +74,8 @@ class TestDegrees:
         assert grope_degree(H_tree()) == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="tadpole"):
-            UniTrivalentGraph(((0, 1, 2), (3,)), (1, 0, 3, 2))
+        # a tadpole is a valid graph; relation_matrix refuses it as a generator
+        assert UniTrivalentGraph(((0, 1, 2), (3,)), (1, 0, 3, 2)).has_tadpole()
         with pytest.raises(ValueError, match="connected"):
             UniTrivalentGraph(((0,), (1,), (2,), (3,)), (1, 0, 3, 2))
         with pytest.raises(ValueError, match="univalent"):
@@ -135,7 +143,8 @@ class TestEnumeration:
         for i in (2, 3, 4, 5):
             for _, d in enumerate_diagrams(i):
                 assert grope_degree(d) == i
-                assert d.univalent_count() >= 1
+                assert any(len(v) == 1 for v in d.vertices)
+                assert not d.has_tadpole()
 
     @pytest.mark.parametrize("grading,degree,count,digest", [
         ("grope", 2, 1, "5c4b52a611a407a3"),
@@ -159,14 +168,6 @@ class TestEnumeration:
 
     def test_strut_key_at_vassiliev_1(self):
         assert [k for k, _ in enumerate_diagrams(1, "vassiliev")] == ["strut"]
-        assert enumerate_diagrams(1, "vassiliev", include_strut=False) == []
-
-    def test_tadpole_toggle_counts(self):
-        counts = [len(enumerate_diagrams(i, allow_tadpoles=True))
-                  for i in (3, 4, 5)]
-        assert counts == [3, 7, 17]
-        for _, d in enumerate_diagrams(5, allow_tadpoles=True):
-            assert grope_degree(d) == 5
 
 
 class TestRelationMatrix:
@@ -179,14 +180,42 @@ class TestRelationMatrix:
         assert rel.rows == [] and rel.columns == ()
 
     def test_rows_homogeneous_through_degree_6(self):
-        violations = 0
+        # AS and IHX keep the trivalent and leg counts, so no row may mix
+        # the (t, u) cells of its columns
         for i in range(2, 7):
             gens = enumerate_diagrams(i)
             rel = relation_matrix(i, generators=gens)
-            for deg in rel.row_degrees:
-                if deg != i:
-                    violations += 1
-        assert violations == 0
+            cells = [(sum(len(v) == 3 for v in d.vertices),
+                      sum(len(v) == 1 for v in d.vertices)) for _, d in gens]
+            assert all(grope_degree(d) == i for _, d in gens)
+            for row in rel.rows:
+                assert len({cells[c] for c in row}) <= 1, (i, row)
+
+    def test_dropped_tadpole_terms_are_as_self_negative(self):
+        # relation_matrix drops every IHX term with a tadpole; each is its
+        # own negative under AS at the tadpole vertex, so 2D = 0 over Q
+        dropped = 0
+        for grading, degrees in (("grope", range(2, 7)),
+                                 ("vassiliev", range(1, 4))):
+            for i in degrees:
+                for _, d in enumerate_diagrams(i, grading):
+                    owner = d.owner_map()
+                    internal = [h for h, p in d.edges()
+                                if len(d.vertices[owner[h]]) == 3
+                                and len(d.vertices[owner[p]]) == 3]
+                    for term in (t for h in internal for t in _ihx_terms(d, h)):
+                        for v in tadpole_vertices(term):
+                            dropped += 1
+                            reversed_v = term.with_rotation_reversed(v)
+                            assert canonical_form(reversed_v) == \
+                                canonical_form(term)
+        assert dropped == 74
+
+    def test_tadpole_generator_refused(self):
+        tadpole = UniTrivalentGraph(((0, 1, 2), (3,)), (1, 0, 3, 2))
+        gens = [(canonical_form(tadpole)[0], tadpole)]
+        with pytest.raises(PreconditionError, match="tadpole"):
+            relation_matrix(2, generators=gens)
 
     def test_incomplete_generators_rejected(self):
         gens = enumerate_diagrams(4)
@@ -194,22 +223,24 @@ class TestRelationMatrix:
             relation_matrix(4, generators=gens[:1] + gens[2:])
 
     def test_ihx_rows_have_at_most_three_terms(self):
+        # an AS row has two terms and an IHX row three, before cancellation
         rel = relation_matrix(4)
-        for row, kind in zip(rel.rows, rel.row_kinds):
-            if kind == "IHX":
-                assert sum(abs(c) for c in row.values()) <= 3
+        for row in rel.rows:
+            assert sum(abs(c) for c in row.values()) <= 3
 
 
 class TestDimensions:
     def test_dim_2_and_3(self):
-        assert dim_Bg(2) == 0
-        assert dim_Bg(3) == 1
+        assert dimension(2) == 0
+        assert dimension(3) == 1
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            dim_Bg(8)
+            dimension(8)
+        with pytest.raises(BudgetExceededError):
+            dimension(5, "vassiliev")
         with pytest.raises(PreconditionError):
-            dim_Bg(1)
+            dimension(1)
 
     def test_permuted_elimination_oracle(self):
         rng = random.Random(5)
@@ -226,22 +257,15 @@ class TestDimensions:
                 rng.shuffle(rows)
                 assert len(gens) - rank_over_q(rows) == base
 
-    def test_tadpole_toggle_preserves_dimension(self):
-        plain = dim_graded_piece(3, "grope", allow_tadpoles=False)
-        toggled = dim_graded_piece(3, "grope", allow_tadpoles=True)
-        assert plain["dimension"] == toggled["dimension"] == 1
-        assert toggled["num_diagrams"] > plain["num_diagrams"]
-
     def test_vassiliev_cross_grading(self):
-        assert dim_B_by_vassiliev(0) == 0
-        assert dim_B_by_vassiliev(1, include_strut=True) == 1
-        assert dim_B_by_vassiliev(1, include_strut=False) == 0
-        assert dim_B_by_vassiliev(2) == 1
-        assert dim_B_by_vassiliev(3) == 1
+        assert dimension(0, "vassiliev") == 0
+        assert dimension(1, "vassiliev") == 1  # the framing strut
+        assert dimension(2, "vassiliev") == 1
+        assert dimension(3, "vassiliev") == 1
 
     def test_vassiliev_4_bar_natan(self):
         # Bar-Natan, "On the Vassiliev knot invariants" (1995): 1, 1, 1, 2
-        assert dim_B_by_vassiliev(4) == 2
+        assert dimension(4, "vassiliev") == 2
 
     def test_rank_over_q_simple(self):
         assert rank_over_q([{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}]) == 2

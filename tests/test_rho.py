@@ -4,15 +4,27 @@ from fractions import Fraction
 import pytest
 
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
-from knotbench.intervals import IntervalReal
+from knotbench.intervals import AlgebraicAngle, IntervalReal
 from knotbench.invariants import signature_csv, signature_function
-from knotbench.rho import rho0, rho0_from_step_function, rho0_properties_check
+from knotbench.rho import rho0, rho0_from_step_function
 from knotbench.seifert import UNKNOT, connected_sum, mirror
 
 from conftest import random_seifert
 from oracles import riemann_rho0
 
 PREC = Fraction(1, 10 ** 6)
+
+
+def assert_rho0_identities(v, precision=PREC):
+    """Mirror antisymmetry, additivity under connected sum with v itself,
+    and the genus bound |rho0| <= 2g, as interval statements."""
+    r = rho0(v, precision).value
+    r_mirror = rho0(mirror(v), precision).value
+    assert r_mirror.intersects(-r), (r_mirror, r)
+    r_sum = rho0(connected_sum(v, v), 2 * precision).value
+    assert r_sum.intersects(r + r), (r_sum, r)
+    bound = 2 * v.genus
+    assert -bound - precision <= r.lo and r.hi <= bound + precision, r
 
 
 class TestRho0:
@@ -47,9 +59,14 @@ class TestRho0:
         r = rho0(trefoil, PREC)
         total = IntervalReal.exact(0)
         w = Fraction(1, 10 ** 9)
+
+        def enclose(e):
+            if isinstance(e, AlgebraicAngle):
+                return e.enclosure_to_width(w)
+            return IntervalReal.exact(e)
+
         for _, lo, hi in r.exact_form:
-            total = total + (r.endpoint_enclosure(hi, w)
-                             - r.endpoint_enclosure(lo, w))
+            total = total + (enclose(hi) - enclose(lo))
         assert total.contains(1)
 
     def test_jump_bounds_unchanged_by_evaluation(self):
@@ -81,12 +98,13 @@ class TestRho0:
 
 class TestRhoProperties:
     def test_unknot_all_exact(self):
-        rep = rho0_properties_check(UNKNOT)
-        assert rep.all_hold
+        assert_rho0_identities(UNKNOT)
+        for v in (UNKNOT, mirror(UNKNOT), connected_sum(UNKNOT, UNKNOT)):
+            r = rho0(v, PREC).value
+            assert r.lo == 0 == r.hi
 
     def test_trefoil_identities(self, trefoil):
-        rep = rho0_properties_check(trefoil, precision=PREC)
-        assert rep.all_hold
+        assert_rho0_identities(trefoil)
 
     def test_trefoil_plus_mirror_contains_zero(self, trefoil):
         sq = connected_sum(trefoil, mirror(trefoil))
@@ -115,5 +133,4 @@ class TestRhoProperties:
         rng = random.Random(8)
         for _ in range(6):
             v = random_seifert(rng, rng.randint(1, 2))
-            rep = rho0_properties_check(v, precision=Fraction(1, 10 ** 4))
-            assert rep.all_hold, [c.detail for c in rep.checks if not c.holds]
+            assert_rho0_identities(v, Fraction(1, 10 ** 4))

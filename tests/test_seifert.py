@@ -123,6 +123,19 @@ class TestKnotTable:
         assert [e.name for e in entries] == ["trefoil", "fig8"]
         assert entries[1].braid.strands == 3
 
+    def test_path_objects_load_like_strings(self, tmp_path):
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text("name,strands,word\ntrefoil,2,1 1 1\n")
+        json_path = tmp_path / "table.json"
+        json_path.write_text(json.dumps(
+            [{"name": "trefoil", "braid": {"strands": 2, "word": [1, 1, 1]}}]))
+        for path in (csv_path, json_path):
+            by_path = load_knot_table(path)
+            by_str = load_knot_table(str(path))
+            assert [e.name for e in by_path] == ["trefoil"]
+            assert (by_path[0].seifert_matrix().rows
+                    == by_str[0].seifert_matrix().rows)
+
     def test_csv_bad_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,strands,word\noops,two,1 1 1\n")

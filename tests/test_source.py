@@ -24,6 +24,35 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_unused_top_level_imports():
+    # a module-level import that no name in the module reads (and that
+    # __all__ does not re-export) is dead weight on every start-up
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line}: {name}"
+                  for name, line in sorted(imported.items())
+                  if name not in read | exported]
+    assert found == []
+
+
 # each request and in-process call prints one JSON line; the same script
 # runs with sympy blocked and as it is
 _REQUESTS_SCRIPT = r"""
