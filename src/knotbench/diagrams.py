@@ -32,6 +32,12 @@ as (a, b, e) and (c, d, e'), the IHX instance is the cyclic sum
 the diagram counterpart of the structure-constant identity
 f_abe f_ecd + f_bce f_ead + f_cae f_ebd = 0.
 
+Reversing any one vertex maps the traversals that ``canonical_form``
+searches onto themselves with the reversal parity flipped, so every AS
+row of a generator D is the same: 2·D when D is its own negative, else
+zero.  ``relation_matrix`` computes that row once per generator and
+repeats it for each trivalent vertex, keeping the row count.
+
 Diagrams with a tadpole (an edge closing on its own vertex) are rationally
 zero by AS.  A graph may carry one, since IHX reconnections can create
 tadpole terms, but generation never joins two legs on one vertex, and
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, InputError, PreconditionError
 
 GROPE_BUDGET = 7
 VASSILIEV_BUDGET = 4
@@ -61,15 +67,15 @@ class UniTrivalentGraph:
         n_half = sum(len(v) for v in vertices)
         seen = sorted(h for v in vertices for h in v)
         if seen != list(range(n_half)) or len(pairing) != n_half:
-            raise ValueError("half-edge ids must be 0..n-1, each used once")
+            raise InputError("half-edge ids must be 0..n-1, each used once")
         for h, p in enumerate(pairing):
             if p == h or pairing[p] != h:
-                raise ValueError("pairing must be a fixed-point-free involution")
+                raise InputError("pairing must be a fixed-point-free involution")
         for v in vertices:
             if len(v) not in (1, 3):
-                raise ValueError("vertex degrees must be 1 or 3")
+                raise InputError("vertex degrees must be 1 or 3")
         if not any(len(v) == 1 for v in vertices):
-            raise ValueError("need at least one univalent vertex")
+            raise InputError("need at least one univalent vertex")
         owner = {}
         for i, v in enumerate(vertices):
             for h in v:
@@ -86,7 +92,7 @@ class UniTrivalentGraph:
                         seen_v.add(j)
                         stack.append(j)
             if len(seen_v) != len(vertices):
-                raise ValueError("diagram is not connected")
+                raise InputError("diagram is not connected")
         self.vertices = vertices
         self.pairing = pairing
 
@@ -147,118 +153,95 @@ def canonical_form(d: UniTrivalentGraph) -> tuple:
     negative (any vertex with two interchangeable legs, for instance);
     they get sign +1 so that their AS rows degenerate to 2*D = 0, which is
     exactly what kills them rationally.
+
+    Each queue step of a traversal emits "0.1" (a new leg), "0.3" (a new
+    trivalent vertex) or "1.i.s" (back to vertex i, at rotation slot s
+    from its entry half-edge); the search stores a step as the one integer
+    1, 3 or 4 + 3i + s, which orders steps as their tokens do.  Start legs
+    are searched cherry first: legs whose trivalent neighbour carries the
+    most legs, since their codes open with the smallest steps.  Every leg
+    is still searched, and a prefix is cut only when it is strictly
+    greater than the best code so far, so the minimum and the parities of
+    all traversals reaching it, hence key and sign, do not depend on the
+    order; a small best code found early only cuts more.
     """
     verts = d.vertices
     pairing = d.pairing
+    n = len(verts)
     owner = [0] * len(pairing)
+    pos = [0] * len(pairing)         # position of a half-edge in its vertex
     for i, v in enumerate(verts):
-        for h in v:
+        for k, h in enumerate(v):
             owner[h] = i
-    succ = []
-    for v in verts:
-        if len(v) == 3:
-            fwd = {v[0]: v[1], v[1]: v[2], v[2]: v[0]}
-            rev = {v[0]: v[2], v[2]: v[1], v[1]: v[0]}
-        else:
-            fwd = rev = {v[0]: v[0]}
-        succ.append((fwd, rev))
-
+            pos[h] = k
+    ids = [-1] * n                   # BFS number, -1 until discovered
+    order = [0] * n                  # vertices by BFS number
+    epos = [0] * n                   # position of the entry half-edge
+    orient = [1] * n                 # -1 where the rotation is reversed
+    steps = 1 + 2 * sum(len(v) == 3 for v in verts)
+    queue = [0] * steps
+    code = [0] * steps
     best: Optional[list] = None
-    best_par: set = set()
-    ids: dict = {}
-    entry: dict = {}
-    orient: dict = {}
-    code: list = []
-    queue: list = []
+    parities = 0                     # bit k: a minimal traversal of parity k
 
-    def dfs(qi: int, flips: int, decided: bool) -> None:
-        nonlocal best, best_par
-        base_code = len(code)
-        added = []
-        pruned = False
-
-        def push(tok) -> bool:
-            nonlocal decided, pruned
-            code.append(tok)
-            if not decided and best is not None:
-                k = len(code) - 1
-                if code[k] > best[k]:
-                    pruned = True
-                    return False
-                if code[k] < best[k]:
-                    decided = True
-            return True
-
-        while qi < len(queue):
-            h = queue[qi]
-            qi += 1
-            p = pairing[h]
+    def dfs(qi: int, qend: int, seen: int, flips: int, decided: bool) -> None:
+        # decided: code[:qi] < best[:qi]; otherwise they are equal
+        nonlocal best, parities
+        mark = seen
+        while qi < qend:
+            p = pairing[queue[qi]]
             w = owner[p]
-            if w in ids:
-                tbl = succ[w][orient[w]]
-                slot = 0
-                x = entry[w]
-                while x != p:
-                    x = tbl[x]
-                    slot += 1
-                if not (push(1) and push(ids[w]) and push(slot)):
+            i = ids[w]
+            if i >= 0:
+                step = 4 + 3 * i + (pos[p] - epos[w]) * orient[w] % 3
+            else:
+                ids[w] = seen
+                order[seen] = w
+                seen += 1
+                epos[w] = pos[p]
+                step = len(verts[w])
+            if not decided and best is not None:
+                if step > best[qi]:
                     break
-                continue
-            if len(verts[w]) == 1:
-                ids[w] = len(ids)
-                entry[w] = p
-                orient[w] = 0
-                added.append(w)
-                if not (push(0) and push(1)):
-                    break
-                continue
-            # trivalent discovery: branch over the two rotation directions
-            if push(0) and push(3):
-                new_id = len(ids)
-                for ori in (0, 1):
-                    ids[w] = new_id
-                    entry[w] = p
-                    orient[w] = ori
-                    tbl = succ[w][ori]
-                    h1 = tbl[p]
-                    h2 = tbl[h1]
-                    queue.append(h1)
-                    queue.append(h2)
-                    dfs(qi, flips + ori, decided)
-                    queue.pop()
-                    queue.pop()
-                    del ids[w], entry[w], orient[w]
-            del code[base_code:]
-            for wv in added:
-                del ids[wv], entry[wv], orient[wv]
-            return
+                decided = step < best[qi]
+            code[qi] = step
+            qi += 1
+            if step == 3:
+                # branch over the two rotation directions of w
+                v, e = verts[w], pos[p]
+                queue[qend], queue[qend + 1] = v[e - 2], v[e - 1]
+                orient[w] = 1
+                before = best
+                dfs(qi, qend + 2, seen, flips, decided)
+                if best is not before:
+                    decided = False  # the new best shares code[:qi]
+                queue[qend], queue[qend + 1] = v[e - 1], v[e - 2]
+                orient[w] = -1
+                dfs(qi, qend + 2, seen, flips + 1, decided)
+                break
+        else:
+            if decided or best is None:
+                best = code[:]
+                parities = 0
+            parities |= 1 << (flips & 1)
+        for w in order[mark:seen]:
+            ids[w] = -1
 
-        if not pruned:
-            if best is None or code < best:
-                best = list(code)
-                best_par = {flips & 1}
-            elif code == best:
-                best_par.add(flips & 1)
-        del code[base_code:]
-        for wv in added:
-            del ids[wv], entry[wv], orient[wv]
-
-    for sv, v in enumerate(verts):
-        if len(v) != 1:
-            continue
-        ids.clear()
-        entry.clear()
-        orient.clear()
-        code.clear()
-        queue.clear()
+    legs = [i for i, v in enumerate(verts) if len(v) == 1]
+    load = [0] * n                   # legs carried by each vertex
+    for sv in legs:
+        load[owner[pairing[verts[sv][0]]]] += 1
+    legs.sort(key=lambda sv: -load[owner[pairing[verts[sv][0]]]])
+    for sv in legs:
         ids[sv] = 0
-        entry[sv] = v[0]
-        orient[sv] = 0
-        queue.append(v[0])
-        dfs(0, 0, False)
+        order[0] = sv
+        queue[0] = verts[sv][0]
+        dfs(0, 1, 1, 0, False)
+        ids[sv] = -1
 
-    key = ".".join(str(x) for x in best)
-    sign = -1 if best_par == {1} else 1
+    key = ".".join("0.%d" % s if s < 4 else "1.%d.%d" % divmod(s - 4, 3)
+                   for s in best)
+    sign = -1 if parities == 2 else 1
     return key, sign
 
 
@@ -337,7 +320,7 @@ def enumerate_diagrams(i: int, grading: str = "grope") -> list:
             raise PreconditionError("below grading range")
         cells = {(t, 2 * i - t) for t in range(max(1, i - 1), 2 * i)}
     else:
-        raise ValueError(f"unknown grading {grading!r}")
+        raise PreconditionError(f"unknown grading {grading!r}")
     out = []
     if grading == "vassiliev" and i == 1:
         out.append(("strut", _strut()))
@@ -372,9 +355,9 @@ class RelationMatrix:
         return len(self.rows)
 
 
-def _ihx_terms(d: UniTrivalentGraph, h: int) -> list:
-    """The two reconnections of the internal edge through half-edge h."""
-    owner = d.owner_map()
+def _ihx_terms(d: UniTrivalentGraph, h: int, owner: dict) -> list:
+    """The two reconnections of the internal edge through half-edge h;
+    owner is ``d.owner_map()``."""
     p = d.pairing[h]
     v1, v2 = owner[h], owner[p]
     rot1 = list(d.vertices[v1])
@@ -398,7 +381,10 @@ def _ihx_terms(d: UniTrivalentGraph, h: int) -> list:
 def relation_matrix(i: int, grading: str = "grope",
                     generators: Optional[list] = None) -> RelationMatrix:
     """All AS rows (per diagram, per trivalent vertex) and IHX rows (per
-    diagram, per internal edge) over the canonical generators of degree i."""
+    diagram, per internal edge) over the canonical generators of degree i.
+
+    The AS rows of one generator are all equal (see the module docstring),
+    so one reversed copy is canonicalised and its row repeated."""
     gens = enumerate_diagrams(i, grading) if generators is None else generators
     columns = tuple(k for k, _ in gens)
     col_index = {k: j for j, k in enumerate(columns)}
@@ -427,15 +413,16 @@ def relation_matrix(i: int, grading: str = "grope",
         if diag.has_tadpole():
             raise PreconditionError(f"generator {key} has a tadpole")
         tri = [idx for idx, v in enumerate(diag.vertices) if len(v) == 3]
-        # the generator is a term of each of its rows, all of which need a
-        # trivalent vertex: canonicalise it once
-        own = term(diag) if tri else None
-        for vi in tri:
-            rows.append(term_vector(own, [diag.with_rotation_reversed(vi)]))
+        if not tri:
+            continue
+        # the generator is a term of each of its rows: canonicalise it once
+        own = term(diag)
+        as_row = term_vector(own, [diag.with_rotation_reversed(tri[0])])
+        rows.extend(dict(as_row) for _ in tri)
         owner = diag.owner_map()
         for h, p in diag.edges():
             if len(diag.vertices[owner[h]]) == 3 == len(diag.vertices[owner[p]]):
-                rows.append(term_vector(own, _ihx_terms(diag, h)))
+                rows.append(term_vector(own, _ihx_terms(diag, h, owner)))
     return RelationMatrix(columns, rows)
 
 
@@ -469,6 +456,8 @@ def dim_graded_piece(i: int, grading: str = "grope",
                      budget: Optional[int] = None) -> dict:
     """Number of generators, relations, and the rational dimension at one
     degree of the chosen grading."""
+    if grading not in ("grope", "vassiliev"):
+        raise PreconditionError(f"unknown grading {grading!r}")
     if budget is None:
         budget = GROPE_BUDGET if grading == "grope" else VASSILIEV_BUDGET
     if grading == "grope" and i < 2:

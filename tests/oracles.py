@@ -19,12 +19,16 @@ These deliberately avoid the library code paths they check:
   ``Fraction`` coefficients (no pseudo-remainders), gcds from sympy.
 * Arf invariants come from Levine's rule on the determinant (no
   symplectic basis).
+* Canonical keys and AS signs of uni-trivalent diagrams come from the
+  plain search over start legs in vertex order, with successor dicts and
+  per-token pruning (no start order, no position arithmetic).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -319,3 +323,124 @@ def sympy_gcd(p, q):
         return ()
     c = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
     return tuple(a // c for a in coeffs)
+
+
+def canonical_form_reference(d) -> tuple:
+    """(key, sign) of a diagram, as ``diagrams.canonical_form`` defines
+    them: the lexicographic minimum over the BFS codes of every start leg
+    and every rotation direction, searched leg by leg in vertex order,
+    with dict-based successor tables and a token-by-token pruning
+    closure; sign -1 only when every minimal traversal has odd reversal
+    parity."""
+    verts = d.vertices
+    pairing = d.pairing
+    owner = [0] * len(pairing)
+    for i, v in enumerate(verts):
+        for h in v:
+            owner[h] = i
+    succ = []
+    for v in verts:
+        if len(v) == 3:
+            fwd = {v[0]: v[1], v[1]: v[2], v[2]: v[0]}
+            rev = {v[0]: v[2], v[2]: v[1], v[1]: v[0]}
+        else:
+            fwd = rev = {v[0]: v[0]}
+        succ.append((fwd, rev))
+
+    best: Optional[list] = None
+    best_par: set = set()
+    ids: dict = {}
+    entry: dict = {}
+    orient: dict = {}
+    code: list = []
+    queue: list = []
+
+    def dfs(qi: int, flips: int, decided: bool) -> None:
+        nonlocal best, best_par
+        base_code = len(code)
+        added = []
+        pruned = False
+
+        def push(tok) -> bool:
+            nonlocal decided, pruned
+            code.append(tok)
+            if not decided and best is not None:
+                k = len(code) - 1
+                if code[k] > best[k]:
+                    pruned = True
+                    return False
+                if code[k] < best[k]:
+                    decided = True
+            return True
+
+        while qi < len(queue):
+            h = queue[qi]
+            qi += 1
+            p = pairing[h]
+            w = owner[p]
+            if w in ids:
+                tbl = succ[w][orient[w]]
+                slot = 0
+                x = entry[w]
+                while x != p:
+                    x = tbl[x]
+                    slot += 1
+                if not (push(1) and push(ids[w]) and push(slot)):
+                    break
+                continue
+            if len(verts[w]) == 1:
+                ids[w] = len(ids)
+                entry[w] = p
+                orient[w] = 0
+                added.append(w)
+                if not (push(0) and push(1)):
+                    break
+                continue
+            # trivalent discovery: branch over the two rotation directions
+            if push(0) and push(3):
+                new_id = len(ids)
+                for ori in (0, 1):
+                    ids[w] = new_id
+                    entry[w] = p
+                    orient[w] = ori
+                    tbl = succ[w][ori]
+                    h1 = tbl[p]
+                    h2 = tbl[h1]
+                    queue.append(h1)
+                    queue.append(h2)
+                    dfs(qi, flips + ori, decided)
+                    queue.pop()
+                    queue.pop()
+                    del ids[w], entry[w], orient[w]
+            del code[base_code:]
+            for wv in added:
+                del ids[wv], entry[wv], orient[wv]
+            return
+
+        if not pruned:
+            if best is None or code < best:
+                best = list(code)
+                best_par = {flips & 1}
+            elif code == best:
+                best_par.add(flips & 1)
+        del code[base_code:]
+        for wv in added:
+            del ids[wv], entry[wv], orient[wv]
+
+    for sv, v in enumerate(verts):
+        if len(v) != 1:
+            continue
+        ids.clear()
+        entry.clear()
+        orient.clear()
+        code.clear()
+        queue.clear()
+        ids[sv] = 0
+        entry[sv] = v[0]
+        orient[sv] = 0
+        queue.append(v[0])
+        dfs(0, 0, False)
+
+    key = ".".join(str(x) for x in best)
+    sign = -1 if best_par == {1} else 1
+    return key, sign

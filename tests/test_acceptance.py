@@ -202,7 +202,7 @@ def test_criterion_5_diagram_algebra():
                 for h, p in diag.edges():
                     if (len(diag.vertices[owner[h]]) == 3
                             and len(diag.vertices[owner[p]]) == 3):
-                        for term in _ihx_terms(diag, h):
+                        for term in _ihx_terms(diag, h, owner):
                             if grope_degree(term) != i:
                                 violations += 1
         assert violations == 0

@@ -14,7 +14,8 @@ from knotbench.diagrams import (
     relation_matrix,
     vassiliev_degree,
 )
-from knotbench.errors import BudgetExceededError, PreconditionError
+from knotbench.errors import BudgetExceededError, InputError, PreconditionError
+from oracles import canonical_form_reference
 
 
 def Y():
@@ -62,6 +63,10 @@ def relabel(d, seed, flips=()):
     return UniTrivalentGraph(verts, pairing)
 
 
+CELLS = [("grope", i) for i in range(2, 8)] + \
+    [("vassiliev", n) for n in range(1, 5)]
+
+
 class TestDegrees:
     def test_vassiliev_examples(self):
         assert vassiliev_degree(Y()) == 2
@@ -76,9 +81,9 @@ class TestDegrees:
     def test_validation(self):
         # a tadpole is a valid graph; relation_matrix refuses it as a generator
         assert UniTrivalentGraph(((0, 1, 2), (3,)), (1, 0, 3, 2)).has_tadpole()
-        with pytest.raises(ValueError, match="connected"):
+        with pytest.raises(InputError, match="connected"):
             UniTrivalentGraph(((0,), (1,), (2,), (3,)), (1, 0, 3, 2))
-        with pytest.raises(ValueError, match="univalent"):
+        with pytest.raises(InputError, match="univalent"):
             UniTrivalentGraph(((0, 2, 4), (1, 3, 5)), (1, 0, 3, 2, 5, 4))
 
 
@@ -115,6 +120,31 @@ class TestCanonicalForm:
     def test_idempotent_on_degree_3_enumeration(self):
         for key, d in enumerate_diagrams(3):
             assert canonical_form(d)[0] == key
+
+    @pytest.mark.parametrize("grading,degree", CELLS)
+    def test_matches_reference_oracle(self, grading, degree):
+        # every generator, every AS and IHX term (tadpole terms included)
+        # and three relabelled copies of each generator agree with the
+        # reference search; a copy's sign follows the parity of its flips
+        # unless the generator is its own negative
+        for _, d in enumerate_diagrams(degree, grading):
+            owner = d.owner_map()
+            tri = [v for v, rot in enumerate(d.vertices) if len(rot) == 3]
+            terms = [d] + [d.with_rotation_reversed(v) for v in tri]
+            for h, p in d.edges():
+                if len(d.vertices[owner[h]]) == 3 == len(d.vertices[owner[p]]):
+                    terms += _ihx_terms(d, h, owner)
+            for term in terms:
+                assert canonical_form(term) == canonical_form_reference(term)
+            ref_key, ref_sign = canonical_form_reference(d)
+            self_negative = bool(tri) and canonical_form_reference(
+                d.with_rotation_reversed(tri[0]))[1] == ref_sign
+            for seed in range(3):
+                flips = tuple(tri[:seed])
+                sign = ref_sign if self_negative else \
+                    ref_sign * (-1) ** len(flips)
+                assert canonical_form(relabel(d, seed, flips=flips)) == \
+                    (ref_key, sign)
 
 
 class TestEnumeration:
@@ -203,7 +233,8 @@ class TestRelationMatrix:
                     internal = [h for h, p in d.edges()
                                 if len(d.vertices[owner[h]]) == 3
                                 and len(d.vertices[owner[p]]) == 3]
-                    for term in (t for h in internal for t in _ihx_terms(d, h)):
+                    for term in (t for h in internal
+                                 for t in _ihx_terms(d, h, owner)):
                         for v in tadpole_vertices(term):
                             dropped += 1
                             reversed_v = term.with_rotation_reversed(v)
@@ -221,6 +252,28 @@ class TestRelationMatrix:
         gens = enumerate_diagrams(4)
         with pytest.raises(PreconditionError, match="escapes the generator"):
             relation_matrix(4, generators=gens[:1] + gens[2:])
+
+    @pytest.mark.parametrize("grading,degree,count,digest", [
+        ("grope", 2, 1, "20cab5066581e447"),
+        ("grope", 3, 7, "af61198877d2c4a7"),
+        ("grope", 4, 24, "eae4b277f8c36cac"),
+        ("grope", 5, 82, "6a50fb89084923ce"),
+        ("grope", 6, 235, "db5ccfeb22407b86"),
+        ("grope", 7, 801, "5dc5da7797893d84"),
+        ("vassiliev", 1, 0, "e3b0c44298fc1c14"),
+        ("vassiliev", 2, 12, "a1d72206f873cd3a"),
+        ("vassiliev", 3, 99, "1addf39d80a148a3"),
+        ("vassiliev", 4, 711, "fb4b87e6d15934af"),
+    ])
+    def test_pinned_relation_rows(self, grading, degree, count, digest):
+        # row counts and digests of the rows, each as its sorted
+        # (column, coefficient) list in row order, from the relation
+        # matrix that canonicalised every AS term separately; the zero AS
+        # rows are kept, since num_relations counts them
+        rel = relation_matrix(degree, grading)
+        assert rel.n_rows == count
+        text = "\n".join(repr(sorted(row.items())) for row in rel.rows)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_ihx_rows_have_at_most_three_terms(self):
         # an AS row has two terms and an IHX row three, before cancellation
@@ -241,6 +294,12 @@ class TestDimensions:
             dimension(5, "vassiliev")
         with pytest.raises(PreconditionError):
             dimension(1)
+
+    def test_unknown_grading(self):
+        with pytest.raises(PreconditionError, match="unknown grading"):
+            enumerate_diagrams(3, grading="foo")
+        with pytest.raises(PreconditionError, match="unknown grading"):
+            dim_graded_piece(3, grading="foo", budget=2)
 
     def test_permuted_elimination_oracle(self):
         rng = random.Random(5)
