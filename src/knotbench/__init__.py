@@ -3,7 +3,8 @@
 The package has three layers:
 
 * an exact arithmetic kernel (integer/Laurent polynomials, Sturm root
-  isolation, certified interval signatures),
+  isolation, signatures by exact integer Bareiss elimination, interval
+  enclosures only for jump angles and rho(0)),
 * knot-level invariants (Alexander polynomial, Arf, Levine-Tristram
   signature function, the rho(0) circle integral),
 * combinatorial calculi (uni-trivalent diagram algebra graded by grope

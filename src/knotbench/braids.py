@@ -123,6 +123,7 @@ def seifert_matrix_from_braid(b: BraidWord) -> SeifertMatrix:
     V = [[0] * m for _ in range(m)]
     for idx, (col, top, bot) in enumerate(loops):
         V[idx][idx] = -(sign[top] + sign[bot]) // 2
+    # loops is sorted by column, so for iy > ix the column cy is never below cx
     for ix in range(m):
         cx, ax, bx = loops[ix]
         for iy in range(ix + 1, m):
@@ -137,9 +138,4 @@ def seifert_matrix_from_braid(b: BraidWord) -> SeifertMatrix:
                     V[iy][ix] = -1
                 elif ay < ax < by < bx:
                     V[iy][ix] = 1
-            elif cy == cx - 1:
-                if ay < ax < by < bx:
-                    V[ix][iy] = -1
-                elif ax < ay < bx < by:
-                    V[ix][iy] = 1
     return SeifertMatrix(V)

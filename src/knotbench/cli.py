@@ -45,13 +45,13 @@ def _report(input_echo, results, warnings=()):
 def _parse_precision(text: str) -> Fraction:
     try:
         f = Fraction(text)
-    except ValueError:
-        try:
-            f = Fraction(str(float(text)))
-        except (ValueError, OverflowError):
-            raise InputError(f"bad precision {text!r}") from None
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad precision {text!r}") from None
     if f <= 0:
         raise InputError("precision must be positive")
+    limit = sys.get_int_max_str_digits()  # 0: none; the report prints str(f)
+    if limit and max(f.numerator, f.denominator) >= 10 ** limit:
+        raise PreconditionError(f"precision {text!r} exceeds {limit} digits")
     return f
 
 
@@ -344,10 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "digits", 0) < 0:
-            raise InputError(f"--digits {args.digits} is negative")
+        digits = getattr(args, "digits", 0)
+        if digits < 0:
+            raise InputError(f"--digits {digits} is negative")
+        limit = sys.get_int_max_str_digits()  # 0 when there is no limit
+        if 0 < limit < digits:
+            raise PreconditionError(f"--digits {digits} exceeds the limit of {limit}")
         args.fn(args)
-    except InputError as e:
+    except (InputError, RecursionError) as e:
+        # RecursionError: JSON, brackets and grope trees are read recursively
         sys.stderr.write(f"error: input: {e}\n")
         return EXIT_INPUT
     except (PreconditionError, BudgetExceededError) as e:

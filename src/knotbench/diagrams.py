@@ -57,44 +57,54 @@ VASSILIEV_BUDGET = 4
 
 
 class UniTrivalentGraph:
-    """Half-edge structure: vertex rotation lists plus an edge involution."""
+    """Half-edge structure: vertex rotation lists plus an edge involution.
 
-    __slots__ = ("vertices", "pairing")
+    Half-edges are the ids 0..n-1, n = len(pairing); vertex i lists its
+    half-edges in rotation order and pairing[h] is the other end of h's
+    edge.  The constructor validates the graph and keeps its half-edge
+    index: owner[h] is the vertex of half-edge h and pos[h] its place in
+    that vertex's rotation, so vertices[owner[h]][pos[h]] == h.
+    """
+
+    __slots__ = ("vertices", "pairing", "owner", "pos")
 
     def __init__(self, vertices: Sequence[Sequence[int]], pairing: Sequence[int]):
         vertices = tuple(tuple(v) for v in vertices)
         pairing = tuple(pairing)
-        n_half = sum(len(v) for v in vertices)
-        seen = sorted(h for v in vertices for h in v)
-        if seen != list(range(n_half)) or len(pairing) != n_half:
+        ids = range(len(pairing))
+        owner = [-1] * len(pairing)
+        pos = [0] * len(pairing)
+        for i, v in enumerate(vertices):
+            for k, h in enumerate(v):
+                if not isinstance(h, int) or h not in ids or owner[h] >= 0:
+                    raise InputError(
+                        "half-edge ids must be 0..n-1, each used once")
+                owner[h] = i
+                pos[h] = k
+        if -1 in owner:
             raise InputError("half-edge ids must be 0..n-1, each used once")
         for h, p in enumerate(pairing):
-            if p == h or pairing[p] != h:
+            if (not isinstance(p, int) or p not in ids
+                    or p == h or pairing[p] != h):
                 raise InputError("pairing must be a fixed-point-free involution")
         for v in vertices:
             if len(v) not in (1, 3):
                 raise InputError("vertex degrees must be 1 or 3")
         if not any(len(v) == 1 for v in vertices):
             raise InputError("need at least one univalent vertex")
-        owner = {}
-        for i, v in enumerate(vertices):
-            for h in v:
-                owner[h] = i
-        # connectivity
-        if vertices:
-            stack = [0]
-            seen_v = {0}
-            while stack:
-                i = stack.pop()
-                for h in vertices[i]:
-                    j = owner[pairing[h]]
-                    if j not in seen_v:
-                        seen_v.add(j)
-                        stack.append(j)
-            if len(seen_v) != len(vertices):
-                raise InputError("diagram is not connected")
+        stack, seen = [0], {0}
+        while stack:
+            for h in vertices[stack.pop()]:
+                j = owner[pairing[h]]
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) != len(vertices):
+            raise InputError("diagram is not connected")
         self.vertices = vertices
         self.pairing = pairing
+        self.owner = tuple(owner)
+        self.pos = tuple(pos)
 
     @property
     def n_vertices(self) -> int:
@@ -104,11 +114,8 @@ class UniTrivalentGraph:
     def n_edges(self) -> int:
         return len(self.pairing) // 2
 
-    def owner_map(self) -> dict:
-        return {h: i for i, v in enumerate(self.vertices) for h in v}
-
     def has_tadpole(self) -> bool:
-        owner = self.owner_map()
+        owner = self.owner
         return any(owner[h] == owner[p] for h, p in enumerate(self.pairing))
 
     def with_rotation_reversed(self, vertex_index: int) -> "UniTrivalentGraph":
@@ -165,15 +172,8 @@ def canonical_form(d: UniTrivalentGraph) -> tuple:
     all traversals reaching it, hence key and sign, do not depend on the
     order; a small best code found early only cuts more.
     """
-    verts = d.vertices
-    pairing = d.pairing
+    verts, pairing, owner, pos = d.vertices, d.pairing, d.owner, d.pos
     n = len(verts)
-    owner = [0] * len(pairing)
-    pos = [0] * len(pairing)         # position of a half-edge in its vertex
-    for i, v in enumerate(verts):
-        for k, h in enumerate(v):
-            owner[h] = i
-            pos[h] = k
     ids = [-1] * n                   # BFS number, -1 until discovered
     order = [0] * n                  # vertices by BFS number
     epos = [0] * n                   # position of the entry half-edge
@@ -293,8 +293,7 @@ def _joined(layer: list) -> list:
     that sit on different vertices (two legs on one vertex would close a
     tadpole)."""
     def joins(d):
-        owner = d.owner_map()
-        ends = [(i, owner[d.pairing[d.vertices[i][0]]]) for i in _legs(d)]
+        ends = [(i, d.owner[d.pairing[d.vertices[i][0]]]) for i in _legs(d)]
         for k, (a, va) in enumerate(ends):
             for b, vb in ends[k + 1:]:
                 if va != vb:
@@ -355,22 +354,17 @@ class RelationMatrix:
         return len(self.rows)
 
 
-def _ihx_terms(d: UniTrivalentGraph, h: int, owner: dict) -> list:
-    """The two reconnections of the internal edge through half-edge h;
-    owner is ``d.owner_map()``."""
+def _ihx_terms(d: UniTrivalentGraph, h: int) -> list:
+    """The two reconnections of the internal edge through half-edge h."""
     p = d.pairing[h]
-    v1, v2 = owner[h], owner[p]
-    rot1 = list(d.vertices[v1])
-    rot2 = list(d.vertices[v2])
-    # cyclic-normalize so the shared edge comes last: (a, b, h), (c, d, p)
-    while rot1[2] != h:
-        rot1 = rot1[1:] + rot1[:1]
-    while rot2[2] != p:
-        rot2 = rot2[1:] + rot2[:1]
-    a, b = rot1[0], rot1[1]
-    c, d_ = rot2[0], rot2[1]
+    v1, v2 = d.owner[h], d.owner[p]
+    # rotations read from the shared edge: (a, b, h) and (c, d, p)
+    rot1, k1 = d.vertices[v1], d.pos[h]
+    rot2, k2 = d.vertices[v2], d.pos[p]
+    a, b = rot1[k1 - 2], rot1[k1 - 1]
+    c, d_ = rot2[k2 - 2], rot2[k2 - 1]
     out = []
-    for x, y, z, w in (((b, c, a, d_)), ((c, a, b, d_))):
+    for x, y, z, w in ((b, c, a, d_), (c, a, b, d_)):
         vs = list(d.vertices)
         vs[v1] = (x, y, h)
         vs[v2] = (z, w, p)
@@ -419,10 +413,10 @@ def relation_matrix(i: int, grading: str = "grope",
         own = term(diag)
         as_row = term_vector(own, [diag.with_rotation_reversed(tri[0])])
         rows.extend(dict(as_row) for _ in tri)
-        owner = diag.owner_map()
+        owner = diag.owner
         for h, p in diag.edges():
             if len(diag.vertices[owner[h]]) == 3 == len(diag.vertices[owner[p]]):
-                rows.append(term_vector(own, _ihx_terms(diag, h, owner)))
+                rows.append(term_vector(own, _ihx_terms(diag, h)))
     return RelationMatrix(columns, rows)
 
 

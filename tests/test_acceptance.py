@@ -194,7 +194,7 @@ def test_criterion_5_diagram_algebra():
         for i in range(2, 7):
             gens, rel = rels[i]
             for _, diag in gens:
-                owner = diag.owner_map()
+                owner = diag.owner
                 for vi, vert in enumerate(diag.vertices):
                     if len(vert) == 3:
                         if grope_degree(diag.with_rotation_reversed(vi)) != i:
@@ -202,7 +202,7 @@ def test_criterion_5_diagram_algebra():
                 for h, p in diag.edges():
                     if (len(diag.vertices[owner[h]]) == 3
                             and len(diag.vertices[owner[p]]) == 3):
-                        for term in _ihx_terms(diag, h, owner):
+                        for term in _ihx_terms(diag, h):
                             if grope_degree(term) != i:
                                 violations += 1
         assert violations == 0

@@ -125,6 +125,43 @@ def test_negative_digits_exits_1(capsys, command, csv, digits):
     assert err.startswith("error: input:") and "--digits" in err
 
 
+@pytest.mark.parametrize("precision", ["1/0", "abc", "inf", "nan", "-1e-6"])
+def test_bad_precision_exits_1(capsys, precision):
+    code, out, err = run(capsys, "rho", "--braid", "n=2; 1 1 1",
+                         "--precision", precision)
+    assert code == 1 and out == ""
+    assert err.startswith("error: input:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigfn", "--digits", "4301"],
+    ["sigfn", "--digits", "4301", "--csv"],
+    ["rho", "--digits", "4301"],
+    ["rho", "--precision", "1e-5000"],
+], ids=["sigfn-digits", "sigfn-digits-csv", "rho-digits", "rho-precision"])
+def test_beyond_int_str_limit_exits_2(capsys, argv):
+    # the interpreter's default limit is 4300 digits per integer string
+    code, out, err = run(capsys, argv[0], "--braid", "n=2; 1 1 1", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: precondition:") and "4300" in err
+
+
+@pytest.mark.parametrize("command", ["bracket", "tree-file", "seifert"])
+def test_deep_nesting_exits_1(capsys, tmp_path, command):
+    bracket, tree = "x", '"bare"'
+    for _ in range(1500):
+        bracket = f"[{bracket},y]"
+        tree = '{"pairs": [[%s, "bare"]]}' % tree
+    path = tmp_path / "deep.json"
+    path.write_text(tree)
+    argv = {"bracket": ["grope", "from-bracket", "--bracket", bracket],
+            "tree-file": ["grope", "class", "--tree-file", str(path)],
+            "seifert": ["invariants", "--seifert", "[" * 1500 + "]" * 1500]}
+    code, out, err = run(capsys, *argv[command])
+    assert code == 1 and out == ""
+    assert err.startswith("error: input:") and "recursion" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["sigfn", "--braid", "n=2; 1 1 1", "--digits", "abc"],
      "argument --digits: invalid int value: 'abc'"),

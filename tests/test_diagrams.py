@@ -33,7 +33,7 @@ def theta_legs():
 
 
 def tadpole_vertices(d):
-    owner = d.owner_map()
+    owner = d.owner
     return sorted({owner[h] for h, p in d.edges() if owner[h] == owner[p]})
 
 
@@ -87,6 +87,33 @@ class TestDegrees:
             UniTrivalentGraph(((0, 2, 4), (1, 3, 5)), (1, 0, 3, 2, 5, 4))
 
 
+@pytest.mark.parametrize("vertices,pairing", [
+    (((0, 1, 2), (1,), (4,), (5,)), (3, 4, 5, 0, 1, 2)),
+    (((0, 1, 2), (6,), (4,), (5,)), (3, 4, 5, 0, 1, 2)),
+    (((0, 1, 2), (4,), (5,)), (3, 4, 5, 0, 1, 2)),
+    (((0, 1, 2), (3,), (4,), (5,)), (3, 4, 6, 0, 1, 2)),
+    (((0, 1, 2), (3,), (4,), (5,)), (3, 4, -1, 0, 1, 2)),
+    (((0, 1, 2), (3,), (4,), (5,)), (3, 4, 5.0, 0, 1, 2)),
+    (((0, 1, 2), (3,), (4,), (5,)), (3, 4, "5", 0, 1, 2)),
+    (((0, 1, 2.0), (3,), (4,), (5,)), (3, 4, 5, 0, 1, 2)),
+    (((0, 1, 2), (3,), (4,), (5,)), (3, 4, 5, 0, 1, 1)),
+], ids=["duplicate-id", "id-at-least-n", "missing-id", "pairing-out-of-range",
+        "pairing-negative", "pairing-float", "pairing-str", "id-float",
+        "pairing-not-involution"])
+def test_malformed_half_edges_raise_input_error(vertices, pairing):
+    with pytest.raises(InputError):
+        UniTrivalentGraph(vertices, pairing)
+
+
+def test_half_edge_index():
+    # relabelled copies start their rotations at random half-edges
+    for d in (Y(), H_tree(), theta_legs()):
+        for seed in range(5):
+            c = relabel(d, seed)
+            assert all(c.vertices[c.owner[h]][c.pos[h]] == h
+                       for h in range(len(c.pairing)))
+
+
 class TestCanonicalForm:
     def test_relabeling_same_key(self):
         for d in (Y(), H_tree(), theta_legs()):
@@ -128,12 +155,12 @@ class TestCanonicalForm:
         # reference search; a copy's sign follows the parity of its flips
         # unless the generator is its own negative
         for _, d in enumerate_diagrams(degree, grading):
-            owner = d.owner_map()
+            owner = d.owner
             tri = [v for v, rot in enumerate(d.vertices) if len(rot) == 3]
             terms = [d] + [d.with_rotation_reversed(v) for v in tri]
             for h, p in d.edges():
                 if len(d.vertices[owner[h]]) == 3 == len(d.vertices[owner[p]]):
-                    terms += _ihx_terms(d, h, owner)
+                    terms += _ihx_terms(d, h)
             for term in terms:
                 assert canonical_form(term) == canonical_form_reference(term)
             ref_key, ref_sign = canonical_form_reference(d)
@@ -229,12 +256,12 @@ class TestRelationMatrix:
                                  ("vassiliev", range(1, 4))):
             for i in degrees:
                 for _, d in enumerate_diagrams(i, grading):
-                    owner = d.owner_map()
+                    owner = d.owner
                     internal = [h for h, p in d.edges()
                                 if len(d.vertices[owner[h]]) == 3
                                 and len(d.vertices[owner[p]]) == 3]
                     for term in (t for h in internal
-                                 for t in _ihx_terms(d, h, owner)):
+                                 for t in _ihx_terms(d, h)):
                         for v in tadpole_vertices(term):
                             dropped += 1
                             reversed_v = term.with_rotation_reversed(v)
