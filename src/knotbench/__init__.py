@@ -3,7 +3,7 @@
 The package has three layers:
 
 * an exact arithmetic kernel (integer/Laurent polynomials, Sturm root
-  isolation, signatures by exact integer Bareiss elimination, interval
+  isolation, signatures by exact Bareiss elimination over Z[i], interval
   enclosures only for jump angles and rho(0)),
 * knot-level invariants (Alexander polynomial, Arf, Levine-Tristram
   signature function, the rho(0) circle integral),

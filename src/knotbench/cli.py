@@ -133,18 +133,17 @@ def cmd_rho(args) -> None:
     echo, v = _load_knot(args)
     precision = _parse_precision(args.precision)
     sf = signature_function(v)
-    result = rho0_from_step_function(sf, precision)
     if args.csv:
         sys.stdout.write(signature_csv(sf, args.digits))
         return
-    payload = result.to_json_dict(args.digits)
+    payload = rho0_from_step_function(sf, precision).to_json_dict(args.digits)
     payload["precision"] = str(precision)
     _emit(_report(echo, payload))
 
 
 def cmd_sigfn(args) -> None:
     from .invariants import signature_csv, signature_function
-    from .intervals import format_decimal
+    from .intervals import enclose_angles, format_decimal
     from .polynomials import poly_to_str
 
     echo, v = _load_knot(args)
@@ -152,14 +151,9 @@ def cmd_sigfn(args) -> None:
     if args.csv:
         sys.stdout.write(signature_csv(sf, args.digits))
         return
-    width = Fraction(1, 10 ** (args.digits + 2))
-    jumps = []
-    for a in sf.jumps:
-        enc = a.enclosure_to_width(width)
-        jumps.append({
-            "theta": format_decimal(enc.mid, args.digits),
-            "min_poly_x": poly_to_str(a.poly),
-        })
+    enc = enclose_angles(sf.jumps, Fraction(1, 10 ** (args.digits + 2)))
+    jumps = [{"theta": format_decimal(enc[a].mid, args.digits),
+              "min_poly_x": poly_to_str(a.poly)} for a in sf.jumps]
     _emit(_report(echo, {"jumps": jumps, "arc_values": list(sf.values)}))
 
 

@@ -198,6 +198,23 @@ class AlgebraicAngle:
                 f" x in ({self.x_lo}, {self.x_hi}))")
 
 
+def enclose_angles(angles, width: Fraction) -> dict:
+    """An enclosure of width at most ``width`` for each of ``angles``.
+
+    An angle and its conjugate share the polynomial and the x-box, so a
+    conjugate pair is enclosed once, from the angle theta in (0, 1/2), and
+    1 - theta gets the reflection [1 - hi, 1 - lo]: the enclosure that
+    ``enclosure_to_width`` of 1 - theta returns.
+    """
+    enc: dict = {}
+    for a in angles:
+        if a not in enc:
+            low = a.conjugate() if a.upper else a
+            e = enc[low] = low.enclosure_to_width(width)
+            enc[low.conjugate()] = IntervalReal(1 - e.hi, 1 - e.lo)
+    return enc
+
+
 def format_decimal(fr: Fraction, digits: int) -> str:
     """Deterministic fixed-point rendering of a rational."""
     fr = Fraction(fr)

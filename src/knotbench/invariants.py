@@ -6,7 +6,7 @@ angles of the signature function are kept as algebraic numbers via the
 substitution x = t + 1/t, which turns unit-circle roots of the Alexander
 polynomial into real roots of an integer polynomial in (-2, 2).  The
 signature is constant on the arcs between those roots, so each arc value
-is the signature of an integer matrix at one rational point
+is the signature of a Hermitian matrix over Z[i] at one rational point
 tan(pi theta) = p/q of the arc; intervals only locate a given theta among
 the roots.
 """
@@ -20,8 +20,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, PossiblySingularError, PreconditionError
-from .hermitian import rational_symmetric_signature
-from .intervals import AlgebraicAngle, cos_2pi, format_decimal
+from .hermitian import hermitian_signature
+from .intervals import (
+    AlgebraicAngle,
+    cos_2pi,
+    enclose_angles,
+    format_decimal,
+)
 from .polynomials import (
     LaurentPoly,
     _quotient,
@@ -155,20 +160,15 @@ def _arc_signature(v: SeifertMatrix, r: Optional[Fraction]) -> int:
 
     With S = V + V^T, K = V^T - V and omega = c + i s the form is
     (1-c)S + i s K.  As (1-c)/s = tan(pi theta) = r = p/q, it is s/q > 0
-    times pS + i qK, whose realification [[pS, -qK], [qK, pS]] is an
-    integer matrix of twice its signature.  At theta = 1/2 the form is 2S.
+    times the n x n Hermitian form pS + i qK over Z[i].  At theta = 1/2
+    the form is 2S, so p/q = 1/0 there.
     """
+    p, q = (1, 0) if r is None else (r.numerator, r.denominator)
+    rows = v.rows
     n = v.size
-    sym = [[v.rows[i][j] + v.rows[j][i] for j in range(n)] for i in range(n)]
-    if r is None:
-        return rational_symmetric_signature(sym)
-    p, q = r.numerator, r.denominator
-    a = [[p * x for x in row] for row in sym]
-    b = [[q * (v.rows[j][i] - v.rows[i][j]) for j in range(n)]
-         for i in range(n)]
-    mat = ([a[i] + [-x for x in b[i]] for i in range(n)]
-           + [b[i] + a[i] for i in range(n)])
-    return rational_symmetric_signature(mat) // 2
+    re = [[p * (rows[i][j] + rows[j][i]) for j in range(n)] for i in range(n)]
+    im = [[q * (rows[j][i] - rows[i][j]) for j in range(n)] for i in range(n)]
+    return hermitian_signature(re, im)
 
 
 def _tan_in_gap(x_lo: Fraction, x_hi: Fraction) -> Fraction:
@@ -356,12 +356,9 @@ def signature_csv(sf: SignatureStepFunction, digits: int = 12) -> str:
     lines = ["# jump minimal polynomials (x = t + 1/t): "
              + ("; ".join(polys) if polys else "none")]
     lines.append("theta_lo,theta_hi,sigma")
-    width = Fraction(1, 10 ** (digits + 2))
-    points = ["0"]
-    for a in sf.jumps:
-        enc = a.enclosure_to_width(width)
-        points.append(format_decimal(enc.mid, digits))
-    points.append("1")
+    enc = enclose_angles(sf.jumps, Fraction(1, 10 ** (digits + 2)))
+    points = (["0"] + [format_decimal(enc[a].mid, digits) for a in sf.jumps]
+              + ["1"])
     for k, val in enumerate(sf.values):
         lines.append(f"{points[k]},{points[k + 1]},{val}")
     return "\n".join(lines) + "\n"

@@ -297,52 +297,72 @@ def refine_isolating_interval(p_sf: Sequence, a: Fraction, b: Fraction,
     roots", 2006).
 
     Each step rounds the secant point of (a, b) to a grid of N cells and
-    keeps the grid cell on the root's side of that point when
-    ``poly_sign_at`` shows a sign change across it; N then becomes N^2.
-    Otherwise it bisects (a, b), and N becomes max(4, sqrt N).  Near a
-    simple root the secant point errs by O(width^2), so the accepted cells
-    converge quadratically, and no step shrinks the interval by less than
-    half.  When a grid point or midpoint is the root itself, the result is
-    the box of width ``width`` around it, clipped to the current interval:
-    it holds no other root.
+    keeps the grid cell on the root's side of that point when the signs
+    show a sign change across it; N then becomes N^2.  Otherwise it bisects
+    (a, b), and N becomes max(4, sqrt N).  Near a simple root the secant
+    point errs by O(width^2), so the accepted cells converge quadratically,
+    and no step shrinks the interval by less than half.  When a grid point
+    or midpoint is the root itself, the result is the box of width
+    ``width`` around it, clipped to the current interval: it holds no
+    other root.
+
+    The endpoints are integers A/den, B/den over one denominator: a grid
+    step multiplies den by N and a bisection by 2, so B - A never changes.
+    The secant point and every sign come from the integers den^k p(x),
+    k = deg p, and those at the endpoints carry over from the step that
+    found them (times 2^k when den doubles).
 
     Endpoint signs must differ (simple root); returned endpoints are never
     roots, and their signs differ.
     """
     a, b, width = Fraction(a), Fraction(b), Fraction(width)
-    s_a = poly_sign_at(p_sf, a)
-    if s_a == 0 or poly_sign_at(p_sf, b) == 0:
+    den = math.lcm(a.denominator, b.denominator)
+    lo = a.numerator * (den // a.denominator)
+    hi = b.numerator * (den // b.denominator)
+    f_lo, f_hi = _scaled_value(p_sf, lo, den), _scaled_value(p_sf, hi, den)
+    if f_lo == 0 or f_hi == 0:
         raise ValueError("isolating interval endpoints must not be roots")
+    pos_lo = f_lo > 0  # the sign left of the root
+    gap = hi - lo
+    two_k = 1 << (len(p_sf) - 1)
 
-    def around(r):
-        return max(a, r - width / 2), min(b, r + width / 2)
+    def around(r, d):
+        r = Fraction(r, d)
+        return (max(Fraction(lo, den), r - width / 2),
+                min(Fraction(hi, den), r + width / 2))
 
     cells = 4
-    while b - a > width:
-        d = math.lcm(a.denominator, b.denominator)
-        f_a = _scaled_value(p_sf, a.numerator * (d // a.denominator), d)
-        f_b = _scaled_value(p_sf, b.numerator * (d // b.denominator), d)
-        # the secant point a + (b - a) f_a / (f_a - f_b), rounded to the grid
-        step = (b - a) / cells
-        g = a + step * ((2 * cells * f_a + f_a - f_b) // (2 * (f_a - f_b)))
-        s_g = poly_sign_at(p_sf, g)
-        if s_g == 0:
-            return around(g)
-        h = g + step if s_g == s_a else g - step
-        s_h = poly_sign_at(p_sf, h)
-        if s_h == 0:
-            return around(h)
-        if s_h != s_g:
-            a, b = min(g, h), max(g, h)
+    while gap * width.denominator > width.numerator * den:
+        # the secant point lo + gap f_lo / (f_lo - f_hi) on the grid den * N
+        grid = den * cells
+        g = lo * cells + gap * ((2 * cells * f_lo + f_lo - f_hi)
+                                // (2 * (f_lo - f_hi)))
+        f_g = _scaled_value(p_sf, g, grid)
+        if f_g == 0:
+            return around(g, grid)
+        h = g + gap if (f_g > 0) == pos_lo else g - gap
+        f_h = _scaled_value(p_sf, h, grid)
+        if f_h == 0:
+            return around(h, grid)
+        if (f_h > 0) != (f_g > 0):
+            den = grid
+            if g < h:
+                lo, f_lo, hi, f_hi = g, f_g, h, f_h
+            else:
+                lo, f_lo, hi, f_hi = h, f_h, g, f_g
             cells *= cells
             continue
-        m = (a + b) / 2
-        s_m = poly_sign_at(p_sf, m)
-        if s_m == 0:
-            return around(m)
-        a, b = (m, b) if s_m == s_a else (a, m)
+        m = lo + hi
+        f_m = _scaled_value(p_sf, m, 2 * den)
+        if f_m == 0:
+            return around(m, 2 * den)
+        den *= 2
+        if (f_m > 0) == pos_lo:
+            lo, f_lo, hi, f_hi = m, f_m, 2 * hi, f_hi * two_k
+        else:
+            lo, f_lo, hi, f_hi = 2 * lo, f_lo * two_k, m, f_m
         cells = max(4, math.isqrt(cells))
-    return a, b
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 # ---------------------------------------------------------------------------

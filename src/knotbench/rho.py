@@ -16,15 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .intervals import AlgebraicAngle, IntervalReal, format_decimal
+from .intervals import (
+    AlgebraicAngle,
+    IntervalReal,
+    enclose_angles,
+    format_decimal,
+)
 from .invariants import SignatureStepFunction, signature_function
 from .seifert import SeifertMatrix
 
 MEASURE = "normalized_1"
-
-ArcEndpoint = Union[Fraction, AlgebraicAngle]
 
 
 @dataclass(frozen=True)
@@ -59,20 +61,16 @@ class RhoResult:
         }
 
 
-def _enclosure(endpoint: ArcEndpoint, width: Fraction) -> IntervalReal:
-    if isinstance(endpoint, AlgebraicAngle):
-        return endpoint.enclosure_to_width(width)
-    return IntervalReal.exact(endpoint)
-
-
 def _enclosures(exact_form, width: Fraction) -> dict:
     """One enclosure of width at most ``width`` per distinct arc endpoint;
-    a jump angle ends one arc and starts the next, and is enclosed once."""
-    enc: dict = {}
-    for _, lo, hi in exact_form:
-        for e in (lo, hi):
-            if e not in enc:
-                enc[e] = _enclosure(e, width)
+    a jump angle ends one arc and starts the next, and is enclosed once,
+    together with its conjugate."""
+    ends = dict.fromkeys(e for _, lo, hi in exact_form for e in (lo, hi))
+    enc = enclose_angles(
+        [e for e in ends if isinstance(e, AlgebraicAngle)], width)
+    for e in ends:
+        if not isinstance(e, AlgebraicAngle):
+            enc[e] = IntervalReal.exact(e)
     return enc
 
 

@@ -9,7 +9,9 @@ These deliberately avoid the library code paths they check:
   elimination over Z[x] (``poly_matrix_det``), not from evaluation at
   integer points and interpolation.
 * Signatures of exact symmetric matrices come from Sturm counts on the
-  characteristic polynomial (no interval elimination).
+  characteristic polynomial (no interval elimination); Hermitian ones
+  over Z[i] from the integer symmetric elimination of their 2n x 2n
+  realification, which halves its signature.
 * rho0 comes from a plain Riemann sum over numpy float eigenvalues.
 * Magnus depths come from the full product of the truncated series
   1 + X and 1 - X + X^2 - ... (no per-degree update).
@@ -17,6 +19,8 @@ These deliberately avoid the library code paths they check:
   search over the exponent), and irreducible factors over Z from sympy.
 * Remainders and Sturm chains come from long division over Q with
   ``Fraction`` coefficients (no pseudo-remainders), gcds from sympy.
+  Refined isolating intervals come from the same quadratic interval
+  refinement on ``Fraction`` endpoints (no common integer denominator).
 * Arf invariants come from Levine's rule on the determinant (no
   symplectic basis).
 * Canonical keys and AS signs of uni-trivalent diagrams come from the
@@ -33,10 +37,12 @@ from typing import Optional
 import numpy as np
 
 from knotbench.braids import BraidWord
+from knotbench.errors import PossiblySingularError
 from knotbench.invariants import determinant
 from knotbench.polynomials import (
     LaurentPoly,
     count_real_roots,
+    poly_sign_at,
     poly_div_exact,
     poly_mul,
     poly_neg,
@@ -188,6 +194,107 @@ def charpoly_signature(rows) -> int:
         neg += count_real_roots(q, -bound, 0)
         q = poly_gcd(q, poly_derivative(q))
     return pos - neg
+
+
+def symmetric_signature_reference(rows) -> int:
+    """Signature of an integer symmetric matrix by real fraction-free
+    elimination with 1x1 pivots; an all-zero remaining diagonal is fixed by
+    adding a row and column with a nonzero off-diagonal entry to another.
+    Raises PossiblySingularError when the matrix is singular."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    active = list(range(n))
+    prev = 1
+    sig = 0
+    while active:
+        k = next((i for i in active if a[i][i]), None)
+        if k is None:
+            k, l = next(((i, j) for i in active for j in active if a[i][j]),
+                        (None, None))
+            if k is None:
+                raise PossiblySingularError(
+                    "possibly singular: the matrix is singular")
+            for j in active:
+                a[k][j] += a[l][j]
+            for j in active:
+                a[j][k] = a[k][j]
+            a[k][k] += a[k][l]
+        d = a[k][k]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        active.remove(k)
+        row_k = a[k]
+        for ii, i in enumerate(active):
+            ai, aik = a[i], a[i][k]
+            for j in active[ii:]:
+                ai[j] = a[j][i] = (d * ai[j] - aik * row_k[j]) // prev
+        prev = d
+    return sig
+
+
+def realified_hermitian_signature(re, im) -> int:
+    """Signature of the Hermitian matrix re + i*im as half that of its
+    realification [[re, -im], [im, re]], an integer symmetric matrix."""
+    n = len(re)
+    mat = ([list(re[i]) + [-x for x in im[i]] for i in range(n)]
+           + [list(im[i]) + list(re[i]) for i in range(n)])
+    return symmetric_signature_reference(mat) // 2
+
+
+def realified_arc_signature(v: SeifertMatrix, r: Optional[Fraction]) -> int:
+    """The Levine-Tristram signature at theta = atan(r)/pi in (0, 1/2],
+    r = None for theta = 1/2, from the realification of pS + i qK with
+    S = V + V^T, K = V^T - V and r = p/q; at theta = 1/2 it is that of S."""
+    n = v.size
+    sym = [[v.rows[i][j] + v.rows[j][i] for j in range(n)] for i in range(n)]
+    if r is None:
+        return symmetric_signature_reference(sym)
+    p, q = r.numerator, r.denominator
+    a = [[p * x for x in row] for row in sym]
+    b = [[q * (v.rows[j][i] - v.rows[i][j]) for j in range(n)]
+         for i in range(n)]
+    return realified_hermitian_signature(a, b)
+
+
+def refine_isolating_interval_fractions(p_sf, a: Fraction, b: Fraction,
+                                        width: Fraction):
+    """Abbott's quadratic interval refinement, as
+    ``polynomials.refine_isolating_interval`` specifies it, with every
+    endpoint, grid point and midpoint a ``Fraction``."""
+    a, b, width = Fraction(a), Fraction(b), Fraction(width)
+    s_a = poly_sign_at(p_sf, a)
+    if s_a == 0 or poly_sign_at(p_sf, b) == 0:
+        raise ValueError("isolating interval endpoints must not be roots")
+
+    def around(r):
+        return max(a, r - width / 2), min(b, r + width / 2)
+
+    def value(x):
+        return sum(c * x ** i for i, c in enumerate(p_sf))
+
+    cells = 4
+    while b - a > width:
+        f_a, f_b = value(a), value(b)
+        # the secant point a + (b - a) f_a / (f_a - f_b), rounded to the grid
+        step = (b - a) / cells
+        g = a + step * math.floor(cells * f_a / (f_a - f_b) + Fraction(1, 2))
+        s_g = poly_sign_at(p_sf, g)
+        if s_g == 0:
+            return around(g)
+        h = g + step if s_g == s_a else g - step
+        s_h = poly_sign_at(p_sf, h)
+        if s_h == 0:
+            return around(h)
+        if s_h != s_g:
+            a, b = min(g, h), max(g, h)
+            cells *= cells
+            continue
+        m = (a + b) / 2
+        s_m = poly_sign_at(p_sf, m)
+        if s_m == 0:
+            return around(m)
+        a, b = (m, b) if s_m == s_a else (a, m)
+        cells = max(4, math.isqrt(cells))
+    return a, b
 
 
 def signature_via_eigenvalues(rows) -> int:

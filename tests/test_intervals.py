@@ -9,6 +9,7 @@ from knotbench.intervals import (
     IntervalReal,
     angle_from_cos_half,
     cos_2pi,
+    enclose_angles,
     format_decimal,
 )
 
@@ -115,6 +116,19 @@ class TestAlgebraicAngle:
         tol = Fraction(1, 2 ** 500)
         assert enc.width <= width
         assert enc.lo - tol <= ref <= enc.hi + tol
+
+    @pytest.mark.parametrize("width", [Fraction(1, 10 ** 14),
+                                       Fraction(3, 7 ** 60)])
+    def test_enclose_angles_reflects_the_conjugate(self, width):
+        # each angle gets what enclosure_to_width gives it, whichever
+        # member of its pair comes first
+        low = [AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2)),
+               AlgebraicAngle((-2, 0, 1), Fraction(1), Fraction(3, 2)),
+               AlgebraicAngle((-3, 0, 1), Fraction(-2), Fraction(-3, 2))]
+        angles = [low[0], low[1].conjugate(), low[2], low[0].conjugate()]
+        enc = enclose_angles(angles, width)
+        for a in angles + [low[1]]:
+            assert enc[a] == a.enclosure_to_width(width)
 
     def test_immutable(self):
         a = AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2))

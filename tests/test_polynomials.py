@@ -204,14 +204,16 @@ class TestRefineIsolatingInterval:
                                       Fraction(1, 8))
 
     def test_newton_steps_are_accepted(self, monkeypatch):
-        # plain bisection needs about 333 sign evaluations for 2^-332
+        # plain bisection needs about 333 sign evaluations for 2^-332; each
+        # sign is that of one scaled value d^k p(n/d)
         calls = []
+        scaled_value = polynomials._scaled_value
 
-        def counting(p, x):
-            calls.append(x)
-            return poly_sign_at(p, x)
+        def counting(p, n, d):
+            calls.append((n, d))
+            return scaled_value(p, n, d)
 
-        monkeypatch.setattr(polynomials, "poly_sign_at", counting)
+        monkeypatch.setattr(polynomials, "_scaled_value", counting)
         refine_isolating_interval((-2, 0, 1), Fraction(1), Fraction(2),
                                   Fraction(1, 2 ** 332))
         assert 0 < len(calls) < 80
@@ -219,6 +221,69 @@ class TestRefineIsolatingInterval:
         refine_isolating_interval(poly_mul((-1, 2), (-3, 0, 1)), Fraction(0),
                                   Fraction(1), self.WIDTH)
         assert 0 < len(calls) < 80
+
+
+# (p, lo, hi) where a grid point, its neighbour one cell over or a
+# midpoint is a rational root x = 0, +-1 of p, from non-dyadic endpoints
+_ROOT_HITS = [
+    ((0, -2, 0, 1), Fraction(-1, 2), Fraction(1, 2)),    # grid point, x = 0
+    ((-3, -3, 1, 1), Fraction(-8, 5), Fraction(-4, 5)),  # grid point, x = -1
+    ((3, -3, -1, 1), Fraction(-8, 5), Fraction(8, 5)),   # grid point, x = 1
+    ((0, -2, 0, 1), Fraction(-1, 3), Fraction(1, 1)),    # neighbour, x = 0
+    ((-2, -2, 1, 1), Fraction(-4, 3), Fraction(-2, 3)),  # neighbour, x = -1
+    ((2, -2, -1, 1), Fraction(-1, 5), Fraction(7, 5)),   # neighbour, x = 1
+    ((0, 1, 1, 1), Fraction(-5, 2), Fraction(3, 2)),     # midpoint, x = 0
+    ((-2, -2, 1, 1), Fraction(-4, 3), Fraction(4, 3)),   # midpoint, x = -1
+    ((2, -2, -1, 1), Fraction(-4, 3), Fraction(4, 3)),   # midpoint, x = 1
+]
+
+
+class TestRefineMatchesFractionOracle:
+    """The integer refinement returns the boxes of the same refinement on
+    ``Fraction`` endpoints (tests/oracles.py)."""
+
+    WIDTHS = (Fraction(1, 3), Fraction(1, 10 ** 6), Fraction(2, 7 ** 40),
+              Fraction(1, 10 ** 100))
+
+    @staticmethod
+    def assert_same(p, lo, hi, width):
+        got = refine_isolating_interval(p, lo, hi, width)
+        assert got == oracles.refine_isolating_interval_fractions(
+            p, lo, hi, width)
+        assert all(type(x) is Fraction for x in got)
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_refine_cases(self, case):
+        p, lo, hi = _refine_cases()[case]
+        for width in self.WIDTHS:
+            self.assert_same(p, lo, hi, width)
+
+    @pytest.mark.parametrize("case", _ROOT_HITS)
+    def test_rational_roots_hit(self, case):
+        p, lo, hi = case
+        for width in self.WIDTHS:
+            a, b = refine_isolating_interval(p, lo, hi, width)
+            assert b - a <= width
+            self.assert_same(p, lo, hi, width)
+
+    def test_random_polynomials_non_dyadic_endpoints(self):
+        rng = random.Random(15)
+        checked = 0
+        while checked < 60:
+            p = poly_trim([rng.randint(-6, 6) for _ in range(rng.randint(2, 7))])
+            p = poly_squarefree_part(p) if len(p) > 1 else p
+            if len(p) < 2:
+                continue
+            for lo, hi in sturm_isolate(p, -8, 8):
+                # widen to non-dyadic endpoints that still isolate the root
+                d = rng.choice((3, 5, 7, 9, 11))
+                lo2 = Fraction(math.floor(lo * d) - 1, d)
+                hi2 = Fraction(math.ceil(hi * d) + 1, d)
+                if (count_real_roots(p, lo2, hi2) != 1
+                        or poly_sign_at(p, lo2) * poly_sign_at(p, hi2) != -1):
+                    lo2, hi2 = lo, hi
+                self.assert_same(p, lo2, hi2, rng.choice(self.WIDTHS))
+                checked += 1
 
 
 class TestPolyDivExact:

@@ -88,6 +88,23 @@ class TestRho0:
         assert tight.contains(Fraction(-4, 3))
         assert tight.intersects(r.value)
 
+    def test_one_enclosure_per_conjugate_pair(self, monkeypatch):
+        # T(2, 21) has 20 jumps in 10 conjugate pairs
+        sf = signature_function(
+            seifert_matrix_from_braid(BraidWord(2, [1] * 21)))
+        assert len(sf.jumps) == 20
+        calls = []
+        enclose = AlgebraicAngle.enclosure_to_width
+
+        def counting(self, width):
+            calls.append(self)
+            return enclose(self, width)
+
+        monkeypatch.setattr(AlgebraicAngle, "enclosure_to_width", counting)
+        rho0_from_step_function(sf, Fraction(1, 10 ** 100))
+        assert len(calls) == 10
+        assert not any(a.upper for a in calls)
+
     def test_json_shape(self, trefoil):
         d = rho0(trefoil, PREC).to_json_dict(12)
         assert set(d) == {"rho0", "arcs", "measure"}
