@@ -95,22 +95,23 @@ def _add_knot_args(p):
 def _classical_invariants(v) -> dict:
     """The invariants that ``invariants`` and ``table`` both report."""
     from .invariants import (
-        alexander_polynomial,
+        _delta_of_x,
+        _fox_milnor,
         arf,
-        d0,
         determinant,
-        fox_milnor_test,
         levine_tristram,
+        x_polynomial,
     )
 
-    delta = alexander_polynomial(v)
+    p = x_polynomial(v)
+    delta = _delta_of_x(p)
     return {
         "alexander": str(delta),
-        "d0": d0(v),
+        "d0": delta.span,
         "determinant": determinant(v),
         "arf": arf(v),
         "signature_at_minus_1": levine_tristram(v, Fraction(1, 2), delta),
-        "fox_milnor": fox_milnor_test(delta),
+        "fox_milnor": _fox_milnor(p),
     }
 
 

@@ -1,12 +1,17 @@
 """Classical knot invariants computed from a Seifert matrix.
 
-Everything here is exact: the Alexander polynomial det(V - tV^T) is
-interpolated from integer determinants at t = 0, 1, ..., 2g, and jump
-angles of the signature function are kept as algebraic numbers via the
-substitution x = t + 1/t, which turns unit-circle roots of the Alexander
-polynomial into real roots of an integer polynomial in (-2, 2).  The
-signature is constant on the arcs between those roots, so each arc value
-is the signature of a Hermitian matrix over Z[i] at one rational point
+Everything here is exact and starts from one integer polynomial.  For a
+2g x 2g Seifert matrix V, det(V - tV^T) = t^g P(t + 1/t) for an integer
+polynomial P of degree at most g, the x-polynomial; it is interpolated
+from the integer determinants det(V - kV^T) at k = 0, 2, 3, ..., g
+(k = 1 gives 1 for every Seifert matrix).  The Alexander polynomial is
+Delta(t) = P(t + 1/t).  The substitution x = t + 1/t turns unit-circle
+roots of Delta into real roots of P in (-2, 2), so jump angles of the
+signature function are kept as algebraic numbers through P, and the
+Fox-Milnor condition is decided by factoring P and, where needed, the
+lifts t^d Q(t + 1/t) of its irreducible factors Q.  The signature is
+constant on the arcs between the jumps, so each arc value is the
+signature of a Hermitian matrix over Z[i] at one rational point
 tan(pi theta) = p/q of the arc; intervals only locate a given theta among
 the roots.
 """
@@ -14,6 +19,7 @@ the roots.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,13 +39,11 @@ from .polynomials import (
     count_roots_halfopen,
     cyclotomic_poly,
     factor_integer_poly,
-    poly_add,
-    poly_matrix_det,
+    poly_eval,
     poly_mul,
-    poly_scale,
+    poly_primitive,
     poly_sign_at,
     poly_squarefree_part,
-    poly_sub,
     poly_to_str,
     poly_trim,
     refine_isolating_interval,
@@ -52,18 +56,80 @@ _BASE_PREC = 64
 
 
 # ---------------------------------------------------------------------------
-# Alexander polynomial and friends
+# the x-polynomial, the Alexander polynomial and friends
+
+
+@functools.lru_cache(maxsize=None)
+def _x_interpolant(g: int) -> tuple:
+    """Integer rows w and d > 0 with p_j = (sum_k w[j][k] y_k) / d for the
+    coefficients p_j of the x-polynomial P of a 2g x 2g Seifert matrix V,
+    where y_k = det(V - kV^T), k = 0..g.
+
+    y_k = k^g P(k + 1/k) is the homogeneous form Y^g P(X/Y) at the point
+    (X_k : Y_k) = (k^2 + 1 : k); k = 0 is (1 : 0), where the form is the
+    coefficient of x^g.  The g + 1 points are distinct, as k + 1/k
+    increases for k >= 1, so Lagrange interpolation gives
+    P(x) = sum_k y_k prod_(i != k) (Y_i x - X_i) / (X_k Y_i - Y_k X_i),
+    and d is the least common multiple of the denominators.
+    """
+    nodes = [(1, 0)] + [(k * k + 1, k) for k in range(1, g + 1)]
+    cols = []
+    for k, (xk, yk) in enumerate(nodes):
+        num, den = (1,), 1
+        for i, (xi, yi) in enumerate(nodes):
+            if i != k:
+                num = poly_mul(num, (-xi, yi))
+                den *= xk * yi - yk * xi
+        cols.append((num, den))
+    d = math.lcm(*(den for _, den in cols))
+    w = [[0] * (g + 1) for _ in range(g + 1)]
+    for k, (num, den) in enumerate(cols):
+        for j, c in enumerate(num):
+            w[j][k] = c * (d // den)
+    return tuple(map(tuple, w)), d
+
+
+def x_polynomial(v: SeifertMatrix) -> tuple:
+    """The integer polynomial P with det(V - tV^T) = t^g P(t + 1/t).
+
+    det(V - tV^T) = det(V^T - tV) = t^(2g) det(V - V^T/t), so the
+    determinant is palindromic of degree 2g and such a P of degree at
+    most g exists; its coefficient of x^g is det V, so deg P < g when
+    det V = 0.  P is interpolated from det(V - kV^T), k = 0..g, of which
+    k = 1 is det(V - V^T) = 1 for every Seifert matrix, so
+    P(2) = Delta(1) = 1.
+    """
+    g, rows, n = v.genus, v.rows, v.size
+    ys = [1 if k == 1 else integer_determinant(
+        [[rows[i][j] - k * rows[j][i] for j in range(n)] for i in range(n)])
+          for k in range(g + 1)]
+    w, d = _x_interpolant(g)
+    return poly_trim([sum(c * y for c, y in zip(row, ys)) // d for row in w])
+
+
+def _lift(p: tuple) -> tuple:
+    """t^d P(t + 1/t) for d = deg P, lowest degree first: (t + 1/t)^j is
+    sum_m C(j, m) t^(j - 2m)."""
+    d = len(p) - 1
+    out = [0] * (2 * d + 1)
+    for j, a in enumerate(p):
+        for m in range(j + 1):
+            out[d - j + 2 * m] += a * math.comb(j, m)
+    return tuple(out)
 
 
 def alexander_polynomial(v: SeifertMatrix) -> LaurentPoly:
-    """det(V - t V^T), normalized so Delta(t) = Delta(1/t) and Delta(1) = 1."""
-    n = v.size
-    if n == 0:
-        return LaurentPoly.constant(1)
-    mat = [[poly_trim((v.rows[i][j], -v.rows[j][i])) for j in range(n)]
-           for i in range(n)]
-    det = poly_matrix_det(mat)
-    return LaurentPoly.from_int_poly(det).unit_normalize_symmetric()
+    """Delta(t) = P(t + 1/t) for the x-polynomial P of ``x_polynomial``.
+
+    t^g Delta(t) = det(V - tV^T) exactly: Delta(t) = Delta(1/t) and
+    Delta(1) = P(2) = 1 hold without normalisation.
+    """
+    return _delta_of_x(x_polynomial(v))
+
+
+def _delta_of_x(p: tuple) -> LaurentPoly:
+    """The symmetric Laurent polynomial P(t + 1/t)."""
+    return LaurentPoly.from_int_poly(_lift(p), 1 - len(p))
 
 
 def d0(v: SeifertMatrix) -> int:
@@ -240,21 +306,21 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction,
 
 
 def _laurent_to_x(delta: LaurentPoly) -> tuple:
-    """Rewrite a symmetric Laurent polynomial via x = t + 1/t.
+    """The integer polynomial P with delta(t) = P(t + 1/t), for a
+    symmetric Laurent polynomial delta; the inverse of ``_lift``.
 
-    Uses the integer Chebyshev-type basis D_0 = 2, D_1 = x,
-    D_{k+1} = x D_k - D_{k-1}, for which t^k + t^-k = D_k(t + 1/t).
+    The coefficient of t^e in (t + 1/t)^j is C(j, (j - e)/2) when j - e
+    is even and at least 0, and 1 for j = e, so the coefficients of P
+    follow from the top one down.
     """
     if not delta.is_symmetric():
-        raise ValueError("polynomial is not symmetric")
-    out = poly_trim((delta.coeff(0),))
-    d_prev, d_cur = (2,), (0, 1)  # D_0, D_1
-    for k in range(1, delta.max_exp + 1):
-        c = delta.coeff(k)
-        if c:
-            out = poly_add(out, poly_scale(d_cur, c))
-        d_prev, d_cur = d_cur, poly_sub((0,) + tuple(d_cur), d_prev)
-    return poly_trim(out)
+        raise PreconditionError(f"{delta} is not symmetric")
+    d = delta.max_exp
+    p = [0] * (d + 1)
+    for e in range(d, -1, -1):
+        p[e] = delta.coeff(e) - sum(p[j] * math.comb(j, (j - e) // 2)
+                                    for j in range(e + 2, d + 1, 2))
+    return poly_trim(p)
 
 
 @dataclass(frozen=True)
@@ -322,9 +388,8 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     the x-gap between its Sturm boxes; the last one holds theta = 1/2.
     The arcs in [1/2, 1) mirror them, as sigma(theta) = sigma(1 - theta).
     """
-    delta = alexander_polynomial(v)
-    coeffs, _ = delta.to_int_poly()
-    ps, boxes, points = _arcs(_laurent_to_x(delta))
+    p = x_polynomial(v)
+    ps, boxes, points = _arcs(p)
 
     _, factors = factor_integer_poly(ps)
     angles_low = []
@@ -343,7 +408,8 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
                   + [a.conjugate() for a in reversed(angles_low)])
 
     half = [_arc_signature(v, r) for r in points]
-    return SignatureStepFunction(jumps, tuple(half + half[-2::-1]), ps, coeffs)
+    return SignatureStepFunction(jumps, tuple(half + half[-2::-1]), ps,
+                                 _lift(p))
 
 
 def signature_csv(sf: SignatureStepFunction, digits: int = 12) -> str:
@@ -398,37 +464,73 @@ def _is_square(n: int) -> bool:
 def fox_milnor_test(delta: LaurentPoly) -> bool:
     """True iff Delta(t) = +-t^k f(t) f(1/t) for some integer polynomial f.
 
-    Decided by pairing irreducible factors with their reciprocal mates;
-    self-reciprocal factors need even multiplicity.  Necessary for a knot
-    to be algebraically slice.
+    f(t) f(1/t) is symmetric, so Delta must be +-t^k times a symmetric
+    Laurent polynomial P(t + 1/t); ``_fox_milnor`` decides the condition
+    from P.  Necessary for a knot to be algebraically slice.
     """
-    return _fox_milnor(delta)
-
-
-def _fox_milnor(*deltas: LaurentPoly) -> bool:
-    """``fox_milnor_test`` of the product of ``deltas``, each factored
-    apart so that the degree budget applies to one factor of the product
-    at a time; the multiplicities of equal irreducible factors add."""
-    content, mult = 1, {}
-    for delta in deltas:
-        if delta.is_zero():
-            raise ValueError("zero polynomial")
-        c, factors = factor_integer_poly(delta.to_int_poly()[0])
-        content *= c
-        for f, m in factors:
-            mult[f] = mult.get(f, 0) + m
-    if not _is_square(abs(content)):
+    s = delta.min_exp + delta.max_exp
+    if s % 2:
         return False
-    for f, m in mult.items():
-        rev = poly_trim(tuple(reversed(f)))
-        if rev[-1] < 0:
-            rev = tuple(-c for c in rev)
-        if rev == f:
-            if m % 2:
-                return False
-        elif mult.get(rev) != m:
-            return False
-    return True
+    centred = delta.shift(-s // 2)
+    if not centred.is_symmetric():
+        return False
+    return _fox_milnor(_laurent_to_x(centred))
+
+
+def _lift_splits(q: tuple) -> bool:
+    """Whether the lift R(t) = t^d Q(t + 1/t), d = deg Q, of the
+    irreducible integer polynomial Q is reducible over Q.
+
+    Let Q be primitive and Q != x +- 2 (whose lift is (t +- 1)^2).
+    (i) R has the content of Q: R(0) = lc(Q) = lc(R), and for a prime
+    p, t^e Qbar(t + 1/t), e = deg Qbar, has the nonzero top coefficient
+    lc(Qbar), so Q mod p != 0 forces R mod p != 0.  (ii) R is irreducible
+    or c f f* with f != +-f*, where f* = t^(deg f) f(1/t): the roots of R
+    are the b with b + 1/b = a for the d distinct roots a of Q, 2d of
+    them and distinct, since a = +-2 only for Q = x -+ 2.  As a = b + 1/b,
+    Q(b) contains Q(a), of degree d, and b has degree 2 over it.  Degree
+    2d makes the minimal polynomial of b a multiple of R.  Degree d gives
+    a minimal polynomial f of degree d whose roots, the conjugates s(b),
+    map to the d distinct s(a) = s(b) + 1/s(b); so f has no two roots b,
+    1/b, f and f* share no root, and R = c f f*.  (iii) A split R has
+    |R(1)| = f(1)^2 and |R(-1)| = f(-1)^2, and R(+-1) = (+-1)^d Q(+-2), so
+    R is factored only when |Q(2)| and |Q(-2)| are squares.
+    """
+    q = poly_primitive(q)
+    if not all(_is_square(abs(poly_eval(q, x))) for x in (2, -2)):
+        return False
+    return sum(m for _, m in factor_integer_poly(_lift(q))[1]) > 1
+
+
+def _fox_milnor(*ps: tuple) -> bool:
+    """``fox_milnor_test`` of prod_i P_i(t + 1/t), from the x-polynomials
+    P_i, each factored apart so that the degree budget applies to one of
+    them, and to each lift, at a time; the multiplicities of equal
+    irreducible factors add.
+
+    With P = c prod Q^m over irreducible primitive Q, Delta = c prod R^m
+    up to a unit t^k for the lifts R = t^(deg Q) Q(t + 1/t), and the
+    lifts of distinct Q share no root.  Each R is self-reciprocal, and by
+    ``_lift_splits`` R is (t +- 1)^2 for Q = x -+ 2, irreducible, or
+    f f* with f irreducible and f != +-f*, all primitive.  Delta is
+    +-t^k f(t) f(1/t) iff |c| is a square, every irreducible factor that
+    is not self-reciprocal has its reciprocal at the same multiplicity,
+    and every self-reciprocal one has even multiplicity.  The split lifts
+    give the pairs, t +- 1 has multiplicity 2m, and an irreducible R is
+    self-reciprocal: the condition holds iff |c| is a square and every Q
+    of odd multiplicity is x +- 2 or has a lift that splits.
+    """
+    content, mult = 1, {}
+    for p in ps:
+        if not p:
+            raise InputError("Fox-Milnor test of the zero polynomial")
+        c, factors = factor_integer_poly(p)
+        content *= c
+        for q, m in factors:
+            mult[q] = mult.get(q, 0) + m
+    return _is_square(abs(content)) and all(
+        m % 2 == 0 or q in ((-2, 1), (2, 1)) or _lift_splits(q)
+        for q, m in mult.items())
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +557,13 @@ def algebraically_concordant_test(v1: SeifertMatrix,
     if arf(v1) != arf(v2):
         found.append("arf")
 
-    d1 = alexander_polynomial(v1)
-    d2 = alexander_polynomial(v2)
+    p1, p2 = x_polynomial(v1), x_polynomial(v2)
     # both signature functions are constant on every arc cut by the roots
     # of Delta_1 Delta_2, so they agree iff they agree at one point of each
-    _, _, points = _arcs(poly_mul(_laurent_to_x(d1), _laurent_to_x(d2)))
+    _, _, points = _arcs(poly_mul(p1, p2))
     if any(_arc_signature(v1, r) != _arc_signature(v2, r) for r in points):
         found.append("signature function")
 
-    if not _fox_milnor(d1, d2):
+    if not _fox_milnor(p1, p2):
         found.append("fox_milnor")
     return ConcordanceComparison(not found, tuple(found))

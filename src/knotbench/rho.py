@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputError
 from .intervals import (
     AlgebraicAngle,
     IntervalReal,
@@ -90,7 +91,7 @@ def rho0_from_step_function(sf: SignatureStepFunction,
                             precision: Fraction) -> RhoResult:
     precision = Fraction(precision)
     if precision <= 0:
-        raise ValueError("precision must be positive")
+        raise InputError("precision must be positive")
     endpoints: list = [Fraction(0)] + list(sf.jumps) + [Fraction(1)]
     exact_form = tuple(
         (sf.values[k], endpoints[k], endpoints[k + 1])

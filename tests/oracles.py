@@ -23,6 +23,8 @@ These deliberately avoid the library code paths they check:
   refinement on ``Fraction`` endpoints (no common integer denominator).
 * Arf invariants come from Levine's rule on the determinant (no
   symplectic basis).
+* Fox-Milnor verdicts come from factoring Delta itself and pairing each
+  irreducible factor with its reciprocal (no x-polynomial, no lifts).
 * Canonical keys and AS signs of uni-trivalent diagrams come from the
   plain search over start legs in vertex order, with successor dicts and
   per-token pruning (no start order, no position arithmetic).
@@ -42,6 +44,7 @@ from knotbench.invariants import determinant
 from knotbench.polynomials import (
     LaurentPoly,
     count_real_roots,
+    factor_integer_poly,
     poly_sign_at,
     poly_div_exact,
     poly_mul,
@@ -55,6 +58,32 @@ from knotbench.seifert import SeifertMatrix
 def arf_via_determinant(v: SeifertMatrix) -> int:
     """Levine's rule: Arf = 0 iff |Delta(-1)| = +-1 mod 8."""
     return 0 if determinant(v) % 8 in (1, 7) else 1
+
+
+def fox_milnor_by_delta_factors(*deltas: LaurentPoly) -> bool:
+    """Whether prod deltas = +-t^k f(t) f(1/t) for an integer polynomial
+    f: |content| a square, every irreducible factor of the product paired
+    with its reciprocal at equal multiplicity, and every self-reciprocal
+    one of even multiplicity.  Each delta is factored apart and the
+    multiplicities add."""
+    content, mult = 1, {}
+    for delta in deltas:
+        c, factors = factor_integer_poly(delta.to_int_poly()[0])
+        content *= c
+        for f, m in factors:
+            mult[f] = mult.get(f, 0) + m
+    if math.isqrt(abs(content)) ** 2 != abs(content):
+        return False
+    for f, m in mult.items():
+        rev = poly_trim(tuple(reversed(f)))
+        if rev[-1] < 0:
+            rev = poly_neg(rev)
+        if rev == f:
+            if m % 2:
+                return False
+        elif mult.get(rev) != m:
+            return False
+    return True
 
 
 def _ident(n):

@@ -26,6 +26,17 @@ class TestInvariantsCommand:
         assert r["alexander"] == "t - 1 + t^-1"
         assert r["fox_milnor"] is False
 
+    def test_torus_knot_beyond_the_delta_budget(self, capsys):
+        # deg Delta = 26 exceeds FACTOR_DEGREE_BUDGET; Fox-Milnor factors
+        # the degree-13 x-polynomial instead
+        braid = "n=2; " + " ".join(["1"] * 27)
+        code, out, err = run(capsys, "invariants", "--braid", braid)
+        assert code == 0, err
+        r = json.loads(out)["results"]
+        assert r["fox_milnor"] is False
+        assert r["determinant"] == 27
+        assert r["d0"] == 26
+
     def test_unknot_all_trivial(self, capsys):
         code, out, _ = run(capsys, "invariants", "--braid", "n=1;")
         assert code == 0

@@ -1,12 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
-from knotbench.errors import PossiblySingularError, PreconditionError
+from knotbench.errors import InputError, PossiblySingularError, PreconditionError
 from knotbench.invariants import (
+    _fox_milnor,
+    _laurent_to_x,
+    _lift,
+    _lift_splits,
     _separate_boxes,
     _tan_in_gap,
     _x_enclosure,
@@ -20,17 +25,34 @@ from knotbench.invariants import (
     levine_tristram,
     signature_csv,
     signature_function,
+    x_polynomial,
 )
 from knotbench.intervals import cos_2pi
 from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly, poly_eval,
-                                   sturm_isolate)
-from knotbench.seifert import SeifertMatrix, UNKNOT, connected_sum, mirror
+                                   poly_mul, poly_trim, sturm_isolate)
+from knotbench.seifert import (SeifertMatrix, UNKNOT, connected_sum,
+                               integer_determinant, mirror)
 
 from conftest import random_seifert
-from oracles import (arf_via_determinant, sample_levine_tristram_float,
+from oracles import (arf_via_determinant, fox_milnor_by_delta_factors,
+                     poly_matrix_det, sample_levine_tristram_float,
+                     sympy_factor_list, sympy_is_irreducible,
                      tan_in_gap_by_doubling)
 
 K61 = SeifertMatrix([[1, 1], [0, -2]])
+# det V = 0: Delta = 1, and deg P < g in every connected sum with it
+DEGENERATE = SeifertMatrix([[0, 1], [0, 0]])
+TORUS_FAMILY = ((2, 3), (2, 5), (2, 7), (2, 9), (2, 13), (2, 21),
+                (3, 4), (3, 5), (4, 3))
+
+
+def torus(p, q):
+    return seifert_matrix_from_braid(BraidWord(p, list(range(1, p)) * q))
+
+
+def twist(m):
+    """The twist knot K_m, Delta = -m t + 2m + 1 - m/t (4_1, 6_1, ...)."""
+    return SeifertMatrix([[-1, 1], [0, m]])
 
 
 class TestAlexander:
@@ -67,6 +89,42 @@ class TestAlexander:
 
     def test_mirror_invariant(self, trefoil):
         assert alexander_polynomial(mirror(trefoil)) == alexander_polynomial(trefoil)
+
+
+class TestXPolynomial:
+    def test_delta_matches_bareiss_oracle(self, trefoil):
+        # t^g Delta(t) = det(V - tV^T) from Bareiss elimination over Z[t],
+        # on the size-0 matrix, genus 1-8 and forms with det V = 0
+        rng = random.Random(16)
+        forms = [UNKNOT, DEGENERATE, connected_sum(DEGENERATE, trefoil),
+                 connected_sum(random_seifert(rng, 2), DEGENERATE)]
+        for g in range(1, 9):
+            forms += [random_seifert(rng, g) for _ in range(6 if g < 5 else 1)]
+        degenerate = 0
+        for v in forms:
+            n = v.size
+            mat = [[poly_trim((v.rows[i][j], -v.rows[j][i])) for j in range(n)]
+                   for i in range(n)]
+            det = poly_matrix_det(mat)
+            assert alexander_polynomial(v) == (
+                LaurentPoly.from_int_poly(det, -v.genus)), v
+            p = x_polynomial(v)
+            assert poly_eval(p, 2) == 1
+            assert len(p) - 1 <= v.genus
+            assert (len(p) - 1 < v.genus) == (integer_determinant(v.rows) == 0)
+            degenerate += len(p) - 1 < v.genus
+        assert x_polynomial(UNKNOT) == (1,)
+        assert degenerate >= 3
+
+    def test_lift_is_delta(self, corpus):
+        for name, v in corpus.items():
+            p = x_polynomial(v)
+            assert _lift(p) == alexander_polynomial(v).to_int_poly()[0], name
+            assert _laurent_to_x(alexander_polynomial(v)) == p, name
+
+    def test_non_symmetric_refused(self):
+        with pytest.raises(PreconditionError, match="not symmetric"):
+            _laurent_to_x(LaurentPoly({1: 1, 0: -1}))
 
 
 class TestD0AndDeterminant:
@@ -355,6 +413,114 @@ class TestFoxMilnor:
     def test_square_knot_passes(self, trefoil):
         sq = connected_sum(trefoil, mirror(trefoil))
         assert fox_milnor_test(alexander_polynomial(sq))
+
+    def test_zero_polynomial_refused(self):
+        with pytest.raises(InputError, match="zero polynomial"):
+            _fox_milnor(())
+        with pytest.raises(InputError, match="zero polynomial"):
+            fox_milnor_test(LaurentPoly({}))
+
+    def test_torus_knots_beyond_the_delta_budget(self):
+        # deg Delta = 26 and 48 exceed FACTOR_DEGREE_BUDGET, deg P = 13 and
+        # 24 do not; every irreducible factor Q of P has |Q(-2)| = 3 or 7,
+        # no square, so no lift is factored
+        for q in (27, 49):
+            assert 2 * FACTOR_DEGREE_BUDGET >= q - 1 > FACTOR_DEGREE_BUDGET
+            assert not fox_milnor_test(alexander_polynomial(torus(2, q)))
+
+
+class TestFoxMilnorAgainstDeltaFactoring:
+    """The verdict from P and its lifts equals the verdict from factoring
+    Delta and pairing reciprocal factors (``oracles``)."""
+
+    @staticmethod
+    def check(v):
+        delta = alexander_polynomial(v)
+        want = fox_milnor_by_delta_factors(delta)
+        assert fox_milnor_test(delta) == want, v
+        return want
+
+    def test_table_knots(self, corpus):
+        verdicts = [self.check(v) for v in corpus.values()]
+        assert any(verdicts) and not all(verdicts)
+
+    def test_random_forms(self):
+        rng = random.Random(41)
+        verdicts = [self.check(random_seifert(rng, g))
+                    for g, count in ((1, 60), (2, 60), (3, 30), (4, 10), (5, 4))
+                    for _ in range(count)]
+        assert any(verdicts) and not all(verdicts)
+
+    def test_knot_minus_itself(self, corpus):
+        rng = random.Random(43)
+        forms = list(corpus.values()) + [random_seifert(rng, g)
+                                         for g in (1, 2, 3) for _ in range(10)]
+        for v in forms:
+            assert self.check(connected_sum(v, mirror(v)))
+
+    def test_twist_knot_doubles(self):
+        # Delta(K_m) splits exactly when 4m + 1 is a square (m = 2, 6, 12)
+        for m in range(1, 13):
+            assert self.check(twist(m)) == (m in (2, 6, 12)), m
+            assert self.check(connected_sum(twist(m), twist(m))), m
+
+    def test_torus_family(self):
+        for p, q in TORUS_FAMILY:
+            assert not self.check(torus(p, q)), (p, q)
+
+    def test_unit_multiples(self, corpus):
+        # +-t^k Delta, and polynomials that are no unit multiple of a
+        # symmetric one
+        for v in list(corpus.values())[:8]:
+            delta = alexander_polynomial(v)
+            for other in (delta.shift(3), -delta.shift(-2), delta.shift(1) + 1,
+                          delta + LaurentPoly({1: 1}), delta * delta.shift(5)):
+                assert fox_milnor_test(other) == (
+                    fox_milnor_by_delta_factors(other)), other
+
+
+def _x_poly_of(f):
+    """The x-polynomial of f(t) f*(t), f* = t^(deg f) f(1/t)."""
+    prod = poly_mul(f, tuple(reversed(f)))
+    return _laurent_to_x(LaurentPoly.from_int_poly(prod, 1 - len(f)))
+
+
+class TestLiftLemma:
+    """``_lift_splits`` against sympy's factorisation of the lift."""
+
+    @staticmethod
+    def sympy_splits(q):
+        r = _lift(q)
+        content, factors = sympy_factor_list(r)
+        assert abs(content) == abs(math.gcd(*q))  # R has the content of Q
+        if q not in ((-2, 1), (2, 1)) and len(factors) > 1:
+            # R = c f f* with f irreducible and f != +-f*
+            (f, m1), (g, m2) = factors
+            assert m1 == m2 == 1
+            mates = {tuple(reversed(f)), tuple(-c for c in reversed(f))}
+            assert g in mates and f not in mates
+        return sum(m for _, m in factors) > 1
+
+    def test_seeded_irreducible_factors(self):
+        rng = random.Random(47)
+        qs = [(-2, 1), (2, 1), (0, 1), (-9, 0, 3), (5, -2), (-15, 6),
+              (-1, 1), (1, 1, 1)]
+        while len(qs) < 60:
+            q = poly_trim([rng.randint(-6, 6) for _ in range(rng.randint(2, 5))])
+            if len(q) > 1 and sympy_is_irreducible(q):
+                qs.append(q)
+        # lifts that split: x-polynomials of f f* for irreducible ones
+        while len(qs) < 90:
+            f = poly_trim([rng.randint(-4, 4) for _ in range(rng.randint(2, 4))])
+            if len(f) < 2 or not f[0]:
+                continue
+            q = _x_poly_of(f)
+            if sympy_is_irreducible(q):
+                qs.append(q)
+                qs.append(tuple(3 * c for c in q))  # content 3
+        splits = [self.sympy_splits(q) for q in qs]
+        assert [_lift_splits(q) for q in qs] == splits
+        assert 20 <= sum(splits) < len(qs)
 
 
 class TestAlgebraicConcordance:

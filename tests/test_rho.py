@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
+from knotbench.errors import InputError
 from knotbench.intervals import AlgebraicAngle, IntervalReal
 from knotbench.invariants import signature_csv, signature_function
 from knotbench.rho import rho0, rho0_from_step_function
@@ -104,6 +105,25 @@ class TestRho0:
         rho0_from_step_function(sf, Fraction(1, 10 ** 100))
         assert len(calls) == 10
         assert not any(a.upper for a in calls)
+
+    @pytest.mark.parametrize("precision", [0, -1, Fraction(-1, 10 ** 6)])
+    def test_nonpositive_precision_refused(self, trefoil, precision):
+        sf = signature_function(trefoil)
+        with pytest.raises(InputError, match="precision must be positive"):
+            rho0_from_step_function(sf, precision)
+
+    @pytest.mark.parametrize("precision", [Fraction(1, 10 ** 60), PREC])
+    def test_json_arcs_do_not_depend_on_precision(self, precision):
+        # the arcs are rendered from their own 10^-14-wide enclosures, so
+        # at 1e-60 and at 1e-6 alike they read as sigfn's jumps
+        sf = signature_function(
+            seifert_matrix_from_braid(BraidWord(2, [1] * 21)))
+        ends = [line.split(",")[1]
+                for line in signature_csv(sf).splitlines()[2:-1]]
+        arcs = rho0_from_step_function(sf, precision).to_json_dict(12)["arcs"]
+        assert len(ends) == 20
+        assert [arc["theta_hi"] for arc in arcs[:-1]] == ends
+        assert [arc["theta_lo"] for arc in arcs[1:]] == ends
 
     def test_json_shape(self, trefoil):
         d = rho0(trefoil, PREC).to_json_dict(12)
