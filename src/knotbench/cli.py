@@ -110,7 +110,7 @@ def _classical_invariants(v) -> dict:
         "d0": delta.span,
         "determinant": determinant(v),
         "arf": arf(v),
-        "signature_at_minus_1": levine_tristram(v, Fraction(1, 2), delta),
+        "signature_at_minus_1": levine_tristram(v, Fraction(1, 2), p),
         "fox_milnor": _fox_milnor(p),
     }
 

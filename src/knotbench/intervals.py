@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from mpmath import iv
 
+from .errors import InputError, PreconditionError
 from .polynomials import poly_to_str, refine_isolating_interval
 
 _ZERO = Fraction(0)
@@ -36,14 +37,16 @@ def _fraction_to_iv(fr: Fraction):
 
 @dataclass(frozen=True)
 class IntervalReal:
-    """Closed interval [lo, hi] guaranteed to contain the represented real."""
+    """Closed interval [lo, hi] guaranteed to contain the represented real.
+
+    lo > hi raises PreconditionError."""
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
+            raise PreconditionError("interval endpoints out of order")
 
     @classmethod
     def exact(cls, v) -> "IntervalReal":
@@ -86,6 +89,10 @@ class IntervalReal:
 
 
 def _coerce(o) -> IntervalReal:
+    """The other operand of an arithmetic operator as an interval.
+
+    Any other type raises TypeError, the error Python itself gives for an
+    unsupported operand type, so it stays outside KnotbenchError."""
     if isinstance(o, IntervalReal):
         return o
     if isinstance(o, (int, Fraction)):
@@ -178,11 +185,11 @@ class AlgebraicAngle:
         once, to width 3 (2 - m) width, which spreads theta by at most
         width / 2; a box touching +-2 is halved first until it does not.
         One enclosure at about log2(1/width) + 32 bits then adds rounding of
-        order 2^-32 width.
+        order 2^-32 width.  A width <= 0 raises InputError.
         """
         width = Fraction(width)
         if width <= 0:
-            raise ValueError("width must be positive")
+            raise InputError("width must be positive")
         angle = self
         while max(-angle.x_lo, angle.x_hi) >= 2:
             angle = angle.refine_x((angle.x_hi - angle.x_lo) / 2)

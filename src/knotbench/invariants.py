@@ -207,8 +207,9 @@ def arf(v: SeifertMatrix) -> int:
 # Levine-Tristram signatures
 
 
-def _omega_is_alexander_root(delta: LaurentPoly, theta: Fraction) -> bool:
-    coeffs, _ = delta.to_int_poly()
+def _omega_is_alexander_root(coeffs: tuple, theta: Fraction) -> bool:
+    """Whether exp(2 pi i theta) is a root of t^k Delta(t), given by its
+    coefficients ``coeffs``, lowest degree first."""
     deg = len(coeffs) - 1
     q = theta.denominator
     # omega is a root iff the q-th cyclotomic polynomial divides Delta;
@@ -279,26 +280,27 @@ def _x_enclosure(ps: tuple, theta: Fraction) -> tuple:
 
 
 def levine_tristram(v: SeifertMatrix, theta: Fraction,
-                    _delta: Optional[LaurentPoly] = None) -> int:
+                    _p: Optional[tuple] = None) -> int:
     """Signature of (1-w)V + (1-conj w)V^T at w = exp(2 pi i theta).
 
     The enclosure of x = 2cos(2 pi theta) from ``_x_enclosure`` holds no
-    root of the x-polynomial of Delta, so it lies in one arc of the
-    signature function; the signature is evaluated exactly at a rational
-    point of that enclosure.  x and the signature are the same at theta
-    and 1 - theta, so the point is taken in (0, 1/2].  Raises
-    PossiblySingularError when omega is a root of Delta.
+    root of the x-polynomial P, so it lies in one arc of the signature
+    function; the signature is evaluated exactly at a rational point of
+    that enclosure.  x and the signature are the same at theta and
+    1 - theta, so the point is taken in (0, 1/2].  Raises
+    PossiblySingularError when omega is a root of Delta.  ``_p`` is
+    ``x_polynomial(v)`` when the caller already holds it.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise PreconditionError("theta must lie in (0, 1)")
     if v.size == 0:
         return 0
-    delta = alexander_polynomial(v) if _delta is None else _delta
-    if _omega_is_alexander_root(delta, theta):
+    p = x_polynomial(v) if _p is None else _p
+    if _omega_is_alexander_root(_lift(p), theta):
         raise PossiblySingularError(
             "possibly singular: omega is a root of the Alexander polynomial")
-    ps = poly_squarefree_part(_laurent_to_x(delta))
+    ps = poly_squarefree_part(p)
     x_lo, x_hi, _ = _x_enclosure(ps, theta)
     if x_lo == -2:
         return _arc_signature(v, None)
@@ -343,8 +345,7 @@ class SignatureStepFunction:
         theta = Fraction(theta)
         if not 0 < theta < 1:
             raise PreconditionError("theta must lie in (0, 1)")
-        delta = LaurentPoly.from_int_poly(self.delta_coeffs)
-        if _omega_is_alexander_root(delta, theta):
+        if _omega_is_alexander_root(self.delta_coeffs, theta):
             raise PreconditionError(
                 "signature undefined exactly at a jump angle")
         if not self.jumps:
@@ -387,11 +388,14 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     n + 1 arcs.  Each arc but the last is evaluated at a rational point of
     the x-gap between its Sturm boxes; the last one holds theta = 1/2.
     The arcs in [1/2, 1) mirror them, as sigma(theta) = sigma(1 - theta).
+    Each jump's minimal polynomial is the irreducible factor of ps that
+    changes sign across its box; ps is factored only when it has such a
+    root, so a signature function without jumps costs no factorisation.
     """
     p = x_polynomial(v)
     ps, boxes, points = _arcs(p)
 
-    _, factors = factor_integer_poly(ps)
+    factors = factor_integer_poly(ps)[1] if boxes else ()
     angles_low = []
     # theta = acos(x/2)/2pi is decreasing in x
     for lo, hi in reversed(boxes):
@@ -461,6 +465,12 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
+def _squares_at_pm2(*ps: tuple) -> bool:
+    """Whether |prod_i P_i(2)| and |prod_i P_i(-2)| are both squares."""
+    return all(_is_square(abs(math.prod(poly_eval(p, x) for p in ps)))
+               for x in (2, -2))
+
+
 def fox_milnor_test(delta: LaurentPoly) -> bool:
     """True iff Delta(t) = +-t^k f(t) f(1/t) for some integer polynomial f.
 
@@ -497,7 +507,7 @@ def _lift_splits(q: tuple) -> bool:
     R is factored only when |Q(2)| and |Q(-2)| are squares.
     """
     q = poly_primitive(q)
-    if not all(_is_square(abs(poly_eval(q, x))) for x in (2, -2)):
+    if not _squares_at_pm2(q):
         return False
     return sum(m for _, m in factor_integer_poly(_lift(q))[1]) > 1
 
@@ -519,11 +529,20 @@ def _fox_milnor(*ps: tuple) -> bool:
     give the pairs, t +- 1 has multiplicity 2m, and an irreducible R is
     self-reciprocal: the condition holds iff |c| is a square and every Q
     of odd multiplicity is x +- 2 or has a lift that splits.
+
+    Nothing is factored unless |prod_i P_i(2)| and |prod_i P_i(-2)| are
+    both squares, a necessary condition: Delta(+-1) = prod_i P_i(+-2), and
+    Delta = +-t^k f(t) f(1/t) gives Delta(1) = +-f(1)^2 and
+    Delta(-1) = +-(-1)^k f(-1)^2.  This is the test (iii) of
+    ``_lift_splits`` applied to Delta; for the x-polynomial of a Seifert
+    matrix P(2) = 1, so it asks that the knot determinant be a square.
     """
+    if not all(ps):
+        raise InputError("Fox-Milnor test of the zero polynomial")
+    if not _squares_at_pm2(*ps):
+        return False
     content, mult = 1, {}
     for p in ps:
-        if not p:
-            raise InputError("Fox-Milnor test of the zero polynomial")
         c, factors = factor_integer_poly(p)
         content *= c
         for q, m in factors:

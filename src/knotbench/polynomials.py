@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, PreconditionError
 from .seifert import integer_determinant
 
 Coeffs = tuple  # integer coefficients, index = degree
@@ -312,8 +312,9 @@ def refine_isolating_interval(p_sf: Sequence, a: Fraction, b: Fraction,
     k = deg p, and those at the endpoints carry over from the step that
     found them (times 2^k when den doubles).
 
-    Endpoint signs must differ (simple root); returned endpoints are never
-    roots, and their signs differ.
+    Endpoint signs must differ (simple root); an endpoint that is a root
+    raises PreconditionError.  Returned endpoints are never roots, and
+    their signs differ.
     """
     a, b, width = Fraction(a), Fraction(b), Fraction(width)
     den = math.lcm(a.denominator, b.denominator)
@@ -321,7 +322,8 @@ def refine_isolating_interval(p_sf: Sequence, a: Fraction, b: Fraction,
     hi = b.numerator * (den // b.denominator)
     f_lo, f_hi = _scaled_value(p_sf, lo, den), _scaled_value(p_sf, hi, den)
     if f_lo == 0 or f_hi == 0:
-        raise ValueError("isolating interval endpoints must not be roots")
+        raise PreconditionError(
+            "isolating interval endpoints must not be roots")
     pos_lo = f_lo > 0  # the sign left of the root
     gap = hi - lo
     two_k = 1 << (len(p_sf) - 1)
@@ -683,22 +685,6 @@ class LaurentPoly:
     def is_symmetric(self) -> bool:
         return self == self.reciprocal()
 
-    def unit_normalize_symmetric(self) -> "LaurentPoly":
-        """Multiply by +-t^k to center the support and make the value at 1
-        positive; raises if the support cannot be centered."""
-        if self.is_zero():
-            return self
-        s = self.min_exp + self.max_exp
-        if s % 2:
-            raise ValueError("support cannot be symmetrized by a unit shift")
-        q = self.shift(-s // 2)
-        v = q(1)
-        if v < 0:
-            q = -q
-        if not q.is_symmetric():
-            raise ValueError("polynomial is not reciprocal")
-        return q
-
     def to_int_poly(self):
         """Return (coeffs, shift) with t^shift * poly == self."""
         if self.is_zero():
@@ -717,6 +703,10 @@ class LaurentPoly:
 
 
 def _as_laurent(o) -> LaurentPoly:
+    """The other operand of an arithmetic operator as a Laurent polynomial.
+
+    Any other type raises TypeError, the error Python itself gives for an
+    unsupported operand type, so it stays outside KnotbenchError."""
     if isinstance(o, LaurentPoly):
         return o
     if isinstance(o, int):
@@ -751,9 +741,10 @@ def poly_matrix_det(mat) -> Coeffs:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> Coeffs:
-    """Coefficients of the n-th cyclotomic polynomial."""
+    """Coefficients of the n-th cyclotomic polynomial; n < 1 raises
+    InputError."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     num = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
     for d in range(1, n):
         if n % d == 0:

@@ -55,6 +55,22 @@ from knotbench.polynomials import (
 from knotbench.seifert import SeifertMatrix
 
 
+def unit_normalize_symmetric(p: LaurentPoly) -> LaurentPoly:
+    """Multiply by +-t^k to center the support and make the value at 1
+    positive; raises if the support cannot be centered."""
+    if p.is_zero():
+        return p
+    s = p.min_exp + p.max_exp
+    if s % 2:
+        raise ValueError("support cannot be symmetrized by a unit shift")
+    q = p.shift(-s // 2)
+    if q(1) < 0:
+        q = -q
+    if not q.is_symmetric():
+        raise ValueError("polynomial is not reciprocal")
+    return q
+
+
 def arf_via_determinant(v: SeifertMatrix) -> int:
     """Levine's rule: Arf = 0 iff |Delta(-1)| = +-1 mod 8."""
     return 0 if determinant(v) % 8 in (1, 7) else 1
@@ -181,7 +197,7 @@ def alexander_via_burau(b: BraidWord) -> LaurentPoly:
     if not det:
         return LaurentPoly({})
     quo = poly_div_exact(det, tuple([1] * n))  # 1 + t + ... + t^(n-1)
-    return LaurentPoly.from_int_poly(quo).unit_normalize_symmetric()
+    return unit_normalize_symmetric(LaurentPoly.from_int_poly(quo))
 
 
 def charpoly_signature(rows) -> int:

@@ -15,7 +15,7 @@ from knotbench.polynomials import LaurentPoly
 from knotbench.seifert import integer_determinant
 
 from conftest import random_knot_braid
-from oracles import alexander_via_burau
+from oracles import alexander_via_burau, unit_normalize_symmetric
 
 
 class TestParse:
@@ -90,7 +90,7 @@ class TestSeifertFromBraid:
         a = LaurentPoly({0: -1, 1: 1})
         oracle = a * a - LaurentPoly({0: 1}) * LaurentPoly({1: -1})
         assert oracle == LaurentPoly({2: 1, 1: -1, 0: 1})
-        assert alexander_polynomial(trefoil) == oracle.unit_normalize_symmetric()
+        assert alexander_polynomial(trefoil) == unit_normalize_symmetric(oracle)
 
     def test_figure_eight_invariants(self, figure_eight):
         assert figure_eight.size == 2

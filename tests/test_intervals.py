@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from knotbench.errors import InputError, PreconditionError
 from knotbench.intervals import (
     AlgebraicAngle,
     IntervalReal,
@@ -23,7 +24,7 @@ def mpf_to_fraction(x) -> Fraction:
 
 class TestIntervalReal:
     def test_order_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError, match="out of order"):
             IntervalReal(Fraction(1), Fraction(0))
 
     def test_arithmetic_encloses(self):
@@ -82,6 +83,12 @@ class TestAlgebraicAngle:
         enc = a.enclosure_to_width(Fraction(1, 10 ** 15))
         assert enc.contains(Fraction(1, 6))
         assert enc.width <= Fraction(1, 10 ** 15)
+
+    @pytest.mark.parametrize("width", [0, Fraction(-1, 10)])
+    def test_nonpositive_width_refused(self, width):
+        a = AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2))
+        with pytest.raises(InputError, match="width must be positive"):
+            a.enclosure_to_width(width)
 
     def test_conjugate_pairing(self):
         a = AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2))

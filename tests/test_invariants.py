@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import knotbench.invariants as invariants
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
 from knotbench.errors import InputError, PossiblySingularError, PreconditionError
 from knotbench.invariants import (
@@ -37,7 +39,7 @@ from conftest import random_seifert
 from oracles import (arf_via_determinant, fox_milnor_by_delta_factors,
                      poly_matrix_det, sample_levine_tristram_float,
                      sympy_factor_list, sympy_is_irreducible,
-                     tan_in_gap_by_doubling)
+                     tan_in_gap_by_doubling, unit_normalize_symmetric)
 
 K61 = SeifertMatrix([[1, 1], [0, -2]])
 # det V = 0: Delta = 1, and deg P < g in every connected sum with it
@@ -61,7 +63,7 @@ class TestAlexander:
         tm1 = LaurentPoly({1: 1, 0: -1})
         direct = tm1 * tm1 + LaurentPoly({1: 1})
         assert direct == LaurentPoly({2: 1, 1: -1, 0: 1})
-        assert alexander_polynomial(trefoil) == direct.unit_normalize_symmetric()
+        assert alexander_polynomial(trefoil) == unit_normalize_symmetric(direct)
         assert alexander_polynomial(trefoil) == LaurentPoly({1: 1, 0: -1, -1: 1})
 
     def test_unknot(self):
@@ -83,9 +85,8 @@ class TestAlexander:
 
     def test_multiplicative_under_connected_sum(self, trefoil, figure_eight):
         s = connected_sum(trefoil, figure_eight)
-        assert alexander_polynomial(s) == (
-            alexander_polynomial(trefoil) * alexander_polynomial(figure_eight)
-        ).unit_normalize_symmetric()
+        assert alexander_polynomial(s) == unit_normalize_symmetric(
+            alexander_polynomial(trefoil) * alexander_polynomial(figure_eight))
 
     def test_mirror_invariant(self, trefoil):
         assert alexander_polynomial(mirror(trefoil)) == alexander_polynomial(trefoil)
@@ -372,6 +373,22 @@ class TestSignatureFunction:
         sf = signature_function(s)
         assert sf.values == (0, -4, 0)
 
+    def test_pinned_jumps_and_values(self, corpus):
+        # sha256 of every jump (minimal polynomial and Sturm box) and arc
+        # value over the table and 100 seeded forms, as computed when ps
+        # was factored for every knot
+        rng = random.Random(53)
+        forms = list(corpus.values()) + [
+            random_seifert(rng, g)
+            for g, count in ((1, 40), (2, 30), (3, 20), (4, 10))
+            for _ in range(count)]
+        h = hashlib.sha256()
+        for v in forms:
+            sf = signature_function(v)
+            h.update(f"{sf.jumps!r} {sf.values!r}\n".encode())
+        assert h.hexdigest() == (
+            "d1bfc4e73d5d8379c9af2c52f74c2e5901acc39229a36b7253d7aa22a2d14b5a")
+
     def test_csv_export(self, trefoil):
         out = signature_csv(signature_function(trefoil), digits=12)
         lines = out.strip().split("\n")
@@ -408,7 +425,7 @@ class TestFoxMilnor:
         f = LaurentPoly({1: 2, 0: -1})
         prod = f * f.reciprocal()
         assert prod == LaurentPoly({1: -2, 0: 5, -1: -2})
-        assert prod.unit_normalize_symmetric() == alexander_polynomial(K61)
+        assert unit_normalize_symmetric(prod) == alexander_polynomial(K61)
 
     def test_square_knot_passes(self, trefoil):
         sq = connected_sum(trefoil, mirror(trefoil))
@@ -419,6 +436,13 @@ class TestFoxMilnor:
             _fox_milnor(())
         with pytest.raises(InputError, match="zero polynomial"):
             fox_milnor_test(LaurentPoly({}))
+
+    def test_determinant_filter_needs_both_squares(self):
+        # |P(2)| and |P(-2)| must both be squares before anything is
+        # factored: P(2) = 4 with P(-2) = -8, and P(2) = 2 with P(-2) = -2
+        assert not _fox_milnor((-2, 3)) and not _fox_milnor((0, 1))
+        assert _fox_milnor((2, 1), (2, 1)) and _fox_milnor((4,))
+        assert not _fox_milnor((2,))
 
     def test_torus_knots_beyond_the_delta_budget(self):
         # deg Delta = 26 and 48 exceed FACTOR_DEGREE_BUDGET, deg P = 13 and
@@ -440,9 +464,23 @@ class TestFoxMilnorAgainstDeltaFactoring:
         assert fox_milnor_test(delta) == want, v
         return want
 
+    @staticmethod
+    def passes_filter(delta):
+        # |Delta(1)| and |Delta(-1)| both squares: the verdict comes from
+        # factoring, not from the determinant filter
+        values = (abs(int(delta(1))), abs(int(delta(-1))))
+        return all(math.isqrt(n) ** 2 == n for n in values)
+
     def test_table_knots(self, corpus):
         verdicts = [self.check(v) for v in corpus.values()]
         assert any(verdicts) and not all(verdicts)
+
+    def test_square_determinant_table_knots(self, corpus):
+        square = {name: v for name, v in corpus.items()
+                  if math.isqrt(determinant(v)) ** 2 == determinant(v)}
+        assert {"6_1", "9_1", "granny", "square"} <= set(square)
+        verdicts = {name: self.check(v) for name, v in square.items()}
+        assert not verdicts["9_1"] and verdicts["6_1"] and verdicts["granny"]
 
     def test_random_forms(self):
         rng = random.Random(41)
@@ -456,13 +494,17 @@ class TestFoxMilnorAgainstDeltaFactoring:
         forms = list(corpus.values()) + [random_seifert(rng, g)
                                          for g in (1, 2, 3) for _ in range(10)]
         for v in forms:
-            assert self.check(connected_sum(v, mirror(v)))
+            s = connected_sum(v, mirror(v))
+            assert self.passes_filter(alexander_polynomial(s))
+            assert self.check(s)
 
     def test_twist_knot_doubles(self):
         # Delta(K_m) splits exactly when 4m + 1 is a square (m = 2, 6, 12)
         for m in range(1, 13):
             assert self.check(twist(m)) == (m in (2, 6, 12)), m
-            assert self.check(connected_sum(twist(m), twist(m))), m
+            double = connected_sum(twist(m), twist(m))
+            assert self.passes_filter(alexander_polynomial(double))
+            assert self.check(double), m
 
     def test_torus_family(self):
         for p, q in TORUS_FAMILY:
@@ -477,6 +519,62 @@ class TestFoxMilnorAgainstDeltaFactoring:
                           delta + LaurentPoly({1: 1}), delta * delta.shift(5)):
                 assert fox_milnor_test(other) == (
                     fox_milnor_by_delta_factors(other)), other
+
+    def test_products_and_multiples(self, corpus):
+        # products of table Deltas, and multiples with |P(2)| != 1: by 4
+        # and -9, and by the lifts of x (P(2) = 2), x + 2 ((t + 1)^2 / t,
+        # P(2) = 4), 3x - 2 (P(-2) = -8) and x^2 - 2 (P(+-2) = 2)
+        deltas = [alexander_polynomial(v) for v in corpus.values()][:10]
+        extra = [LaurentPoly.constant(4), LaurentPoly.constant(-9),
+                 LaurentPoly({1: 1, -1: 1}), LaurentPoly({1: 1, 0: 2, -1: 1}),
+                 LaurentPoly({1: 3, 0: -2, -1: 3}),
+                 LaurentPoly({2: 1, -2: 1})]
+        inputs = [a * b for a, b in itertools.combinations(deltas, 2)]
+        inputs += [d * e for d in deltas for e in extra]
+        inputs += [d * e * e for d in deltas[:4] for e in extra]
+        assert sum(self.passes_filter(x) for x in inputs) >= 20
+        assert sum(abs(x(1)) != 1 for x in inputs) >= 50
+        for x in inputs:
+            assert fox_milnor_test(x) == fox_milnor_by_delta_factors(x), x
+
+
+def _count_factor_calls(monkeypatch):
+    calls = []
+    factor = invariants.factor_integer_poly
+
+    def counting(p):
+        calls.append(p)
+        return factor(p)
+
+    monkeypatch.setattr(invariants, "factor_integer_poly", counting)
+    return calls
+
+
+class TestFactoringOnlyWhenNeeded:
+    def test_nonsquare_determinant_factors_nothing(self, trefoil,
+                                                   monkeypatch):
+        calls = _count_factor_calls(monkeypatch)
+        assert not fox_milnor_test(alexander_polynomial(trefoil))  # det 3
+        assert not _fox_milnor(x_polynomial(torus(2, 5)))  # det 5
+        assert calls == []
+        # det 9 passes the filter: P = (x - 1)^2 is factored, and its
+        # factor of even multiplicity needs no lift
+        sq = connected_sum(trefoil, mirror(trefoil))
+        assert fox_milnor_test(alexander_polynomial(sq))
+        assert calls == [(1, -2, 1)]
+
+    def test_rootless_x_polynomial_factors_nothing(self, figure_eight,
+                                                   monkeypatch):
+        calls = _count_factor_calls(monkeypatch)
+        # 4_1: P = x - 3, no root in (-2, 2), so no jump
+        assert signature_function(figure_eight).jumps == ()
+        assert calls == []
+
+    def test_jumps_still_factor_once(self, monkeypatch):
+        calls = _count_factor_calls(monkeypatch)
+        sf = signature_function(torus(2, 5))
+        assert len(sf.jumps) == 4
+        assert calls == [sf.x_poly]  # one factorisation of ps, as before
 
 
 def _x_poly_of(f):

@@ -24,6 +24,30 @@ def test_no_assert_statements():
     assert found == []
 
 
+# the two operand coercions raise TypeError, the error Python itself
+# gives for an unsupported operand type
+_COERCION_SITES = {("intervals.py", "_coerce"), ("polynomials.py", "_as_laurent")}
+
+
+def test_no_bare_builtin_raises():
+    # every failure is a KnotbenchError subclass with a documented exit
+    # code; a bare ValueError or TypeError would escape the CLI's handler
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {node for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef)
+                   and (path.name, func.name) in _COERCION_SITES
+                   for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and node.exc is not None
+                    and node not in allowed):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) in ("ValueError", "TypeError"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_unused_top_level_imports():
     # a module-level import that no name in the module reads (and that
     # __all__ does not re-export) is dead weight on every start-up
