@@ -7,6 +7,10 @@ digits of rendered angles (rho, sigfn).  Exit codes: 0 success (and
 --help, --version), 1 malformed input or command line, 2 precondition or
 budget violation, 3 the evaluation point is exactly a root of the
 Alexander polynomial ("possibly singular").
+
+Each command imports only the modules it uses.  ``invariants`` and
+``table`` are exact and never load ``knotbench.intervals`` or mpmath;
+``rho`` and ``sigfn`` load both to enclose jump angles.
 """
 
 from __future__ import annotations
@@ -57,13 +61,14 @@ def _parse_precision(text: str) -> Fraction:
 
 def _load_knot(args):
     """Resolve --braid / --seifert / --input into (echo, SeifertMatrix)."""
-    from .braids import parse_braid, seifert_matrix_from_braid
     from .seifert import SeifertMatrix, _entry_from_record
 
     sources = [s for s in (args.braid, args.seifert, args.input) if s]
     if len(sources) != 1:
         raise InputError("give exactly one of --braid, --seifert, --input")
     if args.braid:
+        from .braids import parse_braid, seifert_matrix_from_braid
+
         b = parse_braid(args.braid)
         return {"braid": str(b)}, seifert_matrix_from_braid(b)
     if args.seifert:

@@ -25,7 +25,7 @@ _GUARD_BITS = 32
 def _raw_mpf_to_fraction(raw) -> Fraction:
     sign, man, exp, _ = raw
     if man == 0 and exp != 0:
-        raise OverflowError("non-finite interval endpoint")
+        raise PreconditionError("non-finite interval endpoint")
     v = Fraction(int(man)) * Fraction(2) ** int(exp)
     return -v if sign else v
 

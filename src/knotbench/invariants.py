@@ -14,6 +14,13 @@ constant on the arcs between the jumps, so each arc value is the
 signature of a Hermitian matrix over Z[i] at one rational point
 tan(pi theta) = p/q of the arc; intervals only locate a given theta among
 the roots.
+
+Delta, the determinant, Arf and sigma(-1) = sign(V + V^T) are integers and
+need no interval arithmetic.  ``intervals``, and mpmath with it, is imported
+only inside the three functions that enclose a jump angle or a given theta:
+``_x_enclosure``, ``signature_function`` and ``signature_csv``.  So the
+``invariants`` and ``table`` commands never load it; ``rho`` and ``sigfn``
+do.
 """
 
 from __future__ import annotations
@@ -27,12 +34,6 @@ from typing import Optional
 
 from .errors import InputError, PossiblySingularError, PreconditionError
 from .hermitian import hermitian_signature
-from .intervals import (
-    AlgebraicAngle,
-    cos_2pi,
-    enclose_angles,
-    format_decimal,
-)
 from .polynomials import (
     LaurentPoly,
     _quotient,
@@ -267,6 +268,8 @@ def _x_enclosure(ps: tuple, theta: Fraction) -> tuple:
     roots of ps in (x_hi, 2), which is the index of theta's arc in (0, 1/2].
     The precision doubles until the enclosure misses every root, so theta
     must not be a jump."""
+    from .intervals import cos_2pi
+
     chain = sturm_sequence(ps)
     prec = _BASE_PREC
     while True:
@@ -287,9 +290,12 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction,
     root of the x-polynomial P, so it lies in one arc of the signature
     function; the signature is evaluated exactly at a rational point of
     that enclosure.  x and the signature are the same at theta and
-    1 - theta, so the point is taken in (0, 1/2].  Raises
-    PossiblySingularError when omega is a root of Delta.  ``_p`` is
-    ``x_polynomial(v)`` when the caller already holds it.
+    1 - theta, so the point is taken in (0, 1/2].  At theta = 1/2, where
+    omega = -1, the form is 2(V + V^T) and the signature is that of
+    V + V^T, taken directly with no enclosure; the general path gives the
+    same, as x_lo clamps to -2 there.  Raises PossiblySingularError when
+    omega is a root of Delta.  ``_p`` is ``x_polynomial(v)`` when the
+    caller already holds it.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -300,6 +306,8 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction,
     if _omega_is_alexander_root(_lift(p), theta):
         raise PossiblySingularError(
             "possibly singular: omega is a root of the Alexander polynomial")
+    if theta == Fraction(1, 2):
+        return _arc_signature(v, None)
     ps = poly_squarefree_part(p)
     x_lo, x_hi, _ = _x_enclosure(ps, theta)
     if x_lo == -2:
@@ -392,6 +400,8 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     changes sign across its box; ps is factored only when it has such a
     root, so a signature function without jumps costs no factorisation.
     """
+    from .intervals import AlgebraicAngle
+
     p = x_polynomial(v)
     ps, boxes, points = _arcs(p)
 
@@ -418,6 +428,8 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
 
 def signature_csv(sf: SignatureStepFunction, digits: int = 12) -> str:
     """Render the step function as CSV with decimal arc endpoints."""
+    from .intervals import enclose_angles, format_decimal
+
     polys = []
     for a in sf.jumps:
         s = poly_to_str(a.poly)

@@ -87,12 +87,12 @@ def poly_derivative(p: Sequence) -> Coeffs:
 
 def poly_div_exact(p: Sequence, q: Sequence) -> Coeffs:
     """p / q for integer polynomials where q divides p over Z; raises
-    ArithmeticError when it does not."""
+    PreconditionError when it does not, and InputError for q = 0."""
     if not q:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise InputError("polynomial division by zero")
     quo = _quotient(p, q)
     if quo is None:
-        raise ArithmeticError("inexact polynomial division")
+        raise PreconditionError("inexact polynomial division")
     return quo
 
 

@@ -8,6 +8,7 @@ from knotbench.errors import InputError, PreconditionError
 from knotbench.intervals import (
     AlgebraicAngle,
     IntervalReal,
+    _iv_to_interval,
     angle_from_cos_half,
     cos_2pi,
     enclose_angles,
@@ -40,6 +41,10 @@ class TestIntervalReal:
             assert (ia - ib).contains(a - b)
             assert (ia * ib).contains(a * b)
             assert (-ia).contains(-a)
+
+    def test_non_finite_endpoint_refused(self):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            _iv_to_interval(mpmath.iv.mpf([0, "inf"]))
 
     def test_intersects(self):
         a = IntervalReal(Fraction(0), Fraction(1))

@@ -39,7 +39,8 @@ from conftest import random_seifert
 from oracles import (arf_via_determinant, fox_milnor_by_delta_factors,
                      poly_matrix_det, sample_levine_tristram_float,
                      sympy_factor_list, sympy_is_irreducible,
-                     tan_in_gap_by_doubling, unit_normalize_symmetric)
+                     symmetric_signature_reference, tan_in_gap_by_doubling,
+                     unit_normalize_symmetric)
 
 K61 = SeifertMatrix([[1, 1], [0, -2]])
 # det V = 0: Delta = 1, and deg P < g in every connected sum with it
@@ -232,7 +233,7 @@ class TestLevineTristram:
     def test_next_to_a_jump(self, trefoil, monkeypatch):
         # the trefoil jumps from 0 to -2 at theta = 1/6; at 2^-100 from it
         # the 64-bit enclosure of x still holds the root x = 1
-        import knotbench.invariants as inv
+        import knotbench.intervals as intervals
 
         precs = []
 
@@ -240,7 +241,7 @@ class TestLevineTristram:
             precs.append(prec_bits)
             return cos_2pi(theta, prec_bits)
 
-        monkeypatch.setattr(inv, "cos_2pi", recording_cos_2pi)
+        monkeypatch.setattr(intervals, "cos_2pi", recording_cos_2pi)
         for e in (60, 100):
             eps = Fraction(1, 2 ** e)
             for theta, want in ((Fraction(1, 6) - eps, 0),
@@ -251,6 +252,26 @@ class TestLevineTristram:
                 assert levine_tristram(trefoil, theta) == want, (e, theta)
                 if e == 100:
                     assert max(precs) > 64  # the precision loop ran
+
+    def test_at_minus_one_needs_no_enclosure(self, corpus, monkeypatch):
+        # omega = -1: sigma(1/2) = sign(V + V^T), with no cos_2pi call
+        import knotbench.intervals as intervals
+
+        calls = []
+        monkeypatch.setattr(intervals, "cos_2pi", lambda theta, prec_bits:
+                            calls.append(theta) or cos_2pi(theta, prec_bits))
+        rng = random.Random(18)
+        forms = (list(corpus.values())
+                 + [random_seifert(rng, 1 + k % 5) for k in range(100)]
+                 + [torus(2, q) for q in range(3, 23, 2)]
+                 + [torus(3, 4), torus(3, 5), torus(4, 3)])
+        half = Fraction(1, 2)
+        got = [levine_tristram(v, half) for v in forms]
+        assert calls == []
+        monkeypatch.undo()
+        for v, sigma in zip(forms, got):
+            assert sigma == symmetric_signature_reference(v.symmetric_part())
+            assert sigma == signature_function(v).value_at(half)
 
     def test_theta_domain(self, trefoil):
         with pytest.raises(PreconditionError):

@@ -1,6 +1,7 @@
 """Source-level guards over the package modules."""
 
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -27,11 +28,14 @@ def test_no_assert_statements():
 # the two operand coercions raise TypeError, the error Python itself
 # gives for an unsupported operand type
 _COERCION_SITES = {("intervals.py", "_coerce"), ("polynomials.py", "_as_laurent")}
+_BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
+                       if isinstance(obj, type)
+                       and issubclass(obj, BaseException)}
 
 
 def test_no_bare_builtin_raises():
     # every failure is a KnotbenchError subclass with a documented exit
-    # code; a bare ValueError or TypeError would escape the CLI's handler
+    # code; a builtin exception would escape the CLI's handler
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -40,11 +44,12 @@ def test_no_bare_builtin_raises():
                    and (path.name, func.name) in _COERCION_SITES
                    for node in ast.walk(func)}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Raise) and node.exc is not None
-                    and node not in allowed):
+            if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if getattr(exc, "id", None) in ("ValueError", "TypeError"):
-                    found.append(f"{path.name}:{node.lineno}")
+                name = getattr(exc, "id", None)
+                if name in _BUILTIN_EXCEPTIONS and not (
+                        name == "TypeError" and node in allowed):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
 
 
@@ -126,6 +131,46 @@ def test_requests_never_import_sympy():
     assert blocked[-1] is False and plain[-1] is False
     assert all(code == 0 for code, _ in blocked[:5])
     assert blocked[:-1] == plain[:-1]
+
+
+# exact requests first, then one that encloses jump angles
+_EXACT_SCRIPT = r"""
+import contextlib, io, json, sys
+from knotbench import cli
+
+def loaded():
+    return [name in sys.modules
+            for name in ("mpmath", "knotbench.intervals", "knotbench.braids")]
+
+out = []
+for argv in (["invariants", "--seifert", "[[-1,1],[0,-1]]"],
+             ["invariants", "--braid", "n=3; 1 -2 1 -2"],
+             ["table", sys.argv[1]],
+             ["sigfn", "--braid", "n=2; 1 1 1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    out.append([argv[0], code, loaded()])
+print(json.dumps(out))
+"""
+
+
+def test_exact_requests_never_import_intervals():
+    # invariants and table are integer computations: neither mpmath nor
+    # knotbench.intervals may load for them, and braids only for --braid;
+    # sigfn shows the check can fail
+    from conftest import TABLE_PATH
+
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_SCRIPT, str(TABLE_PATH)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["invariants", 0, [False, False, False]],
+        ["invariants", 0, [False, False, True]],
+        ["table", 0, [False, False, True]],
+        ["sigfn", 0, [True, True, True]],
+    ]
 
 
 def test_traced_layers_resolve():
