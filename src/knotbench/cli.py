@@ -103,19 +103,20 @@ def _classical_invariants(v) -> dict:
         _delta_of_x,
         _fox_milnor,
         arf,
-        determinant,
         levine_tristram,
         x_polynomial,
     )
+    from .polynomials import poly_eval
 
     p = x_polynomial(v)
     delta = _delta_of_x(p)
     return {
         "alexander": str(delta),
         "d0": delta.span,
-        "determinant": determinant(v),
+        # P(-2) = Delta(-1) = +-det(V + V^T)
+        "determinant": abs(poly_eval(p, -2)),
         "arf": arf(v),
-        "signature_at_minus_1": levine_tristram(v, Fraction(1, 2), p),
+        "signature_at_minus_1": levine_tristram(v, Fraction(1, 2)),
         "fox_milnor": _fox_milnor(p),
     }
 
@@ -149,7 +150,7 @@ def cmd_rho(args) -> None:
 
 def cmd_sigfn(args) -> None:
     from .invariants import signature_csv, signature_function
-    from .intervals import enclose_angles, format_decimal
+    from .intervals import format_angles
     from .polynomials import poly_to_str
 
     echo, v = _load_knot(args)
@@ -157,9 +158,9 @@ def cmd_sigfn(args) -> None:
     if args.csv:
         sys.stdout.write(signature_csv(sf, args.digits))
         return
-    enc = enclose_angles(sf.jumps, Fraction(1, 10 ** (args.digits + 2)))
-    jumps = [{"theta": format_decimal(enc[a].mid, args.digits),
-              "min_poly_x": poly_to_str(a.poly)} for a in sf.jumps]
+    thetas = format_angles(sf.jumps, args.digits)
+    jumps = [{"theta": theta, "min_poly_x": poly_to_str(a.poly)}
+             for theta, a in zip(thetas, sf.jumps)]
     _emit(_report(echo, {"jumps": jumps, "arc_values": list(sf.values)}))
 
 

@@ -222,6 +222,17 @@ def enclose_angles(angles, width: Fraction) -> dict:
     return enc
 
 
+def format_angles(angles, digits: int) -> list:
+    """Each of ``angles`` rendered with ``digits`` decimal digits, from the
+    midpoint of its own enclosure of width at most 10^-(digits+2).
+
+    The width depends on ``digits`` alone, so the rendering of an angle is
+    the same wherever it is printed, whatever other widths it was enclosed
+    to elsewhere."""
+    enc = enclose_angles(angles, Fraction(1, 10 ** (digits + 2)))
+    return [format_decimal(enc[a].mid, digits) for a in angles]
+
+
 def format_decimal(fr: Fraction, digits: int) -> str:
     """Deterministic fixed-point rendering of a rational."""
     fr = Fraction(fr)

@@ -282,32 +282,31 @@ def _x_enclosure(ps: tuple, theta: Fraction) -> tuple:
         prec *= 2
 
 
-def levine_tristram(v: SeifertMatrix, theta: Fraction,
-                    _p: Optional[tuple] = None) -> int:
+def levine_tristram(v: SeifertMatrix, theta: Fraction) -> int:
     """Signature of (1-w)V + (1-conj w)V^T at w = exp(2 pi i theta).
 
-    The enclosure of x = 2cos(2 pi theta) from ``_x_enclosure`` holds no
-    root of the x-polynomial P, so it lies in one arc of the signature
+    At theta = 1/2, where omega = -1, the form is 2(V + V^T) and the
+    signature is that of V + V^T, taken directly: omega = -1 is never a
+    root of Delta, as |Delta(-1)| = |det(V + V^T)| and V + V^T = V - V^T
+    mod 2 give det(V + V^T) = det(V - V^T) = 1 mod 2.  Elsewhere the
+    enclosure of x = 2cos(2 pi theta) from ``_x_enclosure`` holds no root
+    of the x-polynomial P, so it lies in one arc of the signature
     function; the signature is evaluated exactly at a rational point of
     that enclosure.  x and the signature are the same at theta and
-    1 - theta, so the point is taken in (0, 1/2].  At theta = 1/2, where
-    omega = -1, the form is 2(V + V^T) and the signature is that of
-    V + V^T, taken directly with no enclosure; the general path gives the
-    same, as x_lo clamps to -2 there.  Raises PossiblySingularError when
-    omega is a root of Delta.  ``_p`` is ``x_polynomial(v)`` when the
-    caller already holds it.
+    1 - theta, so the point is taken in (0, 1/2].  Raises
+    PossiblySingularError when omega is a root of Delta.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise PreconditionError("theta must lie in (0, 1)")
     if v.size == 0:
         return 0
-    p = x_polynomial(v) if _p is None else _p
+    if theta == Fraction(1, 2):
+        return _arc_signature(v, None)
+    p = x_polynomial(v)
     if _omega_is_alexander_root(_lift(p), theta):
         raise PossiblySingularError(
             "possibly singular: omega is a root of the Alexander polynomial")
-    if theta == Fraction(1, 2):
-        return _arc_signature(v, None)
     ps = poly_squarefree_part(p)
     x_lo, x_hi, _ = _x_enclosure(ps, theta)
     if x_lo == -2:
@@ -428,7 +427,7 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
 
 def signature_csv(sf: SignatureStepFunction, digits: int = 12) -> str:
     """Render the step function as CSV with decimal arc endpoints."""
-    from .intervals import enclose_angles, format_decimal
+    from .intervals import format_angles
 
     polys = []
     for a in sf.jumps:
@@ -438,9 +437,7 @@ def signature_csv(sf: SignatureStepFunction, digits: int = 12) -> str:
     lines = ["# jump minimal polynomials (x = t + 1/t): "
              + ("; ".join(polys) if polys else "none")]
     lines.append("theta_lo,theta_hi,sigma")
-    enc = enclose_angles(sf.jumps, Fraction(1, 10 ** (digits + 2)))
-    points = (["0"] + [format_decimal(enc[a].mid, digits) for a in sf.jumps]
-              + ["1"])
+    points = ["0"] + format_angles(sf.jumps, digits) + ["1"]
     for k, val in enumerate(sf.values):
         lines.append(f"{points[k]},{points[k + 1]},{val}")
     return "\n".join(lines) + "\n"

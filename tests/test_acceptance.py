@@ -42,7 +42,6 @@ from knotbench.invariants import (
     fox_milnor_test,
     levine_tristram,
     signature_function,
-    x_polynomial,
 )
 from knotbench.polynomials import LaurentPoly
 from knotbench.rho import rho0, rho0_from_step_function
@@ -288,7 +287,6 @@ def test_criterion_7_property_suites(knot_table):
         # signature arc constancy: three rationals per arc
         for name, v in corpus + randoms[:40]:
             sf = signature_function(v)
-            p = x_polynomial(v)
             jump_encs = [a.enclosure_to_width(Fraction(1, 10 ** 6))
                          for a in sf.jumps]
             cuts = ([Fraction(0)] + [e.mid for e in jump_encs] + [Fraction(1)])
@@ -297,7 +295,7 @@ def test_criterion_7_property_suites(knot_table):
                 for frac in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
                     q = lo + (hi - lo) * frac
                     try:
-                        assert levine_tristram(v, q, p) == val, (name, q)
+                        assert levine_tristram(v, q) == val, (name, q)
                     except Exception as exc:
                         from knotbench.errors import PossiblySingularError
                         if not isinstance(exc, PossiblySingularError):

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from knotbench.cli import main
+from knotbench.invariants import determinant
 
-from conftest import TABLE_PATH
+from conftest import TABLE_PATH, random_seifert
 
 
 def run(capsys, *argv):
@@ -36,6 +38,21 @@ class TestInvariantsCommand:
         assert r["fox_milnor"] is False
         assert r["determinant"] == 27
         assert r["d0"] == 26
+
+    def test_determinant_from_the_x_polynomial(self, capsys, knot_table):
+        # |P(-2)| = |Delta(-1)| = |det(V + V^T)|
+        code, out, _ = run(capsys, "table", str(TABLE_PATH))
+        assert code == 0
+        knots = json.loads(out)["results"]["knots"]
+        got = [k["results"]["determinant"] for k in knots]
+        assert got == [determinant(e.seifert_matrix()) for e in knot_table]
+        rng = random.Random(19)
+        for k in range(100):
+            v = random_seifert(rng, 1 + k % 4)
+            code, out, _ = run(capsys, "invariants", "--seifert",
+                               json.dumps([list(r) for r in v.rows]))
+            assert code == 0
+            assert json.loads(out)["results"]["determinant"] == determinant(v)
 
     def test_unknot_all_trivial(self, capsys):
         code, out, _ = run(capsys, "invariants", "--braid", "n=1;")

@@ -254,12 +254,16 @@ class TestLevineTristram:
                     assert max(precs) > 64  # the precision loop ran
 
     def test_at_minus_one_needs_no_enclosure(self, corpus, monkeypatch):
-        # omega = -1: sigma(1/2) = sign(V + V^T), with no cos_2pi call
+        # omega = -1: sigma(1/2) = sign(V + V^T), with no cos_2pi call and
+        # no x-polynomial, as -1 is never a root of Delta
         import knotbench.intervals as intervals
 
         calls = []
         monkeypatch.setattr(intervals, "cos_2pi", lambda theta, prec_bits:
                             calls.append(theta) or cos_2pi(theta, prec_bits))
+        x_poly = invariants.x_polynomial
+        monkeypatch.setattr(invariants, "x_polynomial",
+                            lambda v: calls.append(v) or x_poly(v))
         rng = random.Random(18)
         forms = (list(corpus.values())
                  + [random_seifert(rng, 1 + k % 5) for k in range(100)]

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
+from knotbench.cli import main
 from knotbench.errors import InputError
 from knotbench.intervals import AlgebraicAngle, IntervalReal
 from knotbench.invariants import signature_csv, signature_function
@@ -37,9 +39,8 @@ class TestRho0:
         r = rho0(trefoil, PREC)
         assert r.value.width <= PREC
         assert r.value.contains(Fraction(-4, 3))
-        # exact form is -2 on the single middle arc
-        sigmas = [s for s, _, _ in r.exact_form]
-        assert sigmas == [0, -2, 0]
+        # the step function is -2 on the single middle arc
+        assert r.step_function.values == (0, -2, 0)
 
     def test_trefoil_vs_riemann_oracle(self, trefoil):
         r = rho0(trefoil, PREC)
@@ -61,13 +62,11 @@ class TestRho0:
         total = IntervalReal.exact(0)
         w = Fraction(1, 10 ** 9)
 
-        def enclose(e):
-            if isinstance(e, AlgebraicAngle):
-                return e.enclosure_to_width(w)
-            return IntervalReal.exact(e)
-
-        for _, lo, hi in r.exact_form:
-            total = total + (enclose(hi) - enclose(lo))
+        ends = ([IntervalReal.exact(0)]
+                + [a.enclosure_to_width(w) for a in r.step_function.jumps]
+                + [IntervalReal.exact(1)])
+        for lo, hi in zip(ends, ends[1:]):
+            total = total + (hi - lo)
         assert total.contains(1)
 
     def test_jump_bounds_unchanged_by_evaluation(self):
@@ -84,10 +83,30 @@ class TestRho0:
 
     def test_reevaluate_at_fifty_digits(self, trefoil):
         r = rho0(trefoil, PREC)
-        tight = r.reevaluate(Fraction(1, 10 ** 50))
+        tight = rho0_from_step_function(
+            r.step_function, Fraction(1, 10 ** 50)).value
         assert tight.width <= Fraction(1, 10 ** 50)
         assert tight.contains(Fraction(-4, 3))
         assert tight.intersects(r.value)
+
+    def test_result_holds_the_step_function(self, trefoil, monkeypatch):
+        # summing again at another width reuses the step function the
+        # result holds; the signature function is not computed again
+        import knotbench.invariants as invariants
+        import knotbench.rho as rho
+
+        sf = signature_function(trefoil)
+        r = rho0_from_step_function(sf, PREC)
+        assert r.step_function is sf
+        calls = []
+        for module in (invariants, rho):
+            monkeypatch.setattr(module, "signature_function",
+                                lambda v: calls.append(v))
+        tight = rho0_from_step_function(r.step_function, Fraction(1, 10 ** 50))
+        assert calls == []
+        assert tight.step_function is sf
+        assert tight.value.width <= Fraction(1, 10 ** 50)
+        assert tight.value.intersects(r.value)
 
     def test_one_enclosure_per_conjugate_pair(self, monkeypatch):
         # T(2, 21) has 20 jumps in 10 conjugate pairs
@@ -113,17 +132,26 @@ class TestRho0:
             rho0_from_step_function(sf, precision)
 
     @pytest.mark.parametrize("precision", [Fraction(1, 10 ** 60), PREC])
-    def test_json_arcs_do_not_depend_on_precision(self, precision):
-        # the arcs are rendered from their own 10^-14-wide enclosures, so
-        # at 1e-60 and at 1e-6 alike they read as sigfn's jumps
+    def test_json_arcs_do_not_depend_on_precision(self, precision, capsys):
+        # the arcs are rendered from their own 10^-(digits+2)-wide
+        # enclosures, so at 1e-60 and at 1e-6 alike they read as the jumps
+        # of sigfn's CSV and JSON
+        braid = "n=2; " + " ".join(["1"] * 21)
         sf = signature_function(
             seifert_matrix_from_braid(BraidWord(2, [1] * 21)))
-        ends = [line.split(",")[1]
-                for line in signature_csv(sf).splitlines()[2:-1]]
-        arcs = rho0_from_step_function(sf, precision).to_json_dict(12)["arcs"]
-        assert len(ends) == 20
-        assert [arc["theta_hi"] for arc in arcs[:-1]] == ends
-        assert [arc["theta_lo"] for arc in arcs[1:]] == ends
+        for digits in (12, 40):
+            ends = [line.split(",")[1]
+                    for line in signature_csv(sf, digits).splitlines()[2:-1]]
+            assert main(["sigfn", "--braid", braid,
+                         "--digits", str(digits)]) == 0
+            jumps = json.loads(capsys.readouterr().out)["results"]["jumps"]
+            arcs = rho0_from_step_function(sf, precision).to_json_dict(
+                digits)["arcs"]
+            assert len(ends) == 20
+            assert all(len(e.split(".")[1]) == digits for e in ends)
+            assert [jump["theta"] for jump in jumps] == ends
+            assert [arc["theta_hi"] for arc in arcs[:-1]] == ends
+            assert [arc["theta_lo"] for arc in arcs[1:]] == ends
 
     def test_json_shape(self, trefoil):
         d = rho0(trefoil, PREC).to_json_dict(12)
@@ -160,7 +188,8 @@ class TestRhoProperties:
         for q in (3, 5, 7, 9):
             v = seifert_matrix_from_braid(BraidWord(2, [1] * q))
             r = rho0(v, PREC)
-            tight = r.reevaluate(Fraction(1, 10 ** 50))
+            tight = rho0_from_step_function(
+                r.step_function, Fraction(1, 10 ** 50)).value
             assert tight.intersects(r.value)
             oracle = riemann_rho0(v, 40_000)
             assert r.value.lo - Fraction(1, 100) <= Fraction(
