@@ -56,12 +56,6 @@ class BraidWord:
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
         return tuple(perm)
 
-    def writhe(self) -> int:
-        return sum(1 if x > 0 else -1 for x in self.letters)
-
-    def mirror(self) -> "BraidWord":
-        return BraidWord(self.strands, [-x for x in self.letters])
-
     def __str__(self):
         return serialize_braid(self)
 
@@ -71,7 +65,10 @@ def parse_braid(text: str) -> BraidWord:
     m = re.match(r"^\s*n\s*=\s*(\d+)\s*;(.*)$", text, re.DOTALL)
     if not m:
         raise InputError("expected braid text of the form 'n=<int>; w1 w2 ...'")
-    n = int(m.group(1))
+    try:
+        n = int(m.group(1))
+    except ValueError:  # more digits than Python converts
+        raise InputError("strand count is not a convertible integer") from None
     letters = []
     for tok in m.group(2).split():
         try:
@@ -100,16 +97,15 @@ def closure_is_knot(b: BraidWord) -> bool:
 
 def seifert_matrix_from_braid(b: BraidWord) -> SeifertMatrix:
     """Seifert matrix of the braid closure, on the canonical cycle basis."""
+    # a knot needs every generator, so at least strands - 1 letters; this
+    # is checked before any work linear in the strand count
+    if b.strands > len(b.letters) + 1:
+        raise PreconditionError("closure is a link: a generator never occurs")
     if not closure_is_knot(b):
         raise PreconditionError("closure is a link")
     occ: dict[int, list[int]] = {i: [] for i in range(1, b.strands)}
     for pos, x in enumerate(b.letters):
         occ[abs(x)].append(pos)
-    missing = [i for i, ps in occ.items() if not ps]
-    if missing:
-        raise PreconditionError(
-            "disconnected Seifert surface: generator(s) "
-            + ", ".join(str(i) for i in missing) + " never occur")
 
     sign = [1 if x > 0 else -1 for x in b.letters]
     # loops[(column, j)] -> (top position, bottom position)

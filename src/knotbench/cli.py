@@ -37,12 +37,12 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _report(input_echo, results, warnings=()):
+def _report(input_echo, results):
     return {
         "tool": {"name": "knotbench", "version": __version__},
         "input": input_echo,
         "results": results,
-        "warnings": list(warnings),
+        "warnings": [],
     }
 
 
@@ -61,7 +61,7 @@ def _parse_precision(text: str) -> Fraction:
 
 def _load_knot(args):
     """Resolve --braid / --seifert / --input into (echo, SeifertMatrix)."""
-    from .seifert import SeifertMatrix, _entry_from_record
+    from .seifert import SeifertMatrix, _entry_from_record, read_text
 
     sources = [s for s in (args.braid, args.seifert, args.input) if s]
     if len(sources) != 1:
@@ -78,11 +78,10 @@ def _load_knot(args):
             raise InputError(f"bad Seifert JSON: {e.msg}") from None
         v = SeifertMatrix(rows)
         return {"seifert": [list(r) for r in v.rows]}, v
-    with open(args.input, "r", encoding="utf-8") as fh:
-        try:
-            rec = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{args.input}:{e.lineno}: {e.msg}") from None
+    try:
+        rec = json.loads(read_text(args.input))
+    except json.JSONDecodeError as e:
+        raise InputError(f"{args.input}:{e.lineno}: {e.msg}") from None
     if not isinstance(rec, dict):
         raise InputError(f"{args.input}: top level must be a JSON object")
     if "name" not in rec:
@@ -216,8 +215,9 @@ def cmd_grope(args) -> None:
     if args.tree:
         text = args.tree
     elif args.tree_file:
-        with open(args.tree_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        from .seifert import read_text
+
+        text = read_text(args.tree_file)
     else:
         raise InputError("give --tree JSON or --tree-file")
     try:
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         if 0 < limit < digits:
             raise PreconditionError(f"--digits {digits} exceeds the limit of {limit}")
         args.fn(args)
-    except (InputError, RecursionError) as e:
+    except (InputError, OSError, RecursionError) as e:
         # RecursionError: JSON, brackets and grope trees are read recursively
         sys.stderr.write(f"error: input: {e}\n")
         return EXIT_INPUT
@@ -362,9 +362,6 @@ def main(argv=None) -> int:
     except PossiblySingularError as e:
         sys.stderr.write(f"error: resource: {e}\n")
         return EXIT_RESOURCE
-    except OSError as e:
-        sys.stderr.write(f"error: input: {e}\n")
-        return EXIT_INPUT
     return 0
 
 

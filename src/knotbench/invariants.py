@@ -15,12 +15,12 @@ signature of a Hermitian matrix over Z[i] at one rational point
 tan(pi theta) = p/q of the arc; intervals only locate a given theta among
 the roots.
 
-Delta, the determinant, Arf and sigma(-1) = sign(V + V^T) are integers and
-need no interval arithmetic.  ``intervals``, and mpmath with it, is imported
-only inside the three functions that enclose a jump angle or a given theta:
-``_x_enclosure``, ``signature_function`` and ``signature_csv``.  So the
-``invariants`` and ``table`` commands never load it; ``rho`` and ``sigfn``
-do.
+Delta, the determinant, Arf (the determinant mod 8, by Levine's rule) and
+sigma(-1) = sign(V + V^T) are integers and need no interval arithmetic.
+``intervals``, and mpmath with it, is imported only inside the three
+functions that enclose a jump angle or a given theta: ``_x_enclosure``,
+``signature_function`` and ``signature_csv``.  So the ``invariants`` and
+``table`` commands never load it; ``rho`` and ``sigfn`` do.
 """
 
 from __future__ import annotations
@@ -147,61 +147,19 @@ def determinant(v: SeifertMatrix) -> int:
 # Arf invariant
 
 
-def _pairing(j_rows, u: int, w: int) -> int:
-    # u^T J w over GF(2); vectors are bitmasks
-    acc = 0
-    i = 0
-    uu = u
-    while uu:
-        if uu & 1:
-            acc ^= bin(j_rows[i] & w).count("1") & 1
-        uu >>= 1
-        i += 1
-    return acc
-
-
 def arf(v: SeifertMatrix) -> int:
-    """Arf invariant of the mod-2 quadratic form x -> x.Vx."""
-    n = v.size
-    if n == 0:
-        return 0
-    j_rows = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if (v.rows[i][j] + v.rows[j][i]) & 1:
-                j_rows[i] |= 1 << j
+    """Arf invariant of the mod-2 quadratic form q(x) = x.Vx, by Levine's
+    rule (Ann. of Math. 84, 1966): Arf = 0 iff det(V + V^T) = +-1 mod 8.
 
-    def q(x: int) -> int:
-        acc = 0
-        idx = [i for i in range(n) if x >> i & 1]
-        for i in idx:
-            for j in idx:
-                acc += v.rows[i][j]
-        return acc & 1
-
-    basis = [1 << i for i in range(n)]
-    total = 0
-    while basis:
-        e = basis[0]
-        f = None
-        for w in basis[1:]:
-            if _pairing(j_rows, e, w):
-                f = w
-                break
-        if f is None:
-            raise InputError("intersection form V + V^T is degenerate mod 2")
-        total ^= q(e) & q(f)
-        rest = []
-        for u in basis:
-            if u is e or u is f:
-                continue
-            if _pairing(j_rows, u, f):
-                u ^= e
-            if _pairing(j_rows, u, e):
-                u ^= f
-            rest.append(u)
-        basis = rest
-    return total
+    S = V + V^T is even, and det S is odd, as S = V - V^T mod 2.  Over
+    the 2-adic integers S is congruent to an orthogonal sum of blocks
+    [[2a, b], [b, 2c]] with b odd; the congruence multiplies det S by a
+    unit square, which is 1 mod 8, and keeps q(x) = x.Sx/2 mod 2 up to
+    isomorphism.  On a block q is ax^2 + xy + cy^2, of Arf ac mod 2, and
+    the block's determinant 4ac - b^2 is -1 or 3 mod 8 as ac is even or
+    odd.  So det S = +-1 mod 8 iff an even number of blocks have Arf 1.
+    """
+    return 0 if determinant(v) % 8 in (1, 7) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,6 @@ class SeifertMatrix:
     def genus(self) -> int:
         return len(self.rows) // 2
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def symmetric_part(self):
         """V + V^T as plain rows (not itself a Seifert matrix)."""
         n = self.size
@@ -162,11 +159,20 @@ def _entry_from_record(rec: dict, where: str) -> KnotTableEntry:
     return KnotTableEntry(name, braid, seifert, dict(expected))
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; bytes that do not decode are an InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path}: not UTF-8 text: {e.reason}"
+                             f" at byte {e.start}") from None
+
+
 def load_knot_table(path: str | os.PathLike) -> list:
     """Load a knot table (JSON array, or CSV with name,strands,word)."""
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if path.endswith(".csv"):
         return _load_csv(text)
     try:
@@ -189,7 +195,8 @@ def _load_csv(text: str) -> list:
             name = row["name"]
             strands = int(row["strands"])
             word = [int(x) for x in row["word"].split()]
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, AttributeError):
+            # AttributeError: DictReader fills a short row's cells with None
             raise InputError(f"line {lineno}: expected name,strands,word") from None
         try:
             out.append(KnotTableEntry(name, BraidWord(strands, word)))

@@ -31,12 +31,9 @@ def figure_eight():
     return seifert_matrix_from_braid(BraidWord(3, [1, -2, 1, -2]))
 
 
-def random_unimodular_skew(rng, n):
-    """P^T J P for the standard symplectic J and a random unimodular P."""
-    j = [[0] * n for _ in range(n)]
-    for k in range(0, n, 2):
-        j[k][k + 1] = 1
-        j[k + 1][k] = -1
+def random_unimodular(rng, n):
+    """A random n x n integer matrix of determinant 1: the identity after
+    2n attempted row additions p[b] += +-p[a]."""
     p = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
     for _ in range(2 * n):
         a = rng.randrange(n)
@@ -46,6 +43,16 @@ def random_unimodular_skew(rng, n):
         c = rng.choice((-1, 1))
         for k in range(n):
             p[b][k] += c * p[a][k]
+    return p
+
+
+def random_unimodular_skew(rng, n):
+    """P^T J P for the standard symplectic J and a random unimodular P."""
+    j = [[0] * n for _ in range(n)]
+    for k in range(0, n, 2):
+        j[k][k + 1] = 1
+        j[k + 1][k] = -1
+    p = random_unimodular(rng, n)
     pt_j = [[sum(p[k][i] * j[k][l] for k in range(n)) for l in range(n)]
             for i in range(n)]
     return [[sum(pt_j[i][k] * p[k][l] for k in range(n)) for l in range(n)]

@@ -21,8 +21,8 @@ These deliberately avoid the library code paths they check:
   ``Fraction`` coefficients (no pseudo-remainders), gcds from sympy.
   Refined isolating intervals come from the same quadratic interval
   refinement on ``Fraction`` endpoints (no common integer denominator).
-* Arf invariants come from Levine's rule on the determinant (no
-  symplectic basis).
+* Arf from the majority value of q (no determinant): the Arf invariant
+  is the value that x -> x.Vx mod 2 takes on more than half of all x.
 * Fox-Milnor verdicts come from factoring Delta itself and pairing each
   irreducible factor with its reciprocal (no x-polynomial, no lifts).
 * Canonical keys and AS signs of uni-trivalent diagrams come from the
@@ -40,7 +40,6 @@ import numpy as np
 
 from knotbench.braids import BraidWord
 from knotbench.errors import PossiblySingularError
-from knotbench.invariants import determinant
 from knotbench.polynomials import (
     LaurentPoly,
     count_real_roots,
@@ -71,9 +70,24 @@ def unit_normalize_symmetric(p: LaurentPoly) -> LaurentPoly:
     return q
 
 
-def arf_via_determinant(v: SeifertMatrix) -> int:
-    """Levine's rule: Arf = 0 iff |Delta(-1)| = +-1 mod 8."""
-    return 0 if determinant(v) % 8 in (1, 7) else 1
+def arf_by_majority(v: SeifertMatrix) -> int:
+    """The Arf invariant by its definition: q(x) = x.Vx mod 2 takes its Arf
+    value on 2^(2g-1) + 2^(g-1) of the 2^(2g) vectors x over GF(2).
+
+    x runs through a Gray code; flipping bit i changes q by
+    q(e_i) + x.(V + V^T)e_i = V_ii + (row i of V + V^T) . x mod 2.
+    """
+    n = v.size
+    rows = v.rows
+    s_rows = [sum(((rows[i][j] + rows[j][i]) & 1) << j for j in range(n))
+              for i in range(n)]
+    x = q = ones = 0
+    for k in range(1, 2 ** n):
+        i = (k & -k).bit_length() - 1
+        q ^= (rows[i][i] + (s_rows[i] & x).bit_count()) & 1
+        x ^= 1 << i
+        ones += q
+    return int(2 * ones > 2 ** n)
 
 
 def fox_milnor_by_delta_factors(*deltas: LaurentPoly) -> bool:

@@ -54,7 +54,7 @@ from knotbench.seifert import (
 )
 
 from conftest import random_seifert
-from oracles import arf_via_determinant, riemann_rho0
+from oracles import arf_by_majority, riemann_rho0
 
 
 @contextmanager
@@ -281,7 +281,7 @@ def test_criterion_7_property_suites(knot_table):
             delta = alexander_polynomial(v)
             assert delta.is_symmetric(), name
             assert delta(1) == 1, name
-            assert arf(v) == arf_via_determinant(v), name
+            assert arf(v) == arf_by_majority(v), name
             assert d0(v) <= 2 * v.genus, name
 
         # signature arc constancy: three rationals per arc

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -32,6 +33,13 @@ class TestParse:
             parse_braid("n=2; 1 x")
         with pytest.raises(InputError):
             parse_braid("braid 2: 1 1")
+
+    def test_unconvertible_strand_count(self):
+        # beyond the interpreter's 4300-digit int-from-string limit
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="strand count"):
+            parse_braid("n=" + "1" * 5000 + "; 1")
+        assert time.perf_counter() - start < 0.1
 
     def test_round_trip(self):
         rng = random.Random(0)
@@ -113,6 +121,16 @@ class TestSeifertFromBraid:
         b = BraidWord(3, [1])
         with pytest.raises(PreconditionError):
             seifert_matrix_from_braid(b)
+
+    @pytest.mark.parametrize("strands", [10 ** 6, 10 ** 4000],
+                             ids=["10^6", "10^4000"])
+    def test_strand_count_refused_before_linear_work(self, strands):
+        # one letter joins at most two strands; 10^4000 strands would
+        # overflow list(range(strands)) in the permutation
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="link"):
+            seifert_matrix_from_braid(BraidWord(strands, [1]))
+        assert time.perf_counter() - start < 0.1
 
     def test_genus_formula_and_unimodular_skew(self):
         rng = random.Random(21)

@@ -234,6 +234,37 @@ def test_deep_nesting_exits_1(capsys, tmp_path, command):
     assert err.startswith("error: input:") and "recursion" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--input"], ["table"], ["grope", "class", "--tree-file"]],
+    ids=["invariants", "table", "grope"])
+def test_undecodable_file_exits_1(capsys, tmp_path, argv):
+    path = tmp_path / "knot.json"
+    path.write_bytes(b"\xff\xfe[1]")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: input:") and "Traceback" not in err
+    assert "knot.json: not UTF-8" in err
+
+
+def test_csv_row_without_word_exits_1(capsys, tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("name,strands,word\na,2\n")
+    code, out, err = run(capsys, "table", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: input: line 2") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("braid,code_want,kind", [
+    ("n=" + "1" * 5000 + "; 1", 1, "input"),
+    ("n=1" + "0" * 4000 + "; 1", 2, "precondition"),
+    ("n=1000000; 1", 2, "precondition"),
+], ids=["5000-digits", "10^4000", "10^6"])
+def test_strand_count_budgeted(capsys, braid, code_want, kind):
+    code, out, err = run(capsys, "invariants", "--braid", braid)
+    assert code == code_want and out == ""
+    assert err.startswith(f"error: {kind}:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["sigfn", "--braid", "n=2; 1 1 1", "--digits", "abc"],
      "argument --digits: invalid int value: 'abc'"),

@@ -35,8 +35,8 @@ from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly, poly_eval,
 from knotbench.seifert import (SeifertMatrix, UNKNOT, connected_sum,
                                integer_determinant, mirror)
 
-from conftest import random_seifert
-from oracles import (arf_via_determinant, fox_milnor_by_delta_factors,
+from conftest import random_seifert, random_unimodular
+from oracles import (arf_by_majority, fox_milnor_by_delta_factors,
                      poly_matrix_det, sample_levine_tristram_float,
                      sympy_factor_list, sympy_is_irreducible,
                      symmetric_signature_reference, tan_in_gap_by_doubling,
@@ -203,17 +203,35 @@ class TestArf:
 
     def test_dual_computations_agree_on_corpus(self, corpus):
         for name, v in corpus.items():
-            assert arf(v) == arf_via_determinant(v), name
+            assert arf(v) == arf_by_majority(v), name
 
     def test_dual_computations_agree_random(self):
         rng = random.Random(13)
         for _ in range(200):
-            v = random_seifert(rng, rng.randint(1, 3))
-            assert arf(v) == arf_via_determinant(v)
+            v = random_seifert(rng, rng.randint(1, 5))
+            assert arf(v) == arf_by_majority(v)
 
     def test_additive_mod_2(self, trefoil, figure_eight):
         s = connected_sum(trefoil, figure_eight)
         assert arf(s) == (arf(trefoil) + arf(figure_eight)) % 2
+        rng = random.Random(41)
+        for _ in range(60):
+            a = random_seifert(rng, rng.randint(1, 3))
+            b = random_seifert(rng, rng.randint(1, 3))
+            assert arf(connected_sum(a, b)) == (arf(a) + arf(b)) % 2
+
+    def test_mirror_and_congruence_invariant(self):
+        # -V^T is the mirror; P V P^T for unimodular P is V on another basis
+        rng = random.Random(43)
+        for _ in range(100):
+            v = random_seifert(rng, rng.randint(1, 4))
+            n, rows = v.size, v.rows
+            p = random_unimodular(rng, n)
+            pv = [[sum(p[i][k] * rows[k][l] for k in range(n))
+                   for l in range(n)] for i in range(n)]
+            pvpt = SeifertMatrix([[sum(pv[i][l] * p[j][l] for l in range(n))
+                                   for j in range(n)] for i in range(n)])
+            assert arf(mirror(v)) == arf(v) == arf(pvpt) == arf_by_majority(v)
 
 
 class TestLevineTristram:

@@ -142,6 +142,20 @@ class TestKnotTable:
         with pytest.raises(InputError, match="line 2"):
             load_knot_table(str(path))
 
+    def test_csv_short_row(self, tmp_path):
+        # DictReader fills the missing word cell with None
+        path = tmp_path / "short.csv"
+        path.write_text("name,strands,word\na,2\n")
+        with pytest.raises(InputError, match="line 2"):
+            load_knot_table(str(path))
+
+    @pytest.mark.parametrize("name", ["table.json", "table.csv"])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe[1]")
+        with pytest.raises(InputError, match=f"{name}: not UTF-8"):
+            load_knot_table(str(path))
+
     def test_bundled_table_loads(self, knot_table):
         assert len(knot_table) >= 12
         names = {e.name for e in knot_table}
