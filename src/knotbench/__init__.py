@@ -4,7 +4,7 @@ The package has three layers:
 
 * an exact arithmetic kernel (integer/Laurent polynomials, Sturm root
   isolation, signatures by exact Bareiss elimination over Z[i], interval
-  enclosures only for jump angles and rho(0)),
+  enclosures only for jump angles off the roots of unity and rho(0)),
 * knot-level invariants (Alexander polynomial, Arf, Levine-Tristram
   signature function, the rho(0) circle integral),
 * combinatorial calculi (uni-trivalent diagram algebra graded by grope

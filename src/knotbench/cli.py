@@ -61,7 +61,7 @@ def _parse_precision(text: str) -> Fraction:
 
 def _load_knot(args):
     """Resolve --braid / --seifert / --input into (echo, SeifertMatrix)."""
-    from .seifert import SeifertMatrix, _entry_from_record, read_text
+    from .seifert import SeifertMatrix, _entry_from_record, parse_json, read_text
 
     sources = [s for s in (args.braid, args.seifert, args.input) if s]
     if len(sources) != 1:
@@ -72,16 +72,9 @@ def _load_knot(args):
         b = parse_braid(args.braid)
         return {"braid": str(b)}, seifert_matrix_from_braid(b)
     if args.seifert:
-        try:
-            rows = json.loads(args.seifert)
-        except json.JSONDecodeError as e:
-            raise InputError(f"bad Seifert JSON: {e.msg}") from None
-        v = SeifertMatrix(rows)
+        v = SeifertMatrix(parse_json(args.seifert, "--seifert"))
         return {"seifert": [list(r) for r in v.rows]}, v
-    try:
-        rec = json.loads(read_text(args.input))
-    except json.JSONDecodeError as e:
-        raise InputError(f"{args.input}:{e.lineno}: {e.msg}") from None
+    rec = parse_json(read_text(args.input), args.input)
     if not isinstance(rec, dict):
         raise InputError(f"{args.input}: top level must be a JSON object")
     if "name" not in rec:
@@ -212,18 +205,14 @@ def cmd_grope(args) -> None:
             "tree": tree.to_json_dict(),
         }))
         return
-    if args.tree:
-        text = args.tree
-    elif args.tree_file:
-        from .seifert import read_text
+    from .seifert import parse_json, read_text
 
-        text = read_text(args.tree_file)
+    if args.tree:
+        data = parse_json(args.tree, "--tree")
+    elif args.tree_file:
+        data = parse_json(read_text(args.tree_file), args.tree_file)
     else:
         raise InputError("give --tree JSON or --tree-file")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"bad grope JSON: {e.msg}") from None
     tree = GropeTree.from_json_dict(data)
     if args.action == "class":
         _emit(_report({"tree": tree.to_json_dict()}, {"class": class_of(tree)}))

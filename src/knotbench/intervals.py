@@ -1,17 +1,23 @@
 """Certified interval arithmetic with exact rational endpoints.
 
 ``IntervalReal`` endpoints are ``fractions.Fraction``; all interval
-operations here are outward-correct.  Enclosures of cos and of jump angles
-come from mpmath's interval context and are converted back to exact
-rationals (binary floats are rationals, so the conversion loses nothing).
-A jump angle theta = arccos(x/2) / (2 pi) is never taken through arccos:
-it is the half-angle form atan2(sqrt(2 - x), sqrt(2 + x)) / pi.
+operations here are outward-correct.  A jump angle at a root of unity,
+theta = k/n, is rational and carries its exact value: ``enclose_angles``
+returns it as a point, so rho0 sums and rendered angles of cyclotomic
+jumps never call mpmath.  Only the other jump angles, and cos at a given
+theta, are enclosed by mpmath's interval context, and the enclosures are
+converted back to exact rationals (binary floats are rationals, so the
+conversion loses nothing).  Such a jump angle theta = arccos(x/2) / (2 pi)
+is never taken through arccos: it is the half-angle form
+atan2(sqrt(2 - x), sqrt(2 + x)) / pi.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Optional
 
 from mpmath import iv
 
@@ -145,19 +151,25 @@ class AlgebraicAngle:
 
     The angle is stored as a squarefree integer polynomial with a rational
     isolating interval for x in (-2, 2), plus a flag selecting theta (the
-    branch in (0, 1/2)) or its conjugate 1 - theta.  Values are immutable:
-    refinement returns a new angle.
+    branch in (0, 1/2)) or its conjugate 1 - theta.  ``theta``, when
+    given, is the exact value of the branch in (0, 1/2), a rational k/n
+    for a root of unity; the flag applies to it as to the box, so
+    ``conjugate`` keeps it correct.  Values are immutable: refinement
+    returns a new angle.
     """
 
     poly: tuple
     x_lo: Fraction
     x_hi: Fraction
     upper: bool = False
+    theta: Optional[Fraction] = None
 
     def __post_init__(self):
         object.__setattr__(self, "poly", tuple(self.poly))
         object.__setattr__(self, "x_lo", Fraction(self.x_lo))
         object.__setattr__(self, "x_hi", Fraction(self.x_hi))
+        if self.theta is not None:
+            object.__setattr__(self, "theta", Fraction(self.theta))
 
     def conjugate(self) -> "AlgebraicAngle":
         return replace(self, upper=not self.upper)
@@ -208,23 +220,26 @@ class AlgebraicAngle:
 def enclose_angles(angles, width: Fraction) -> dict:
     """An enclosure of width at most ``width`` for each of ``angles``.
 
-    An angle and its conjugate share the polynomial and the x-box, so a
-    conjugate pair is enclosed once, from the angle theta in (0, 1/2), and
-    1 - theta gets the reflection [1 - hi, 1 - lo]: the enclosure that
-    ``enclosure_to_width`` of 1 - theta returns.
+    An angle with an exact ``theta`` gets that point; only the others are
+    enclosed.  An angle and its conjugate share the polynomial and the
+    x-box, so a conjugate pair is enclosed once, from the angle theta in
+    (0, 1/2), and 1 - theta gets the reflection [1 - hi, 1 - lo]: the
+    enclosure that ``enclosure_to_width`` of 1 - theta returns.
     """
     enc: dict = {}
     for a in angles:
         if a not in enc:
             low = a.conjugate() if a.upper else a
-            e = enc[low] = low.enclosure_to_width(width)
+            e = enc[low] = (low.enclosure_to_width(width) if low.theta is None
+                            else IntervalReal.exact(low.theta))
             enc[low.conjugate()] = IntervalReal(1 - e.hi, 1 - e.lo)
     return enc
 
 
 def format_angles(angles, digits: int) -> list:
     """Each of ``angles`` rendered with ``digits`` decimal digits, from the
-    midpoint of its own enclosure of width at most 10^-(digits+2).
+    midpoint of its own enclosure of width at most 10^-(digits+2); for an
+    exact angle that is its value.
 
     The width depends on ``digits`` alone, so the rendering of an angle is
     the same wherever it is printed, whatever other widths it was enclosed
@@ -236,13 +251,24 @@ def format_angles(angles, digits: int) -> list:
 def format_decimal(fr: Fraction, digits: int) -> str:
     """Deterministic fixed-point rendering of a rational."""
     fr = Fraction(fr)
-    sign = "-" if fr < 0 else ""
-    fr = abs(fr)
-    scaled = fr * 10 ** digits
+    scaled = abs(fr) * 10 ** digits
     n = scaled.numerator // scaled.denominator
     # round half away from zero, deterministically
     if 2 * (scaled - n) >= 1:
         n += 1
+    return _fixed_point("-" if fr < 0 else "", n, digits)
+
+
+def format_bound(fr: Fraction, digits: int, up: bool) -> str:
+    """``fr`` rendered with ``digits`` decimal digits, rounded up or down,
+    so that the printed number is a bound on the same side as ``fr``."""
+    scaled = Fraction(fr) * 10 ** digits
+    n = math.ceil(scaled) if up else math.floor(scaled)
+    return _fixed_point("-" if n < 0 else "", abs(n), digits)
+
+
+def _fixed_point(sign: str, n: int, digits: int) -> str:
+    """sign n / 10^digits for an integer n >= 0, with ``digits`` decimals."""
     whole, frac = divmod(n, 10 ** digits)
     if digits == 0:
         return f"{sign}{whole}"

@@ -7,13 +7,14 @@ from the integer determinants det(V - kV^T) at k = 0, 2, 3, ..., g
 (k = 1 gives 1 for every Seifert matrix).  The Alexander polynomial is
 Delta(t) = P(t + 1/t).  The substitution x = t + 1/t turns unit-circle
 roots of Delta into real roots of P in (-2, 2), so jump angles of the
-signature function are kept as algebraic numbers through P, and the
-Fox-Milnor condition is decided by factoring P and, where needed, the
-lifts t^d Q(t + 1/t) of its irreducible factors Q.  The signature is
-constant on the arcs between the jumps, so each arc value is the
-signature of a Hermitian matrix over Z[i] at one rational point
-tan(pi theta) = p/q of the arc; intervals only locate a given theta among
-the roots.
+signature function are kept as algebraic numbers through P; a jump at a
+root of unity, found by trial division by the cyclotomic factors Psi_n,
+also keeps its exact angle k/n.  The Fox-Milnor condition is decided by
+factoring P and, where needed, the lifts t^d Q(t + 1/t) of its
+irreducible factors Q.  The signature is constant on the arcs between
+the jumps, so each arc value is the signature of a Hermitian matrix over
+Z[i] at one rational point tan(pi theta) = p/q of the arc; intervals only
+locate a given theta among the roots.
 
 Delta, the determinant, Arf (the determinant mod 8, by Levine's rule) and
 sigma(-1) = sign(V + V^T) are integers and need no interval arithmetic.
@@ -346,6 +347,70 @@ def _arcs(p: tuple) -> tuple:
     return ps, boxes, points + [None]
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_candidates(r: int) -> tuple:
+    """The n >= 3 with phi(n) <= 2r, ascending: the n for which Psi_n, the
+    minimal polynomial of 2cos(2 pi/n), has degree phi(n)/2 <= r.
+
+    phi(n) >= sqrt(n/2) for every n, so n <= 2 phi(n)^2 <= 8r^2 bounds
+    the search.  phi is multiplicative, and for a prime power
+    phi(p^a) = p^(a-1) (p - 1).  For odd p this is at least sqrt(p^a):
+    p - 1 >= sqrt(p) for p >= 3 gives a = 1, and
+    p^(a-1) (p - 1) >= 2 p^(a-1) >= p^(a/2) for a >= 2.  For p = 2,
+    phi(2^a) = 2^(a-1) = sqrt(2^a / 2).  The product over the prime powers
+    of n is therefore at least sqrt(n/2).
+    """
+    bound = 8 * r * r
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:  # p is prime
+            for m in range(p, bound + 1, p):
+                phi[m] -= phi[m] // p
+    return tuple(n for n in range(3, bound + 1) if phi[n] <= 2 * r)
+
+
+@functools.lru_cache(maxsize=None)
+def _psi(n: int) -> tuple:
+    """Psi_n, the minimal polynomial of 2cos(2 pi/n) for n >= 3:
+    Phi_n(t) = t^(phi(n)/2) Psi_n(t + 1/t).  Its roots are
+    2cos(2 pi k/n) for gcd(k, n) = 1 and 0 < k < n/2, all in (-2, 2)."""
+    phi_n = cyclotomic_poly(n)
+    return _laurent_to_x(LaurentPoly.from_int_poly(phi_n, (1 - len(phi_n)) // 2))
+
+
+def _cyclotomic_jumps(ps: tuple, boxes: list) -> tuple:
+    """The cofactor of ps after dividing out every Psi_n that divides it,
+    and for each box (ascending in x) the pair (Psi_n, k/n) of its root
+    2cos(2 pi k/n), or None when that root is not at a root of unity.
+
+    The r = len(boxes) roots of ps in (-2, 2) include all deg Psi_n roots
+    of each Psi_n that divides ps, so only the n of
+    ``_cyclotomic_candidates(r)`` can divide it.  A box holds one simple
+    root of ps, so a Psi_n that divides ps has its root there exactly when
+    it changes sign across the box.  The roots 2cos(2 pi k/n) ascend as k
+    descends, so the boxes of Psi_n, taken from the top down, get
+    k = 1, 2, ... in turn.
+    """
+    found = [None] * len(boxes)
+    left = len(boxes)
+    for n in _cyclotomic_candidates(left):
+        psi = _psi(n)
+        if len(psi) - 1 > left:
+            continue
+        q = _quotient(ps, psi)
+        if q is None:
+            continue
+        ps, left = q, left - (len(psi) - 1)
+        ks = (k for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
+        for i in reversed(range(len(boxes))):
+            lo, hi = boxes[i]
+            if poly_sign_at(psi, lo) != poly_sign_at(psi, hi):
+                found[i] = psi, Fraction(next(ks), n)
+        if not left:
+            break
+    return ps, found
+
+
 def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     """Full signature step function: exact jump angles plus arc values.
 
@@ -353,28 +418,34 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     n + 1 arcs.  Each arc but the last is evaluated at a rational point of
     the x-gap between its Sturm boxes; the last one holds theta = 1/2.
     The arcs in [1/2, 1) mirror them, as sigma(theta) = sigma(1 - theta).
-    Each jump's minimal polynomial is the irreducible factor of ps that
-    changes sign across its box; ps is factored only when it has such a
-    root, so a signature function without jumps costs no factorisation.
+    A jump at a root of unity gets Psi_n as its minimal polynomial and its
+    exact angle k/n from ``_cyclotomic_jumps``, with no factorisation.
+    Each other jump's minimal polynomial is the irreducible factor of the
+    cofactor that changes sign across its box; the cofactor is factored
+    only when such a jump exists.
     """
     from .intervals import AlgebraicAngle
 
     p = x_polynomial(v)
     ps, boxes, points = _arcs(p)
-
-    factors = factor_integer_poly(ps)[1] if boxes else ()
+    rest, found = _cyclotomic_jumps(ps, boxes)
+    factors = factor_integer_poly(rest)[1] if None in found else ()
     angles_low = []
     # theta = acos(x/2)/2pi is decreasing in x
-    for lo, hi in reversed(boxes):
-        # the box holds one simple root of ps, the product of the distinct
-        # factors, and none at its ends: only its minimal polynomial changes sign
-        minpoly = next((f for f, _mult in factors
-                        if poly_sign_at(f, lo) != poly_sign_at(f, hi)), None)
-        if minpoly is None:
-            raise PreconditionError(
-                f"no irreducible factor of {poly_to_str(ps)} has its root"
-                f" in ({lo}, {hi})")
-        angles_low.append(AlgebraicAngle(minpoly, lo, hi, upper=False))
+    for (lo, hi), hit in zip(reversed(boxes), reversed(found)):
+        if hit is None:
+            # the box holds one simple root of rest, the product of the
+            # distinct factors, and none at its ends: only its minimal
+            # polynomial changes sign
+            minpoly = next((f for f, _mult in factors
+                            if poly_sign_at(f, lo) != poly_sign_at(f, hi)),
+                           None)
+            if minpoly is None:
+                raise PreconditionError(
+                    f"no irreducible factor of {poly_to_str(rest)} has its"
+                    f" root in ({lo}, {hi})")
+            hit = minpoly, None
+        angles_low.append(AlgebraicAngle(hit[0], lo, hi, theta=hit[1]))
     jumps = tuple(angles_low
                   + [a.conjugate() for a in reversed(angles_low)])
 

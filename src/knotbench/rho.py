@@ -6,6 +6,11 @@ that convention the right-handed trefoil integrates to -4/3.  The result
 holds a certified rational enclosure of requested width and the step
 function it integrates, so a caller can sum again at another width with
 ``rho0_from_step_function`` without recomputing the signature function.
+A jump at a root of unity has an exact rational angle k/n and adds no
+width, so rho0 of a knot whose jumps are all cyclotomic, a torus knot for
+one, is an exact rational; intervals enclose only the other jumps.  The
+JSON report prints the enclosure rounded outward at the requested digits,
+so the printed pair still contains rho0.
 
 rho0 changes sign under mirror image, adds under connected sum and is
 bounded by 2g in absolute value; the tests check these identities on the
@@ -19,7 +24,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .intervals import (IntervalReal, enclose_angles, format_angles,
-                        format_decimal)
+                        format_bound, format_decimal)
 from .invariants import SignatureStepFunction, signature_function
 from .seifert import SeifertMatrix
 
@@ -39,8 +44,8 @@ class RhoResult:
                 + [format_decimal(1, digits)])
         return {
             "rho0": {
-                "lo": format_decimal(self.value.lo, digits),
-                "hi": format_decimal(self.value.hi, digits),
+                "lo": format_bound(self.value.lo, digits, up=False),
+                "hi": format_bound(self.value.hi, digits, up=True),
             },
             "arcs": [{"sigma": sigma, "theta_lo": ends[k],
                       "theta_hi": ends[k + 1]}
@@ -54,7 +59,8 @@ def rho0_from_step_function(sf: SignatureStepFunction,
     """Certified enclosure of width at most ``precision`` of the integral
     of ``sf``: the sum of sigma times arc length over the arcs with
     sigma != 0, in arc order.  Each of their jump angles is enclosed once,
-    to precision / weight, where the weight sums 2|sigma| over those arcs."""
+    to precision / weight, where the weight sums 2|sigma| over those arcs;
+    an exact angle is its own enclosure."""
     precision = Fraction(precision)
     if precision <= 0:
         raise InputError("precision must be positive")

@@ -169,16 +169,25 @@ def read_text(path: str) -> str:
                              f" at byte {e.start}") from None
 
 
+def parse_json(text: str, where: str):
+    """``json.loads`` of ``text``.  Malformed JSON, and an integer past the
+    interpreter's int-to-str limit, which ``json.loads`` reports as a
+    plain ValueError, raise InputError naming ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{where}:{e.lineno}: {e.msg}") from None
+    except ValueError as e:
+        raise InputError(f"{where}: {e}") from None
+
+
 def load_knot_table(path: str | os.PathLike) -> list:
     """Load a knot table (JSON array, or CSV with name,strands,word)."""
     path = os.fspath(path)
     text = read_text(path)
     if path.endswith(".csv"):
         return _load_csv(text)
-    try:
-        data = json.loads(text) if text.strip() else []
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}:{e.lineno}: {e.msg}") from None
+    data = parse_json(text, path) if text.strip() else []
     if not isinstance(data, list):
         raise InputError(f"{path}: top level must be a JSON array")
     return [_entry_from_record(rec, f"{path}[{i}]")

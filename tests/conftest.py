@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from pathlib import Path
@@ -29,6 +30,20 @@ def trefoil():
 @pytest.fixture(scope="session")
 def figure_eight():
     return seifert_matrix_from_braid(BraidWord(3, [1, -2, 1, -2]))
+
+
+def torus(p, q):
+    """The Seifert matrix of T(p, q), the closure of (s_1 ... s_(p-1))^q."""
+    return seifert_matrix_from_braid(BraidWord(p, list(range(1, p)) * q))
+
+
+@functools.lru_cache(maxsize=None)
+def torus_step_function(p, q):
+    """``signature_function`` of T(p, q), computed once per session; up to
+    T(2, 49) these take seconds in all."""
+    from knotbench.invariants import signature_function
+
+    return signature_function(torus(p, q))
 
 
 def random_unimodular(rng, n):

@@ -25,6 +25,12 @@ These deliberately avoid the library code paths they check:
   is the value that x -> x.Vx mod 2 takes on more than half of all x.
 * Fox-Milnor verdicts come from factoring Delta itself and pairing each
   irreducible factor with its reciprocal (no x-polynomial, no lifts).
+* Jumps of torus knots come from the closed forms: T(p, q) jumps at k/pq
+  for k prime to p and q, and rho0 = -(p^2 - 1)(q^2 - 1)/(3pq).  Euler's
+  phi comes from trial division (no sieve).
+* Jump angles "by factoring" take every jump's minimal polynomial from
+  the factorisation of the squarefree x-polynomial, with no exact angle,
+  so rho0 and angles are enclosed by mpmath as for any algebraic jump.
 * Canonical keys and AS signs of uni-trivalent diagrams come from the
   plain search over start legs in vertex order, with successor dicts and
   per-token pruning (no start order, no position arithmetic).
@@ -33,6 +39,7 @@ These deliberately avoid the library code paths they check:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -40,6 +47,8 @@ import numpy as np
 
 from knotbench.braids import BraidWord
 from knotbench.errors import PossiblySingularError
+from knotbench.intervals import AlgebraicAngle
+from knotbench.invariants import SignatureStepFunction
 from knotbench.polynomials import (
     LaurentPoly,
     count_real_roots,
@@ -427,6 +436,43 @@ def tan_in_gap_by_doubling(x_lo: Fraction, x_hi: Fraction) -> Fraction:
         if k * k < hi2 * q * q:
             return Fraction(k, q)
         q *= 2
+
+
+def totient(n: int) -> int:
+    """Euler's phi by trial division: n prod (1 - 1/p) over primes p | n."""
+    out, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out - out // m if m > 1 else out
+
+
+def torus_jumps(p: int, q: int) -> list:
+    """The jump angles of T(p, q): the roots of unity exp(2 pi i k/pq) of
+    Delta = (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), k prime to p and q."""
+    return [Fraction(k, p * q) for k in range(1, p * q) if k % p and k % q]
+
+
+def torus_rho0(p: int, q: int) -> Fraction:
+    return Fraction(-(p * p - 1) * (q * q - 1), 3 * p * q)
+
+
+def jumps_by_factoring(sf: SignatureStepFunction) -> SignatureStepFunction:
+    """``sf`` with every jump's minimal polynomial taken from the
+    factorisation of its squarefree x-polynomial, as the irreducible
+    factor that changes sign across the jump's x-box, and with no exact
+    angle: each angle is then enclosed from its box by mpmath."""
+    _, factors = factor_integer_poly(sf.x_poly)
+
+    def plain(a):
+        minpoly = next(f for f, _ in factors
+                       if poly_sign_at(f, a.x_lo) != poly_sign_at(f, a.x_hi))
+        return AlgebraicAngle(minpoly, a.x_lo, a.x_hi, a.upper)
+
+    return replace(sf, jumps=tuple(plain(a) for a in sf.jumps))
 
 
 def sympy_factor_list(p):

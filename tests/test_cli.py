@@ -149,27 +149,29 @@ _TORUS_BRAIDS = {"T(2,5)": "n=2; " + " ".join(["1"] * 5),
                  "T(2,21)": "n=2; " + " ".join(["1"] * 21)}
 
 # sha256 of each command's full output: the rendered angles, arc values
-# and rho0 enclosures stay byte-identical when their algorithms change
+# and rho0 enclosures stay byte-identical when their algorithms change.
+# The rho JSON of these torus knots prints the exact rho0, rounded down
+# for lo and up for hi.
 _OUTPUT_DIGESTS = {
-    ("T(2,5)", "rho", 12, False): "566d7d4256697cbba086b4218a53a3acedc5f87589758278a1a0d5c19537df6c",
+    ("T(2,5)", "rho", 12, False): "9336e4ed73a95c6d30c14a9a6c852f04269f75f68439cddec4c86f7134db8b28",
     ("T(2,5)", "rho", 12, True): "68338c6e38c6ae2626e5f516971bf20f88c847355a2c9f31f07247a549008129",
-    ("T(2,5)", "rho", 40, False): "0bc3e72cba06dce1f284d8f3d0f234c96f009292d3e40f1dc7618292fd8088f7",
+    ("T(2,5)", "rho", 40, False): "5862ea0788489f167cf70068fb6f77f2b93ccdcb012f20ffd2c76b8939cce3d6",
     ("T(2,5)", "rho", 40, True): "1450db6746247ac6582635419da14168d7a23bd7d7d88037ec0c6c11f9e128ee",
     ("T(2,5)", "sigfn", 12, False): "e24778edeccbd55af0de134a35fa911e0631ba9e23ef9e3d8e038f244b6b27e7",
     ("T(2,5)", "sigfn", 12, True): "68338c6e38c6ae2626e5f516971bf20f88c847355a2c9f31f07247a549008129",
     ("T(2,5)", "sigfn", 40, False): "076d8af79aeedb201f166c45d32b63157bc029eeae0c348592295ddb00bf8e5c",
     ("T(2,5)", "sigfn", 40, True): "1450db6746247ac6582635419da14168d7a23bd7d7d88037ec0c6c11f9e128ee",
-    ("T(3,4)", "rho", 12, False): "615e626dbeb6be87225a9539c45b2919983d3911deafff0ef7cd4e904254e679",
+    ("T(3,4)", "rho", 12, False): "bf9616c4c4e22a53f89e4e43131837190b750cd4ab5144be7afe526e0f617fab",
     ("T(3,4)", "rho", 12, True): "a09fa1a5c2752ac8a717f4cc12a8644345489526474deec31ad92fe89a345d1e",
-    ("T(3,4)", "rho", 40, False): "e670676c9a2425d113e9b7f472c5853a54154d9c3291c7575a76439dad6ae6a5",
+    ("T(3,4)", "rho", 40, False): "37da857a2f09793bfed30d56fdcfa1a221416b3b70008099db357a0dcdc548b5",
     ("T(3,4)", "rho", 40, True): "6ddb50af7461eb30bf114fba5a3d5126645a4437c6cc03802b6cb4a4535a3df9",
     ("T(3,4)", "sigfn", 12, False): "7dfc679b56b14b3f6576a9e36352468f9f650ba133c468dcc36f2f4eb6a93a53",
     ("T(3,4)", "sigfn", 12, True): "a09fa1a5c2752ac8a717f4cc12a8644345489526474deec31ad92fe89a345d1e",
     ("T(3,4)", "sigfn", 40, False): "789fc3a6d6c153a45b12d3c7ba7653327a3349acc9674fb0ddee723dae5d35ff",
     ("T(3,4)", "sigfn", 40, True): "6ddb50af7461eb30bf114fba5a3d5126645a4437c6cc03802b6cb4a4535a3df9",
-    ("T(2,21)", "rho", 12, False): "daf378768ea5bcbab4ed5f22406817aa14f18df57d34de065ccd1650a9e74c27",
+    ("T(2,21)", "rho", 12, False): "54235be0f68be9bff05caf90eb9236ff1a6cc54f70a0d6ef1aad4beb0946c852",
     ("T(2,21)", "rho", 12, True): "5e388af87f2aa60252170c2f6cd7318bce485196c33ad448722f40c6f56b3e3b",
-    ("T(2,21)", "rho", 40, False): "f8524559b5b9663e64d098634fe23998135c478ce69732cc16c5b61e185bac6f",
+    ("T(2,21)", "rho", 40, False): "787ced2ed062cafce43ad285c463c69ac8e667264ae9dfc47e91f6d45f561038",
     ("T(2,21)", "rho", 40, True): "0482003165abc19aa12a8ae2514096082fb9627ea4aeee319a2e7e8ab0a67ac5",
     ("T(2,21)", "sigfn", 12, False): "83ef79d2922d9c85e74770d2ecf25a95b106349f79859e7390acd4bcb0e3df37",
     ("T(2,21)", "sigfn", 12, True): "5e388af87f2aa60252170c2f6cd7318bce485196c33ad448722f40c6f56b3e3b",
@@ -252,6 +254,27 @@ def test_csv_row_without_word_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "table", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: input: line 2") and "Traceback" not in err
+
+
+_HUGE = "1" + "0" * 5000  # past the interpreter's 4300-digit int-to-str limit
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["invariants", "--seifert"], f"[[{_HUGE}]]"),
+    (["invariants", "--input"], f'{{"seifert": [[{_HUGE}]]}}'),
+    (["table"], f'[{{"name": "k", "seifert": [[{_HUGE}]]}}]'),
+    (["grope", "class", "--tree"], f'{{"pairs": [[{_HUGE}, "bare"]]}}'),
+    (["grope", "class", "--tree-file"], f'{{"pairs": [[{_HUGE}, "bare"]]}}'),
+], ids=["seifert", "input", "table", "tree", "tree-file"])
+def test_json_integer_past_the_str_limit_exits_1(capsys, tmp_path, argv, text):
+    if argv[-1] in ("--input", "table", "--tree-file"):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        text = str(path)
+    code, out, err = run(capsys, *argv, text)
+    assert code == 1 and out == ""
+    assert err.startswith("error: input:") and "Traceback" not in err
+    assert "4300" in err
 
 
 @pytest.mark.parametrize("braid,code_want,kind", [

@@ -12,6 +12,7 @@ from knotbench.intervals import (
     angle_from_cos_half,
     cos_2pi,
     enclose_angles,
+    format_bound,
     format_decimal,
 )
 
@@ -80,6 +81,20 @@ class TestTrigEnclosures:
     def test_angle_from_cos_half_range(self):
         out = angle_from_cos_half(IntervalReal(Fraction(-2), Fraction(2)), 64)
         assert out.lo >= 0 and out.hi <= Fraction(1, 2)
+
+
+class TestExactAngle:
+    def test_exact_angles_enclosed_as_points(self, monkeypatch):
+        # Psi_8 = x^2 - 2: x = sqrt 2 is theta = 1/8
+        a = AlgebraicAngle((-2, 0, 1), Fraction(1), Fraction(3, 2),
+                           theta=Fraction(1, 8))
+        b = a.conjugate()
+        assert b.theta == Fraction(1, 8) and b.upper
+        monkeypatch.setattr(AlgebraicAngle, "enclosure_to_width",
+                            lambda self, width: pytest.fail("enclosed"))
+        enc = enclose_angles([b, a], Fraction(1, 10))
+        assert enc[a] == IntervalReal.exact(Fraction(1, 8))
+        assert enc[b] == IntervalReal.exact(Fraction(7, 8))
 
 
 class TestAlgebraicAngle:
@@ -156,6 +171,24 @@ class TestFormatDecimal:
         assert format_decimal(Fraction(-4, 3), 6) == "-1.333333"
         assert format_decimal(Fraction(5), 3) == "5.000"
         assert format_decimal(Fraction(5, 2), 0) == "3"
+
+    def test_bounds_round_outward(self):
+        assert format_bound(Fraction(-4, 3), 6, up=False) == "-1.333334"
+        assert format_bound(Fraction(-4, 3), 6, up=True) == "-1.333333"
+        assert format_bound(Fraction(5, 2), 0, up=False) == "2"
+        assert format_bound(Fraction(5, 2), 0, up=True) == "3"
+        # no "-0": a bound rounded up to zero prints as zero
+        assert format_bound(Fraction(-1, 10 ** 7), 3, up=True) == "0.000"
+        assert format_bound(Fraction(-1, 10 ** 7), 3, up=False) == "-0.001"
+        for up in (False, True):
+            assert format_bound(Fraction(-12, 5), 12, up) == "-2.400000000000"
+        rng = random.Random(4)
+        for _ in range(300):
+            v = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+            d = rng.randint(0, 8)
+            lo, hi = format_bound(v, d, up=False), format_bound(v, d, up=True)
+            assert Fraction(lo) <= v <= Fraction(hi)
+            assert Fraction(hi) - Fraction(lo) <= Fraction(1, 10 ** d)
 
     def test_deterministic(self):
         vals = [Fraction(1, 3), Fraction(22, 7), Fraction(-9, 8)]

@@ -10,10 +10,12 @@ import knotbench.invariants as invariants
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
 from knotbench.errors import InputError, PossiblySingularError, PreconditionError
 from knotbench.invariants import (
+    _cyclotomic_candidates,
     _fox_milnor,
     _laurent_to_x,
     _lift,
     _lift_splits,
+    _psi,
     _separate_boxes,
     _tan_in_gap,
     _x_enclosure,
@@ -30,16 +32,19 @@ from knotbench.invariants import (
     x_polynomial,
 )
 from knotbench.intervals import cos_2pi
-from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly, poly_eval,
-                                   poly_mul, poly_trim, sturm_isolate)
+from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly,
+                                   cyclotomic_poly, poly_eval, poly_mul,
+                                   poly_trim, sturm_isolate)
 from knotbench.seifert import (SeifertMatrix, UNKNOT, connected_sum,
                                integer_determinant, mirror)
 
-from conftest import random_seifert, random_unimodular
+from conftest import (random_seifert, random_unimodular, torus,
+                      torus_step_function)
 from oracles import (arf_by_majority, fox_milnor_by_delta_factors,
-                     poly_matrix_det, sample_levine_tristram_float,
-                     sympy_factor_list, sympy_is_irreducible,
-                     symmetric_signature_reference, tan_in_gap_by_doubling,
+                     jumps_by_factoring, poly_matrix_det,
+                     sample_levine_tristram_float, sympy_factor_list,
+                     sympy_is_irreducible, symmetric_signature_reference,
+                     tan_in_gap_by_doubling, torus_jumps, totient,
                      unit_normalize_symmetric)
 
 K61 = SeifertMatrix([[1, 1], [0, -2]])
@@ -47,10 +52,6 @@ K61 = SeifertMatrix([[1, 1], [0, -2]])
 DEGENERATE = SeifertMatrix([[0, 1], [0, 0]])
 TORUS_FAMILY = ((2, 3), (2, 5), (2, 7), (2, 9), (2, 13), (2, 21),
                 (3, 4), (3, 5), (4, 3))
-
-
-def torus(p, q):
-    return seifert_matrix_from_braid(BraidWord(p, list(range(1, p)) * q))
 
 
 def twist(m):
@@ -613,11 +614,98 @@ class TestFactoringOnlyWhenNeeded:
         assert signature_function(figure_eight).jumps == ()
         assert calls == []
 
-    def test_jumps_still_factor_once(self, monkeypatch):
+    def test_cyclotomic_jumps_factor_nothing(self, monkeypatch):
         calls = _count_factor_calls(monkeypatch)
-        sf = signature_function(torus(2, 5))
+        for p, q in TORUS_FAMILY:
+            # every jump of a torus knot is at a root of unity
+            sf = signature_function(torus(p, q))
+            assert len(sf.jumps) == (p - 1) * (q - 1)
+        assert calls == []
+
+    def test_other_jumps_factor_the_cofactor_once(self, trefoil, monkeypatch):
+        calls = _count_factor_calls(monkeypatch)
+        # 5_2: P = 2x - 3, a jump at x = 3/2, not at a root of unity
+        sf = signature_function(twist(-2))
+        assert sf.x_poly == (-3, 2) and len(sf.jumps) == 2
+        assert calls == [sf.x_poly]
+        # trefoil # 5_2: ps = (x - 1)(2x - 3); Psi_6 = x - 1 is divided
+        # out, and only the cofactor 2x - 3 is factored
+        sf = signature_function(connected_sum(trefoil, twist(-2)))
         assert len(sf.jumps) == 4
-        assert calls == [sf.x_poly]  # one factorisation of ps, as before
+        assert calls == [(-3, 2), (-3, 2)]
+        # the conjugate 5/6 keeps theta = 1/6, the value of its lower branch
+        assert [a.theta for a in sf.jumps] == [None, Fraction(1, 6),
+                                               Fraction(1, 6), None]
+
+
+# T(2, 27), T(2, 49), T(3, 7), T(5, 6) and T(4, 7) beyond the family
+EXACT_TORUS = TORUS_FAMILY + ((2, 27), (2, 49), (3, 7), (5, 6), (4, 7))
+
+
+def exact_angles(sf):
+    return [a.theta if not a.upper else 1 - a.theta for a in sf.jumps]
+
+
+class TestCyclotomicJumps:
+    def test_candidates_brute_force(self):
+        # phi(n) >= sqrt(n/2), the bound n <= 8 r^2 of the search, and the
+        # candidate lists against a scan to 20,000, past 8 * 24^2 = 4,608
+        phi = {n: totient(n) for n in range(1, 20_000)}
+        assert all(2 * f * f >= n for n, f in phi.items())
+        for r in range(1, 25):
+            want = tuple(n for n in range(3, 20_000) if phi[n] <= 2 * r)
+            assert _cyclotomic_candidates(r) == want
+        assert len(_cyclotomic_candidates(24)) == 99
+        assert _cyclotomic_candidates(24)[-1] == 210
+
+    def test_psi_lifts_to_the_cyclotomic_polynomial(self):
+        for n in range(3, 80):
+            psi = _psi(n)
+            assert len(psi) - 1 == totient(n) // 2 and psi[-1] == 1
+            assert _lift(psi) == cyclotomic_poly(n)
+        for n in (5, 7, 12, 18, 30):
+            assert sympy_is_irreducible(_psi(n))
+
+    @pytest.mark.parametrize("p,q", EXACT_TORUS)
+    def test_torus_jumps_exact(self, p, q):
+        sf = torus_step_function(p, q)
+        assert None not in [a.theta for a in sf.jumps]
+        assert exact_angles(sf) == torus_jumps(p, q)
+        # the factor-and-enclose path: the same minimal polynomials, and
+        # every exact angle lies in its 1e-100 enclosure
+        width = Fraction(1, 10 ** 100)
+        plain = jumps_by_factoring(sf)
+        assert [a.poly for a in plain.jumps] == [a.poly for a in sf.jumps]
+        for a, theta in zip(plain.jumps, exact_angles(sf)):
+            assert a.theta is None
+            assert a.enclosure_to_width(width).contains(theta)
+
+    def test_conjugate_keeps_the_exact_angle(self):
+        sf = torus_step_function(2, 5)
+        low = sf.jumps[0]
+        assert low.theta == Fraction(1, 10) and not low.upper
+        assert sf.jumps[-1] == low.conjugate()
+        assert low.conjugate().conjugate() == low
+
+    def test_mixed_jumps(self, trefoil):
+        # trefoil # 5_2 and T(2,5) # a form with a jump off the roots of
+        # unity: the cyclotomic jumps are exact, the others are not, and
+        # the factoring oracle finds the same minimal polynomials
+        rng = random.Random(3)
+        while True:
+            form = random_seifert(rng, 2)
+            sf = signature_function(form)
+            if sf.jumps and None in [a.theta for a in sf.jumps]:
+                break
+        for v, want in ((connected_sum(trefoil, twist(-2)), [Fraction(1, 6)]),
+                        (connected_sum(torus(2, 5), form),
+                         [Fraction(k, 10) for k in (1, 3)])):
+            sf = signature_function(v)
+            low = [a.theta for a in sf.jumps if not a.upper]
+            assert sorted(t for t in low if t is not None) == want
+            assert None in low
+            plain = jumps_by_factoring(sf)
+            assert [a.poly for a in plain.jumps] == [a.poly for a in sf.jumps]
 
 
 def _x_poly_of(f):

@@ -10,10 +10,10 @@ from knotbench.errors import InputError
 from knotbench.intervals import AlgebraicAngle, IntervalReal
 from knotbench.invariants import signature_csv, signature_function
 from knotbench.rho import rho0, rho0_from_step_function
-from knotbench.seifert import UNKNOT, connected_sum, mirror
+from knotbench.seifert import UNKNOT, SeifertMatrix, connected_sum, mirror
 
-from conftest import random_seifert
-from oracles import riemann_rho0
+from conftest import random_seifert, torus, torus_step_function
+from oracles import jumps_by_factoring, riemann_rho0, torus_rho0
 
 PREC = Fraction(1, 10 ** 6)
 
@@ -109,9 +109,13 @@ class TestRho0:
         assert tight.value.intersects(r.value)
 
     def test_one_enclosure_per_conjugate_pair(self, monkeypatch):
-        # T(2, 21) has 20 jumps in 10 conjugate pairs
-        sf = signature_function(
-            seifert_matrix_from_braid(BraidWord(2, [1] * 21)))
+        # the twist knots K_-2 ... K_-11 (5_2, 7_2, ...) jump at
+        # x = 2 - 1/m, off the roots of unity: their sum has 20 jumps in
+        # 10 conjugate pairs; T(2, 21) has 20 exact jumps, none enclosed
+        v = UNKNOT
+        for m in range(2, 12):
+            v = connected_sum(v, SeifertMatrix([[-1, 1], [0, -m]]))
+        sf = signature_function(v)
         assert len(sf.jumps) == 20
         calls = []
         enclose = AlgebraicAngle.enclosure_to_width
@@ -124,6 +128,10 @@ class TestRho0:
         rho0_from_step_function(sf, Fraction(1, 10 ** 100))
         assert len(calls) == 10
         assert not any(a.upper for a in calls)
+        calls.clear()
+        r = rho0_from_step_function(torus_step_function(2, 21),
+                                    Fraction(1, 10 ** 100))
+        assert calls == [] and r.value.width == 0
 
     @pytest.mark.parametrize("precision", [0, -1, Fraction(-1, 10 ** 6)])
     def test_nonpositive_precision_refused(self, trefoil, precision):
@@ -159,6 +167,72 @@ class TestRho0:
         assert d["measure"] == "normalized_1"
         assert d["arcs"][1]["sigma"] == -2
         assert d["rho0"]["lo"].startswith("-1.3333")
+
+
+class TestExactRho0:
+    @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (2, 7), (2, 9), (2, 13),
+                                     (2, 21), (3, 4), (3, 5), (4, 3), (2, 27),
+                                     (2, 49), (3, 7), (5, 6), (4, 7)])
+    def test_torus_rho0_is_the_closed_form(self, p, q):
+        sf = torus_step_function(p, q)
+        r = rho0_from_step_function(sf, PREC)
+        assert r.value == IntervalReal.exact(torus_rho0(p, q))
+        # the factor-and-enclose path encloses the same value
+        wide = rho0_from_step_function(jumps_by_factoring(sf),
+                                       Fraction(1, 10 ** 100)).value
+        assert wide.width <= Fraction(1, 10 ** 100) and wide.contains(r.value.lo)
+
+    def test_t_2_49(self):
+        r = rho0_from_step_function(torus_step_function(2, 49), PREC)
+        assert r.value.lo == r.value.hi == Fraction(-1200, 49)
+
+    def test_mixed_knots_agree_with_enclosures(self, trefoil):
+        rng = random.Random(3)
+        forms = [random_seifert(rng, 1 + k % 3) for k in range(30)]
+        mixed = [connected_sum(trefoil, SeifertMatrix([[-1, 1], [0, -2]]))]
+        mixed += [connected_sum(torus(2, 5), f) for f in forms]
+        width = Fraction(1, 10 ** 9)
+        n_mixed = 0
+        for v in mixed:
+            sf = signature_function(v)
+            thetas = {a.theta for a in sf.jumps}
+            n_mixed += None in thetas and len(thetas) > 1
+            r = rho0_from_step_function(sf, width).value
+            old = rho0_from_step_function(jumps_by_factoring(sf), width).value
+            assert r.width <= width and old.width <= width
+            assert r.intersects(old), (r, old)
+        assert n_mixed >= 5
+
+    def test_printed_bounds_contain_rho0(self, knot_table):
+        # lo is rounded down and hi up, so the printed pair contains rho0
+        # at every digit count.  For a table knot rho0 is its exact value
+        # when that lies in the 1e-60 enclosure of the factor-and-enclose
+        # path, else that enclosure
+        cases = [(torus_step_function(2, q), IntervalReal.exact(torus_rho0(2, q)))
+                 for q in range(3, 50, 2)]
+        for e in knot_table:
+            sf = signature_function(e.seifert_matrix())
+            exact = rho0_from_step_function(sf, PREC).value
+            tight = rho0_from_step_function(
+                jumps_by_factoring(sf), Fraction(1, 10 ** 60)).value
+            if exact.width == 0:
+                assert tight.contains(exact.lo)
+            cases.append((sf, exact if exact.width == 0 else tight))
+        for sf, rho in cases:
+            # the precision moves only an enclosure that is not a point
+            for precision in ((PREC,) if rho.width == 0 else
+                              (Fraction(1, 10 ** 3), PREC, Fraction(1, 10 ** 40))):
+                r = rho0_from_step_function(sf, precision)
+                for digits in range(16):
+                    printed = r.to_json_dict(digits)["rho0"]
+                    lo, hi = Fraction(printed["lo"]), Fraction(printed["hi"])
+                    assert lo <= rho.lo and rho.hi <= hi, (printed, rho)
+                    assert hi - lo <= r.value.width + Fraction(2, 10 ** digits)
+
+    def test_trefoil_prints_outside_minus_four_thirds(self, capsys):
+        assert main(["rho", "--braid", "n=2; 1 1 1", "--digits", "6"]) == 0
+        printed = json.loads(capsys.readouterr().out)["results"]["rho0"]
+        assert printed == {"lo": "-1.333334", "hi": "-1.333333"}
 
 
 class TestRhoProperties:

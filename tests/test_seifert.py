@@ -73,6 +73,12 @@ class TestConnectedSumAndMirror:
 
 
 class TestKnotTable:
+    def test_integer_past_the_str_limit(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('[{"name": "k", "seifert": [[1%s]]}]' % ("0" * 5000))
+        with pytest.raises(InputError, match="huge.json: Exceeds the limit"):
+            load_knot_table(str(path))
+
     def test_load_valid_single_entry(self, tmp_path):
         path = tmp_path / "one.json"
         path.write_text(json.dumps(
