@@ -92,9 +92,9 @@ def _add_knot_args(p):
 def _classical_invariants(v) -> dict:
     """The invariants that ``invariants`` and ``table`` both report."""
     from .invariants import (
+        _arf_of_determinant,
         _delta_of_x,
         _fox_milnor,
-        arf,
         levine_tristram,
         x_polynomial,
     )
@@ -102,12 +102,13 @@ def _classical_invariants(v) -> dict:
 
     p = x_polynomial(v)
     delta = _delta_of_x(p)
+    # P(-2) = Delta(-1) = +-det(V + V^T)
+    det = abs(poly_eval(p, -2))
     return {
         "alexander": str(delta),
         "d0": delta.span,
-        # P(-2) = Delta(-1) = +-det(V + V^T)
-        "determinant": abs(poly_eval(p, -2)),
-        "arf": arf(v),
+        "determinant": det,
+        "arf": _arf_of_determinant(det),
         "signature_at_minus_1": levine_tristram(v, Fraction(1, 2)),
         "fox_milnor": _fox_milnor(p),
     }

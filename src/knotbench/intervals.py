@@ -1,14 +1,15 @@
-"""Certified interval arithmetic with exact rational endpoints.
+"""Certified enclosures of jump angles, with exact rational endpoints.
 
-``IntervalReal`` endpoints are ``fractions.Fraction``; all interval
-operations here are outward-correct.  A jump angle at a root of unity,
-theta = k/n, is rational and carries its exact value: ``enclose_angles``
-returns it as a point, so rho0 sums and rendered angles of cyclotomic
-jumps never call mpmath.  Only the other jump angles, and cos at a given
-theta, are enclosed by mpmath's interval context, and the enclosures are
-converted back to exact rationals (binary floats are rationals, so the
-conversion loses nothing).  Such a jump angle theta = arccos(x/2) / (2 pi)
-is never taken through arccos: it is the half-angle form
+``IntervalReal`` only holds an enclosure [lo, hi] of ``Fraction``s and
+does no arithmetic.  A jump angle at a root of unity, theta = k/n, is
+rational and carries its exact value, which
+``AlgebraicAngle.enclosure_to_width`` returns as a point (1 - theta for
+the conjugate), so rho0 sums and rendered cyclotomic jumps never call
+mpmath.  Only the other jump angles, and cos at a given theta, are
+enclosed by mpmath's interval context, and the enclosures are converted
+back to exact rationals (binary floats are rationals, so the conversion
+loses nothing).  Such a jump angle theta = arccos(x/2) / (2 pi) is never
+taken through arccos: it is the half-angle form
 atan2(sqrt(2 - x), sqrt(2 + x)) / pi.
 """
 
@@ -67,22 +68,6 @@ class IntervalReal:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __add__(self, o):
-        o = _coerce(o)
-        return IntervalReal(self.lo + o.lo, self.hi + o.hi)
-
-    def __sub__(self, o):
-        o = _coerce(o)
-        return IntervalReal(self.lo - o.hi, self.hi - o.lo)
-
-    def __neg__(self):
-        return IntervalReal(-self.hi, -self.lo)
-
-    def __mul__(self, o):
-        o = _coerce(o)
-        vals = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return IntervalReal(min(vals), max(vals))
-
     def contains(self, v) -> bool:
         v = Fraction(v)
         return self.lo <= v <= self.hi
@@ -92,18 +77,6 @@ class IntervalReal:
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
-
-
-def _coerce(o) -> IntervalReal:
-    """The other operand of an arithmetic operator as an interval.
-
-    Any other type raises TypeError, the error Python itself gives for an
-    unsupported operand type, so it stays outside KnotbenchError."""
-    if isinstance(o, IntervalReal):
-        return o
-    if isinstance(o, (int, Fraction)):
-        return IntervalReal.exact(o)
-    raise TypeError(f"cannot coerce {type(o)!r} to IntervalReal")
 
 
 def _iv_to_interval(x) -> IntervalReal:
@@ -197,11 +170,16 @@ class AlgebraicAngle:
         once, to width 3 (2 - m) width, which spreads theta by at most
         width / 2; a box touching +-2 is halved first until it does not.
         One enclosure at about log2(1/width) + 32 bits then adds rounding of
-        order 2^-32 width.  A width <= 0 raises InputError.
+        order 2^-32 width.  An angle with an exact ``theta`` is returned
+        as the point theta, or 1 - theta for the conjugate, with no
+        enclosure.  A width <= 0 raises InputError.
         """
         width = Fraction(width)
         if width <= 0:
             raise InputError("width must be positive")
+        if self.theta is not None:
+            return IntervalReal.exact(1 - self.theta if self.upper
+                                      else self.theta)
         angle = self
         while max(-angle.x_lo, angle.x_hi) >= 2:
             angle = angle.refine_x((angle.x_hi - angle.x_lo) / 2)
@@ -220,18 +198,16 @@ class AlgebraicAngle:
 def enclose_angles(angles, width: Fraction) -> dict:
     """An enclosure of width at most ``width`` for each of ``angles``.
 
-    An angle with an exact ``theta`` gets that point; only the others are
-    enclosed.  An angle and its conjugate share the polynomial and the
-    x-box, so a conjugate pair is enclosed once, from the angle theta in
-    (0, 1/2), and 1 - theta gets the reflection [1 - hi, 1 - lo]: the
-    enclosure that ``enclosure_to_width`` of 1 - theta returns.
+    An angle and its conjugate share the polynomial and the x-box, so a
+    conjugate pair is enclosed once, from the angle theta in (0, 1/2), and
+    1 - theta gets the reflection [1 - hi, 1 - lo]: the enclosure that
+    ``enclosure_to_width`` of 1 - theta returns.
     """
     enc: dict = {}
     for a in angles:
         if a not in enc:
             low = a.conjugate() if a.upper else a
-            e = enc[low] = (low.enclosure_to_width(width) if low.theta is None
-                            else IntervalReal.exact(low.theta))
+            e = enc[low] = low.enclosure_to_width(width)
             enc[low.conjugate()] = IntervalReal(1 - e.hi, 1 - e.lo)
     return enc
 

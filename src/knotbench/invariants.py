@@ -149,8 +149,13 @@ def determinant(v: SeifertMatrix) -> int:
 
 
 def arf(v: SeifertMatrix) -> int:
-    """Arf invariant of the mod-2 quadratic form q(x) = x.Vx, by Levine's
-    rule (Ann. of Math. 84, 1966): Arf = 0 iff det(V + V^T) = +-1 mod 8.
+    """Arf invariant of q(x) = x.Vx mod 2 (``_arf_of_determinant``)."""
+    return _arf_of_determinant(determinant(v))
+
+
+def _arf_of_determinant(det: int) -> int:
+    """Levine's rule (Ann. of Math. 84, 1966): Arf = 0 iff
+    det(V + V^T) = +-1 mod 8, for ``det`` = +-det(V + V^T).
 
     S = V + V^T is even, and det S is odd, as S = V - V^T mod 2.  Over
     the 2-adic integers S is congruent to an orthogonal sum of blocks
@@ -160,26 +165,22 @@ def arf(v: SeifertMatrix) -> int:
     the block's determinant 4ac - b^2 is -1 or 3 mod 8 as ac is even or
     odd.  So det S = +-1 mod 8 iff an even number of blocks have Arf 1.
     """
-    return 0 if determinant(v) % 8 in (1, 7) else 1
+    return 0 if det % 8 in (1, 7) else 1
 
 
 # ---------------------------------------------------------------------------
 # Levine-Tristram signatures
 
 
-def _omega_is_alexander_root(coeffs: tuple, theta: Fraction) -> bool:
-    """Whether exp(2 pi i theta) is a root of t^k Delta(t), given by its
-    coefficients ``coeffs``, lowest degree first."""
-    deg = len(coeffs) - 1
+def _omega_is_alexander_root(p: tuple, theta: Fraction) -> bool:
+    """Whether exp(2 pi i theta) is a root of Delta(t) = P(t + 1/t), for
+    the x-polynomial P or its squarefree part ``p``: for theta = k/q in
+    lowest terms, whether Psi_q, the minimal polynomial of 2cos(2 pi k/q),
+    divides p, which only the q of ``_cyclotomic_candidates(deg p)`` can.
+    q <= 2 never: theta = 1/2 is x = -2, and P(-2) = Delta(-1) is odd."""
     q = theta.denominator
-    # omega is a root iff the q-th cyclotomic polynomial divides Delta;
-    # impossible already when phi(q) > deg, and phi(q) >= sqrt(q/2)
-    if q > max(2 * deg * deg, 2):
-        return False
-    phi = cyclotomic_poly(q)
-    if len(phi) - 1 > deg:
-        return False
-    return _quotient(coeffs, phi) is not None
+    return (q in _cyclotomic_candidates(len(p) - 1)
+            and _quotient(p, _psi(q)) is not None)
 
 
 def _arc_signature(v: SeifertMatrix, r: Optional[Fraction]) -> int:
@@ -263,7 +264,7 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction) -> int:
     if theta == Fraction(1, 2):
         return _arc_signature(v, None)
     p = x_polynomial(v)
-    if _omega_is_alexander_root(_lift(p), theta):
+    if _omega_is_alexander_root(p, theta):
         raise PossiblySingularError(
             "possibly singular: omega is a root of the Alexander polynomial")
     ps = poly_squarefree_part(p)
@@ -299,7 +300,7 @@ class SignatureStepFunction:
     unit-circle root (sorted, conjugate-symmetric); ``values`` holds the
     constant signature on the open arcs between consecutive jumps, arcs
     adjoining theta = 0 included.  The value exactly at a jump angle is
-    not defined.
+    not defined.  ``x_poly`` is the squarefree part of the x-polynomial.
     """
 
     jumps: tuple
@@ -311,7 +312,7 @@ class SignatureStepFunction:
         theta = Fraction(theta)
         if not 0 < theta < 1:
             raise PreconditionError("theta must lie in (0, 1)")
-        if _omega_is_alexander_root(self.delta_coeffs, theta):
+        if _omega_is_alexander_root(self.x_poly, theta):
             raise PreconditionError(
                 "signature undefined exactly at a jump angle")
         if not self.jumps:

@@ -31,6 +31,11 @@ These deliberately avoid the library code paths they check:
 * Jump angles "by factoring" take every jump's minimal polynomial from
   the factorisation of the squarefree x-polynomial, with no exact angle,
   so rho0 and angles are enclosed by mpmath as for any algebraic jump.
+* rho0 "by arcs" sums sigma times arc length over all 2n + 1 arcs, each
+  jump enclosed on its own (no integration by parts, no conjugate
+  sharing).
+* Whether a root of unity exp(2 pi i k/q) is a root of Delta comes from
+  dividing t^d Delta(t) by the cyclotomic Phi_q over Q (no x-polynomial).
 * Canonical keys and AS signs of uni-trivalent diagrams come from the
   plain search over start legs in vertex order, with successor dicts and
   per-token pruning (no start order, no position arithmetic).
@@ -52,6 +57,7 @@ from knotbench.invariants import SignatureStepFunction
 from knotbench.polynomials import (
     LaurentPoly,
     count_real_roots,
+    cyclotomic_poly,
     factor_integer_poly,
     poly_sign_at,
     poly_div_exact,
@@ -473,6 +479,35 @@ def jumps_by_factoring(sf: SignatureStepFunction) -> SignatureStepFunction:
         return AlgebraicAngle(minpoly, a.x_lo, a.x_hi, a.upper)
 
     return replace(sf, jumps=tuple(plain(a) for a in sf.jumps))
+
+
+def rho0_by_arcs(sf: SignatureStepFunction, width: Fraction) -> tuple:
+    """(lo, hi), an enclosure of width at most ``width`` of rho0 of ``sf``
+    summed arc by arc: every jump is enclosed to width / W, for W the sum
+    of 2|sigma| over the arcs, and the arc between enclosures a and b of
+    its ends is at least b.lo - a.hi and at most b.hi - a.lo long."""
+    weight = sum(2 * abs(sigma) for sigma in sf.values)
+    lo = hi = Fraction(0)
+    if not weight:
+        return lo, hi
+    ends = ([(Fraction(0), Fraction(0))]
+            + [(e.lo, e.hi) for e in (a.enclosure_to_width(width / weight)
+                                      for a in sf.jumps)]
+            + [(Fraction(1), Fraction(1))])
+    for k, sigma in enumerate(sf.values):
+        short = ends[k + 1][0] - ends[k][1]
+        long = ends[k + 1][1] - ends[k][0]
+        lo += sigma * (short if sigma > 0 else long)
+        hi += sigma * (long if sigma > 0 else short)
+    return lo, hi
+
+
+def omega_is_alexander_root_t_side(delta_coeffs, theta: Fraction) -> bool:
+    """Whether exp(2 pi i theta) is a root of t^d Delta(t), given by its
+    coefficients lowest degree first: whether the cyclotomic polynomial
+    Phi_q of the denominator q of theta divides it over Q."""
+    phi = cyclotomic_poly(theta.denominator)
+    return rational_divmod(delta_coeffs, phi)[1] == ()
 
 
 def sympy_factor_list(p):

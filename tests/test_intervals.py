@@ -29,20 +29,6 @@ class TestIntervalReal:
         with pytest.raises(PreconditionError, match="out of order"):
             IntervalReal(Fraction(1), Fraction(0))
 
-    def test_arithmetic_encloses(self):
-        rng = random.Random(1)
-        for _ in range(60):
-            a = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-            b = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-            wa = Fraction(rng.randint(0, 3), 7)
-            wb = Fraction(rng.randint(0, 3), 7)
-            ia = IntervalReal(a - wa, a + wa)
-            ib = IntervalReal(b - wb, b + wb)
-            assert (ia + ib).contains(a + b)
-            assert (ia - ib).contains(a - b)
-            assert (ia * ib).contains(a * b)
-            assert (-ia).contains(-a)
-
     def test_non_finite_endpoint_refused(self):
         with pytest.raises(PreconditionError, match="non-finite"):
             _iv_to_interval(mpmath.iv.mpf([0, "inf"]))
@@ -90,11 +76,26 @@ class TestExactAngle:
                            theta=Fraction(1, 8))
         b = a.conjugate()
         assert b.theta == Fraction(1, 8) and b.upper
-        monkeypatch.setattr(AlgebraicAngle, "enclosure_to_width",
-                            lambda self, width: pytest.fail("enclosed"))
+        monkeypatch.setattr(AlgebraicAngle, "enclosure",
+                            lambda self, prec_bits=64: pytest.fail("enclosed"))
         enc = enclose_angles([b, a], Fraction(1, 10))
         assert enc[a] == IntervalReal.exact(Fraction(1, 8))
         assert enc[b] == IntervalReal.exact(Fraction(7, 8))
+
+    @pytest.mark.parametrize("width",
+                             [Fraction(1, 10), Fraction(1, 10 ** 100)])
+    def test_exact_angle_is_its_own_enclosure(self, width, monkeypatch):
+        # theta for the angle in (0, 1/2), 1 - theta for its conjugate, at
+        # every width, and no mpmath enclosure of the x-box
+        a = AlgebraicAngle((-2, 0, 1), Fraction(1), Fraction(3, 2),
+                           theta=Fraction(1, 8))
+        monkeypatch.setattr(AlgebraicAngle, "enclosure",
+                            lambda self, prec_bits=64: pytest.fail("enclosed"))
+        exact = IntervalReal.exact
+        assert a.enclosure_to_width(width) == exact(Fraction(1, 8))
+        assert a.conjugate().enclosure_to_width(width) == exact(Fraction(7, 8))
+        with pytest.raises(InputError, match="width must be positive"):
+            a.enclosure_to_width(0)
 
 
 class TestAlgebraicAngle:

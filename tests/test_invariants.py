@@ -10,11 +10,13 @@ import knotbench.invariants as invariants
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
 from knotbench.errors import InputError, PossiblySingularError, PreconditionError
 from knotbench.invariants import (
+    _arf_of_determinant,
     _cyclotomic_candidates,
     _fox_milnor,
     _laurent_to_x,
     _lift,
     _lift_splits,
+    _omega_is_alexander_root,
     _psi,
     _separate_boxes,
     _tan_in_gap,
@@ -34,14 +36,16 @@ from knotbench.invariants import (
 from knotbench.intervals import cos_2pi
 from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly,
                                    cyclotomic_poly, poly_eval, poly_mul,
-                                   poly_trim, sturm_isolate)
+                                   poly_squarefree_part, poly_trim,
+                                   sturm_isolate)
 from knotbench.seifert import (SeifertMatrix, UNKNOT, connected_sum,
                                integer_determinant, mirror)
 
 from conftest import (random_seifert, random_unimodular, torus,
                       torus_step_function)
 from oracles import (arf_by_majority, fox_milnor_by_delta_factors,
-                     jumps_by_factoring, poly_matrix_det,
+                     jumps_by_factoring, omega_is_alexander_root_t_side,
+                     poly_matrix_det,
                      sample_levine_tristram_float, sympy_factor_list,
                      sympy_is_irreducible, symmetric_signature_reference,
                      tan_in_gap_by_doubling, torus_jumps, totient,
@@ -211,6 +215,29 @@ class TestArf:
         for _ in range(200):
             v = random_seifert(rng, rng.randint(1, 5))
             assert arf(v) == arf_by_majority(v)
+
+    def test_report_reads_arf_off_its_determinant(self, corpus, monkeypatch):
+        # invariants and table report Arf from the determinant |P(-2)|
+        # they already hold: no integer determinant beyond the
+        # x-polynomial's, and the same Arf as arf(v)
+        from knotbench.cli import _classical_invariants
+
+        calls = []
+        det = invariants.integer_determinant
+        monkeypatch.setattr(invariants, "integer_determinant",
+                            lambda rows: calls.append(rows) or det(rows))
+        rng = random.Random(17)
+        forms = list(corpus.items()) + [
+            (k, random_seifert(rng, rng.randint(1, 4))) for k in range(40)]
+        for name, v in forms:
+            calls.clear()
+            x_polynomial(v)
+            needed = len(calls)
+            calls.clear()
+            report = _classical_invariants(v)
+            assert len(calls) == needed > 0, name
+            assert report["arf"] == arf(v) == arf_by_majority(v), name
+            assert report["arf"] == _arf_of_determinant(-report["determinant"])
 
     def test_additive_mod_2(self, trefoil, figure_eight):
         s = connected_sum(trefoil, figure_eight)
@@ -679,6 +706,31 @@ class TestCyclotomicJumps:
         for a, theta in zip(plain.jumps, exact_angles(sf)):
             assert a.theta is None
             assert a.enclosure_to_width(width).contains(theta)
+
+    def test_root_of_unity_test_matches_the_t_side(self):
+        # Psi_q dividing the x-polynomial (or its squarefree part) against
+        # Phi_q dividing t^d Delta(t), at every theta = k/q with q <= 60;
+        # on T(p, q) the roots are exactly its jumps
+        rng = random.Random(61)
+        knots = ([(torus(p, q), torus_jumps(p, q)) for p, q in TORUS_FAMILY]
+                 + [(random_seifert(rng, 1 + k % 3), None) for k in range(50)])
+        thetas = [Fraction(k, q) for q in range(2, 61) for k in range(1, q)
+                  if math.gcd(k, q) == 1]
+        for v, jumps in knots:
+            p = x_polynomial(v)
+            ps = poly_squarefree_part(p)
+            coeffs = alexander_polynomial(v).to_int_poly()[0]
+            want = {q: omega_is_alexander_root_t_side(coeffs, Fraction(1, q))
+                    for q in range(2, 61)}
+            roots = []
+            for theta in thetas:
+                got = _omega_is_alexander_root(p, theta)
+                assert got == _omega_is_alexander_root(ps, theta)
+                assert got == want[theta.denominator], (v, theta)
+                if got:
+                    roots.append(theta)
+            if jumps is not None:
+                assert sorted(roots) == jumps
 
     def test_conjugate_keeps_the_exact_angle(self):
         sf = torus_step_function(2, 5)

@@ -13,7 +13,7 @@ from knotbench.rho import rho0, rho0_from_step_function
 from knotbench.seifert import UNKNOT, SeifertMatrix, connected_sum, mirror
 
 from conftest import random_seifert, torus, torus_step_function
-from oracles import jumps_by_factoring, riemann_rho0, torus_rho0
+from oracles import jumps_by_factoring, rho0_by_arcs, riemann_rho0, torus_rho0
 
 PREC = Fraction(1, 10 ** 6)
 
@@ -22,12 +22,32 @@ def assert_rho0_identities(v, precision=PREC):
     """Mirror antisymmetry, additivity under connected sum with v itself,
     and the genus bound |rho0| <= 2g, as interval statements."""
     r = rho0(v, precision).value
-    r_mirror = rho0(mirror(v), precision).value
-    assert r_mirror.intersects(-r), (r_mirror, r)
-    r_sum = rho0(connected_sum(v, v), 2 * precision).value
-    assert r_sum.intersects(r + r), (r_sum, r)
+    rm = rho0(mirror(v), precision).value
+    # rm intersects -r = [-r.hi, -r.lo]
+    assert rm.lo <= -r.lo and -r.hi <= rm.hi, (rm, r)
+    rs = rho0(connected_sum(v, v), 2 * precision).value
+    # rs intersects r + r = [2 r.lo, 2 r.hi]
+    assert rs.lo <= 2 * r.hi and 2 * r.lo <= rs.hi, (rs, r)
     bound = 2 * v.genus
     assert -bound - precision <= r.lo and r.hi <= bound + precision, r
+
+
+def twist_sum():
+    """K_-2 # ... # K_-11 (5_2, 7_2, ...): each summand jumps by -2 at
+    theta_m = acos(1 - 1/(2m)) / (2 pi), off the roots of unity, and
+    adds -2 (1 - 2 theta_m) to rho0."""
+    v = UNKNOT
+    for m in range(2, 12):
+        v = connected_sum(v, SeifertMatrix([[-1, 1], [0, -m]]))
+    return v
+
+
+def steps_below_half(sf):
+    """The jumps theta_j in (0, 1/2) and their sizes c_j != 0."""
+    n = len(sf.jumps) // 2
+    return [(a, sf.values[j + 1] - sf.values[j])
+            for j, a in enumerate(sf.jumps[:n])
+            if sf.values[j + 1] != sf.values[j]]
 
 
 class TestRho0:
@@ -59,15 +79,14 @@ class TestRho0:
 
     def test_arc_lengths_sum_to_one(self, trefoil):
         r = rho0(trefoil, PREC)
-        total = IntervalReal.exact(0)
         w = Fraction(1, 10 ** 9)
-
         ends = ([IntervalReal.exact(0)]
                 + [a.enclosure_to_width(w) for a in r.step_function.jumps]
                 + [IntervalReal.exact(1)])
-        for lo, hi in zip(ends, ends[1:]):
-            total = total + (hi - lo)
-        assert total.contains(1)
+        arcs = list(zip(ends, ends[1:]))
+        # the arc from a to b is at least b.lo - a.hi and at most b.hi - a.lo
+        assert (sum(b.lo - a.hi for a, b in arcs) <= 1
+                <= sum(b.hi - a.lo for a, b in arcs))
 
     def test_jump_bounds_unchanged_by_evaluation(self):
         # angles held by a step function are values: evaluating rho0, the
@@ -112,19 +131,16 @@ class TestRho0:
         # the twist knots K_-2 ... K_-11 (5_2, 7_2, ...) jump at
         # x = 2 - 1/m, off the roots of unity: their sum has 20 jumps in
         # 10 conjugate pairs; T(2, 21) has 20 exact jumps, none enclosed
-        v = UNKNOT
-        for m in range(2, 12):
-            v = connected_sum(v, SeifertMatrix([[-1, 1], [0, -m]]))
-        sf = signature_function(v)
+        sf = signature_function(twist_sum())
         assert len(sf.jumps) == 20
         calls = []
-        enclose = AlgebraicAngle.enclosure_to_width
+        enclose = AlgebraicAngle.enclosure
 
-        def counting(self, width):
+        def counting(self, prec_bits=64):
             calls.append(self)
-            return enclose(self, width)
+            return enclose(self, prec_bits)
 
-        monkeypatch.setattr(AlgebraicAngle, "enclosure_to_width", counting)
+        monkeypatch.setattr(AlgebraicAngle, "enclosure", counting)
         rho0_from_step_function(sf, Fraction(1, 10 ** 100))
         assert len(calls) == 10
         assert not any(a.upper for a in calls)
@@ -168,6 +184,57 @@ class TestRho0:
         assert d["arcs"][1]["sigma"] == -2
         assert d["rho0"]["lo"].startswith("-1.3333")
 
+
+class TestRho0ByParts:
+    @pytest.mark.parametrize("precision", [PREC, Fraction(1, 10 ** 30)],
+                             ids=["1e-6", "1e-30"])
+    def test_agrees_with_the_arc_sum(self, knot_table, precision):
+        # the sum by parts over the jumps in (0, 1/2) against the sum of
+        # sigma times arc length over all arcs
+        rng = random.Random(22)
+        forms = ([e.seifert_matrix() for e in knot_table]
+                 + [random_seifert(rng, 1 + k % 4) for k in range(200)]
+                 + [twist_sum()])
+        for v in forms:
+            sf = signature_function(v)
+            r = rho0_from_step_function(sf, precision).value
+            lo, hi = rho0_by_arcs(sf, precision)
+            assert r.width <= precision and hi - lo <= precision
+            assert r.lo <= hi and lo <= r.hi, (v, r, (lo, hi))
+            # the jumps are enclosed no finer than the arcs' weight asks
+            assert (2 * sum(abs(c) for _, c in steps_below_half(sf))
+                    <= sum(2 * abs(sigma) for sigma in sf.values))
+
+    def test_twist_sum_closed_form_and_pinned_width(self, monkeypatch):
+        # one enclosure per jump theta_j in (0, 1/2) with c_j != 0, to
+        # precision / (2 sum |c_j|), which is no finer than
+        # precision / (sum of 2|sigma_k| over all arcs)
+        import mpmath
+
+        sf = signature_function(twist_sum())
+        steps = steps_below_half(sf)
+        assert [c for _, c in steps] == [-2] * 10
+        precision = Fraction(1, 10 ** 30)
+        pinned = precision / (2 * sum(abs(c) for _, c in steps))
+        assert pinned == precision / 40
+        assert pinned >= precision / sum(2 * abs(s) for s in sf.values)
+        requests = []
+        enclose = AlgebraicAngle.enclosure_to_width
+
+        def recording(self, width):
+            requests.append((self, width))
+            return enclose(self, width)
+
+        monkeypatch.setattr(AlgebraicAngle, "enclosure_to_width", recording)
+        r = rho0_from_step_function(sf, precision).value
+        assert requests == [(a, pinned) for a, _ in steps]
+        assert r.width <= precision
+        with mpmath.workdps(60):
+            want = Fraction(str(mpmath.fsum(
+                -2 + 2 * mpmath.acos(1 - mpmath.mpf(1) / (2 * m)) / mpmath.pi
+                for m in range(2, 12))))
+        tol = Fraction(1, 10 ** 50)
+        assert r.lo - tol <= want <= r.hi + tol, (r, float(want))
 
 class TestExactRho0:
     @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (2, 7), (2, 9), (2, 13),

@@ -25,9 +25,9 @@ def test_no_assert_statements():
     assert found == []
 
 
-# the two operand coercions raise TypeError, the error Python itself
-# gives for an unsupported operand type
-_COERCION_SITES = {("intervals.py", "_coerce"), ("polynomials.py", "_as_laurent")}
+# the operand coercion raises TypeError, the error Python itself gives
+# for an unsupported operand type
+_COERCION_SITES = {("polynomials.py", "_as_laurent")}
 _BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
                        if isinstance(obj, type)
                        and issubclass(obj, BaseException)}
