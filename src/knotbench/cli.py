@@ -143,7 +143,7 @@ def cmd_rho(args) -> None:
 
 def cmd_sigfn(args) -> None:
     from .invariants import signature_csv, signature_function
-    from .intervals import format_angles
+    from .intervals import format_jumps
     from .polynomials import poly_to_str
 
     echo, v = _load_knot(args)
@@ -151,7 +151,7 @@ def cmd_sigfn(args) -> None:
     if args.csv:
         sys.stdout.write(signature_csv(sf, args.digits))
         return
-    thetas = format_angles(sf.jumps, args.digits)
+    thetas = format_jumps(sf.low, args.digits)
     jumps = [{"theta": theta, "min_poly_x": poly_to_str(a.poly)}
              for theta, a in zip(thetas, sf.jumps)]
     _emit(_report(echo, {"jumps": jumps, "arc_values": list(sf.values)}))
@@ -195,8 +195,6 @@ def cmd_grope(args) -> None:
         if not args.bracket:
             raise InputError("from-bracket needs --bracket")
         b = parse_bracket(args.bracket)
-        if b.is_generator:
-            raise PreconditionError("weight-1 bracket carries no grope")
         tree = bracket_to_grope(b)
         h = height_of(tree)
         _emit(_report({"bracket": str(b)}, {

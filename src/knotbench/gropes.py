@@ -64,15 +64,18 @@ class GropeTree:
 
     @classmethod
     def from_json_dict(cls, data) -> "GropeTree":
-        if not isinstance(data, dict) or "pairs" not in data:
+        from .seifert import as_integer
+
+        items = data.get("pairs") if isinstance(data, dict) else None
+        if not isinstance(items, list):
             raise InputError("grope JSON needs a 'pairs' list")
         pairs = []
-        for item in data["pairs"]:
+        for item in items:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise InputError("each pair must be [slot, slot]")
             pairs.append(tuple(cls._slot_from_json(s) for s in item))
         tree = cls(pairs)
-        if "genus" in data and data["genus"] != tree.genus:
+        if as_integer(data.get("genus", tree.genus), "genus") != tree.genus:
             raise InputError("genus field disagrees with the pair count")
         return tree
 

@@ -195,33 +195,17 @@ class AlgebraicAngle:
                 f" x in ({self.x_lo}, {self.x_hi}))")
 
 
-def enclose_angles(angles, width: Fraction) -> dict:
-    """An enclosure of width at most ``width`` for each of ``angles``.
-
-    An angle and its conjugate share the polynomial and the x-box, so a
-    conjugate pair is enclosed once, from the angle theta in (0, 1/2), and
-    1 - theta gets the reflection [1 - hi, 1 - lo]: the enclosure that
-    ``enclosure_to_width`` of 1 - theta returns.
-    """
-    enc: dict = {}
-    for a in angles:
-        if a not in enc:
-            low = a.conjugate() if a.upper else a
-            e = enc[low] = low.enclosure_to_width(width)
-            enc[low.conjugate()] = IntervalReal(1 - e.hi, 1 - e.lo)
-    return enc
-
-
-def format_angles(angles, digits: int) -> list:
-    """Each of ``angles`` rendered with ``digits`` decimal digits, from the
-    midpoint of its own enclosure of width at most 10^-(digits+2); for an
-    exact angle that is its value.
-
-    The width depends on ``digits`` alone, so the rendering of an angle is
-    the same wherever it is printed, whatever other widths it was enclosed
-    to elsewhere."""
-    enc = enclose_angles(angles, Fraction(1, 10 ** (digits + 2)))
-    return [format_decimal(enc[a].mid, digits) for a in angles]
+def format_jumps(low, digits: int) -> list:
+    """The angles ``low`` in (0, 1/2), then their conjugates in reverse,
+    with ``digits`` decimal digits: each theta of ``low`` as the midpoint m
+    of its enclosure to width 10^-(digits+2), its value if exact, and
+    1 - theta as 1 - m, the midpoint of the enclosure [1 - hi, 1 - lo]
+    that ``enclosure_to_width`` gives 1 - theta.  The width depends on
+    ``digits`` alone, so an angle prints the same wherever it is printed."""
+    width = Fraction(1, 10 ** (digits + 2))
+    mids = [a.enclosure_to_width(width).mid for a in low]
+    return ([format_decimal(m, digits) for m in mids]
+            + [format_decimal(1 - m, digits) for m in reversed(mids)])
 
 
 def format_decimal(fr: Fraction, digits: int) -> str:

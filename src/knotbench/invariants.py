@@ -296,17 +296,26 @@ def _laurent_to_x(delta: LaurentPoly) -> tuple:
 class SignatureStepFunction:
     """The Levine-Tristram signature as a step function of theta in (0, 1).
 
-    ``jumps`` lists the angles where the Alexander polynomial has a
-    unit-circle root (sorted, conjugate-symmetric); ``values`` holds the
-    constant signature on the open arcs between consecutive jumps, arcs
-    adjoining theta = 0 included.  The value exactly at a jump angle is
-    not defined.  ``x_poly`` is the squarefree part of the x-polynomial.
+    It is stored by its half on (0, 1/2], as sigma(theta) = sigma(1 - theta):
+    ``low`` lists the jump angles in (0, 1/2) ascending, and ``half`` the
+    values on the arcs between them, from theta = 0 to the arc holding 1/2.
+    ``jumps`` and ``values`` mirror them onto the whole circle.  The value
+    exactly at a jump is not defined.  ``x_poly`` is the squarefree part
+    of the x-polynomial.
     """
 
-    jumps: tuple
-    values: tuple
+    low: tuple
+    half: tuple
     x_poly: tuple
     delta_coeffs: tuple
+
+    @property
+    def jumps(self) -> tuple:
+        return self.low + tuple(a.conjugate() for a in reversed(self.low))
+
+    @property
+    def values(self) -> tuple:
+        return self.half + self.half[-2::-1]
 
     def value_at(self, theta: Fraction) -> int:
         theta = Fraction(theta)
@@ -315,10 +324,10 @@ class SignatureStepFunction:
         if _omega_is_alexander_root(self.x_poly, theta):
             raise PreconditionError(
                 "signature undefined exactly at a jump angle")
-        if not self.jumps:
-            return self.values[0]
-        # theta and 1 - theta share x, and the values are symmetric
-        return self.values[_x_enclosure(self.x_poly, theta)[2]]
+        if not self.low:
+            return self.half[0]
+        # theta and 1 - theta share x, and so the arc of the half
+        return self.half[_x_enclosure(self.x_poly, theta)[2]]
 
 
 def _separate_boxes(ps: tuple, boxes: list) -> list:
@@ -418,9 +427,10 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     The n roots of the x-polynomial in (-2, 2) cut theta in (0, 1/2] into
     n + 1 arcs.  Each arc but the last is evaluated at a rational point of
     the x-gap between its Sturm boxes; the last one holds theta = 1/2.
-    The arcs in [1/2, 1) mirror them, as sigma(theta) = sigma(1 - theta).
-    A jump at a root of unity gets Psi_n as its minimal polynomial and its
-    exact angle k/n from ``_cyclotomic_jumps``, with no factorisation.
+    Only these jumps and arcs are stored: those in [1/2, 1) mirror them,
+    as sigma(theta) = sigma(1 - theta).  A jump at a root of unity gets
+    Psi_n as its minimal polynomial and its exact angle k/n from
+    ``_cyclotomic_jumps``, with no factorisation.
     Each other jump's minimal polynomial is the irreducible factor of the
     cofactor that changes sign across its box; the cofactor is factored
     only when such a jump exists.
@@ -431,7 +441,7 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     ps, boxes, points = _arcs(p)
     rest, found = _cyclotomic_jumps(ps, boxes)
     factors = factor_integer_poly(rest)[1] if None in found else ()
-    angles_low = []
+    low = []
     # theta = acos(x/2)/2pi is decreasing in x
     for (lo, hi), hit in zip(reversed(boxes), reversed(found)):
         if hit is None:
@@ -446,28 +456,20 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
                     f"no irreducible factor of {poly_to_str(rest)} has its"
                     f" root in ({lo}, {hi})")
             hit = minpoly, None
-        angles_low.append(AlgebraicAngle(hit[0], lo, hi, theta=hit[1]))
-    jumps = tuple(angles_low
-                  + [a.conjugate() for a in reversed(angles_low)])
-
-    half = [_arc_signature(v, r) for r in points]
-    return SignatureStepFunction(jumps, tuple(half + half[-2::-1]), ps,
-                                 _lift(p))
+        low.append(AlgebraicAngle(hit[0], lo, hi, theta=hit[1]))
+    half = tuple(_arc_signature(v, r) for r in points)
+    return SignatureStepFunction(tuple(low), half, ps, _lift(p))
 
 
 def signature_csv(sf: SignatureStepFunction, digits: int = 12) -> str:
     """Render the step function as CSV with decimal arc endpoints."""
-    from .intervals import format_angles
+    from .intervals import format_jumps
 
-    polys = []
-    for a in sf.jumps:
-        s = poly_to_str(a.poly)
-        if s not in polys:
-            polys.append(s)
+    polys = dict.fromkeys(poly_to_str(a.poly) for a in sf.low)
     lines = ["# jump minimal polynomials (x = t + 1/t): "
              + ("; ".join(polys) if polys else "none")]
     lines.append("theta_lo,theta_hi,sigma")
-    points = ["0"] + format_angles(sf.jumps, digits) + ["1"]
+    points = ["0"] + format_jumps(sf.low, digits) + ["1"]
     for k, val in enumerate(sf.values):
         lines.append(f"{points[k]},{points[k + 1]},{val}")
     return "\n".join(lines) + "\n"

@@ -639,20 +639,28 @@ class LaurentPoly:
         return self.max_exp - self.min_exp if self._c else 0
 
     def __add__(self, o):
-        o = _as_laurent(o)
+        if isinstance(o, int):
+            o = LaurentPoly.constant(o)
+        if not isinstance(o, LaurentPoly):
+            return NotImplemented
         c = dict(self._c)
         for e, a in o._c.items():
             c[e] = c.get(e, 0) + a
         return LaurentPoly(c)
 
     def __sub__(self, o):
-        return self + (-_as_laurent(o))
+        if not isinstance(o, (int, LaurentPoly)):
+            return NotImplemented
+        return self + (-o)
 
     def __neg__(self):
         return LaurentPoly({e: -a for e, a in self._c.items()})
 
     def __mul__(self, o):
-        o = _as_laurent(o)
+        if isinstance(o, int):
+            o = LaurentPoly.constant(o)
+        if not isinstance(o, LaurentPoly):
+            return NotImplemented
         c = {}
         for e1, a1 in self._c.items():
             for e2, a2 in o._c.items():
@@ -700,18 +708,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self._c!r})"
-
-
-def _as_laurent(o) -> LaurentPoly:
-    """The other operand of an arithmetic operator as a Laurent polynomial.
-
-    Any other type raises TypeError, the error Python itself gives for an
-    unsupported operand type, so it stays outside KnotbenchError."""
-    if isinstance(o, LaurentPoly):
-        return o
-    if isinstance(o, int):
-        return LaurentPoly.constant(o)
-    raise TypeError(f"cannot coerce {type(o)!r} to LaurentPoly")
 
 
 def poly_matrix_det(mat) -> Coeffs:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .intervals import (IntervalReal, format_angles, format_bound,
-                        format_decimal)
+from .intervals import (IntervalReal, format_bound, format_decimal,
+                        format_jumps)
 from .invariants import SignatureStepFunction, signature_function
 from .seifert import SeifertMatrix
 
@@ -43,7 +43,7 @@ class RhoResult:
 
     def to_json_dict(self, digits: int = 12) -> dict:
         sf = self.step_function
-        ends = ([format_decimal(0, digits)] + format_angles(sf.jumps, digits)
+        ends = ([format_decimal(0, digits)] + format_jumps(sf.low, digits)
                 + [format_decimal(1, digits)])
         return {
             "rho0": {
@@ -83,11 +83,10 @@ def rho0_from_step_function(sf: SignatureStepFunction,
     precision = Fraction(precision)
     if precision <= 0:
         raise InputError("precision must be positive")
-    values = sf.values
-    steps = [(a, values[j + 1] - values[j])
-             for j, a in enumerate(sf.jumps[:len(sf.jumps) // 2])
-             if values[j + 1] != values[j]]
-    lo = hi = Fraction(values[0])
+    half = sf.half
+    steps = [(a, half[j + 1] - half[j]) for j, a in enumerate(sf.low)
+             if half[j + 1] != half[j]]
+    lo = hi = Fraction(half[0])
     if steps:
         width = precision / (2 * sum(abs(c) for _, c in steps))
         for a, c in steps:

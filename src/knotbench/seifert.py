@@ -7,6 +7,7 @@ import io
 import json
 import operator
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,6 +45,14 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _array(x):
+    """``x``, unless it is a string or a mapping, which iterate but hold
+    no rows or entries."""
+    if isinstance(x, (str, bytes, Mapping)):
+        raise InputError("Seifert matrix must be an array of rows")
+    return x
+
+
 class SeifertMatrix:
     """Integer Seifert matrix V with unimodular skew part V - V^T.
 
@@ -56,8 +65,8 @@ class SeifertMatrix:
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         try:
-            rows = tuple(tuple(as_integer(v, "Seifert entry") for v in row)
-                         for row in rows)
+            rows = tuple(tuple(as_integer(v, "Seifert entry")
+                               for v in _array(row)) for row in _array(rows))
         except TypeError:
             raise InputError("Seifert matrix must be an array of rows") from None
         n = len(rows)

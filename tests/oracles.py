@@ -478,7 +478,7 @@ def jumps_by_factoring(sf: SignatureStepFunction) -> SignatureStepFunction:
                        if poly_sign_at(f, a.x_lo) != poly_sign_at(f, a.x_hi))
         return AlgebraicAngle(minpoly, a.x_lo, a.x_hi, a.upper)
 
-    return replace(sf, jumps=tuple(plain(a) for a in sf.jumps))
+    return replace(sf, low=tuple(plain(a) for a in sf.low))
 
 
 def rho0_by_arcs(sf: SignatureStepFunction, width: Fraction) -> tuple:

@@ -277,6 +277,30 @@ def test_json_integer_past_the_str_limit_exits_1(capsys, tmp_path, argv, text):
     assert "4300" in err
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["grope", "class", "--tree"], '{"pairs": 5}'),
+    (["grope", "height", "--tree"], '{"pairs": 5}'),
+    (["grope", "class", "--tree-file"], '{"pairs": 5}'),
+    (["grope", "class", "--tree"], '{"pairs": [["bare", {"pairs": 5}]]}'),
+    (["grope", "class", "--tree"], '{"pairs": [["bare", "bare"]], "genus": true}'),
+    (["grope", "class", "--tree"], '{"pairs": [["bare", "bare"]], "genus": 1.0}'),
+    (["invariants", "--seifert"], '{}'),
+    (["invariants", "--seifert"], '""'),
+    (["invariants", "--input"], '{"seifert": {}}'),
+    (["table"], '[{"name": "k", "seifert": {}}]'),
+], ids=["pairs-5", "height-pairs-5", "tree-file-pairs-5", "child-pairs-5",
+        "genus-true", "genus-float", "seifert-object", "seifert-string",
+        "input-object", "table-object"])
+def test_malformed_json_exits_1(capsys, tmp_path, argv, text):
+    if argv[-1] in ("--input", "table", "--tree-file"):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        text = str(path)
+    code, out, err = run(capsys, *argv, text)
+    assert code == 1 and out == ""
+    assert err.startswith("error: input:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("braid,code_want,kind", [
     ("n=" + "1" * 5000 + "; 1", 1, "input"),
     ("n=1" + "0" * 4000 + "; 1", 2, "precondition"),
@@ -366,6 +390,11 @@ class TestGropeAndMagnus:
                            "[[x,y],[z,w]]")
         r = json.loads(out)["results"]
         assert r["class"] == 4 and r["height"] == "2"
+
+    def test_weight_1_bracket_exits_2(self, capsys):
+        code, out, err = run(capsys, "grope", "from-bracket", "--bracket", "x")
+        assert code == 2 and out == ""
+        assert err == "error: precondition: weight-1 bracket carries no grope\n"
 
     def test_magnus_commutator(self, capsys):
         code, out, _ = run(capsys, "magnus", "x y x^-1 y^-1", "--cutoff", "6")

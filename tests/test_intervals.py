@@ -11,9 +11,9 @@ from knotbench.intervals import (
     _iv_to_interval,
     angle_from_cos_half,
     cos_2pi,
-    enclose_angles,
     format_bound,
     format_decimal,
+    format_jumps,
 )
 
 
@@ -78,9 +78,7 @@ class TestExactAngle:
         assert b.theta == Fraction(1, 8) and b.upper
         monkeypatch.setattr(AlgebraicAngle, "enclosure",
                             lambda self, prec_bits=64: pytest.fail("enclosed"))
-        enc = enclose_angles([b, a], Fraction(1, 10))
-        assert enc[a] == IntervalReal.exact(Fraction(1, 8))
-        assert enc[b] == IntervalReal.exact(Fraction(7, 8))
+        assert format_jumps([a], 3) == ["0.125", "0.875"]
 
     @pytest.mark.parametrize("width",
                              [Fraction(1, 10), Fraction(1, 10 ** 100)])
@@ -145,18 +143,26 @@ class TestAlgebraicAngle:
         assert enc.width <= width
         assert enc.lo - tol <= ref <= enc.hi + tol
 
-    @pytest.mark.parametrize("width", [Fraction(1, 10 ** 14),
-                                       Fraction(3, 7 ** 60)])
-    def test_enclose_angles_reflects_the_conjugate(self, width):
-        # each angle gets what enclosure_to_width gives it, whichever
-        # member of its pair comes first
-        low = [AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2)),
-               AlgebraicAngle((-2, 0, 1), Fraction(1), Fraction(3, 2)),
+    @pytest.mark.parametrize("digits", [0, 12, 40])
+    def test_format_jumps_reflects_the_conjugate(self, digits, monkeypatch):
+        # each conjugate prints what its own enclosure_to_width gives it,
+        # though only the angles in (0, 1/2) are enclosed
+        low = [AlgebraicAngle((-2, 0, 1), Fraction(1), Fraction(3, 2)),
+               AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2)),
                AlgebraicAngle((-3, 0, 1), Fraction(-2), Fraction(-3, 2))]
-        angles = [low[0], low[1].conjugate(), low[2], low[0].conjugate()]
-        enc = enclose_angles(angles, width)
-        for a in angles + [low[1]]:
-            assert enc[a] == a.enclosure_to_width(width)
+        width = Fraction(1, 10 ** (digits + 2))
+        want = [format_decimal(a.enclosure_to_width(width).mid, digits)
+                for a in low + [a.conjugate() for a in reversed(low)]]
+        calls = []
+        enclose = AlgebraicAngle.enclosure_to_width
+
+        def counting(self, w):
+            calls.append(self)
+            return enclose(self, w)
+
+        monkeypatch.setattr(AlgebraicAngle, "enclosure_to_width", counting)
+        assert format_jumps(low, digits) == want
+        assert calls == low
 
     def test_immutable(self):
         a = AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2))

@@ -386,6 +386,25 @@ class TestSignatureFunction:
             assert sf.values[0] == 0, name
             assert sf.values[-1] == 0, name
 
+    def test_stored_by_its_half(self, corpus):
+        # low and half determine the whole circle: jumps mirror low as
+        # conjugates, and values mirror half about the arc holding 1/2
+        rng = random.Random(23)
+        forms = list(corpus.values()) + [torus(3, 4)] + [
+            random_seifert(rng, rng.randint(1, 4)) for _ in range(30)]
+        for v in forms:
+            sf = signature_function(v)
+            low, half = sf.low, sf.half
+            n = len(low)
+            assert len(half) == n + 1
+            assert all(not a.upper for a in low)
+            assert [(a.x_lo, a.x_hi) for a in low] == sorted(
+                ((a.x_lo, a.x_hi) for a in low), reverse=True)
+            assert sf.jumps == low + tuple(
+                a.conjugate() for a in reversed(low))
+            assert sf.values == half + half[-2::-1]
+            assert sf.value_at(Fraction(1, 2)) == half[-1]
+
     def test_value_at_and_jump_error(self, trefoil):
         sf = signature_function(trefoil)
         assert sf.value_at(Fraction(1, 3)) == -2

@@ -546,6 +546,25 @@ class TestLaurentPoly:
             {1: 2, 0: -5, -1: 2})
         assert q(1) == 1
 
+    def test_int_operands_on_either_side(self):
+        p = LaurentPoly({1: 1, -1: 1})
+        assert p + 2 == 2 + p == LaurentPoly({1: 1, 0: 2, -1: 1})
+        assert p - 2 == LaurentPoly({1: 1, 0: -2, -1: 1})
+        assert 3 * p == p * 3 == LaurentPoly({1: 3, -1: 3})
+        assert p - p == 0
+
+    @pytest.mark.parametrize("op", [
+        lambda p: p + "x", lambda p: p * 1.5, lambda p: "x" * p,
+        lambda p: p - 0.5, lambda p: 1.5 + p],
+        ids=["p+str", "p*float", "str*p", "p-float", "float+p"])
+    def test_foreign_operand_is_python_type_error(self, op):
+        # the operators return NotImplemented, and Python raises TypeError
+        p = LaurentPoly({1: 1, -1: 1})
+        with pytest.raises(TypeError):
+            op(p)
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+            assert getattr(p, name)("x") is NotImplemented, name
+
     def test_reciprocal(self):
         p = LaurentPoly({2: 3, -1: 4})
         assert p.reciprocal() == LaurentPoly({-2: 3, 1: 4})

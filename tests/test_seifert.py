@@ -32,7 +32,8 @@ class TestSeifertMatrix:
         with pytest.raises(InputError, match="not an integer"):
             SeifertMatrix(rows)
 
-    @pytest.mark.parametrize("rows", [5, [1, 2]])
+    @pytest.mark.parametrize("rows", [5, [1, 2], {}, "", {"a": 1}, "ab",
+                                      [{}, {}], ["ab", "cd"], [b"ab", b"cd"]])
     def test_non_array_refused(self, rows):
         with pytest.raises(InputError, match="array of rows"):
             SeifertMatrix(rows)

@@ -25,9 +25,6 @@ def test_no_assert_statements():
     assert found == []
 
 
-# the operand coercion raises TypeError, the error Python itself gives
-# for an unsupported operand type
-_COERCION_SITES = {("polynomials.py", "_as_laurent")}
 _BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
                        if isinstance(obj, type)
                        and issubclass(obj, BaseException)}
@@ -39,16 +36,11 @@ def test_no_bare_builtin_raises():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        allowed = {node for func in ast.walk(tree)
-                   if isinstance(func, ast.FunctionDef)
-                   and (path.name, func.name) in _COERCION_SITES
-                   for node in ast.walk(func)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 name = getattr(exc, "id", None)
-                if name in _BUILTIN_EXCEPTIONS and not (
-                        name == "TypeError" and node in allowed):
+                if name in _BUILTIN_EXCEPTIONS:
                     found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
 
