@@ -46,9 +46,8 @@ tadpole terms, but generation never joins two legs on one vertex, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, PreconditionError
 
@@ -181,7 +180,7 @@ def canonical_form(d: UniTrivalentGraph) -> tuple:
     steps = 1 + 2 * sum(len(v) == 3 for v in verts)
     queue = [0] * steps
     code = [0] * steps
-    best: Optional[list] = None
+    best: list | None = None
     parities = 0                     # bit k: a minimal traversal of parity k
 
     def dfs(qi: int, qend: int, seen: int, flips: int, decided: bool) -> None:
@@ -342,12 +341,25 @@ def enumerate_diagrams(i: int, grading: str = "grope") -> list:
 # relations
 
 
-@dataclass
 class RelationMatrix:
-    """AS and IHX relation instances over a fixed generator basis."""
+    """AS and IHX relation instances over a fixed generator basis:
+    `columns` holds the sorted canonical keys, `rows` one
+    {column_index: int coefficient} dict per relation.  Mutable, so equal
+    by value and unhashable."""
 
-    columns: tuple        # canonical keys, sorted
-    rows: list            # list of {column_index: int coefficient}
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: tuple, rows: list):
+        self.columns = columns
+        self.rows = rows
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.columns, self.rows) == (o.columns, o.rows)
+
+    def __repr__(self):
+        return f"RelationMatrix(columns={self.columns!r}, rows={self.rows!r})"
 
     @property
     def n_rows(self) -> int:
@@ -373,7 +385,7 @@ def _ihx_terms(d: UniTrivalentGraph, h: int) -> list:
 
 
 def relation_matrix(i: int, grading: str = "grope",
-                    generators: Optional[list] = None) -> RelationMatrix:
+                    generators: list | None = None) -> RelationMatrix:
     """All AS rows (per diagram, per trivalent vertex) and IHX rows (per
     diagram, per internal edge) over the canonical generators of degree i.
 
@@ -447,7 +459,7 @@ def rank_over_q(rows: Iterable[dict]) -> int:
 
 
 def dim_graded_piece(i: int, grading: str = "grope",
-                     budget: Optional[int] = None) -> dict:
+                     budget: int | None = None) -> dict:
     """Number of generators, relations, and the rational dimension at one
     degree of the chosen grading."""
     if grading not in ("grope", "vassiliev"):

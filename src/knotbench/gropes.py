@@ -10,33 +10,40 @@ derived series; a symmetric grope of height h has class 2^h.
 On the group-theory side, formal commutator brackets carry weight (lower
 central class) and derived depth, and free-group words get their lower
 central depth from the truncated Magnus expansion x -> 1 + X over the free
-associative ring, one packed integer per degree (Kronecker substitution):
-the word g_1 ... g_d of 0-based generator indices has the signed slot
-sum g_i r^(i-1) at rank r.  A word of length L has degree-d coefficients
-of at most C(L+d-1, d), so slots one sign bit wider than C(L + cutoff,
-cutoff) hold them all.
+associative ring, with degrees packed into integers of signed slots
+(Kronecker substitution): the word g_1 ... g_d of 0-based generator
+indices has the slot sum g_i r^(i-1) at rank r.  Below the top two
+degrees, one integer holds a whole degree.  The top degree D, which the
+pass never reads, and degree D - 1 are split by their last letters into
+parts that are never shifted: degree D - 1 into r parts part[h], degree
+D into r^2 parts top[g][h] for the last two letters h g, each indexed by
+the first D - 2 letters.  A reader of single coefficients (Milnor
+invariants, say) can reassemble degree D as the sum of
+top[g][h] << bits (h r^(D-2) + g r^(D-1)), and degree D - 1 as the sum
+of part[h] << bits h r^(D-2).
+A word of length L has degree-d coefficients of at most C(L+d-1, d),
+largest at d = D, so slots one sign bit wider than C(L + D - 1, D) hold
+them all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceededError, InputError, PreconditionError
 
 MAGNUS_RANK_BUDGET = 4
 MAGNUS_CUTOFF_BUDGET = 8
 
-Slot = Optional["GropeTree"]  # None = bare
 
-
-@dataclass(frozen=True)
 class GropeTree:
-    """A surface stage: `pairs` lists the (a, b) slot pairs, one per genus."""
+    """A surface stage: `pairs` lists the (a, b) slot pairs, one per genus.
 
-    pairs: tuple
+    Read-only; stages are equal, and hash alike, when their pairs are."""
+
+    __slots__ = ("_pairs",)
 
     def __init__(self, pairs: Sequence):
         pairs = tuple((a, b) for a, b in pairs)
@@ -46,7 +53,22 @@ class GropeTree:
             for s in (a, b):
                 if s is not None and not isinstance(s, GropeTree):
                     raise InputError("slot must be bare (None) or a GropeTree")
-        object.__setattr__(self, "pairs", pairs)
+        self._pairs = pairs
+
+    @property
+    def pairs(self) -> tuple:
+        return self._pairs
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return self._pairs == o._pairs
+
+    def __hash__(self):
+        return hash((self._pairs,))
+
+    def __repr__(self):
+        return f"GropeTree(pairs={self._pairs!r})"
 
     @property
     def genus(self) -> int:
@@ -89,12 +111,12 @@ class GropeTree:
 def class_of(t: GropeTree) -> int:
     """Grope class: min over dual pairs of the two slot contributions,
     where a bare slot contributes 1 and a child stage its own class."""
-    def contrib(s: Slot) -> int:
+    def contrib(s: GropeTree | None) -> int:
         return 1 if s is None else class_of(s)
     return min(contrib(a) + contrib(b) for a, b in t.pairs)
 
 
-def symmetric_grope(h: Union[int, Fraction], genus: int = 1) -> GropeTree:
+def symmetric_grope(h: int | Fraction, genus: int = 1) -> GropeTree:
     """The symmetric grope template of (half-integer) height h >= 1.
 
     Integer heights attach height-(h-1) gropes to every slot; height
@@ -108,7 +130,7 @@ def symmetric_grope(h: Union[int, Fraction], genus: int = 1) -> GropeTree:
     if genus < 1:
         raise PreconditionError("genus must be >= 1")
 
-    def slot_of_height(hh: Fraction) -> Slot:
+    def slot_of_height(hh: Fraction) -> GropeTree | None:
         if hh == 0:
             return None
         return symmetric_grope(hh, genus)
@@ -124,15 +146,15 @@ def symmetric_grope(h: Union[int, Fraction], genus: int = 1) -> GropeTree:
     return GropeTree([(first, second)] * genus)
 
 
-def height_of(t: GropeTree) -> Optional[Fraction]:
+def height_of(t: GropeTree) -> Fraction | None:
     """Height h when t matches the symmetric template of height h for some
     genus profile (slot order within a pair immaterial); None otherwise."""
-    def slot_height(s: Slot) -> Optional[Fraction]:
+    def slot_height(s: GropeTree | None) -> Fraction | None:
         if s is None:
             return Fraction(0)
         return height_of(s)
 
-    stage: Optional[Fraction] = None
+    stage: Fraction | None = None
     for a, b in t.pairs:
         ha = slot_height(a)
         hb = slot_height(b)
@@ -160,7 +182,7 @@ class Bracket:
 
     __slots__ = ("left", "right", "name")
 
-    def __init__(self, left=None, right=None, name: Optional[str] = None):
+    def __init__(self, left=None, right=None, name: str | None = None):
         if name is not None:
             if left is not None or right is not None:
                 raise InputError("a generator bracket has no children")
@@ -249,18 +271,20 @@ def bracket_to_grope(b: Bracket) -> GropeTree:
     if b.is_generator:
         raise PreconditionError("weight-1 bracket carries no grope")
 
-    def realize(x: Bracket) -> Slot:
+    def realize(x: Bracket) -> GropeTree | None:
         return None if x.is_generator else bracket_to_grope(x)
 
     return GropeTree([(realize(b.left), realize(b.right))])
 
 
-@dataclass(frozen=True)
 class FreeWord:
-    """Freely reduced word in the free group on named generators."""
+    """Freely reduced word in the free group on named generators.
 
-    generators: tuple  # generator names, rank = len
-    letters: tuple     # nonzero ints; sign = inverse, |value|-1 = index
+    `generators` holds the names (rank = len) and `letters` nonzero ints,
+    sign = inverse, |value| - 1 = index.  Read-only; words are equal, and
+    hash alike, when both are."""
+
+    __slots__ = ("_generators", "_letters")
 
     def __init__(self, generators: Sequence[str], letters: Sequence[int]):
         generators = tuple(generators)
@@ -275,8 +299,28 @@ class FreeWord:
                 reduced.pop()
             else:
                 reduced.append(x)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "letters", tuple(reduced))
+        self._generators = generators
+        self._letters = tuple(reduced)
+
+    @property
+    def generators(self) -> tuple:
+        return self._generators
+
+    @property
+    def letters(self) -> tuple:
+        return self._letters
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._generators, self._letters) == (o._generators, o._letters)
+
+    def __hash__(self):
+        return hash((self._generators, self._letters))
+
+    def __repr__(self):
+        return (f"FreeWord(generators={self._generators!r}, "
+                f"letters={self._letters!r})")
 
     @property
     def rank(self) -> int:
@@ -300,7 +344,7 @@ class FreeWord:
         return " ".join(out)
 
 
-def parse_free_word(text: str, generators: Optional[Sequence[str]] = None) -> FreeWord:
+def parse_free_word(text: str, generators: Sequence[str] | None = None) -> FreeWord:
     """Parse space-separated tokens like "x y x^-1 y^-1"."""
     tokens = text.split()
     names = list(generators) if generators else []
@@ -350,35 +394,70 @@ def bracket_word(b: Bracket) -> FreeWord:
 # Magnus expansion
 
 
-def magnus_depth(w: FreeWord, cutoff: int = MAGNUS_CUTOFF_BUDGET) -> Optional[int]:
+def magnus_depth(w: FreeWord, cutoff: int = MAGNUS_CUTOFF_BUDGET) -> int | None:
     """Least degree d >= 1 of a nonzero term of M(w) - 1 for the Magnus
     expansion M: x_g -> 1 + X_g.  The returned k means the word lies in the
     k-th but not the (k+1)-st lower central subgroup.  None means "no term
     below the cutoff", in particular for the identity.
 
-    Degree d of M(w) is one integer of ``bits``-wide signed slots; slot k
-    holds the word whose generator indices are the base-r digits of k, last
-    letter most significant, so appending X_g shifts by bits * g * r^(d-1).
-    A letter x_g adds acc[d-1] X_g to acc[d], top degree first; a letter
-    x_g^-1 solves new (1 + X_g) = acc by subtracting new[d-1] X_g from
-    acc[d], lowest degree first.  A degree-d coefficient of L letters sums
-    at most C(L+d-1, d) terms +-1 and fits its slot, so acc[d] is 0 exactly
-    when all its coefficients are.
+    The pass keeps degrees 0 .. D of M(w), D = cutoff - 1, and runs at
+    cutoff 3 when the cutoff is 1 or 2, dropping the degrees it did not
+    ask for.  Degree d <= D - 2 is one integer acc[d] of ``bits``-wide
+    signed slots; slot k holds the word whose generator indices are the
+    base-r digits of k, last letter most significant, so appending X_g
+    shifts by bits * g * r^(d-1).  Degree D - 1 is held as part[h], the
+    words ending in X_h with that letter dropped, and degree D as
+    top[g][h], the words ending in X_h X_g with both dropped; all of them
+    have r^(D-2) slots and are never shifted.  Appending X_g to a degree
+    D - 1 word ending in X_h gives a degree D word ending in X_h X_g, and
+    appending it to a degree D - 2 word one ending in X_g.  So a letter
+    x_g adds acc[d-1] X_g to acc[d], top degree first: top[g][h] +=
+    part[h] for every h, then part[g] += acc[D-2], then the shifts below.
+    A letter x_g^-1 solves new (1 + X_g) = acc by the same steps in
+    reverse order, subtracting the new values.
+
+    Zero tests.  A coefficient of degree d <= D of a word of L letters
+    sums at most C(L+d-1, d) terms +-1 (one per way of spreading its d
+    letters, in order, over the L factors), and this grows with d,
+    so |c| <= C(L+D-1, D) < 2^(bits-1) for every coefficient of every
+    prefix.  An integer sum c_k 2^(bits k) of such slots with a highest
+    nonzero c_k is nonzero, since the lower slots sum to less than
+    2^(bits k) in absolute value; so each integer is 0 exactly when all
+    its coefficients are.  The parts of degree D - 1 (and of D) hold
+    disjoint sets of its words, together all of them, so the degree is
+    zero exactly when every part is: any(part) and any(map(any, top))
+    are exact.
     """
     if w.rank > MAGNUS_RANK_BUDGET:
         raise BudgetExceededError(f"rank {w.rank} exceeds {MAGNUS_RANK_BUDGET}")
     if not 1 <= cutoff <= MAGNUS_CUTOFF_BUDGET:
         raise BudgetExceededError(
             f"cutoff {cutoff} outside 1..{MAGNUS_CUTOFF_BUDGET}")
-    r, bits = w.rank, comb(len(w.letters) + cutoff, cutoff).bit_length() + 1
-    shifts = [[(d, bits * g * r ** (d - 1)) for d in range(cutoff - 1, 0, -1)]
-              for g in range(r)]
-    acc = [1] + [0] * (cutoff - 1)
+    r, top_degree = w.rank, max(cutoff, 3) - 1
+    bits = comb(len(w.letters) + top_degree - 1, top_degree).bit_length() + 1
+    up = [[(d, d - 1, bits * g * r ** (d - 1))
+           for d in range(top_degree - 2, 0, -1)] for g in range(r)]
+    down = [steps[::-1] for steps in up]
+    acc = [1] + [0] * (top_degree - 2)
+    part = [0] * r
+    top = [[0] * r for _ in range(r)]
+    last = range(r)
     for x in w.letters:
         if x > 0:
-            for d, s in shifts[x - 1]:
-                acc[d] += acc[d - 1] << s
+            g = x - 1
+            top_g = top[g]
+            for h in last:
+                top_g[h] += part[h]
+            part[g] += acc[-1]
+            for d, e, s in up[g]:
+                acc[d] += acc[e] << s
         else:
-            for d, s in reversed(shifts[-x - 1]):
-                acc[d] -= acc[d - 1] << s
-    return next((d for d in range(1, cutoff) if acc[d]), None)
+            g = -x - 1
+            for d, e, s in down[g]:
+                acc[d] -= acc[e] << s
+            part[g] -= acc[-1]
+            top_g = top[g]
+            for h in last:
+                top_g[h] -= part[h]
+    nonzero = [*map(bool, acc[1:]), any(part), any(map(any, top))]
+    return next((d for d in range(1, cutoff) if nonzero[d - 1]), None)

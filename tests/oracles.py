@@ -14,7 +14,9 @@ These deliberately avoid the library code paths they check:
   realification, which halves its signature.
 * rho0 comes from a plain Riemann sum over numpy float eigenvalues.
 * Magnus depths come from the full product of the truncated series
-  1 + X and 1 - X + X^2 - ... (no per-degree update).
+  1 + X and 1 - X + X^2 - ... (no per-degree update), and from a single
+  pass that packs every degree into one integer (no parts split by last
+  letters, slots sized for degree ``cutoff``).
 * A rational point k/q of an x-gap comes from doubling q from 1 (no
   search over the exponent), and irreducible factors over Z from sympy.
 * Remainders and Sturm chains come from long division over Q with
@@ -429,6 +431,27 @@ def magnus_depth_full_product(letters, cutoff: int):
             term = {(g,) * k: (-1) ** k for k in range(cutoff)}
         acc = _series_mul(acc, term, cutoff)
     return min((len(w) for w in acc if w), default=None)
+
+
+def magnus_depth_packed(w, cutoff: int):
+    """Least degree below ``cutoff`` of a nonconstant term of the Magnus
+    expansion of the FreeWord ``w``, or None: one pass over the letters
+    with degree d packed into one integer of signed slots, slot k holding
+    the word whose generator indices are the base-r digits of k, last
+    letter most significant."""
+    r = w.rank
+    bits = math.comb(len(w.letters) + cutoff, cutoff).bit_length() + 1
+    shifts = [[(d, bits * g * r ** (d - 1)) for d in range(cutoff - 1, 0, -1)]
+              for g in range(r)]
+    acc = [1] + [0] * (cutoff - 1)
+    for x in w.letters:
+        if x > 0:
+            for d, s in shifts[x - 1]:
+                acc[d] += acc[d - 1] << s
+        else:
+            for d, s in reversed(shifts[-x - 1]):
+                acc[d] -= acc[d - 1] << s
+    return next((d for d in range(1, cutoff) if acc[d]), None)
 
 
 def tan_in_gap_by_doubling(x_lo: Fraction, x_hi: Fraction) -> Fraction:

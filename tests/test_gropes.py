@@ -21,7 +21,7 @@ from knotbench.gropes import (
     weight,
 )
 
-from oracles import magnus_depth_full_product
+from oracles import magnus_depth_full_product, magnus_depth_packed
 
 
 def balanced_bracket(depth, names="xy"):
@@ -43,6 +43,23 @@ def all_shapes(w):
         for l in all_shapes(lw):
             for r in all_shapes(w - lw):
                 yield (l, r)
+
+
+def left_normed(names):
+    """The bracket [[...[x_1, x_2], ...], x_w] of the named generators."""
+    b = Bracket.generator(names[0])
+    for g in names[1:]:
+        b = Bracket.commutator(b, Bracket.generator(g))
+    return b
+
+
+def assert_matches_full_product(w):
+    # truncation keeps the lower-degree terms, so one product at the
+    # budget gives the depth at every cutoff: d below it, else None
+    depth = magnus_depth_full_product(w.letters, 8)
+    for cutoff in range(1, 9):
+        want = depth if depth is not None and depth < cutoff else None
+        assert magnus_depth(w, cutoff) == want, (str(w), cutoff)
 
 
 def shape_to_bracket(shape, names):
@@ -211,13 +228,8 @@ class TestMagnus:
     def test_left_normed_weights_to_5(self):
         for wgt in range(2, 6):
             for idx in itertools.product("xyz", repeat=wgt):
-                if idx[0] == idx[1]:
-                    continue
-                b = Bracket.commutator(Bracket.generator(idx[0]),
-                                       Bracket.generator(idx[1]))
-                for g in idx[2:]:
-                    b = Bracket.commutator(b, Bracket.generator(g))
-                assert magnus_depth(bracket_word(b), 8) == wgt
+                if idx[0] != idx[1]:
+                    assert magnus_depth(bracket_word(left_normed(idx)), 8) == wgt
 
     def test_nontrivial_commutator_below_cutoff(self):
         b = Bracket.commutator(Bracket.generator("x"), Bracket.generator("y"))
@@ -241,9 +253,7 @@ class TestMagnus:
             for _ in range(rng.randint(0, 2)):
                 u = rand_word()
                 w = w * u * w.inverse() * u.inverse()
-            for cutoff in range(1, 9):
-                assert magnus_depth(w, cutoff) == magnus_depth_full_product(
-                    w.letters, cutoff), (str(w), cutoff)
+            assert_matches_full_product(w)
 
     def test_rank_4_matches_full_product_oracle(self):
         # the packed slots hold base-4 digit strings at rank 4
@@ -258,9 +268,7 @@ class TestMagnus:
             for _ in range(rng.randint(0, 2)):
                 u = rand_word()
                 w = w * u * w.inverse() * u.inverse()
-            for cutoff in range(1, 9):
-                assert magnus_depth(w, cutoff) == magnus_depth_full_product(
-                    w.letters, cutoff), (str(w), cutoff)
+            assert_matches_full_product(w)
 
     def test_long_runs_match_full_product_oracle(self):
         # x^-L has X^d coefficient (-1)^d C(L+d-1, d), the bound the slot
@@ -278,9 +286,7 @@ class TestMagnus:
             u = FreeWord("xyz", [rng.choice((1, -1, 2, -2, 3, -3))])
             words.append(w * u * w.inverse() * u.inverse())
         for w in words:
-            for cutoff in range(1, 9):
-                assert magnus_depth(w, cutoff) == magnus_depth_full_product(
-                    w.letters, cutoff), (str(w), cutoff)
+            assert_matches_full_product(w)
 
     def test_slot_width_follows_word_length(self):
         # the degree-1 part of x^(2^k) y^-1 is 2^k X - Y, which a slot of
@@ -289,3 +295,40 @@ class TestMagnus:
             w = FreeWord("xy", [1] * 2 ** k + [-2])
             for cutoff in range(2, 9):
                 assert magnus_depth(w, cutoff) == 1, (k, cutoff)
+
+    def test_matches_packed_oracle(self):
+        # the kernel splits degrees cutoff - 2 and cutoff - 1 by their last
+        # letters; the oracle packs every degree whole.  Words of weight
+        # cutoff - 2, cutoff - 1 and cutoff put the answer in each part
+        # of the split and past it
+        rng = random.Random(29)
+        words = [left_normed(idx) for wgt in range(2, 7)
+                 for idx in itertools.product("xyz", repeat=wgt)
+                 if idx[0] != idx[1]]
+        assert len(words) == 726
+        words = [bracket_word(b) for b in words]
+        for _ in range(500):
+            names = "xyzw"[:rng.randint(1, 4)]
+            letters = range(1, len(names) + 1)
+
+            def rand_word():
+                return FreeWord(names, [rng.choice(letters) * rng.choice((1, -1))
+                                        for _ in range(rng.randint(1, 6))])
+
+            w = rand_word()
+            for _ in range(rng.randint(0, 2)):
+                u = rand_word()
+                w = w * u * w.inverse() * u.inverse()
+            words.append(w)
+        for cutoff in range(1, 9):
+            for w in words:
+                assert magnus_depth(w, cutoff) == magnus_depth_packed(
+                    w, cutoff), (str(w), cutoff)
+            for wgt in range(max(cutoff - 2, 1), cutoff + 1):
+                for _ in range(3):
+                    names = rng.sample("xyzw", rng.randint(2, 4))
+                    idx = rng.sample(names, 2) + rng.choices(names, k=wgt - 2)
+                    w = bracket_word(left_normed(idx[:wgt]))
+                    want = wgt if wgt < cutoff else None
+                    assert magnus_depth_packed(w, cutoff) == want
+                    assert magnus_depth(w, cutoff) == want, (str(w), cutoff)

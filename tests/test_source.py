@@ -165,6 +165,42 @@ def test_exact_requests_never_import_intervals():
     ]
 
 
+# the 3-D requests first, then one through the Seifert-form modules
+_PLAIN_CLASSES_SCRIPT = r"""
+import contextlib, io, json, sys
+from knotbench import cli
+
+out = []
+for argv in (["magnus", "x y x^-1 y^-1"],
+             ["grope", "from-bracket", "--bracket", "[[x,y],z]"],
+             ["bdim", "--max", "4"],
+             ["invariants", "--seifert", "[[-1,1],[0,-1]]"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    out.append([argv[0], code, [name in sys.modules
+                                for name in ("dataclasses", "inspect", "typing")]])
+print(json.dumps(out))
+"""
+
+
+def test_3d_requests_never_import_dataclasses_or_typing():
+    # gropes and diagrams define plain classes, so magnus, grope and bdim
+    # load none of dataclasses, inspect (its import) or typing; python -S
+    # keeps a site-packages .pth hook from loading typing first, and
+    # invariants shows the check can fail
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PLAIN_CLASSES_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["magnus", 0, [False, False, False]],
+        ["grope", 0, [False, False, False]],
+        ["bdim", 0, [False, False, False]],
+        ["invariants", 0, [True, True, True]],
+    ]
+
+
 def test_traced_layers_resolve():
     # the benchmark's tracer wraps these names; a renamed or deleted layer
     # should fail here, not only in a traced benchmark run
