@@ -25,8 +25,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError, PreconditionError
-from .seifert import SeifertMatrix, as_integer
+from .errors import InputError, PreconditionError, as_integer
+from .seifert import SeifertMatrix
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Subcommands: invariants, rho, sigfn, bdim, grope, magnus, table.
 JSON (sorted keys) is the canonical output; --csv switches the tabular
-commands (rho, sigfn, bdim, table) to CSV, and --digits sets the decimal
+commands (sigfn, bdim, table) to CSV, and --digits sets the decimal
 digits of rendered angles (rho, sigfn).  Exit codes: 0 success (and
 --help, --version), 1 malformed input or command line, 2 precondition or
 budget violation, 3 the evaluation point is exactly a root of the
@@ -10,7 +10,8 @@ Alexander polynomial ("possibly singular").
 
 Each command imports only the modules it uses.  ``invariants`` and
 ``table`` are exact and never load ``knotbench.intervals`` or mpmath;
-``rho`` and ``sigfn`` load both to enclose jump angles.
+``rho`` and ``sigfn`` load ``knotbench.intervals`` to render jump angles,
+and mpmath only to enclose a jump off the roots of unity.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .errors import (
     InputError,
     PossiblySingularError,
     PreconditionError,
+    parse_json,
+    read_text,
 )
 
 EXIT_INPUT = 1
@@ -61,7 +64,7 @@ def _parse_precision(text: str) -> Fraction:
 
 def _load_knot(args):
     """Resolve --braid / --seifert / --input into (echo, SeifertMatrix)."""
-    from .seifert import SeifertMatrix, _entry_from_record, parse_json, read_text
+    from .seifert import SeifertMatrix, _entry_from_record
 
     sources = [s for s in (args.braid, args.seifert, args.input) if s]
     if len(sources) != 1:
@@ -127,15 +130,12 @@ def cmd_invariants(args) -> None:
 
 
 def cmd_rho(args) -> None:
-    from .invariants import signature_csv, signature_function
+    from .invariants import signature_function
     from .rho import rho0_from_step_function
 
     echo, v = _load_knot(args)
     precision = _parse_precision(args.precision)
     sf = signature_function(v)
-    if args.csv:
-        sys.stdout.write(signature_csv(sf, args.digits))
-        return
     payload = rho0_from_step_function(sf, precision).to_json_dict(args.digits)
     payload["precision"] = str(precision)
     _emit(_report(echo, payload))
@@ -204,8 +204,6 @@ def cmd_grope(args) -> None:
             "tree": tree.to_json_dict(),
         }))
         return
-    from .seifert import parse_json, read_text
-
     if args.tree:
         data = parse_json(args.tree, "--tree")
     elif args.tree_file:
@@ -294,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enclosure width target (default 1e-6)")
     p.add_argument("--digits", type=int, default=12,
                    help="decimal digits for rendered angles (default 12)")
-    p.add_argument("--csv", action="store_true", help="CSV output")
     p.set_defaults(fn=cmd_rho)
 
     p = sub.add_parser("sigfn", help="signature step function")

@@ -32,7 +32,12 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
 
-from .errors import BudgetExceededError, InputError, PreconditionError
+from .errors import (
+    BudgetExceededError,
+    InputError,
+    PreconditionError,
+    as_integer,
+)
 
 MAGNUS_RANK_BUDGET = 4
 MAGNUS_CUTOFF_BUDGET = 8
@@ -86,8 +91,6 @@ class GropeTree:
 
     @classmethod
     def from_json_dict(cls, data) -> "GropeTree":
-        from .seifert import as_integer
-
         items = data.get("pairs") if isinstance(data, dict) else None
         if not isinstance(items, list):
             raise InputError("grope JSON needs a 'pairs' list")

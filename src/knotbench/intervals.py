@@ -8,9 +8,10 @@ the conjugate), so rho0 sums and rendered cyclotomic jumps never call
 mpmath.  Only the other jump angles, and cos at a given theta, are
 enclosed by mpmath's interval context, and the enclosures are converted
 back to exact rationals (binary floats are rationals, so the conversion
-loses nothing).  Such a jump angle theta = arccos(x/2) / (2 pi) is never
-taken through arccos: it is the half-angle form
-atan2(sqrt(2 - x), sqrt(2 + x)) / pi.
+loses nothing).  mpmath is imported inside the three functions that call
+it, so rendering and summing jumps at roots of unity never loads it.
+Such a jump angle theta = arccos(x/2) / (2 pi) is never taken through
+arccos: it is the half-angle form atan2(sqrt(2 - x), sqrt(2 + x)) / pi.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
-
-from mpmath import iv
 
 from .errors import InputError, PreconditionError
 from .polynomials import poly_to_str, refine_isolating_interval
@@ -38,6 +37,8 @@ def _raw_mpf_to_fraction(raw) -> Fraction:
 
 
 def _fraction_to_iv(fr: Fraction):
+    from mpmath import iv
+
     # exact integer endpoints, then one certified division
     return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
 
@@ -86,6 +87,8 @@ def _iv_to_interval(x) -> IntervalReal:
 
 def cos_2pi(theta: Fraction, prec_bits: int = 64) -> IntervalReal:
     """Certified enclosure of cos(2*pi*theta)."""
+    from mpmath import iv
+
     old = iv.prec
     try:
         iv.prec = prec_bits
@@ -103,6 +106,8 @@ def angle_from_cos_half(x: IntervalReal, prec_bits: int = 64) -> IntervalReal:
     atan2(sqrt(2 - x), sqrt(2 + x)) / pi.  The differences 2 -+ x are exact
     rationals, so nothing cancels near x = +-2.
     """
+    from mpmath import iv
+
     lo = max(x.lo, Fraction(-2))
     hi = min(x.hi, Fraction(2))
     old = iv.prec

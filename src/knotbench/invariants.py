@@ -18,15 +18,15 @@ locate a given theta among the roots.
 
 Delta, the determinant, Arf (the determinant mod 8, by Levine's rule) and
 sigma(-1) = sign(V + V^T) are integers and need no interval arithmetic.
-``intervals``, and mpmath with it, is imported only inside the three
-functions that enclose a jump angle or a given theta: ``_x_enclosure``,
-``signature_function`` and ``signature_csv``.  So the ``invariants`` and
-``table`` commands never load it; ``rho`` and ``sigfn`` do.
+``intervals`` is imported only inside the three functions that enclose a
+jump angle or a given theta: ``_arc_index``, ``signature_function`` and
+``signature_csv``.  So the ``invariants`` and ``table`` commands never
+load it; ``rho`` and ``sigfn`` do, and load mpmath only when a jump lies
+off the roots of unity.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -203,33 +203,36 @@ def _tan_in_gap(x_lo: Fraction, x_hi: Fraction) -> Fraction:
     """A rational r > 0 with x_lo < 2(1 - r^2)/(1 + r^2) < x_hi.
 
     Requires -2 < x_lo < x_hi <= 2.  x decreases in r and
-    r^2 = (2 - x)/(2 + x); r is k/2^m with m, then k, as small as possible.
-    If k/2^m lies in the r-gap so does 2k/2^(m+1), so m is found by binary
-    search below a bound where 2^-m is less than the gap's width.
+    r^2 = (2 - x)/(2 + x); r is k/2^m with m, then k, as small as possible:
+    m counts up from 0, and each m tries the least k with k/2^m above the
+    r-gap's lower end.
     """
     lo2 = (2 - x_hi) / (2 + x_hi)
     hi2 = (2 - x_lo) / (2 + x_lo)
-
-    def smallest(m):
-        # the least k with (k/2^m)^2 > lo2, if (k/2^m)^2 < hi2 too
+    m = 0
+    while True:
         k = math.isqrt(math.floor(lo2 * 4 ** m)) + 1
-        return k if k * k < hi2 * 4 ** m else None
-
-    # sqrt(hi2) - sqrt(lo2) >= (hi2 - lo2) / (2 max(1, hi2)) > 2^-m_hi
-    m_hi = (math.floor(2 * max(1, hi2) / (hi2 - lo2)) + 1).bit_length()
-    m = bisect.bisect_left(range(m_hi), True,
-                           key=lambda j: smallest(j) is not None)
-    return Fraction(smallest(m), 2 ** m)
+        if k * k < hi2 * 4 ** m:
+            return Fraction(k, 2 ** m)
+        m += 1
 
 
-def _x_enclosure(ps: tuple, theta: Fraction) -> tuple:
-    """An enclosure (x_lo, x_hi) in [-2, 2] of x = 2cos(2 pi theta) that
-    holds no root of the squarefree x-polynomial ps, and the number of
-    roots of ps in (x_hi, 2), which is the index of theta's arc in (0, 1/2].
-    The precision doubles until the enclosure misses every root, so theta
-    must not be a jump."""
+def _arc_index(ps: tuple, theta: Fraction) -> int:
+    """The index of theta's arc in (0, 1/2], from theta = 0 on, among the
+    arcs that the roots of the squarefree x-polynomial ps cut: the number
+    of roots of ps in (x, 2) for x = 2cos(2 pi theta), which theta and
+    1 - theta share.  x is enclosed at a precision that doubles until the
+    enclosure misses every root.  Raises PreconditionError for theta
+    outside (0, 1), and PossiblySingularError when theta is a jump, that
+    is when omega is a root of Delta."""
     from .intervals import cos_2pi
 
+    theta = Fraction(theta)
+    if not 0 < theta < 1:
+        raise PreconditionError("theta must lie in (0, 1)")
+    if _omega_is_alexander_root(ps, theta):
+        raise PossiblySingularError(
+            "possibly singular: omega is a root of the Alexander polynomial")
     chain = sturm_sequence(ps)
     prec = _BASE_PREC
     while True:
@@ -238,7 +241,7 @@ def _x_enclosure(ps: tuple, theta: Fraction) -> tuple:
         above = count_roots_halfopen(chain, x_hi, 2)
         if (poly_sign_at(ps, x_lo) and poly_sign_at(ps, x_hi)
                 and count_roots_halfopen(chain, x_lo, 2) == above):
-            return x_lo, x_hi, above
+            return above
         prec *= 2
 
 
@@ -248,30 +251,18 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction) -> int:
     At theta = 1/2, where omega = -1, the form is 2(V + V^T) and the
     signature is that of V + V^T, taken directly: omega = -1 is never a
     root of Delta, as |Delta(-1)| = |det(V + V^T)| and V + V^T = V - V^T
-    mod 2 give det(V + V^T) = det(V - V^T) = 1 mod 2.  Elsewhere the
-    enclosure of x = 2cos(2 pi theta) from ``_x_enclosure`` holds no root
-    of the x-polynomial P, so it lies in one arc of the signature
-    function; the signature is evaluated exactly at a rational point of
-    that enclosure.  x and the signature are the same at theta and
-    1 - theta, so the point is taken in (0, 1/2].  Raises
-    PossiblySingularError when omega is a root of Delta.
+    mod 2 give det(V + V^T) = det(V - V^T) = 1 mod 2.  Elsewhere it is the
+    signature at the rational point that ``_arcs`` picks on theta's arc,
+    found by ``_arc_index``, as in ``signature_function``; so it equals
+    ``signature_function(v).value_at(theta)``, errors included.  Raises
+    PreconditionError for theta outside (0, 1), and PossiblySingularError
+    when omega is a root of Delta.
     """
     theta = Fraction(theta)
-    if not 0 < theta < 1:
-        raise PreconditionError("theta must lie in (0, 1)")
-    if v.size == 0:
-        return 0
     if theta == Fraction(1, 2):
         return _arc_signature(v, None)
-    p = x_polynomial(v)
-    if _omega_is_alexander_root(p, theta):
-        raise PossiblySingularError(
-            "possibly singular: omega is a root of the Alexander polynomial")
-    ps = poly_squarefree_part(p)
-    x_lo, x_hi, _ = _x_enclosure(ps, theta)
-    if x_lo == -2:
-        return _arc_signature(v, None)
-    return _arc_signature(v, _tan_in_gap(x_lo, x_hi))
+    ps, _, points = _arcs(x_polynomial(v))
+    return _arc_signature(v, points[_arc_index(ps, theta)])
 
 
 def _laurent_to_x(delta: LaurentPoly) -> tuple:
@@ -300,8 +291,9 @@ class SignatureStepFunction:
     ``low`` lists the jump angles in (0, 1/2) ascending, and ``half`` the
     values on the arcs between them, from theta = 0 to the arc holding 1/2.
     ``jumps`` and ``values`` mirror them onto the whole circle.  The value
-    exactly at a jump is not defined.  ``x_poly`` is the squarefree part
-    of the x-polynomial.
+    exactly at a jump is not defined: ``value_at`` raises
+    PossiblySingularError there, as ``levine_tristram`` does.  ``x_poly``
+    is the squarefree part of the x-polynomial.
     """
 
     low: tuple
@@ -318,16 +310,7 @@ class SignatureStepFunction:
         return self.half + self.half[-2::-1]
 
     def value_at(self, theta: Fraction) -> int:
-        theta = Fraction(theta)
-        if not 0 < theta < 1:
-            raise PreconditionError("theta must lie in (0, 1)")
-        if _omega_is_alexander_root(self.x_poly, theta):
-            raise PreconditionError(
-                "signature undefined exactly at a jump angle")
-        if not self.low:
-            return self.half[0]
-        # theta and 1 - theta share x, and so the arc of the half
-        return self.half[_x_enclosure(self.x_poly, theta)[2]]
+        return self.half[_arc_index(self.x_poly, theta)]
 
 
 def _separate_boxes(ps: tuple, boxes: list) -> list:
@@ -488,7 +471,10 @@ class FiberednessReport:
 def fibered_obstruction(v: SeifertMatrix,
                         claimed_genus: Optional[int] = None) -> FiberednessReport:
     """Necessary conditions for fiberedness: monic Alexander polynomial,
-    and span equal to twice the claimed genus when one is supplied."""
+    and span equal to twice the claimed genus when one is supplied.  A
+    negative claimed genus raises InputError."""
+    if claimed_genus is not None and claimed_genus < 0:
+        raise InputError(f"claimed genus {claimed_genus} is negative")
     delta = alexander_polynomial(v)
     lead = delta.coeff(delta.max_exp)
     if abs(lead) != 1:

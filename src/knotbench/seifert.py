@@ -4,21 +4,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import operator
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import InputError
-
-
-def as_integer(v, what: str) -> int:
-    """v as an int; bools, floats and strings are refused, not truncated."""
-    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
-        raise InputError(f"{what} {v!r} is not an integer")
-    return operator.index(v)
+from .errors import InputError, as_integer, parse_json, read_text
 
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -166,28 +157,6 @@ def _entry_from_record(rec: dict, where: str) -> KnotTableEntry:
     if not isinstance(expected, dict):
         raise InputError(f"entry {name!r}: 'expected' must be an object")
     return KnotTableEntry(name, braid, seifert, dict(expected))
-
-
-def read_text(path: str) -> str:
-    """The UTF-8 text of a file; bytes that do not decode are an InputError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as e:
-            raise InputError(f"{path}: not UTF-8 text: {e.reason}"
-                             f" at byte {e.start}") from None
-
-
-def parse_json(text: str, where: str):
-    """``json.loads`` of ``text``.  Malformed JSON, and an integer past the
-    interpreter's int-to-str limit, which ``json.loads`` reports as a
-    plain ValueError, raise InputError naming ``where``."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"{where}:{e.lineno}: {e.msg}") from None
-    except ValueError as e:
-        raise InputError(f"{where}: {e}") from None
 
 
 def load_knot_table(path: str | os.PathLike) -> list:

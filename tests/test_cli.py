@@ -115,6 +115,16 @@ class TestInvariantsCommand:
             assert err.startswith("error: input:")
             assert "unrecognized arguments" in err
 
+    def test_negative_claimed_genus_exits_1(self, capsys):
+        code, out, err = run(capsys, "invariants", "--seifert", "[[0,1],[0,0]]",
+                             "--claimed-genus", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: input: claimed genus -1 is negative\n"
+        code, out, _ = run(capsys, "invariants", "--seifert", "[[0,1],[0,0]]",
+                           "--claimed-genus", "0")
+        assert code == 0
+        assert json.loads(out)["results"]["fibered_obstruction"]["passes"]
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "invariants", "--braid", "n=3; 1 -2 1 -2")
         _, out2, _ = run(capsys, "invariants", "--braid", "n=3; 1 -2 1 -2")
@@ -137,11 +147,12 @@ class TestRhoCommand:
         r = json.loads(out)["results"]
         assert r["rho0"] == {"lo": "0.000000000000", "hi": "0.000000000000"}
 
-    def test_csv_arcs(self, capsys):
-        code, out, _ = run(capsys, "rho", "--braid", "n=2; 1 1 1", "--csv")
-        assert code == 0
-        assert "theta_lo,theta_hi,sigma" in out
-        assert "0.166666666667,0.833333333333,-2" in out
+    def test_csv_refused(self, capsys):
+        # the step-function CSV is sigfn --csv; rho reports only JSON
+        code, out, err = run(capsys, "rho", "--braid", "n=2; 1 1 1", "--csv")
+        assert code == 1 and out == ""
+        assert err.startswith("error: input:") and "Traceback" not in err
+        assert "unrecognized arguments: --csv" in err
 
 
 _TORUS_BRAIDS = {"T(2,5)": "n=2; " + " ".join(["1"] * 5),
@@ -150,29 +161,24 @@ _TORUS_BRAIDS = {"T(2,5)": "n=2; " + " ".join(["1"] * 5),
 
 # sha256 of each command's full output: the rendered angles, arc values
 # and rho0 enclosures stay byte-identical when their algorithms change.
+# Only sigfn writes CSV.
 # The rho JSON of these torus knots prints the exact rho0, rounded down
 # for lo and up for hi.
 _OUTPUT_DIGESTS = {
     ("T(2,5)", "rho", 12, False): "9336e4ed73a95c6d30c14a9a6c852f04269f75f68439cddec4c86f7134db8b28",
-    ("T(2,5)", "rho", 12, True): "68338c6e38c6ae2626e5f516971bf20f88c847355a2c9f31f07247a549008129",
     ("T(2,5)", "rho", 40, False): "5862ea0788489f167cf70068fb6f77f2b93ccdcb012f20ffd2c76b8939cce3d6",
-    ("T(2,5)", "rho", 40, True): "1450db6746247ac6582635419da14168d7a23bd7d7d88037ec0c6c11f9e128ee",
     ("T(2,5)", "sigfn", 12, False): "e24778edeccbd55af0de134a35fa911e0631ba9e23ef9e3d8e038f244b6b27e7",
     ("T(2,5)", "sigfn", 12, True): "68338c6e38c6ae2626e5f516971bf20f88c847355a2c9f31f07247a549008129",
     ("T(2,5)", "sigfn", 40, False): "076d8af79aeedb201f166c45d32b63157bc029eeae0c348592295ddb00bf8e5c",
     ("T(2,5)", "sigfn", 40, True): "1450db6746247ac6582635419da14168d7a23bd7d7d88037ec0c6c11f9e128ee",
     ("T(3,4)", "rho", 12, False): "bf9616c4c4e22a53f89e4e43131837190b750cd4ab5144be7afe526e0f617fab",
-    ("T(3,4)", "rho", 12, True): "a09fa1a5c2752ac8a717f4cc12a8644345489526474deec31ad92fe89a345d1e",
     ("T(3,4)", "rho", 40, False): "37da857a2f09793bfed30d56fdcfa1a221416b3b70008099db357a0dcdc548b5",
-    ("T(3,4)", "rho", 40, True): "6ddb50af7461eb30bf114fba5a3d5126645a4437c6cc03802b6cb4a4535a3df9",
     ("T(3,4)", "sigfn", 12, False): "7dfc679b56b14b3f6576a9e36352468f9f650ba133c468dcc36f2f4eb6a93a53",
     ("T(3,4)", "sigfn", 12, True): "a09fa1a5c2752ac8a717f4cc12a8644345489526474deec31ad92fe89a345d1e",
     ("T(3,4)", "sigfn", 40, False): "789fc3a6d6c153a45b12d3c7ba7653327a3349acc9674fb0ddee723dae5d35ff",
     ("T(3,4)", "sigfn", 40, True): "6ddb50af7461eb30bf114fba5a3d5126645a4437c6cc03802b6cb4a4535a3df9",
     ("T(2,21)", "rho", 12, False): "54235be0f68be9bff05caf90eb9236ff1a6cc54f70a0d6ef1aad4beb0946c852",
-    ("T(2,21)", "rho", 12, True): "5e388af87f2aa60252170c2f6cd7318bce485196c33ad448722f40c6f56b3e3b",
     ("T(2,21)", "rho", 40, False): "787ced2ed062cafce43ad285c463c69ac8e667264ae9dfc47e91f6d45f561038",
-    ("T(2,21)", "rho", 40, True): "0482003165abc19aa12a8ae2514096082fb9627ea4aeee319a2e7e8ab0a67ac5",
     ("T(2,21)", "sigfn", 12, False): "83ef79d2922d9c85e74770d2ecf25a95b106349f79859e7390acd4bcb0e3df37",
     ("T(2,21)", "sigfn", 12, True): "5e388af87f2aa60252170c2f6cd7318bce485196c33ad448722f40c6f56b3e3b",
     ("T(2,21)", "sigfn", 40, False): "73b0a3649a8f9578ddfccca39bb8d3af592a121112f92441d784c5c6c1766146",
@@ -189,8 +195,11 @@ def test_pinned_output_digests(capsys, knot, command, digits, csv):
     assert digest == _OUTPUT_DIGESTS[knot, command, digits, csv]
 
 
-@pytest.mark.parametrize("command", ["rho", "sigfn"])
-@pytest.mark.parametrize("csv", [[], ["--csv"]])
+@pytest.mark.parametrize("command,csv", [
+    pytest.param("rho", [], id="csv0-rho"),
+    pytest.param("sigfn", [], id="csv0-sigfn"),
+    pytest.param("sigfn", ["--csv"], id="csv1-sigfn"),
+])
 @pytest.mark.parametrize("digits", ["-1", "-3"])
 def test_negative_digits_exits_1(capsys, command, csv, digits):
     code, out, err = run(capsys, command, "--braid", "n=2; 1 1 1",
@@ -340,6 +349,12 @@ class TestSigfnCommand:
         assert [j["theta"] for j in r["jumps"]] == [
             "0.166666666667", "0.833333333333"]
         assert r["arc_values"] == [0, -2, 0]
+
+    def test_csv_arcs(self, capsys):
+        code, out, _ = run(capsys, "sigfn", "--braid", "n=2; 1 1 1", "--csv")
+        assert code == 0
+        assert "theta_lo,theta_hi,sigma" in out
+        assert "0.166666666667,0.833333333333,-2" in out
 
 
 class TestBdimCommand:

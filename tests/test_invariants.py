@@ -20,7 +20,6 @@ from knotbench.invariants import (
     _psi,
     _separate_boxes,
     _tan_in_gap,
-    _x_enclosure,
     alexander_polynomial,
     algebraically_concordant_test,
     arf,
@@ -35,7 +34,8 @@ from knotbench.invariants import (
 )
 from knotbench.intervals import cos_2pi
 from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly,
-                                   cyclotomic_poly, poly_eval, poly_mul,
+                                   count_real_roots, cyclotomic_poly,
+                                   poly_eval, poly_mul, poly_sign_at,
                                    poly_squarefree_part, poly_trim,
                                    sturm_isolate)
 from knotbench.seifert import (SeifertMatrix, UNKNOT, connected_sum,
@@ -182,13 +182,23 @@ class TestTanInGap:
 
     @pytest.mark.parametrize("e", [60, 100])
     def test_levine_tristram_enclosures_near_a_jump(self, trefoil, e):
-        # jumps at 1/6 (trefoil) and 1/42 (T(2,21)): 2^-64-wide and
-        # narrower x-enclosures next to a root
+        # jumps at 1/6 (trefoil) and 1/42 (T(2,21)): the cos_2pi
+        # enclosures of x at 2^-e from them, at the first precision from
+        # 64 bits on, doubling, that misses every root, as levine_tristram
+        # locates theta; 2^-64-wide and narrower gaps next to a root
         for v, jump in ((trefoil, Fraction(1, 6)),
                         (self.T_2_21, Fraction(1, 42))):
             ps = signature_function(v).x_poly
             for theta in (jump - Fraction(1, 2 ** e), jump + Fraction(1, 2 ** e)):
-                x_lo, x_hi, _ = _x_enclosure(ps, theta)
+                prec = 64
+                while True:
+                    c = cos_2pi(theta, prec)
+                    x_lo, x_hi = 2 * c.lo, 2 * c.hi
+                    if (poly_sign_at(ps, x_lo) and poly_sign_at(ps, x_hi)
+                            and count_real_roots(ps, x_lo, x_hi) == 0):
+                        break
+                    prec *= 2
+                assert x_hi - x_lo < Fraction(1, 2 ** 56)
                 self.check(x_lo, x_hi)
 
     def test_random_gaps(self):
@@ -417,8 +427,43 @@ class TestSignatureFunction:
                             (Fraction(5, 6) - eps, -2),
                             (Fraction(5, 6) + eps, 0)):
             assert sf.value_at(theta) == want, theta
-        with pytest.raises(PreconditionError, match="jump"):
-            sf.value_at(Fraction(1, 6))
+        for theta in (Fraction(1, 6), Fraction(5, 6)):
+            with pytest.raises(PossiblySingularError, match="possibly singular"):
+                sf.value_at(theta)
+        for theta in (Fraction(0), Fraction(1)):
+            with pytest.raises(PreconditionError):
+                sf.value_at(theta)
+
+    def test_levine_tristram_is_value_at(self, corpus):
+        # one path for sigma at an angle: levine_tristram and value_at give
+        # the same value or both raise PossiblySingularError, at fixed
+        # angles, at every exact jump k/n and at 2^-60 on either side of it
+        def outcome(f, theta):
+            try:
+                return f(theta)
+            except PossiblySingularError:
+                return "singular"
+
+        rng = random.Random(25)
+        forms = (list(corpus.values()) + [torus(p, q) for p, q in TORUS_FAMILY]
+                 + [random_seifert(rng, 1 + k % 3) for k in range(60)])
+        fixed = [Fraction(1, 7), Fraction(2, 5), Fraction(1, 3),
+                 Fraction(7, 11), Fraction(3, 10), Fraction(1, 1000)]
+        eps = Fraction(1, 2 ** 60)
+        exact_jumps = 0
+        for v in forms:
+            sf = signature_function(v)
+            thetas = list(fixed)
+            for a in sf.jumps:
+                if a.theta is not None:
+                    jump = a.enclosure_to_width(eps).lo
+                    thetas += [jump, jump - eps, jump + eps]
+                    assert outcome(sf.value_at, jump) == "singular"
+                    exact_jumps += 1
+            for theta in thetas:
+                assert (outcome(lambda t: levine_tristram(v, t), theta)
+                        == outcome(sf.value_at, theta)), (v, theta)
+        assert exact_jumps > 100
 
     def test_arc_constancy_spot_checks(self):
         rng = random.Random(53)
@@ -430,7 +475,7 @@ class TestSignatureFunction:
             for q in spots:
                 try:
                     assert levine_tristram(v, q) == sf.value_at(q)
-                except (PossiblySingularError, PreconditionError):
+                except PossiblySingularError:
                     pass
 
     def test_unimodular_congruence_invariant(self):
@@ -502,6 +547,12 @@ class TestFiberedObstruction:
     def test_wrong_claimed_genus(self, trefoil):
         r = fibered_obstruction(trefoil, 2)
         assert not r.passes and "claimed genus" in r.reason
+
+    def test_negative_claimed_genus_refused(self, trefoil):
+        assert fibered_obstruction(DEGENERATE, 0).passes
+        for v in (trefoil, DEGENERATE, UNKNOT):
+            with pytest.raises(InputError, match="claimed genus -1"):
+                fibered_obstruction(v, -1)
 
 
 class TestFoxMilnor:

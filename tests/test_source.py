@@ -125,7 +125,8 @@ def test_requests_never_import_sympy():
     assert blocked[:-1] == plain[:-1]
 
 
-# exact requests first, then one that encloses jump angles
+# exact requests first, then sigfn with exact jumps at roots of unity,
+# then one that encloses jump angles off them
 _EXACT_SCRIPT = r"""
 import contextlib, io, json, sys
 from knotbench import cli
@@ -138,7 +139,8 @@ out = []
 for argv in (["invariants", "--seifert", "[[-1,1],[0,-1]]"],
              ["invariants", "--braid", "n=3; 1 -2 1 -2"],
              ["table", sys.argv[1]],
-             ["sigfn", "--braid", "n=2; 1 1 1"]):
+             ["sigfn", "--braid", "n=2; 1 1 1"],
+             ["sigfn", "--seifert", "[[-1,1],[0,-2]]"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     out.append([argv[0], code, loaded()])
@@ -148,8 +150,10 @@ print(json.dumps(out))
 
 def test_exact_requests_never_import_intervals():
     # invariants and table are integer computations: neither mpmath nor
-    # knotbench.intervals may load for them, and braids only for --braid;
-    # sigfn shows the check can fail
+    # knotbench.intervals may load for them, and braids only for --braid.
+    # The trefoil jumps at 1/6, a root of unity, whose angle is exact, so
+    # its sigfn loads intervals but not mpmath; 5_2 jumps off the roots of
+    # unity, and its sigfn shows the check can fail
     from conftest import TABLE_PATH
 
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -161,6 +165,7 @@ def test_exact_requests_never_import_intervals():
         ["invariants", 0, [False, False, False]],
         ["invariants", 0, [False, False, True]],
         ["table", 0, [False, False, True]],
+        ["sigfn", 0, [False, True, True]],
         ["sigfn", 0, [True, True, True]],
     ]
 
@@ -170,34 +175,41 @@ _PLAIN_CLASSES_SCRIPT = r"""
 import contextlib, io, json, sys
 from knotbench import cli
 
+tree = '{"pairs": [["bare", "bare"]]}'
 out = []
 for argv in (["magnus", "x y x^-1 y^-1"],
              ["grope", "from-bracket", "--bracket", "[[x,y],z]"],
+             ["grope", "class", "--tree", tree],
+             ["grope", "height", "--tree", tree],
              ["bdim", "--max", "4"],
              ["invariants", "--seifert", "[[-1,1],[0,-1]]"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     out.append([argv[0], code, [name in sys.modules
-                                for name in ("dataclasses", "inspect", "typing")]])
+                                for name in ("dataclasses", "inspect", "typing",
+                                             "knotbench.seifert")]])
 print(json.dumps(out))
 """
 
 
 def test_3d_requests_never_import_dataclasses_or_typing():
-    # gropes and diagrams define plain classes, so magnus, grope and bdim
-    # load none of dataclasses, inspect (its import) or typing; python -S
-    # keeps a site-packages .pth hook from loading typing first, and
-    # invariants shows the check can fail
+    # gropes and diagrams define plain classes and read their input through
+    # knotbench.errors, so magnus, grope (from a bracket or a --tree) and
+    # bdim load none of dataclasses, inspect (its import), typing or
+    # knotbench.seifert; python -S keeps a site-packages .pth hook from
+    # loading typing first, and invariants shows the check can fail
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _PLAIN_CLASSES_SCRIPT],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        ["magnus", 0, [False, False, False]],
-        ["grope", 0, [False, False, False]],
-        ["bdim", 0, [False, False, False]],
-        ["invariants", 0, [True, True, True]],
+        ["magnus", 0, [False, False, False, False]],
+        ["grope", 0, [False, False, False, False]],
+        ["grope", 0, [False, False, False, False]],
+        ["grope", 0, [False, False, False, False]],
+        ["bdim", 0, [False, False, False, False]],
+        ["invariants", 0, [True, True, True, True]],
     ]
 
 
