@@ -8,10 +8,10 @@ digits of rendered angles (rho, sigfn).  Exit codes: 0 success (and
 budget violation, 3 the evaluation point is exactly a root of the
 Alexander polynomial ("possibly singular").
 
-Each command imports only the modules it uses.  ``invariants`` and
-``table`` are exact and never load ``knotbench.intervals`` or mpmath;
-``rho`` and ``sigfn`` load ``knotbench.intervals`` to render jump angles,
-and mpmath only to enclose a jump off the roots of unity.
+Each command imports only the modules it uses, and none needs a package
+outside the standard library.  ``invariants`` and ``table`` are exact and
+never load ``knotbench.intervals``; ``rho`` and ``sigfn`` load it to
+render jump angles.
 """
 
 from __future__ import annotations

@@ -4,57 +4,53 @@
 does no arithmetic.  A jump angle at a root of unity, theta = k/n, is
 rational and carries its exact value, which
 ``AlgebraicAngle.enclosure_to_width`` returns as a point (1 - theta for
-the conjugate), so rho0 sums and rendered cyclotomic jumps never call
-mpmath.  Only the other jump angles, and cos at a given theta, are
-enclosed by mpmath's interval context, and the enclosures are converted
-back to exact rationals (binary floats are rationals, so the conversion
-loses nothing).  mpmath is imported inside the three functions that call
-it, so rendering and summing jumps at roots of unity never loads it.
-Such a jump angle theta = arccos(x/2) / (2 pi) is never taken through
-arccos: it is the half-angle form atan2(sqrt(2 - x), sqrt(2 + x)) / pi.
+the conjugate), so rho0 sums and rendered cyclotomic jumps enclose
+nothing.  The two transcendental functions the package needs, the angle
+theta = arccos(x/2) / (2 pi) of a jump off the roots of unity and
+cos(2 pi theta) at a given rational theta, are computed in integer fixed
+point at w bits: each kernel computes an integer A and a bound E with
+|A - 2^w f| < E, proved in its docstring, and the enclosure is widened
+by exactly E before it is rounded outward to a multiple of 2^-w.  Such a
+jump angle is never taken through arccos: it is the half-angle form
+atan(sqrt((2 - x)/(2 + x))) / pi, whose argument is an exact rational.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError, PreconditionError
 from .polynomials import poly_to_str, refine_isolating_interval
 
-_ZERO = Fraction(0)
 _GUARD_BITS = 32
+# the kernels asked for prec_bits work at w = prec_bits + _EXTRA_BITS, so
+# their error bounds, a few times w ulps, stay below 2^-prec_bits
+_EXTRA_BITS = 16
+_PI = {}  # w -> _pi(w), a pure function of w
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    if man == 0 and exp != 0:
-        raise PreconditionError("non-finite interval endpoint")
-    v = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -v if sign else v
-
-
-def _fraction_to_iv(fr: Fraction):
-    from mpmath import iv
-
-    # exact integer endpoints, then one certified division
-    return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
-
-
-@dataclass(frozen=True)
 class IntervalReal:
     """Closed interval [lo, hi] guaranteed to contain the represented real.
 
-    lo > hi raises PreconditionError."""
+    lo > hi raises PreconditionError.  Immutable: the ends are read-only
+    properties."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("_lo", "_hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise PreconditionError("interval endpoints out of order")
+        self._lo = lo
+        self._hi = hi
+
+    @property
+    def lo(self) -> Fraction:
+        return self._lo
+
+    @property
+    def hi(self) -> Fraction:
+        return self._hi
 
     @classmethod
     def exact(cls, v) -> "IntervalReal":
@@ -73,57 +69,207 @@ class IntervalReal:
         v = Fraction(v)
         return self.lo <= v <= self.hi
 
-    def intersects(self, o: "IntervalReal") -> bool:
-        return self.lo <= o.hi and o.lo <= self.hi
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._lo, self._hi) == (o._lo, o._hi)
+
+    def __hash__(self):
+        return hash((self._lo, self._hi))
+
+    def __repr__(self):
+        return f"IntervalReal(lo={self.lo!r}, hi={self.hi!r})"
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
 
 
-def _iv_to_interval(x) -> IntervalReal:
-    a, b = x._mpi_
-    return IntervalReal(_raw_mpf_to_fraction(a), _raw_mpf_to_fraction(b))
+def _pi(w: int) -> tuple:
+    """(S, E) with |S - 2^w pi| < E, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239); cached per w.
+
+    atan(1/n) is the alternating series of the decreasing terms
+    1 / ((2k + 1) n^(2k+1)).  p_k = floor(2^w / n^(2k+1)) is exact, as
+    p_(k+1) = p_k // n^2 and floor(floor(a) / b) = floor(a / b) for an
+    integer b > 0; so each summed term floor(p_k / (2k + 1)) is below
+    2^w / ((2k + 1) n^(2k+1)) by less than 1.  The sum stops at the first
+    p_k = 0, where 2^w / n^(2k+1) < 1, and the omitted tail is below its
+    first term, so less than 1.  With N terms summed the sum A_n is within
+    N + 1 of 2^w atan(1/n), and S = 16 A_5 - 4 A_239 within
+    E = 16 (N_5 + 1) + 4 (N_239 + 1) of 2^w pi.
+    """
+    got = _PI.get(w)
+    if got is None:
+        s = e = 0
+        for n, m in ((5, 16), (239, -4)):
+            p, k, a = (1 << w) // n, 0, 0
+            while p:
+                t = p // (2 * k + 1)
+                a += -t if k & 1 else t
+                p //= n * n
+                k += 1
+            s += m * a
+            e += abs(m) * (k + 1)
+        got = _PI[w] = (s, e)
+    return got
 
 
-def cos_2pi(theta: Fraction, prec_bits: int = 64) -> IntervalReal:
-    """Certified enclosure of cos(2*pi*theta)."""
-    from mpmath import iv
+def _atan(y: int, w: int) -> tuple:
+    """(A, E) with |A - 2^w atan(y / 2^w)| < E, for 0 <= y <= 2^w.
 
-    old = iv.prec
-    try:
-        iv.prec = prec_bits
-        val = iv.cos(2 * iv.pi * _fraction_to_iv(Fraction(theta)))
-    finally:
-        iv.prec = old
-    return _iv_to_interval(val)
+    *Half-angle steps.* While y > 2^(w-4), y becomes
+    y' = floor(2^w y / (2^w + r)) for r = isqrt(y^2 + 4^w): as
+    tan(a/2) = tan(a) / (1 + sqrt(1 + tan(a)^2)), atan(y'/2^w) is half of
+    atan(y/2^w) up to rounding.  r = floor(s) for s = 2^w sqrt(1 + y^2/4^w),
+    so the exact 2^w y / (2^w + s) lies below 2^w y / (2^w + r) by at most
+    2^w y (s - r) / (2^w + r)^2 < 2^(2w) / 2^(2w+2) = 1/4 (y <= 2^w and
+    r >= 2^w), and the floor takes off less than 1: y' is within 1 ulp
+    of its exact value, and atan, being 1-Lipschitz, moves by less than
+    1 ulp.  Each step at least halves y, so k <= 4 steps reach
+    y <= 2^(w-4).  Writing e_i for step i's error in angle,
+    2^k atan(y_k) = atan(y_0) + sum over i < k of 2^(i+1) e_i, which
+    is within 2^(k+1) - 2 ulps.
+
+    *Series.* With z = y_k / 2^w <= 1/16, atan z is the alternating sum
+    of the decreasing terms z^(2j+1) / (2j + 1).  q = floor(y_k^2 / 2^w)
+    is below 2^w z^2 by less than 1, and the powers
+    p_(j+1) = floor(p_j q / 2^w), p_0 = y_k, fall short of 2^w z^(2j+1)
+    by u_j with u_0 = 0 and u_(j+1) < u_j z^2 + z^(2j+1) + 1
+    <= u_j / 256 + 1/16 + 1, so u_j < 1.07.  Each summed term
+    floor(p_j / (2j + 1)), j >= 1, is then within 1.07/3 + 1 < 2 ulps
+    of its exact value, and the term j = 0 is exact.  The sum stops at
+    the first p_m = 0, where the exact 2^w z^(2m+1) < 1.07 and the
+    omitted tail is below 1.07 / (2m + 1) < 1 ulp.  With n terms j >= 1
+    summed the series is within 2n + 1 ulps of 2^w atan z, and 2^k times
+    it within 2^k (2n + 1) + 2^(k+1) - 2 = 2^k (2n + 3) - 2 of
+    2^w atan(y_0 / 2^w).
+    """
+    one = 1 << w
+    k = 0
+    while y > one >> 4:
+        y = (y << w) // (one + math.isqrt(y * y + (one << w)))
+        k += 1
+    q = (y * y) >> w
+    s = p = y
+    n = 0
+    while True:
+        p = (p * q) >> w
+        if not p:
+            break
+        n += 1
+        t = p // (2 * n + 1)
+        s += -t if n & 1 else t
+    return s << k, ((2 * n + 3) << k) - 2
+
+
+def _theta_bound(x: Fraction, w: int, up: bool) -> int:
+    """An integer bound on 2^w theta(x), theta(x) = arccos(x/2) / (2 pi),
+    from below (``up`` false) or above, for a rational x clipped to
+    [-2, 2].
+
+    With x = a/b, the ratio s/c of s = 2b - a = 4b sin^2(pi theta) and
+    c = 2b + a = 4b cos^2(pi theta), each clipped at 0, is exact and
+    theta = atan(sqrt(s/c)) / pi.  For s > c they swap and
+    theta = 1/2 - atan(sqrt(c/s)) / pi, so the root is at most 1.  It is
+    isqrt(floor(4^w s/c)) = floor(2^w sqrt(s/c)), plus 1 where it is
+    inexact and the bound needs atan from above, which it does when
+    exactly one of ``up`` and the swap holds.  atan increases, so atan of
+    the rounded root, less or plus E of ``_atan``, bounds atan(sqrt(s/c))
+    on the needed side; dividing by pi's upper end S + E_pi or lower end
+    S - E_pi (of ``_pi``), rounded down or up, keeps that side.
+    """
+    a, b = x.numerator, x.denominator
+    s, c = max(2 * b - a, 0), max(2 * b + a, 0)
+    swap = s > c
+    if swap:
+        s, c = c, s
+    above = up != swap
+    y = math.isqrt((s << 2 * w) // c)
+    if above and y * y * c != s << 2 * w:
+        y += 1
+    at, err = _atan(y, w)
+    pi, pi_err = _pi(w)
+    if above:
+        q = -((-(at + err) << w) // (pi - pi_err))
+    else:
+        q = ((at - err) << w) // (pi + pi_err)
+    return (1 << w - 1) - q if swap else q
 
 
 def angle_from_cos_half(x: IntervalReal, prec_bits: int = 64) -> IntervalReal:
     """Enclosure of arccos(x/2) / (2*pi) for an enclosure x of a value in
     [-2, 2]; the result lies in [0, 1/2].
 
-    As 2 - x = 4 sin^2(pi theta) and 2 + x = 4 cos^2(pi theta), theta is
-    atan2(sqrt(2 - x), sqrt(2 + x)) / pi.  The differences 2 -+ x are exact
-    rationals, so nothing cancels near x = +-2.
+    theta decreases in x, so its lower end is bounded at x.hi and its
+    upper end at x.lo, by ``_theta_bound`` at w = prec_bits + 16 bits;
+    the ends are multiples of 2^-w.  At a point x each end lies within
+    about (2E + 1)/pi + E_pi / (2 pi) + 1 ulps of theta, for E of
+    ``_atan`` (at most 4w + 46, as k <= 4 and n <= w/8) and E_pi of
+    ``_pi`` (about 3.7w + 40): rounding the root moves atan by at most
+    1 ulp, E counts twice, and pi's error moves atan/pi <= 1/4 by at most
+    E_pi / (2 pi) ulps.  So the enclosure of a point is narrower than
+    2^-prec_bits while prec_bits is below about 8000.
     """
-    from mpmath import iv
-
-    lo = max(x.lo, Fraction(-2))
-    hi = min(x.hi, Fraction(2))
-    old = iv.prec
-    try:
-        iv.prec = prec_bits
-        s = iv.mpf([_fraction_to_iv(2 - hi).a, _fraction_to_iv(2 - lo).b])
-        c = iv.mpf([_fraction_to_iv(2 + lo).a, _fraction_to_iv(2 + hi).b])
-        val = iv.atan2(iv.sqrt(s), iv.sqrt(c)) / iv.pi
-    finally:
-        iv.prec = old
-    out = _iv_to_interval(val)
-    # theta lies in [0, 1/2]; trim rounding spill
-    return IntervalReal(max(out.lo, _ZERO), min(out.hi, Fraction(1, 2)))
+    w = prec_bits + _EXTRA_BITS
+    half = 1 << w - 1
+    lo = _theta_bound(x.hi, w, up=False)
+    hi = _theta_bound(x.lo, w, up=True)
+    return IntervalReal(Fraction(max(lo, 0), 1 << w),
+                        Fraction(min(hi, half), 1 << w))
 
 
-@dataclass(frozen=True, slots=True)
+def cos_2pi(theta: Fraction, prec_bits: int = 64) -> IntervalReal:
+    """Certified enclosure of cos(2*pi*theta), at w = prec_bits + 16 bits.
+
+    *Reduction.* theta is reduced exactly to t in [0, 1/8]: modulo 1, then
+    by cos(2 pi theta) = cos(2 pi (1 - theta)) = -cos(2 pi (1/2 - theta))
+    = sin(2 pi (1/4 - theta)) as needed.  u = floor(2 t S), for (S, E_pi)
+    of ``_pi``, is within 2t E_pi + 1 <= E_pi/4 + 1 ulps of 2^w 2 pi t,
+    which moves cos and sin (1-Lipschitz) by as much.
+
+    *Series.* At a = u / 2^w <= 0.8 the terms a^d / d! of the cos (d even)
+    or sin (d odd) series alternate, and each is at most
+    a^2 / ((d + 1)(d + 2)) <= 0.32 times the one before.  The code takes
+    T' = floor(T q / (2^w (d + 1)(d + 2))), q = floor(u^2 / 2^w), from an
+    exact first term 2^w or u.  With exact terms t_j <= 2^w, the shortfall
+    v_j = t_j - T_j >= 0 obeys v_(j+1) < 0.32 v_j + 0.5 + 1 (flooring q
+    costs at most t_j / (2 2^w), the quotient less than 1), so v_j < 2.21.
+    The sum stops at the first T_m = 0, where t_m < 2.21 bounds the
+    omitted tail.  With n terms summed after the first the series is
+    within 2.21 (n + 1) < 3 (n + 1) ulps of its exact value, and the
+    enclosure is widened by 3 (n + 1) + E_pi // 4 + 2 ulps in all.
+    """
+    w = prec_bits + _EXTRA_BITS
+    one = 1 << w
+    t = Fraction(theta) % 1
+    if 2 * t > 1:
+        t = 1 - t
+    neg = 4 * t > 1
+    if neg:
+        t = Fraction(1, 2) - t
+    sine = 8 * t > 1
+    if sine:
+        t = Fraction(1, 4) - t
+    pi, pi_err = _pi(w)
+    u = (2 * pi * t.numerator) // t.denominator
+    q = (u * u) >> w
+    term = total = u if sine else one
+    d = 1 if sine else 0
+    n = 0
+    while True:
+        term = (term * q >> w) // ((d + 1) * (d + 2))
+        if not term:
+            break
+        d += 2
+        n += 1
+        total += -term if n & 1 else term
+    err = 3 * (n + 1) + pi_err // 4 + 2
+    if neg:
+        total = -total
+    return IntervalReal(Fraction(max(total - err, -one), one),
+                        Fraction(min(total + err, one), one))
+
+
 class AlgebraicAngle:
     """An angle theta in (0, 1) with x = 2*cos(2*pi*theta) algebraic.
 
@@ -132,31 +278,54 @@ class AlgebraicAngle:
     branch in (0, 1/2)) or its conjugate 1 - theta.  ``theta``, when
     given, is the exact value of the branch in (0, 1/2), a rational k/n
     for a root of unity; the flag applies to it as to the box, so
-    ``conjugate`` keeps it correct.  Values are immutable: refinement
-    returns a new angle.
+    ``conjugate`` keeps it correct.  Values are immutable: the fields are
+    read-only properties, and refinement returns a new angle.
     """
 
-    poly: tuple
-    x_lo: Fraction
-    x_hi: Fraction
-    upper: bool = False
-    theta: Optional[Fraction] = None
+    __slots__ = ("_key",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "poly", tuple(self.poly))
-        object.__setattr__(self, "x_lo", Fraction(self.x_lo))
-        object.__setattr__(self, "x_hi", Fraction(self.x_hi))
-        if self.theta is not None:
-            object.__setattr__(self, "theta", Fraction(self.theta))
+    def __init__(self, poly, x_lo, x_hi, upper: bool = False,
+                 theta: Fraction | None = None):
+        self._key = (tuple(poly), Fraction(x_lo), Fraction(x_hi), upper,
+                     None if theta is None else Fraction(theta))
+
+    @property
+    def poly(self) -> tuple:
+        return self._key[0]
+
+    @property
+    def x_lo(self) -> Fraction:
+        return self._key[1]
+
+    @property
+    def x_hi(self) -> Fraction:
+        return self._key[2]
+
+    @property
+    def upper(self) -> bool:
+        return self._key[3]
+
+    @property
+    def theta(self) -> Fraction | None:
+        return self._key[4]
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == o._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def conjugate(self) -> "AlgebraicAngle":
-        return replace(self, upper=not self.upper)
+        return AlgebraicAngle(self.poly, self.x_lo, self.x_hi,
+                              not self.upper, self.theta)
 
     def refine_x(self, width: Fraction) -> "AlgebraicAngle":
         """The same angle with an x-interval of width at most ``width``."""
         lo, hi = refine_isolating_interval(
             self.poly, self.x_lo, self.x_hi, Fraction(width))
-        return replace(self, x_lo=lo, x_hi=hi)
+        return AlgebraicAngle(self.poly, lo, hi, self.upper, self.theta)
 
     def enclosure(self, prec_bits: int = 64) -> IntervalReal:
         """Certified enclosure of theta from the stored x-interval."""

@@ -21,8 +21,7 @@ sigma(-1) = sign(V + V^T) are integers and need no interval arithmetic.
 ``intervals`` is imported only inside the three functions that enclose a
 jump angle or a given theta: ``_arc_index``, ``signature_function`` and
 ``signature_csv``.  So the ``invariants`` and ``table`` commands never
-load it; ``rho`` and ``sigfn`` do, and load mpmath only when a jump lies
-off the roots of unity.
+load it; ``rho`` and ``sigfn`` do.
 """
 
 from __future__ import annotations

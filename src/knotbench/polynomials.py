@@ -618,10 +618,6 @@ class LaurentPoly:
     def coeff(self, e: int) -> int:
         return self._c.get(e, 0)
 
-    @property
-    def support(self):
-        return sorted(self._c)
-
     def is_zero(self) -> bool:
         return not self._c
 

@@ -32,7 +32,7 @@ These deliberately avoid the library code paths they check:
   phi comes from trial division (no sieve).
 * Jump angles "by factoring" take every jump's minimal polynomial from
   the factorisation of the squarefree x-polynomial, with no exact angle,
-  so rho0 and angles are enclosed by mpmath as for any algebraic jump.
+  so rho0 and angles are enclosed from x-boxes as for any algebraic jump.
 * rho0 "by arcs" sums sigma times arc length over all 2n + 1 arcs, each
   jump enclosed on its own (no integration by parts, no conjugate
   sharing).
@@ -54,7 +54,7 @@ import numpy as np
 
 from knotbench.braids import BraidWord
 from knotbench.errors import PossiblySingularError
-from knotbench.intervals import AlgebraicAngle
+from knotbench.intervals import AlgebraicAngle, IntervalReal
 from knotbench.invariants import SignatureStepFunction
 from knotbench.polynomials import (
     LaurentPoly,
@@ -69,6 +69,16 @@ from knotbench.polynomials import (
     poly_trim,
 )
 from knotbench.seifert import SeifertMatrix
+
+
+def intersects(a: IntervalReal, b: IntervalReal) -> bool:
+    """Whether the enclosures a and b share a point."""
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
+def support(p: LaurentPoly) -> list:
+    """The exponents of the nonzero terms of p, in increasing order."""
+    return [e for e in range(p.min_exp, p.max_exp + 1) if p.coeff(e)]
 
 
 def unit_normalize_symmetric(p: LaurentPoly) -> LaurentPoly:
@@ -493,7 +503,7 @@ def jumps_by_factoring(sf: SignatureStepFunction) -> SignatureStepFunction:
     """``sf`` with every jump's minimal polynomial taken from the
     factorisation of its squarefree x-polynomial, as the irreducible
     factor that changes sign across the jump's x-box, and with no exact
-    angle: each angle is then enclosed from its box by mpmath."""
+    angle: each angle is then enclosed from its box."""
     _, factors = factor_integer_poly(sf.x_poly)
 
     def plain(a):

@@ -8,13 +8,15 @@ from knotbench.errors import InputError, PreconditionError
 from knotbench.intervals import (
     AlgebraicAngle,
     IntervalReal,
-    _iv_to_interval,
+    _pi,
     angle_from_cos_half,
     cos_2pi,
     format_bound,
     format_decimal,
     format_jumps,
 )
+
+from oracles import intersects
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -24,19 +26,42 @@ def mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+_TOL = Fraction(1, 2 ** 500)
+
+
+def theta_ref(x) -> Fraction:
+    """acos(x/2) / (2 pi) for a real x in [-2, 2] given as an mpf or a
+    rational, by mpmath at 600 bits, right to well within 2^-500."""
+    with mpmath.workprec(600):
+        if isinstance(x, Fraction):
+            x = mpmath.mpf(x.numerator) / x.denominator
+        return mpf_to_fraction(mpmath.acos(x / 2) / (2 * mpmath.pi))
+
+
 class TestIntervalReal:
     def test_order_enforced(self):
         with pytest.raises(PreconditionError, match="out of order"):
             IntervalReal(Fraction(1), Fraction(0))
 
-    def test_non_finite_endpoint_refused(self):
-        with pytest.raises(PreconditionError, match="non-finite"):
-            _iv_to_interval(mpmath.iv.mpf([0, "inf"]))
-
     def test_intersects(self):
         a = IntervalReal(Fraction(0), Fraction(1))
-        assert a.intersects(IntervalReal(Fraction(1), Fraction(2)))
-        assert not a.intersects(IntervalReal(Fraction(3, 2), Fraction(2)))
+        assert intersects(a, IntervalReal(Fraction(1), Fraction(2)))
+        assert not intersects(a, IntervalReal(Fraction(3, 2), Fraction(2)))
+
+    def test_value_semantics(self):
+        # equal, hashed and printed by value, as a frozen dataclass was
+        a = IntervalReal(Fraction(1, 2), Fraction(3, 4))
+        b = IntervalReal(Fraction(1, 2), Fraction(3, 4))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != IntervalReal(Fraction(1, 2), Fraction(1))
+        assert a != (Fraction(1, 2), Fraction(3, 4))
+        assert repr(a) == "IntervalReal(lo=Fraction(1, 2), hi=Fraction(3, 4))"
+        assert str(a) == "[1/2, 3/4]"
+        with pytest.raises(AttributeError):
+            a.lo = Fraction(0)
+        with pytest.raises(AttributeError):
+            del a.hi
+        assert a.lo == Fraction(1, 2)
 
 
 class TestTrigEnclosures:
@@ -67,6 +92,110 @@ class TestTrigEnclosures:
     def test_angle_from_cos_half_range(self):
         out = angle_from_cos_half(IntervalReal(Fraction(-2), Fraction(2)), 64)
         assert out.lo >= 0 and out.hi <= Fraction(1, 2)
+
+
+class TestFixedPointKernels:
+    """The integer kernels against mpmath at 600 bits: each enclosure
+    contains the value, and a point's enclosure at b bits is at most 2^-b
+    wide."""
+
+    @pytest.mark.parametrize("bits", [16, 53, 64, 96, 200, 400, 1000])
+    def test_pi(self, bits):
+        s, e = _pi(bits)
+        with mpmath.workprec(1200):
+            ref = mpf_to_fraction(mpmath.pi) * 2 ** bits
+        assert abs(s - ref) < e < 4 * bits + 64
+
+    @pytest.mark.parametrize("bits", [64, 96, 200, 400])
+    def test_point_enclosures(self, bits):
+        rng = random.Random(bits)
+        xs = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
+        for _ in range(60):
+            b = rng.randint(1, 10 ** rng.randint(1, 40))
+            xs.append(Fraction(rng.randint(-2 * b, 2 * b), b))
+        for x in xs:
+            e = angle_from_cos_half(IntervalReal(x, x), bits)
+            assert e.lo - _TOL <= theta_ref(x) <= e.hi + _TOL, x
+            assert e.width <= Fraction(1, 2 ** bits), x
+
+    @pytest.mark.parametrize("bits", [64, 96, 200, 400])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_near_cos_half_ends(self, sign, bits):
+        # x within 10^-40 of +-2, where theta is near 0 or 1/2 and
+        # arccos(x/2) would lose half the bits; the boxes touching +-2 run
+        # from theta = 0 (or up to 1/2) to theta at the other end
+        ulp = Fraction(1, 2 ** bits)
+        for d in (Fraction(1, 10), Fraction(1, 10 ** 20), Fraction(1, 10 ** 40),
+                  Fraction(7, 3 * 10 ** 40), Fraction(1, 2 ** 130)):
+            x = sign * (2 - d)
+            e = angle_from_cos_half(IntervalReal(x, x), bits)
+            assert e.lo - _TOL <= theta_ref(x) <= e.hi + _TOL
+            assert e.width <= ulp
+            box = IntervalReal(*sorted((x, sign * Fraction(2))))
+            e = angle_from_cos_half(box, bits)
+            if sign > 0:
+                assert e.lo == 0 and theta_ref(x) <= e.hi <= theta_ref(x) + ulp
+            else:
+                assert e.hi == Fraction(1, 2)
+                assert theta_ref(x) - ulp <= e.lo <= theta_ref(x)
+
+    @pytest.mark.parametrize("bits", [64, 200])
+    def test_wide_box_ends(self, bits):
+        # theta decreases in x: a box's enclosure runs from theta(x_hi) to
+        # theta(x_lo), each end rounded outward by at most 2^-bits; ends
+        # past +-2 count as +-2
+        rng = random.Random(7)
+        ulp = Fraction(1, 2 ** bits)
+        boxes = [(Fraction(-3), Fraction(3)), (Fraction(1), Fraction(5)),
+                 (Fraction(-9, 2), Fraction(-1, 3))]
+        for _ in range(40):
+            boxes.append(sorted(Fraction(rng.randint(-4000, 4000), 2000)
+                                for _ in range(2)))
+        for lo, hi in boxes:
+            e = angle_from_cos_half(IntervalReal(lo, hi), bits)
+            least = theta_ref(min(hi, Fraction(2)))
+            most = theta_ref(max(lo, Fraction(-2)))
+            assert least - ulp <= e.lo <= least + _TOL
+            assert most - _TOL <= e.hi <= most + ulp
+
+    @pytest.mark.parametrize("digits", [10, 30, 60])
+    def test_enclosure_to_width(self, digits):
+        # roots of n x^2 - m, some within 10^-40 of +-2, enclosed to
+        # width 10^-digits from their isolating boxes
+        width = Fraction(1, 10 ** digits)
+        near = 10 ** 40
+        cases = [((-2, 0, 1), 1), ((-3, 0, 1), 1), ((-7, 0, 5), -1),
+                 ((-1, 0, 3), -1), ((1 - 4 * near, 0, near), 1),
+                 ((1 - 4 * near, 0, near), -1)]
+        for poly, sign in cases:
+            m, n = -poly[0], poly[2]
+            lo, hi = sorted((sign * Fraction(0), sign * Fraction(2)))
+            for upper in (False, True):
+                a = AlgebraicAngle(poly, lo, hi, upper)
+                enc = a.enclosure_to_width(width)
+                with mpmath.workprec(600):
+                    ref = theta_ref(sign * mpmath.sqrt(mpmath.mpf(m) / n))
+                if upper:
+                    ref = 1 - ref
+                assert enc.width <= width
+                assert enc.lo - _TOL <= ref <= enc.hi + _TOL
+
+    @pytest.mark.parametrize("bits", [53, 64, 200, 400])
+    def test_cos_2pi_octants(self, bits):
+        # a theta inside each eighth of the turn runs every reduction (cos
+        # or sin series, either sign); 1/8, 3/8, 0, 1/2 and 1 sit on the
+        # seams between them, and -1/7 and 22/7 lie outside [0, 1)
+        thetas = [Fraction(2 * k + 1, 16) + Fraction(1, 97) for k in range(8)]
+        thetas += [Fraction(1, 8), Fraction(3, 8), Fraction(0), Fraction(1, 2),
+                   Fraction(1), Fraction(-1, 7), Fraction(22, 7)]
+        for t in thetas:
+            c = cos_2pi(t, bits)
+            with mpmath.workprec(600):
+                ref = mpf_to_fraction(mpmath.cos(
+                    2 * mpmath.pi * mpmath.mpf(t.numerator) / t.denominator))
+            assert c.lo - _TOL <= ref <= c.hi + _TOL, t
+            assert c.width <= Fraction(1, 2 ** bits), t
+            assert -1 <= c.lo and c.hi <= 1
 
 
 class TestExactAngle:
@@ -163,6 +292,18 @@ class TestAlgebraicAngle:
         monkeypatch.setattr(AlgebraicAngle, "enclosure_to_width", counting)
         assert format_jumps(low, digits) == want
         assert calls == low
+
+    def test_value_semantics(self):
+        # equal and hashed by all five fields, as a frozen dataclass was
+        a = AlgebraicAngle([-1, 1], 0.5, 1.5)
+        b = AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2), False, None)
+        assert a == b and hash(a) == hash(b) and a.poly == (-1, 1)
+        assert a != a.conjugate() and a.conjugate().conjugate() == a
+        assert a != AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2),
+                                   theta=Fraction(1, 6))
+        assert a != (a.poly, a.x_lo, a.x_hi, a.upper, a.theta)
+        assert repr(a.conjugate()) == (
+            "AlgebraicAngle(1-acos(x/2)/2pi, x - 1, x in (1/2, 3/2))")
 
     def test_immutable(self):
         a = AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2))

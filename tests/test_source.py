@@ -125,6 +125,53 @@ def test_requests_never_import_sympy():
     assert blocked[:-1] == plain[:-1]
 
 
+# the 4-D requests that enclose jump angles off the roots of unity, and
+# the signature at an angle, which encloses cos; the same script runs
+# with mpmath blocked and as it is
+_ENCLOSING_SCRIPT = r"""
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
+from fractions import Fraction
+from knotbench import cli
+from knotbench.invariants import levine_tristram
+from knotbench.seifert import SeifertMatrix
+
+five_two = "[[-1,1],[0,-2]]"
+sum_72 = "[[-1,1,0,0],[0,-2,0,0],[0,0,-1,1],[0,0,0,-3]]"  # 5_2 # 7_2
+for argv in (["sigfn", "--seifert", five_two],
+             ["sigfn", "--seifert", five_two, "--csv", "--digits", "40"],
+             ["rho", "--seifert", five_two],
+             ["rho", "--seifert", sum_72, "--precision", "1e-30"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    print(json.dumps([code, out.getvalue()]))
+for rows in (json.loads(five_two), json.loads(sum_72)):
+    print(json.dumps(levine_tristram(SeifertMatrix(rows), Fraction(1, 7))))
+print(json.dumps(sys.modules.get("mpmath") is not None))  # mpmath loaded
+"""
+
+
+def test_requests_never_import_mpmath():
+    # jump angles and cos are enclosed in integer fixed point, so no
+    # request needs mpmath: the blocked run succeeds and prints what the
+    # plain one prints
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+
+    def run(mode):
+        proc = subprocess.run(
+            [sys.executable, "-c", _ENCLOSING_SCRIPT, mode],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return [json.loads(line) for line in proc.stdout.splitlines()]
+
+    blocked, plain = run("blocked"), run("plain")
+    assert blocked[-1] is False and plain[-1] is False
+    assert all(code == 0 for code, _ in blocked[:4])
+    assert blocked == plain
+
+
 # exact requests first, then sigfn with exact jumps at roots of unity,
 # then one that encloses jump angles off them
 _EXACT_SCRIPT = r"""
@@ -151,9 +198,10 @@ print(json.dumps(out))
 def test_exact_requests_never_import_intervals():
     # invariants and table are integer computations: neither mpmath nor
     # knotbench.intervals may load for them, and braids only for --braid.
-    # The trefoil jumps at 1/6, a root of unity, whose angle is exact, so
-    # its sigfn loads intervals but not mpmath; 5_2 jumps off the roots of
-    # unity, and its sigfn shows the check can fail
+    # The trefoil jumps at 1/6, a root of unity, whose angle is exact; 5_2
+    # jumps off the roots of unity, and its angles are enclosed in integer
+    # fixed point.  Both sigfn requests load intervals, which shows the
+    # check can fail, and neither loads mpmath
     from conftest import TABLE_PATH
 
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -166,7 +214,7 @@ def test_exact_requests_never_import_intervals():
         ["invariants", 0, [False, False, True]],
         ["table", 0, [False, False, True]],
         ["sigfn", 0, [False, True, True]],
-        ["sigfn", 0, [True, True, True]],
+        ["sigfn", 0, [False, True, True]],
     ]
 
 
