@@ -22,21 +22,19 @@ Seifert pairing of basis loops, worked out from the disk-and-band model
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import InputError, PreconditionError, as_integer
 from .seifert import SeifertMatrix
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(namedtuple("BraidWord", "strands letters")):
     """A word in the braid group on `strands` strands."""
 
-    strands: int
-    letters: tuple
+    __slots__ = ()
 
-    def __init__(self, strands: int, letters: Sequence[int]):
+    def __new__(cls, strands: int, letters: Iterable[int]):
         strands = as_integer(strands, "strand count")
         if strands < 1:
             raise InputError("strand count must be >= 1")
@@ -45,8 +43,7 @@ class BraidWord:
             if x == 0 or abs(x) > strands - 1:
                 raise InputError(
                     f"letter {x} out of range for {strands} strands")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
+        return super().__new__(cls, strands, letters)
 
     def permutation(self) -> tuple:
         """Image of each strand (0-based) under the braid."""

@@ -11,13 +11,15 @@ Alexander polynomial ("possibly singular").
 Each command imports only the modules it uses, and none needs a package
 outside the standard library.  ``invariants`` and ``table`` are exact and
 never load ``knotbench.intervals``; ``rho`` and ``sigfn`` load it to
-render jump angles.
+render jump angles.  The package's records are named tuples and plain
+classes, so no command loads the data-class or type-hint modules.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -50,14 +52,24 @@ def _report(input_echo, results):
 
 
 def _parse_precision(text: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()  # 0: none; the report prints str(f)
+    # the decimal exponent, as Fraction reads one, at the end of the text
+    m = re.fullmatch(r"(.*[eE])([-+]?\d+(?:_\d+)*)(\s*)", text, re.DOTALL)
     try:
-        f = Fraction(text)
+        # Fraction(text) would compute 10^|e| first.  The text is
+        # +-a 10^(e - d) for its mantissa digits a < 10^L, L = len(text), and
+        # the d <= L of them after the point: for a != 0, an integer of at
+        # least 10^(limit + 1) when e > limit + L, and of denominator at
+        # least 10^(d - e) / a > 10^limit when e < -(limit + L).  The digit
+        # check refuses both, so the text with each exponent digit 0, of the
+        # same syntax, sign and zeroness, decides the outcome.
+        huge = bool(m) and 0 < limit < abs(int(m[2])) - len(text)
+        f = Fraction(m[1] + re.sub(r"\d", "0", m[2]) + m[3] if huge else text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad precision {text!r}") from None
     if f <= 0:
         raise InputError("precision must be positive")
-    limit = sys.get_int_max_str_digits()  # 0: none; the report prints str(f)
-    if limit and max(f.numerator, f.denominator) >= 10 ** limit:
+    if limit and (huge or max(f.numerator, f.denominator) >= 10 ** limit):
         raise PreconditionError(f"precision {text!r} exceeds {limit} digits")
     return f
 
@@ -121,10 +133,10 @@ def cmd_invariants(args) -> None:
     from .invariants import fibered_obstruction
 
     echo, v = _load_knot(args)
-    fib = fibered_obstruction(v, args.claimed_genus)
+    reason = fibered_obstruction(v, args.claimed_genus)
     results = _classical_invariants(v)
-    results.update(fibered_obstruction={"passes": fib.passes,
-                                        "reason": fib.reason},
+    results.update(fibered_obstruction={"passes": reason is None,
+                                        "reason": reason},
                    surface_genus=v.genus)
     _emit(_report(echo, results))
 

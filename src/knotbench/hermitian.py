@@ -10,7 +10,7 @@ case I = 0.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import PossiblySingularError
 

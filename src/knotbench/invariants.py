@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError, PossiblySingularError, PreconditionError
 from .hermitian import hermitian_signature
@@ -182,7 +181,7 @@ def _omega_is_alexander_root(p: tuple, theta: Fraction) -> bool:
             and _quotient(p, _psi(q)) is not None)
 
 
-def _arc_signature(v: SeifertMatrix, r: Optional[Fraction]) -> int:
+def _arc_signature(v: SeifertMatrix, r: Fraction | None) -> int:
     """Signature at theta = atan(r)/pi in (0, 1/2]; r = None is theta = 1/2.
 
     With S = V + V^T, K = V^T - V and omega = c + i s the form is
@@ -282,8 +281,8 @@ def _laurent_to_x(delta: LaurentPoly) -> tuple:
     return poly_trim(p)
 
 
-@dataclass(frozen=True)
-class SignatureStepFunction:
+class SignatureStepFunction(namedtuple(
+        "SignatureStepFunction", "low half x_poly delta_coeffs")):
     """The Levine-Tristram signature as a step function of theta in (0, 1).
 
     It is stored by its half on (0, 1/2], as sigma(theta) = sigma(1 - theta):
@@ -295,10 +294,7 @@ class SignatureStepFunction:
     is the squarefree part of the x-polynomial.
     """
 
-    low: tuple
-    half: tuple
-    x_poly: tuple
-    delta_coeffs: tuple
+    __slots__ = ()
 
     @property
     def jumps(self) -> tuple:
@@ -461,27 +457,22 @@ def signature_csv(sf: SignatureStepFunction, digits: int = 12) -> str:
 # fiberedness and Fox-Milnor obstructions
 
 
-@dataclass(frozen=True)
-class FiberednessReport:
-    passes: bool
-    reason: Optional[str] = None
-
-
 def fibered_obstruction(v: SeifertMatrix,
-                        claimed_genus: Optional[int] = None) -> FiberednessReport:
+                        claimed_genus: int | None = None) -> str | None:
     """Necessary conditions for fiberedness: monic Alexander polynomial,
-    and span equal to twice the claimed genus when one is supplied.  A
-    negative claimed genus raises InputError."""
+    and span equal to twice the claimed genus when one is supplied.
+    Returns the text of the first condition that fails, or None when both
+    hold, which does not prove the knot fibered.  A negative claimed genus
+    raises InputError."""
     if claimed_genus is not None and claimed_genus < 0:
         raise InputError(f"claimed genus {claimed_genus} is negative")
     delta = alexander_polynomial(v)
     lead = delta.coeff(delta.max_exp)
     if abs(lead) != 1:
-        return FiberednessReport(False, "not monic")
+        return "not monic"
     if claimed_genus is not None and delta.span != 2 * claimed_genus:
-        return FiberednessReport(
-            False, f"degree {delta.span} != 2 * claimed genus {claimed_genus}")
-    return FiberednessReport(True)
+        return f"degree {delta.span} != 2 * claimed genus {claimed_genus}"
+    return None
 
 
 def _is_square(n: int) -> bool:
@@ -582,22 +573,18 @@ def _fox_milnor(*ps: tuple) -> bool:
 # algebraic concordance comparison
 
 
-@dataclass(frozen=True)
-class ConcordanceComparison:
-    """Outcome of comparing the computable algebraic concordance invariants.
-
-    ``indistinguishable`` is a semi-decision: the classical Arf invariant,
-    the full signature step functions, and the Fox-Milnor condition on the
-    product Alexander polynomial all agree.  (Twisted Arf invariants have
-    no computational definition here and are not compared.)
-    """
-
-    indistinguishable: bool
-    distinguished_by: tuple
-
-
 def algebraically_concordant_test(v1: SeifertMatrix,
-                                  v2: SeifertMatrix) -> ConcordanceComparison:
+                                  v2: SeifertMatrix) -> tuple:
+    """The computable algebraic concordance invariants that tell v1 and v2
+    apart, in the order "arf", "signature function", "fox_milnor": the
+    classical Arf invariant, the full signature step functions, and the
+    Fox-Milnor condition on the product Alexander polynomial.
+
+    An empty tuple is a semi-decision: every compared invariant agrees,
+    which does not prove the knots algebraically concordant.  (Twisted Arf
+    invariants have no computational definition here and are not
+    compared.)
+    """
     found = []
     if arf(v1) != arf(v2):
         found.append("arf")
@@ -611,4 +598,4 @@ def algebraically_concordant_test(v1: SeifertMatrix,
 
     if not _fox_milnor(p1, p2):
         found.append("fox_milnor")
-    return ConcordanceComparison(not found, tuple(found))
+    return tuple(found)

@@ -14,8 +14,8 @@ import functools
 import itertools
 import math
 import random
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, PreconditionError
 from .seifert import integer_determinant

@@ -22,7 +22,7 @@ enclosures, and nothing here re-checks them at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError
@@ -34,12 +34,10 @@ from .seifert import SeifertMatrix
 MEASURE = "normalized_1"
 
 
-@dataclass(frozen=True)
-class RhoResult:
+class RhoResult(namedtuple("RhoResult", "value step_function")):
     """Certified enclosure of rho0 and the step function it integrates."""
 
-    value: IntervalReal
-    step_function: SignatureStepFunction
+    __slots__ = ()
 
     def to_json_dict(self, digits: int = 12) -> dict:
         sf = self.step_function

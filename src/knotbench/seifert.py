@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import os
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
 from .errors import InputError, as_integer, parse_json, read_text
 
@@ -116,14 +114,11 @@ def mirror(v: SeifertMatrix) -> SeifertMatrix:
 UNKNOT = SeifertMatrix([])
 
 
-@dataclass
-class KnotTableEntry:
+class KnotTableEntry(namedtuple("KnotTableEntry",
+                                "name braid seifert expected")):
     """A named knot given by a braid word and/or a Seifert matrix."""
 
-    name: str
-    braid: Optional["BraidWord"] = None
-    seifert: Optional[SeifertMatrix] = None
-    expected: dict = field(default_factory=dict)
+    __slots__ = ()
 
     def seifert_matrix(self) -> SeifertMatrix:
         if self.seifert is not None:
@@ -173,6 +168,8 @@ def load_knot_table(path: str | os.PathLike) -> list:
 
 
 def _load_csv(text: str) -> list:
+    import csv
+
     from .braids import BraidWord
 
     out = []
@@ -186,7 +183,7 @@ def _load_csv(text: str) -> list:
             # AttributeError: DictReader fills a short row's cells with None
             raise InputError(f"line {lineno}: expected name,strands,word") from None
         try:
-            out.append(KnotTableEntry(name, BraidWord(strands, word)))
+            out.append(KnotTableEntry(name, BraidWord(strands, word), None, {}))
         except InputError as e:
             raise InputError(f"line {lineno} ({name!r}): {e}") from None
     return out

@@ -46,7 +46,6 @@ These deliberately avoid the library code paths they check:
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -511,7 +510,7 @@ def jumps_by_factoring(sf: SignatureStepFunction) -> SignatureStepFunction:
                        if poly_sign_at(f, a.x_lo) != poly_sign_at(f, a.x_hi))
         return AlgebraicAngle(minpoly, a.x_lo, a.x_hi, a.upper)
 
-    return replace(sf, low=tuple(plain(a) for a in sf.low))
+    return sf._replace(low=tuple(plain(a) for a in sf.low))
 
 
 def rho0_by_arcs(sf: SignatureStepFunction, width: Fraction) -> tuple:

@@ -11,9 +11,10 @@ from knotbench.braids import (
     serialize_braid,
 )
 from knotbench.errors import InputError, PreconditionError
-from knotbench.invariants import alexander_polynomial
+from knotbench.invariants import alexander_polynomial, signature_function
 from knotbench.polynomials import LaurentPoly
-from knotbench.seifert import integer_determinant
+from knotbench.rho import rho0
+from knotbench.seifert import KnotTableEntry, integer_determinant
 
 from conftest import random_knot_braid
 from oracles import alexander_via_burau, unit_normalize_symmetric
@@ -157,3 +158,26 @@ class TestSeifertFromBraid:
         left = seifert_matrix_from_braid(BraidWord(2, [-1, -1, -1]))
         assert levine_tristram(left, Fraction(1, 2)) == 2
         assert levine_tristram(trefoil, Fraction(1, 2)) == -2
+
+
+_TREFOIL = BraidWord(2, [1, 1, 1])
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: _TREFOIL, "letters"),
+    (lambda: signature_function(seifert_matrix_from_braid(_TREFOIL)), "half"),
+    (lambda: rho0(seifert_matrix_from_braid(_TREFOIL)), "value"),
+    (lambda: KnotTableEntry("3_1", _TREFOIL, None, {}), "braid"),
+], ids=["BraidWord", "SignatureStepFunction", "RhoResult", "KnotTableEntry"])
+def test_records_are_immutable(make, field):
+    # neither a field nor a new attribute can be set on a record
+    record = make()
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, field))
+
+
+def test_braid_word_repr_and_hash():
+    b = BraidWord(2, [1, 1, 1])
+    assert repr(b) == "BraidWord(strands=2, letters=(1, 1, 1))"
+    assert hash(b) == hash((2, (1, 1, 1)))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -237,6 +239,43 @@ def test_beyond_int_str_limit_exits_2(capsys, argv):
     code, out, err = run(capsys, argv[0], "--braid", "n=2; 1 1 1", *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error: precondition:") and "4300" in err
+
+
+@pytest.mark.parametrize("precision,code,message", [
+    ("1e-10000000", 2, "exceeds 4300 digits"),
+    ("-1e-10000000", 1, "precision must be positive"),
+    ("0e-10000000", 1, "precision must be positive"),
+    ("1e+10000000", 2, "exceeds 4300 digits"),
+], ids=["tiny", "negative", "zero", "huge"])
+def test_huge_precision_exponent_refused_before_expanding(capsys, precision,
+                                                          code, message):
+    # Fraction(precision) would compute 10^10000000 first, about 10 s
+    start = time.perf_counter()
+    got, out, err = run(capsys, "rho", "--braid", "n=2; 1 1 1",
+                        f"--precision={precision}")
+    assert time.perf_counter() - start < 2
+    assert got == code and out == "" and message in err
+
+
+def test_precision_exponent_refusal_matches_fraction(capsys):
+    # around the exponent past which a text is refused unread, the exit
+    # code is the one that Fraction(text) and the digit limit give
+    def expected(text):
+        try:
+            f = Fraction(text)
+        except ValueError:
+            return 1
+        if f <= 0:
+            return 1
+        return 2 if max(f.numerator, f.denominator) >= 10 ** 4300 else 0
+
+    for mantissa in ("1", "-3", "0.00", "12.5", "0.000125", "9" * 40):
+        for e in range(4250, 4360, 3):
+            for sign in ("-", "+"):
+                text = f"{mantissa}e{sign}{e}"
+                code, _, _ = run(capsys, "rho", "--braid", "n=2; 1 1 1",
+                                 f"--precision={text}")
+                assert code == expected(text), text
 
 
 @pytest.mark.parametrize("command", ["bracket", "tree-file", "seifert"])

@@ -218,46 +218,68 @@ def test_exact_requests_never_import_intervals():
     ]
 
 
-# the 3-D requests first, then one through the Seifert-form modules
+# the 3-D requests first, then every 4-D one, with table --csv last: the
+# modules a request loads stay loaded for the rows after it
 _PLAIN_CLASSES_SCRIPT = r"""
 import contextlib, io, json, sys
 from knotbench import cli
 
 tree = '{"pairs": [["bare", "bare"]]}'
+five_two = "[[-1,1],[0,-2]]"
 out = []
 for argv in (["magnus", "x y x^-1 y^-1"],
              ["grope", "from-bracket", "--bracket", "[[x,y],z]"],
              ["grope", "class", "--tree", tree],
              ["grope", "height", "--tree", tree],
              ["bdim", "--max", "4"],
-             ["invariants", "--seifert", "[[-1,1],[0,-1]]"]):
+             ["invariants", "--seifert", five_two],
+             ["invariants", "--seifert", five_two, "--claimed-genus", "1"],
+             ["rho", "--seifert", five_two],
+             ["rho", "--braid", "n=2; 1 1 1"],
+             ["sigfn", "--seifert", five_two],
+             ["sigfn", "--seifert", five_two, "--csv"],
+             ["table", sys.argv[1]],
+             ["table", sys.argv[1], "--csv"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     out.append([argv[0], code, [name in sys.modules
                                 for name in ("dataclasses", "inspect", "typing",
-                                             "knotbench.seifert")]])
+                                             "csv", "knotbench.seifert")]])
 print(json.dumps(out))
 """
 
 
-def test_3d_requests_never_import_dataclasses_or_typing():
-    # gropes and diagrams define plain classes and read their input through
-    # knotbench.errors, so magnus, grope (from a bracket or a --tree) and
-    # bdim load none of dataclasses, inspect (its import), typing or
-    # knotbench.seifert; python -S keeps a site-packages .pth hook from
-    # loading typing first, and invariants shows the check can fail
+def test_requests_never_import_dataclasses_or_typing():
+    # the package's records are named tuples and plain classes, so no
+    # command loads dataclasses, inspect (its import) or typing, and only
+    # CSV output or a CSV knot table loads csv; python -S keeps a
+    # site-packages .pth hook from loading typing first.  The 3-D commands
+    # (magnus, grope from a bracket or a --tree, bdim) read their input
+    # through knotbench.errors, so knotbench.seifert loads only for the
+    # 4-D rows, which shows the check can fail
+    from conftest import TABLE_PATH
+
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _PLAIN_CLASSES_SCRIPT],
+        [sys.executable, "-S", "-c", _PLAIN_CLASSES_SCRIPT, str(TABLE_PATH)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    three_d = [False, False, False, False, False]
+    four_d = [False, False, False, False, True]
     assert json.loads(proc.stdout) == [
-        ["magnus", 0, [False, False, False, False]],
-        ["grope", 0, [False, False, False, False]],
-        ["grope", 0, [False, False, False, False]],
-        ["grope", 0, [False, False, False, False]],
-        ["bdim", 0, [False, False, False, False]],
-        ["invariants", 0, [True, True, True, True]],
+        ["magnus", 0, three_d],
+        ["grope", 0, three_d],
+        ["grope", 0, three_d],
+        ["grope", 0, three_d],
+        ["bdim", 0, three_d],
+        ["invariants", 0, four_d],
+        ["invariants", 0, four_d],
+        ["rho", 0, four_d],
+        ["rho", 0, four_d],
+        ["sigfn", 0, four_d],
+        ["sigfn", 0, four_d],
+        ["table", 0, four_d],
+        ["table", 0, [False, False, False, True, True]],
     ]
 
 
