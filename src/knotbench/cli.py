@@ -36,6 +36,8 @@ from .errors import (
 EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_RESOURCE = 3
+# digit budget of --precision: the interpreter's default int-string limit
+PRECISION_DIGITS = 4300
 
 
 def _emit(payload) -> None:
@@ -52,7 +54,10 @@ def _report(input_echo, results):
 
 
 def _parse_precision(text: str) -> Fraction:
-    limit = sys.get_int_max_str_digits()  # 0: none; the report prints str(f)
+    # the report prints str(f), so the interpreter's limit, when it is on,
+    # caps the budget too
+    limit = min(sys.get_int_max_str_digits() or PRECISION_DIGITS,
+                PRECISION_DIGITS)
     # the decimal exponent, as Fraction reads one, at the end of the text
     m = re.fullmatch(r"(.*[eE])([-+]?\d+(?:_\d+)*)(\s*)", text, re.DOTALL)
     try:
@@ -63,13 +68,13 @@ def _parse_precision(text: str) -> Fraction:
         # least 10^(d - e) / a > 10^limit when e < -(limit + L).  The digit
         # check refuses both, so the text with each exponent digit 0, of the
         # same syntax, sign and zeroness, decides the outcome.
-        huge = bool(m) and 0 < limit < abs(int(m[2])) - len(text)
+        huge = bool(m) and limit < abs(int(m[2])) - len(text)
         f = Fraction(m[1] + re.sub(r"\d", "0", m[2]) + m[3] if huge else text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad precision {text!r}") from None
     if f <= 0:
         raise InputError("precision must be positive")
-    if limit and (huge or max(f.numerator, f.denominator) >= 10 ** limit):
+    if huge or max(f.numerator, f.denominator) >= 10 ** limit:
         raise PreconditionError(f"precision {text!r} exceeds {limit} digits")
     return f
 

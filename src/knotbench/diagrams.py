@@ -22,6 +22,10 @@ the next layer from.  The generation is complete:
   it gives a connected diagram in (t, u + 2) whose two new legs sit on
   different trivalent vertices unless the edge was a tadpole.
 
+Of the legs on one vertex only the first is grown or joined: the others
+give the same keys later in the same sequence (see ``_legs``), so every
+layer keeps the same diagrams.
+
 Relations: reversing one rotation negates a diagram (AS), and the Jacobi
 identity ties the three ways of reconnecting an internal edge (IHX).  In
 the half-edge picture, with the rotations at the ends of edge e written
@@ -35,8 +39,10 @@ f_abe f_ecd + f_bce f_ead + f_cae f_ebd = 0.
 Reversing any one vertex maps the traversals that ``canonical_form``
 searches onto themselves with the reversal parity flipped, so every AS
 row of a generator D is the same: 2·D when D is its own negative, else
-zero.  ``relation_matrix`` computes that row once per generator and
-repeats it for each trivalent vertex, keeping the row count.
+zero.  D is its own negative exactly when its minimal traversals have
+both parities, so ``relation_matrix`` reads that row off the search that
+gives D's own column, with no reversed copy, and repeats it for each
+trivalent vertex, keeping the row count.
 
 Diagrams with a tadpole (an edge closing on its own vertex) are rationally
 zero by AS.  A graph may carry one, since IHX reconnections can create
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import BudgetExceededError, InputError, PreconditionError
 
@@ -60,9 +67,10 @@ class UniTrivalentGraph:
 
     Half-edges are the ids 0..n-1, n = len(pairing); vertex i lists its
     half-edges in rotation order and pairing[h] is the other end of h's
-    edge.  The constructor validates the graph and keeps its half-edge
-    index: owner[h] is the vertex of half-edge h and pos[h] its place in
-    that vertex's rotation, so vertices[owner[h]][pos[h]] == h.
+    edge.  The constructor validates the graph; graphs that the module
+    derives from valid ones skip the checks (``_derived``).  Both keep the
+    half-edge index: owner[h] is the vertex of half-edge h and pos[h] its
+    place in that vertex's rotation, so vertices[owner[h]][pos[h]] == h.
     """
 
     __slots__ = ("vertices", "pairing", "owner", "pos")
@@ -71,16 +79,9 @@ class UniTrivalentGraph:
         vertices = tuple(tuple(v) for v in vertices)
         pairing = tuple(pairing)
         ids = range(len(pairing))
-        owner = [-1] * len(pairing)
-        pos = [0] * len(pairing)
-        for i, v in enumerate(vertices):
-            for k, h in enumerate(v):
-                if not isinstance(h, int) or h not in ids or owner[h] >= 0:
-                    raise InputError(
-                        "half-edge ids must be 0..n-1, each used once")
-                owner[h] = i
-                pos[h] = k
-        if -1 in owner:
+        flat = [h for v in vertices for h in v]
+        if (not all(isinstance(h, int) for h in flat)
+                or sorted(flat) != list(ids)):
             raise InputError("half-edge ids must be 0..n-1, each used once")
         for h, p in enumerate(pairing):
             if (not isinstance(p, int) or p not in ids
@@ -91,6 +92,8 @@ class UniTrivalentGraph:
                 raise InputError("vertex degrees must be 1 or 3")
         if not any(len(v) == 1 for v in vertices):
             raise InputError("need at least one univalent vertex")
+        self._index(vertices, pairing)
+        owner = self.owner
         stack, seen = [0], {0}
         while stack:
             for h in vertices[stack.pop()]:
@@ -100,18 +103,20 @@ class UniTrivalentGraph:
                     stack.append(j)
         if len(seen) != len(vertices):
             raise InputError("diagram is not connected")
+
+    def _index(self, vertices: tuple, pairing: tuple) -> "UniTrivalentGraph":
+        """Store the parts and build the half-edge index, with no checks."""
+        owner = [0] * len(pairing)
+        pos = [0] * len(pairing)
+        for i, v in enumerate(vertices):
+            for k, h in enumerate(v):
+                owner[h] = i
+                pos[h] = k
         self.vertices = vertices
         self.pairing = pairing
         self.owner = tuple(owner)
         self.pos = tuple(pos)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.pairing) // 2
+        return self
 
     def has_tadpole(self) -> bool:
         owner = self.owner
@@ -120,7 +125,7 @@ class UniTrivalentGraph:
     def with_rotation_reversed(self, vertex_index: int) -> "UniTrivalentGraph":
         vs = list(self.vertices)
         vs[vertex_index] = tuple(reversed(vs[vertex_index]))
-        return UniTrivalentGraph(vs, self.pairing)
+        return _derived(tuple(vs), self.pairing)
 
     def edges(self) -> list:
         return [(h, self.pairing[h]) for h in range(len(self.pairing))
@@ -131,15 +136,11 @@ class UniTrivalentGraph:
                 f"pairing={self.pairing!r})")
 
 
-def vassiliev_degree(d: UniTrivalentGraph) -> int:
-    """Half the number of vertices."""
-    return d.n_vertices // 2
-
-
-def grope_degree(d: UniTrivalentGraph) -> int:
-    """Vassiliev degree plus the first Betti number of the graph."""
-    b1 = d.n_edges - d.n_vertices + 1
-    return vassiliev_degree(d) + b1
+def _derived(vertices: tuple, pairing: tuple) -> UniTrivalentGraph:
+    """A graph whose parts are valid by construction (grown, joined,
+    reconnected or reversed from a valid one): indexed, not checked."""
+    return UniTrivalentGraph.__new__(UniTrivalentGraph)._index(vertices,
+                                                               pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +160,45 @@ def canonical_form(d: UniTrivalentGraph) -> tuple:
     negative (any vertex with two interchangeable legs, for instance);
     they get sign +1 so that their AS rows degenerate to 2*D = 0, which is
     exactly what kills them rationally.
+    """
+    key, parities = _search(d)
+    return key, -1 if parities == 2 else 1
+
+
+def _search(d: UniTrivalentGraph) -> tuple:
+    """The key of ``canonical_form`` and the reversal parities of the
+    minimal traversals, as a bit set: 1 even, 2 odd, 3 both.
 
     Each queue step of a traversal emits "0.1" (a new leg), "0.3" (a new
     trivalent vertex) or "1.i.s" (back to vertex i, at rotation slot s
     from its entry half-edge); the search stores a step as the one integer
     1, 3 or 4 + 3i + s, which orders steps as their tokens do.  Start legs
     are searched cherry first: legs whose trivalent neighbour carries the
-    most legs, since their codes open with the smallest steps.  Every leg
-    is still searched, and a prefix is cut only when it is strictly
-    greater than the best code so far, so the minimum and the parities of
-    all traversals reaching it, hence key and sign, do not depend on the
-    order; a small best code found early only cuts more.
+    most legs, since their codes open with the smallest steps.  A prefix
+    is cut only when it is strictly greater than the best code so far, so
+    the minimum and the parities of all traversals reaching it do not
+    depend on the order; a small best code found early only cuts more.
+
+    Two legs on one trivalent vertex w are searched once.  Let σ
+    exchange them, with the half-edges at both ends of their edges, and
+    fix every other half-edge.  It commutes with the pairing and keeps
+    every rotation but w's, which it reverses.  So σ maps a traversal to
+    one that numbers σ(x) as the first numbered x and takes the opposite
+    direction at w and the same elsewhere; slots are read relative to the
+    entry half-edge in the chosen direction, so every step, hence the
+    code, is the same, and the reversal parity is the other one.  σ is an
+    involution, so it pairs the traversals off into pairs with one code
+    and both parities, and searching one of each pair, marked with both
+    parities, leaves the minimum and its parity set unchanged:
+
+    * a cherry, w reached through its third half-edge: σ fixes the start
+      and pairs the two directions of w, so one direction is searched,
+      with both parities from there on;
+    * two start legs: σ pairs the traversals from one with those from the
+      other, so one is searched, with both parities.
+
+    Parities travel as that bit set; choosing the reversed direction
+    swaps its two bits.
     """
     verts, pairing, owner, pos = d.vertices, d.pairing, d.owner, d.pos
     n = len(verts)
@@ -183,7 +212,7 @@ def canonical_form(d: UniTrivalentGraph) -> tuple:
     best: list | None = None
     parities = 0                     # bit k: a minimal traversal of parity k
 
-    def dfs(qi: int, qend: int, seen: int, flips: int, decided: bool) -> None:
+    def dfs(qi: int, qend: int, seen: int, par: int, decided: bool) -> None:
         # decided: code[:qi] < best[:qi]; otherwise they are equal
         nonlocal best, parities
         mark = seen
@@ -206,23 +235,29 @@ def canonical_form(d: UniTrivalentGraph) -> tuple:
             code[qi] = step
             qi += 1
             if step == 3:
-                # branch over the two rotation directions of w
                 v, e = verts[w], pos[p]
-                queue[qend], queue[qend + 1] = v[e - 2], v[e - 1]
+                a, b = v[e - 2], v[e - 1]
+                queue[qend], queue[qend + 1] = a, b
+                qend += 2
+                if len(verts[owner[pairing[a]]]) == 1 == \
+                        len(verts[owner[pairing[b]]]):
+                    par = 3          # a cherry: one direction for both
+                    continue
+                # branch over the two rotation directions of w
                 orient[w] = 1
                 before = best
-                dfs(qi, qend + 2, seen, flips, decided)
+                dfs(qi, qend, seen, par, decided)
                 if best is not before:
                     decided = False  # the new best shares code[:qi]
-                queue[qend], queue[qend + 1] = v[e - 1], v[e - 2]
+                queue[qend - 2], queue[qend - 1] = b, a
                 orient[w] = -1
-                dfs(qi, qend + 2, seen, flips + 1, decided)
+                dfs(qi, qend, seen, (par & 1) << 1 | par >> 1, decided)
                 break
         else:
             if decided or best is None:
                 best = code[:]
                 parities = 0
-            parities |= 1 << (flips & 1)
+            parities |= par
         for w in order[mark:seen]:
             ids[w] = -1
 
@@ -231,17 +266,21 @@ def canonical_form(d: UniTrivalentGraph) -> tuple:
     for sv in legs:
         load[owner[pairing[verts[sv][0]]]] += 1
     legs.sort(key=lambda sv: -load[owner[pairing[verts[sv][0]]]])
+    searched = set()                 # vertices whose legs are searched
     for sv in legs:
+        w = owner[pairing[verts[sv][0]]]
+        if w in searched:
+            continue
+        searched.add(w)
         ids[sv] = 0
         order[0] = sv
         queue[0] = verts[sv][0]
-        dfs(0, 1, 1, 0, False)
+        dfs(0, 1, 1, 3 if load[w] > 1 else 1, False)
         ids[sv] = -1
 
     key = ".".join("0.%d" % s if s < 4 else "1.%d.%d" % divmod(s - 4, 3)
                    for s in best)
-    sign = -1 if parities == 2 else 1
-    return key, sign
+    return key, parities
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +292,25 @@ def _strut() -> UniTrivalentGraph:
 
 
 def _legs(d: UniTrivalentGraph) -> list:
-    return [i for i, v in enumerate(d.vertices) if len(v) == 1]
+    """The legs to grow or join: of the legs on one vertex, the first.
+
+    A second leg on the vertex w of a first one is exchanged with it by
+    the symmetry σ of ``_search``, which maps the diagram onto itself with
+    w reversed.  So growing or joining at the second leg gives a diagram
+    isomorphic to the one at the first with w reversed, which has the
+    same key.  That candidate comes earlier in the same diagram's
+    sequence: legs are taken in vertex order, and pairs in lexicographic
+    order, where putting a smaller leg in place of one leg of a pair
+    gives an earlier pair.  So no skipped candidate is the first of its
+    key, and every layer keeps the same representatives.
+    """
+    owner, pairing = d.owner, d.pairing
+    legs, carriers = [], set()
+    for i, v in enumerate(d.vertices):
+        if len(v) == 1 and owner[pairing[v[0]]] not in carriers:
+            carriers.add(owner[pairing[v[0]]])
+            legs.append(i)
+    return legs
 
 
 def _grow_leg(d: UniTrivalentGraph, leg: int) -> UniTrivalentGraph:
@@ -263,7 +320,7 @@ def _grow_leg(d: UniTrivalentGraph, leg: int) -> UniTrivalentGraph:
     vs = list(d.vertices)
     vs[leg] = (vs[leg][0], n, n + 1)
     vs += [(n + 2,), (n + 3,)]
-    return UniTrivalentGraph(vs, d.pairing + (n + 2, n + 3, n, n + 1))
+    return _derived(tuple(vs), d.pairing + (n + 2, n + 3, n, n + 1))
 
 
 def _join_legs(d: UniTrivalentGraph, a: int, b: int) -> UniTrivalentGraph:
@@ -276,7 +333,8 @@ def _join_legs(d: UniTrivalentGraph, a: int, b: int) -> UniTrivalentGraph:
     for h, p in d.edges() + [(d.pairing[ha], d.pairing[hb])]:
         if h in ids and p in ids:
             pairing[ids[h]], pairing[ids[p]] = ids[p], ids[h]
-    return UniTrivalentGraph([[ids[h] for h in v] for v in vs], pairing)
+    return _derived(tuple(tuple(ids[h] for h in v) for v in vs),
+                    tuple(pairing))
 
 
 def _distinct(diagrams: Iterable[UniTrivalentGraph]) -> list:
@@ -288,16 +346,11 @@ def _distinct(diagrams: Iterable[UniTrivalentGraph]) -> list:
 
 
 def _joined(layer: list) -> list:
-    """Layer (t, u - 2) from layer (t, u): every way of joining two legs
-    that sit on different vertices (two legs on one vertex would close a
-    tadpole)."""
-    def joins(d):
-        ends = [(i, d.owner[d.pairing[d.vertices[i][0]]]) for i in _legs(d)]
-        for k, (a, va) in enumerate(ends):
-            for b, vb in ends[k + 1:]:
-                if va != vb:
-                    yield _join_legs(d, a, b)
-    return _distinct(g for _, d in layer for g in joins(d))
+    """Layer (t, u - 2) from layer (t, u): every way of joining two of
+    the legs ``_legs`` picks.  They sit on different vertices, so no join
+    closes a tadpole."""
+    return _distinct(_join_legs(d, a, b) for _, d in layer
+                     for a, b in combinations(_legs(d), 2))
 
 
 def enumerate_diagrams(i: int, grading: str = "grope") -> list:
@@ -380,7 +433,7 @@ def _ihx_terms(d: UniTrivalentGraph, h: int) -> list:
         vs = list(d.vertices)
         vs[v1] = (x, y, h)
         vs[v2] = (z, w, p)
-        out.append(UniTrivalentGraph(vs, d.pairing))
+        out.append(_derived(tuple(vs), d.pairing))
     return out
 
 
@@ -389,12 +442,20 @@ def relation_matrix(i: int, grading: str = "grope",
     """All AS rows (per diagram, per trivalent vertex) and IHX rows (per
     diagram, per internal edge) over the canonical generators of degree i.
 
-    The AS rows of one generator are all equal (see the module docstring),
-    so one reversed copy is canonicalised and its row repeated."""
+    The AS rows of one generator are all equal (see the module docstring):
+    2·D when its own search reaches the key with both parities, else
+    zero, repeated per trivalent vertex."""
     gens = enumerate_diagrams(i, grading) if generators is None else generators
     columns = tuple(k for k, _ in gens)
     col_index = {k: j for j, k in enumerate(columns)}
     rows = []
+
+    def column(key):
+        j = col_index.get(key)
+        if j is None:
+            raise PreconditionError(
+                f"relation term {key} escapes the generator basis")
+        return j
 
     def term(diag):
         # (column, sign) of one relation term; None for a tadpole, which is
@@ -402,11 +463,7 @@ def relation_matrix(i: int, grading: str = "grope",
         if diag.has_tadpole():
             return None
         key, sign = canonical_form(diag)
-        j = col_index.get(key)
-        if j is None:
-            raise PreconditionError(
-                f"relation term {key} escapes the generator basis")
-        return j, sign
+        return column(key), sign
 
     def term_vector(own, others) -> dict:
         vec: dict = {}
@@ -421,10 +478,10 @@ def relation_matrix(i: int, grading: str = "grope",
         tri = [idx for idx, v in enumerate(diag.vertices) if len(v) == 3]
         if not tri:
             continue
-        # the generator is a term of each of its rows: canonicalise it once
-        own = term(diag)
-        as_row = term_vector(own, [diag.with_rotation_reversed(tri[0])])
-        rows.extend(dict(as_row) for _ in tri)
+        # the generator is a term of each of its rows: search it once
+        own_key, parities = _search(diag)
+        own = column(own_key), -1 if parities == 2 else 1
+        rows.extend({own[0]: 2} if parities == 3 else {} for _ in tri)
         owner = diag.owner
         for h, p in diag.edges():
             if len(diag.vertices[owner[h]]) == 3 == len(diag.vertices[owner[p]]):

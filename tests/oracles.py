@@ -40,18 +40,22 @@ These deliberately avoid the library code paths they check:
   dividing t^d Delta(t) by the cyclotomic Phi_q over Q (no x-polynomial).
 * Canonical keys and AS signs of uni-trivalent diagrams come from the
   plain search over start legs in vertex order, with successor dicts and
-  per-token pruning (no start order, no position arithmetic).
+  per-token pruning (no start order, no position arithmetic, no leg-swap
+  symmetry).  Diagram representatives come from growing and joining at
+  every leg, keyed by that search (no leg skipped).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from knotbench.braids import BraidWord
+from knotbench.diagrams import UniTrivalentGraph, _grow_leg, _join_legs
 from knotbench.errors import PossiblySingularError
 from knotbench.intervals import AlgebraicAngle, IntervalReal
 from knotbench.invariants import SignatureStepFunction
@@ -723,3 +727,57 @@ def canonical_form_reference(d) -> tuple:
     key = ".".join(str(x) for x in best)
     sign = -1 if best_par == {1} else 1
     return key, sign
+
+
+def vassiliev_degree(d) -> int:
+    """Half the number of vertices."""
+    return len(d.vertices) // 2
+
+
+def grope_degree(d) -> int:
+    """Vassiliev degree plus the first Betti number of the graph."""
+    b1 = len(d.pairing) // 2 - len(d.vertices) + 1
+    return vassiliev_degree(d) + b1
+
+
+def enumerate_diagrams_every_leg(i: int, grading: str = "grope") -> list:
+    """(key, vertices, pairing) of ``enumerate_diagrams``' representatives,
+    sorted by key: trees grow at every leg, each layer joins every two
+    legs on different vertices, and each layer keeps the first diagram of
+    each ``canonical_form_reference`` key."""
+    if grading == "grope":
+        cells = {(i - 1, u) for u in range(i + 1, 0, -2)}
+    else:
+        cells = {(t, 2 * i - t) for t in range(max(1, i - 1), 2 * i)}
+    strut = UniTrivalentGraph(((0,), (1,)), (1, 0))
+    out = [("strut", strut)] if (grading, i) == ("vassiliev", 1) else []
+
+    def first_per_key(candidates):
+        found: dict = {}
+        for d in candidates:
+            found.setdefault(canonical_form_reference(d)[0], d)
+        return list(found.items())
+
+    def legs(d):
+        return [k for k, v in enumerate(d.vertices) if len(v) == 1]
+
+    def joins(d):
+        ends = [d.owner[d.pairing[d.vertices[k][0]]] for k in legs(d)]
+        for (a, va), (b, vb) in combinations(zip(legs(d), ends), 2):
+            if va != vb:
+                yield _join_legs(d, a, b)
+
+    trees = [("strut", strut)]
+    for t in range(1, max(t for t, _ in cells) + 1):
+        trees = first_per_key(_grow_leg(d, k) for _, d in trees
+                              for k in legs(d))
+        layer, u = trees, t + 2
+        low = min((w for s, w in cells if s == t), default=u)
+        while True:
+            if (t, u) in cells:
+                out += layer
+            if u <= low:
+                break
+            layer = first_per_key(g for _, d in layer for g in joins(d))
+            u -= 2
+    return sorted((k, d.vertices, d.pairing) for k, d in out)

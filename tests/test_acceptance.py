@@ -18,7 +18,6 @@ from knotbench.diagrams import (
     _ihx_terms,
     canonical_form,
     enumerate_diagrams,
-    grope_degree,
     rank_over_q,
     relation_matrix,
 )
@@ -53,7 +52,7 @@ from knotbench.seifert import (
 )
 
 from conftest import random_seifert
-from oracles import arf_by_majority, riemann_rho0
+from oracles import arf_by_majority, grope_degree, riemann_rho0
 
 
 @contextmanager

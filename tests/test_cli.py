@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -10,6 +13,8 @@ from knotbench.cli import main
 from knotbench.invariants import determinant
 
 from conftest import TABLE_PATH, random_seifert
+
+SRC = TABLE_PATH.parents[2]
 
 
 def run(capsys, *argv):
@@ -255,6 +260,20 @@ def test_huge_precision_exponent_refused_before_expanding(capsys, precision,
                         f"--precision={precision}")
     assert time.perf_counter() - start < 2
     assert got == code and out == "" and message in err
+
+
+def test_precision_budget_without_int_str_limit():
+    # with the interpreter's limit off the budget is still 4300 digits, so
+    # the text is refused unread instead of expanding 10^10000000
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0", PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotbench.cli", "rho", "--braid",
+         "n=2; 1 1 1", "--precision", "1e-10000000"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds 4300 digits" in proc.stderr
 
 
 def test_precision_exponent_refusal_matches_fraction(capsys):

@@ -9,13 +9,16 @@ from knotbench.diagrams import (
     canonical_form,
     dim_graded_piece,
     enumerate_diagrams,
-    grope_degree,
     rank_over_q,
     relation_matrix,
-    vassiliev_degree,
 )
 from knotbench.errors import BudgetExceededError, InputError, PreconditionError
-from oracles import canonical_form_reference
+from oracles import (
+    canonical_form_reference,
+    enumerate_diagrams_every_leg,
+    grope_degree,
+    vassiliev_degree,
+)
 
 
 def Y():
@@ -210,18 +213,28 @@ class TestEnumeration:
         ("grope", 5, 10, "2d964d202d64dcae"),
         ("grope", 6, 22, "d25d4a09e5460ce8"),
         ("grope", 7, 62, "3d82841604db1c31"),
+        ("grope", 8, 166, "8f44ed0d1e23026b"),
         ("vassiliev", 2, 3, "3195c7f599303fdb"),
         ("vassiliev", 3, 11, "d49723c55f64c46d"),
         ("vassiliev", 4, 51, "19561f07cd9e32e5"),
     ])
     def test_pinned_generator_keys(self, grading, degree, count, digest):
         # counts and key digests of the labeled-multigraph enumeration that
-        # generation from the strut replaced
+        # generation from the strut replaced; grope 8 from generation that
+        # grew and joined every leg
         keys = [k for k, _ in enumerate_diagrams(degree, grading)]
         assert len(keys) == count
         assert keys == sorted(keys)
         sha = hashlib.sha256("\n".join(keys).encode()).hexdigest()
         assert sha[:16] == digest
+
+    @pytest.mark.parametrize("grading,degree", CELLS)
+    def test_representatives_match_every_leg_oracle(self, grading, degree):
+        # growing and joining at one leg per vertex keeps the first diagram
+        # of each key that growing and joining at every leg finds
+        got = [(k, d.vertices, d.pairing)
+               for k, d in enumerate_diagrams(degree, grading)]
+        assert got == enumerate_diagrams_every_leg(degree, grading)
 
     def test_strut_key_at_vassiliev_1(self):
         assert [k for k, _ in enumerate_diagrams(1, "vassiliev")] == ["strut"]
@@ -287,6 +300,7 @@ class TestRelationMatrix:
         ("grope", 5, 82, "6a50fb89084923ce"),
         ("grope", 6, 235, "db5ccfeb22407b86"),
         ("grope", 7, 801, "5dc5da7797893d84"),
+        ("grope", 8, 2543, "8bd20a84ac2d1d08"),
         ("vassiliev", 1, 0, "e3b0c44298fc1c14"),
         ("vassiliev", 2, 12, "a1d72206f873cd3a"),
         ("vassiliev", 3, 99, "1addf39d80a148a3"),
@@ -295,8 +309,9 @@ class TestRelationMatrix:
     def test_pinned_relation_rows(self, grading, degree, count, digest):
         # row counts and digests of the rows, each as its sorted
         # (column, coefficient) list in row order, from the relation
-        # matrix that canonicalised every AS term separately; the zero AS
-        # rows are kept, since num_relations counts them
+        # matrix that canonicalised every AS term separately (grope 8: one
+        # reversed copy per generator); the zero AS rows are kept, since
+        # num_relations counts them
         rel = relation_matrix(degree, grading)
         assert rel.n_rows == count
         text = "\n".join(repr(sorted(row.items())) for row in rel.rows)
