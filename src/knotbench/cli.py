@@ -36,7 +36,7 @@ from .errors import (
 EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_RESOURCE = 3
-# digit budget of --precision: the interpreter's default int-string limit
+# digit budget of --precision and --digits: the default int-string limit
 PRECISION_DIGITS = 4300
 
 
@@ -53,11 +53,16 @@ def _report(input_echo, results):
     }
 
 
+def _digit_budget() -> int:
+    """PRECISION_DIGITS, or the interpreter's int-string limit when that is
+    on and lower: reports print str(f) of --precision and render --digits
+    digits of an integer."""
+    return min(sys.get_int_max_str_digits() or PRECISION_DIGITS,
+               PRECISION_DIGITS)
+
+
 def _parse_precision(text: str) -> Fraction:
-    # the report prints str(f), so the interpreter's limit, when it is on,
-    # caps the budget too
-    limit = min(sys.get_int_max_str_digits() or PRECISION_DIGITS,
-                PRECISION_DIGITS)
+    limit = _digit_budget()
     # the decimal exponent, as Fraction reads one, at the end of the text
     m = re.fullmatch(r"(.*[eE])([-+]?\d+(?:_\d+)*)(\s*)", text, re.DOTALL)
     try:
@@ -350,8 +355,8 @@ def main(argv=None) -> int:
         digits = getattr(args, "digits", 0)
         if digits < 0:
             raise InputError(f"--digits {digits} is negative")
-        limit = sys.get_int_max_str_digits()  # 0 when there is no limit
-        if 0 < limit < digits:
+        limit = _digit_budget()
+        if digits > limit:
             raise PreconditionError(f"--digits {digits} exceeds the limit of {limit}")
         args.fn(args)
     except (InputError, OSError, RecursionError) as e:

@@ -122,11 +122,6 @@ class UniTrivalentGraph:
         owner = self.owner
         return any(owner[h] == owner[p] for h, p in enumerate(self.pairing))
 
-    def with_rotation_reversed(self, vertex_index: int) -> "UniTrivalentGraph":
-        vs = list(self.vertices)
-        vs[vertex_index] = tuple(reversed(vs[vertex_index]))
-        return _derived(tuple(vs), self.pairing)
-
     def edges(self) -> list:
         return [(h, self.pairing[h]) for h in range(len(self.pairing))
                 if h < self.pairing[h]]
@@ -137,8 +132,8 @@ class UniTrivalentGraph:
 
 
 def _derived(vertices: tuple, pairing: tuple) -> UniTrivalentGraph:
-    """A graph whose parts are valid by construction (grown, joined,
-    reconnected or reversed from a valid one): indexed, not checked."""
+    """A graph whose parts are valid by construction (grown, joined or
+    reconnected from a valid one): indexed, not checked."""
     return UniTrivalentGraph.__new__(UniTrivalentGraph)._index(vertices,
                                                                pairing)
 

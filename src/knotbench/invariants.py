@@ -27,6 +27,7 @@ load it; ``rho`` and ``sigfn`` do.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -366,20 +367,23 @@ def _psi(n: int) -> tuple:
     return _laurent_to_x(LaurentPoly.from_int_poly(phi_n, (1 - len(phi_n)) // 2))
 
 
-def _cyclotomic_jumps(ps: tuple, boxes: list) -> tuple:
-    """The cofactor of ps after dividing out every Psi_n that divides it,
-    and for each box (ascending in x) the pair (Psi_n, k/n) of its root
-    2cos(2 pi k/n), or None when that root is not at a root of unity.
+def _jumps(ps: tuple, boxes: list) -> tuple:
+    """The jump angles of the boxes (ascending in x) of the squarefree ps,
+    from the top box down, that is in ascending theta.
 
-    The r = len(boxes) roots of ps in (-2, 2) include all deg Psi_n roots
-    of each Psi_n that divides ps, so only the n of
-    ``_cyclotomic_candidates(r)`` can divide it.  A box holds one simple
-    root of ps, so a Psi_n that divides ps has its root there exactly when
-    it changes sign across the box.  The roots 2cos(2 pi k/n) ascend as k
-    descends, so the boxes of Psi_n, taken from the top down, get
-    k = 1, 2, ... in turn.
+    Each box holds one simple root of ps and none at its ends, so exactly
+    one irreducible factor of ps changes sign across it: its minimal
+    polynomial.  Every Psi_n that divides ps is divided out first.  The
+    r = len(boxes) roots of ps in (-2, 2) include all deg Psi_n roots of
+    each such Psi_n, so only the n of ``_cyclotomic_candidates(r)`` can
+    divide it.  The roots 2cos(2 pi k/n) ascend as k descends, so the boxes
+    of Psi_n, taken from the top down, get the exact angles k/n for
+    k = 1, 2, ... in turn.  The cofactor is factored only when some roots
+    are not at roots of unity, and its factors get no exact angle.
     """
-    found = [None] * len(boxes)
+    from .intervals import AlgebraicAngle
+
+    claims = []  # (minimal polynomial, its exact angles from the top down)
     left = len(boxes)
     for n in _cyclotomic_candidates(left):
         psi = _psi(n)
@@ -389,14 +393,24 @@ def _cyclotomic_jumps(ps: tuple, boxes: list) -> tuple:
         if q is None:
             continue
         ps, left = q, left - (len(psi) - 1)
-        ks = (k for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
-        for i in reversed(range(len(boxes))):
-            lo, hi = boxes[i]
-            if poly_sign_at(psi, lo) != poly_sign_at(psi, hi):
-                found[i] = psi, Fraction(next(ks), n)
+        ks = [k for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1]
+        claims.append((psi, iter([Fraction(k, n) for k in ks])))
         if not left:
             break
-    return ps, found
+    if left:
+        claims += [(f, itertools.repeat(None))
+                   for f, _mult in factor_integer_poly(ps)[1]]
+    low = []
+    for lo, hi in reversed(boxes):
+        for f, angles in claims:
+            if poly_sign_at(f, lo) != poly_sign_at(f, hi):
+                break
+        else:
+            raise PreconditionError(
+                f"no irreducible factor of {poly_to_str(ps)} has its"
+                f" root in ({lo}, {hi})")
+        low.append(AlgebraicAngle(f, lo, hi, theta=next(angles)))
+    return tuple(low)
 
 
 def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
@@ -406,37 +420,14 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     n + 1 arcs.  Each arc but the last is evaluated at a rational point of
     the x-gap between its Sturm boxes; the last one holds theta = 1/2.
     Only these jumps and arcs are stored: those in [1/2, 1) mirror them,
-    as sigma(theta) = sigma(1 - theta).  A jump at a root of unity gets
-    Psi_n as its minimal polynomial and its exact angle k/n from
-    ``_cyclotomic_jumps``, with no factorisation.
-    Each other jump's minimal polynomial is the irreducible factor of the
-    cofactor that changes sign across its box; the cofactor is factored
-    only when such a jump exists.
+    as sigma(theta) = sigma(1 - theta).  ``_jumps`` gives each box its
+    minimal polynomial, and its exact angle k/n at a root of unity.
     """
-    from .intervals import AlgebraicAngle
-
     p = x_polynomial(v)
     ps, boxes, points = _arcs(p)
-    rest, found = _cyclotomic_jumps(ps, boxes)
-    factors = factor_integer_poly(rest)[1] if None in found else ()
-    low = []
-    # theta = acos(x/2)/2pi is decreasing in x
-    for (lo, hi), hit in zip(reversed(boxes), reversed(found)):
-        if hit is None:
-            # the box holds one simple root of rest, the product of the
-            # distinct factors, and none at its ends: only its minimal
-            # polynomial changes sign
-            minpoly = next((f for f, _mult in factors
-                            if poly_sign_at(f, lo) != poly_sign_at(f, hi)),
-                           None)
-            if minpoly is None:
-                raise PreconditionError(
-                    f"no irreducible factor of {poly_to_str(rest)} has its"
-                    f" root in ({lo}, {hi})")
-            hit = minpoly, None
-        low.append(AlgebraicAngle(hit[0], lo, hi, theta=hit[1]))
+    low = _jumps(ps, boxes)
     half = tuple(_arc_signature(v, r) for r in points)
-    return SignatureStepFunction(tuple(low), half, ps, _lift(p))
+    return SignatureStepFunction(low, half, ps, _lift(p))
 
 
 def signature_csv(sf: SignatureStepFunction, digits: int = 12) -> str:

@@ -419,13 +419,13 @@ def _ppow(b: Sequence, e: int, f: Sequence, m: int) -> Coeffs:
     return out
 
 
-def _good_primes(f: Sequence, tries=None):
-    """The odd primes p, among the first ``tries`` (all when None), for
-    which f mod p keeps the degree of f and is squarefree; each of them
-    proves f squarefree over Z."""
+def _good_primes(f: Sequence):
+    """The odd primes p, ascending, for which f mod p keeps the degree of f
+    and is squarefree.  f must be squarefree over Z: otherwise no prime is
+    good, and the generator never yields."""
     primes = (p for p in itertools.count(3, 2)
               if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
-    for p in itertools.islice(primes, tries):
+    for p in primes:
         fp = _pmod(f, p)
         if (len(fp) == len(f)
                 and len(_pgcd(fp, _pmod(poly_derivative(fp), p), p)) == 1):
@@ -501,19 +501,11 @@ def _hensel_lift(f: Coeffs, facs: list, p: int, steps: int) -> list:
 
 def _zassenhaus(f: Coeffs, rng) -> list:
     """Irreducible factors of the primitive squarefree f with lc(f) > 0
-    and f(0) != 0.  Of the first three good primes, the one with the
-    fewest modular factors is lifted."""
+    and f(0) != 0, lifted from its factors modulo the first good prime."""
     if len(f) == 2:
         return [f]
-    best = None
-    for p in itertools.islice(_good_primes(f), 3):
-        dd = _distinct_degree(_monic(_pmod(f, p), p), p)
-        n = sum((len(g) - 1) // d for g, d in dd)
-        if n == 1:
-            return [f]
-        if best is None or n < best[0]:
-            best = n, p, dd
-    _, p, dd = best
+    p = next(_good_primes(f))
+    dd = _distinct_degree(_monic(_pmod(f, p), p), p)
     facs = [u for g, d in dd for u in _equal_degree(g, d, p, rng)]
     # every factor of f times lc(f) has coefficients below the bound
     bound = 2 ** len(f) * f[-1] * (math.isqrt(sum(a * a for a in f)) + 1)
@@ -553,8 +545,8 @@ def factor_integer_poly(p: Sequence):
     Returns ``(content, [(factor, multiplicity), ...])`` sorted, where each
     factor is primitive with positive leading coefficient and irreducible
     over Q, and content * prod(factor^mult) reproduces the input exactly.
-    When no small good prime proves the primitive part squarefree, its
-    squarefree part is factored; multiplicities come from exact division.
+    The squarefree part of the primitive part is factored by
+    ``_zassenhaus``; multiplicities come from exact division.
     """
     p = poly_trim(p)
     if not p:
@@ -569,10 +561,7 @@ def factor_integer_poly(p: Sequence):
     f = f[low:]
     out = [((0, 1), low)] if low else []
     if len(f) > 1:
-        sf = f
-        if len(f) > 2 and next(_good_primes(f, 10), None) is None:
-            sf = poly_squarefree_part(f)  # f may have a repeated factor
-        for g in _zassenhaus(sf, rng):
+        for g in _zassenhaus(poly_squarefree_part(f), rng):
             mult, q = 0, _quotient(f, g)
             while q is not None:
                 f, mult, q = q, mult + 1, _quotient(q, g)

@@ -729,6 +729,14 @@ def canonical_form_reference(d) -> tuple:
     return key, sign
 
 
+def with_rotation_reversed(d, vertex_index: int):
+    """``d`` with the cyclic order at one vertex reversed, built and
+    checked by the public constructor."""
+    vs = list(d.vertices)
+    vs[vertex_index] = tuple(reversed(vs[vertex_index]))
+    return UniTrivalentGraph(vs, d.pairing)
+
+
 def vassiliev_degree(d) -> int:
     """Half the number of vertices."""
     return len(d.vertices) // 2

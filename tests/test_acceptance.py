@@ -52,7 +52,12 @@ from knotbench.seifert import (
 )
 
 from conftest import random_seifert
-from oracles import arf_by_majority, grope_degree, riemann_rho0
+from oracles import (
+    arf_by_majority,
+    grope_degree,
+    riemann_rho0,
+    with_rotation_reversed,
+)
 
 
 @contextmanager
@@ -195,7 +200,7 @@ def test_criterion_5_diagram_algebra():
                 owner = diag.owner
                 for vi, vert in enumerate(diag.vertices):
                     if len(vert) == 3:
-                        if grope_degree(diag.with_rotation_reversed(vi)) != i:
+                        if grope_degree(with_rotation_reversed(diag, vi)) != i:
                             violations += 1
                 for h, p in diag.edges():
                     if (len(diag.vertices[owner[h]]) == 3

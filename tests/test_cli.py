@@ -276,6 +276,21 @@ def test_precision_budget_without_int_str_limit():
     assert "exceeds 4300 digits" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["sigfn", "rho"])
+def test_digits_budget_without_int_str_limit(command):
+    # --digits has the budget of --precision: with the interpreter's limit
+    # off, 200,000 digits are refused instead of rendered
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0", PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotbench.cli", command, "--seifert",
+         "[[-1,1],[0,-2]]", "--digits", "200000"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--digits 200000 exceeds the limit of 4300" in proc.stderr
+
+
 def test_precision_exponent_refusal_matches_fraction(capsys):
     # around the exponent past which a text is refused unread, the exit
     # code is the one that Fraction(text) and the digit limit give

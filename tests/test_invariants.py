@@ -13,6 +13,7 @@ from knotbench.invariants import (
     _arf_of_determinant,
     _cyclotomic_candidates,
     _fox_milnor,
+    _jumps,
     _laurent_to_x,
     _lift,
     _lift_splits,
@@ -827,6 +828,12 @@ class TestCyclotomicJumps:
             assert None in low
             plain = jumps_by_factoring(sf)
             assert [a.poly for a in plain.jumps] == [a.poly for a in sf.jumps]
+
+    def test_box_that_no_factor_claims(self):
+        # 2x - 3 is no Psi_n, and its root 3/2 lies outside the box (0, 1)
+        with pytest.raises(PreconditionError,
+                           match=r"no irreducible factor of 2\*x - 3"):
+            _jumps((-3, 2), [(Fraction(0), Fraction(1))])
 
 
 def _x_poly_of(f):

@@ -521,6 +521,31 @@ class TestFactorAgainstSympy:
                 p = poly_mul(p, f + (rng.randint(1, 30),))
             self.check(p)
 
+    def test_dense_at_the_degree_budget(self):
+        # degree 12 to FACTOR_DEGREE_BUDGET = 24, every coefficient random
+        rng = random.Random(53)
+        for _ in range(15):
+            self.check([rng.randint(-30, 30) for _ in range(rng.randint(12, 24))]
+                       + [rng.randint(1, 30)])
+
+    def test_repeated_factor_at_the_degree_budget(self):
+        # one factor of degree 1-6 squared or cubed, times factors of
+        # degree 1-8 up to a random degree of 12-24, so the squarefree part
+        # is factored
+        rng = random.Random(59)
+
+        def factor(degree):
+            return ([rng.randint(-9, 9) for _ in range(degree)]
+                    + [rng.choice((-3, -2, -1, 1, 2, 3))])
+
+        for _ in range(25):
+            p = _power(factor(rng.randint(1, 6)), rng.randint(2, 3))
+            degree = rng.randint(12, 24)
+            while len(p) <= degree:
+                p = poly_mul(p, factor(rng.randint(1, 8)))
+            if len(p) <= 25:
+                self.check(p)
+
 
 class TestLaurentPoly:
     def test_zero_has_empty_support(self):
