@@ -11,10 +11,13 @@ Generation starts from the strut.  Write (t, u) for the connected
 diagrams with t trivalent vertices and u legs (univalent vertices).  The
 trees (t, t + 2) come from the trees at t - 1 by replacing one leg with
 a Y, and the layer (t, u) comes from (t, u + 2) by joining two legs into
-one edge.  ``canonical_form`` is the only deduplicator: each layer keeps
-one diagram per key.  The key minimises over the rotation directions, so
-it names the underlying graph, and one diagram per key is enough to grow
-the next layer from.  The generation is complete:
+one edge.  Each layer keeps one diagram per canonical key (see
+``canonical_form``).  The full minimum search runs once per class, on its
+first diagram; every later diagram is found by a first-match search
+against the minimal codes of the classes already met (``_lookup``).  The
+key minimises over the rotation directions, so it names the underlying
+graph, and one diagram per key is enough to grow the next layer from.
+The generation is complete:
 
 * every tree with t >= 2 has a trivalent vertex carrying two legs, and
   replacing that Y by one leg gives a tree at t - 1;
@@ -40,9 +43,10 @@ Reversing any one vertex maps the traversals that ``canonical_form``
 searches onto themselves with the reversal parity flipped, so every AS
 row of a generator D is the same: 2·D when D is its own negative, else
 zero.  D is its own negative exactly when its minimal traversals have
-both parities, so ``relation_matrix`` reads that row off the search that
+both parities, so ``relation_matrix`` reads that row off the lookup that
 gives D's own column, with no reversed copy, and repeats it for each
-trivalent vertex, keeping the row count.
+trivalent vertex, keeping the row count.  Relation terms are looked up
+like enumeration candidates: one full search per class met.
 
 Diagrams with a tadpole (an edge closing on its own vertex) are rationally
 zero by AS.  A graph may carry one, since IHX reconnections can create
@@ -156,13 +160,21 @@ def canonical_form(d: UniTrivalentGraph) -> tuple:
     they get sign +1 so that their AS rows degenerate to 2*D = 0, which is
     exactly what kills them rationally.
     """
-    key, parities = _search(d)
-    return key, -1 if parities == 2 else 1
+    code, parities = _search(d)
+    return _key(code), -1 if parities == 2 else 1
 
 
-def _search(d: UniTrivalentGraph) -> tuple:
-    """The key of ``canonical_form`` and the reversal parities of the
-    minimal traversals, as a bit set: 1 even, 2 odd, 3 both.
+def _key(code: list) -> str:
+    return ".".join("0.%d" % s if s < 4 else "1.%d.%d" % divmod(s - 4, 3)
+                    for s in code)
+
+
+def _search(d: UniTrivalentGraph, known: dict | None = None) -> tuple | None:
+    """The minimal code of ``canonical_form`` and the reversal parities of
+    the minimal traversals, as a bit set: 1 even, 2 odd, 3 both.  Given
+    ``known``, a trie of minimal codes (see ``_lookup``), it is instead a
+    first-match search: (leaf, parity bits) of the first traversal whose
+    code is a known one, or None.
 
     Each queue step of a traversal emits "0.1" (a new leg), "0.3" (a new
     trivalent vertex) or "1.i.s" (back to vertex i, at rotation slot s
@@ -194,6 +206,25 @@ def _search(d: UniTrivalentGraph) -> tuple:
 
     Parities travel as that bit set; choosing the reversed direction
     swaps its two bits.
+
+    The first-match search walks the same traversals in the same order,
+    but cuts every prefix that is no path of the trie, and stops at the
+    first complete code.  It is exact:
+
+    * a code describes the diagram up to the rotation choices, so a
+      traversal of d with the code of a known class G puts d in G's
+      class; min over d = min over G = that code, so the traversal is a
+      minimal one of d;
+    * if d's minimal code is known, the search reaches it: the trie keeps
+      every prefix of that code, and the two reductions above only skip
+      traversals whose twin, with the same code, is searched;
+    * a code ends exactly when its queue is empty, which its steps decide,
+      so no complete code is a proper prefix of another: the trie node of
+      a complete code is its leaf.
+
+    The parity bits of the match are those of one minimal traversal of d
+    (3 when a reduction marked both).  ``_lookup`` reads the sign from
+    them unless G is its own negative.
     """
     verts, pairing, owner, pos = d.vertices, d.pairing, d.owner, d.pos
     n = len(verts)
@@ -204,11 +235,13 @@ def _search(d: UniTrivalentGraph) -> tuple:
     steps = 1 + 2 * sum(len(v) == 3 for v in verts)
     queue = [0] * steps
     code = [0] * steps
-    best: list | None = None
+    best = None                      # minimal code, or the matched leaf
     parities = 0                     # bit k: a minimal traversal of parity k
 
-    def dfs(qi: int, qend: int, seen: int, par: int, decided: bool) -> None:
-        # decided: code[:qi] < best[:qi]; otherwise they are equal
+    def dfs(qi: int, qend: int, seen: int, par: int, decided: bool,
+            node: dict | None) -> None:
+        # decided: code[:qi] < best[:qi]; otherwise they are equal.
+        # node: in a first-match search, the trie node of code[:qi]
         nonlocal best, parities
         mark = seen
         while qi < qend:
@@ -223,7 +256,11 @@ def _search(d: UniTrivalentGraph) -> tuple:
                 seen += 1
                 epos[w] = pos[p]
                 step = len(verts[w])
-            if not decided and best is not None:
+            if node is not None:
+                node = node.get(step)
+                if node is None:
+                    break
+            elif not decided and best is not None:
                 if step > best[qi]:
                     break
                 decided = step < best[qi]
@@ -241,16 +278,18 @@ def _search(d: UniTrivalentGraph) -> tuple:
                 # branch over the two rotation directions of w
                 orient[w] = 1
                 before = best
-                dfs(qi, qend, seen, par, decided)
+                dfs(qi, qend, seen, par, decided, node)
                 if best is not before:
+                    if node is not None:
+                        break        # the first match ends the search
                     decided = False  # the new best shares code[:qi]
                 queue[qend - 2], queue[qend - 1] = b, a
                 orient[w] = -1
-                dfs(qi, qend, seen, (par & 1) << 1 | par >> 1, decided)
+                dfs(qi, qend, seen, (par & 1) << 1 | par >> 1, decided, node)
                 break
         else:
-            if decided or best is None:
-                best = code[:]
+            if node is not None or decided or best is None:
+                best = code[:] if node is None else node
                 parities = 0
             parities |= par
         for w in order[mark:seen]:
@@ -270,11 +309,36 @@ def _search(d: UniTrivalentGraph) -> tuple:
         ids[sv] = 0
         order[0] = sv
         queue[0] = verts[sv][0]
-        dfs(0, 1, 1, 3 if load[w] > 1 else 1, False)
+        dfs(0, 1, 1, 3 if load[w] > 1 else 1, False, known)
         ids[sv] = -1
+        if known is not None and best is not None:
+            break
+    return None if best is None else (best, parities)
 
-    key = ".".join("0.%d" % s if s < 4 else "1.%d.%d" % divmod(s - 4, 3)
-                   for s in best)
+
+def _lookup(known: dict, d: UniTrivalentGraph) -> tuple:
+    """(key, parities) of d, as ``canonical_form`` reads them: parities 3
+    when d is its own negative, else the one parity of its minimal
+    traversals.
+
+    ``known`` is a trie of the minimal codes of the classes met so far:
+    nested dicts keyed by step, whose last step maps to (key, both), both
+    being 3 when the class is its own negative and 0 otherwise.  d is
+    found by a first-match search (see ``_search``); a diagram of a new
+    class is searched in full once and its code added.  If G is its own
+    negative, so is d, whichever parity the match had; otherwise all
+    minimal traversals of d have one parity, the match's.
+    """
+    hit = _search(d, known)
+    if hit is not None:
+        (key, both), par = hit
+        return key, par | both
+    code, parities = _search(d)
+    key = _key(code)
+    node = known
+    for s in code[:-1]:
+        node = node.setdefault(s, {})
+    node[code[-1]] = key, 3 if parities == 3 else 0
     return key, parities
 
 
@@ -333,10 +397,15 @@ def _join_legs(d: UniTrivalentGraph, a: int, b: int) -> UniTrivalentGraph:
 
 
 def _distinct(diagrams: Iterable[UniTrivalentGraph]) -> list:
-    """The first diagram of each canonical key, as (key, diagram) pairs."""
+    """The first diagram of each canonical key, as (key, diagram) pairs.
+
+    The first diagram of each class is searched in full; every later one
+    is found by a first-match search against the keys found so far (see
+    ``_lookup``)."""
     found: dict = {}
+    known: dict = {}
     for d in diagrams:
-        found.setdefault(canonical_form(d)[0], d)
+        found.setdefault(_lookup(known, d)[0], d)
     return list(found.items())
 
 
@@ -438,11 +507,14 @@ def relation_matrix(i: int, grading: str = "grope",
     diagram, per internal edge) over the canonical generators of degree i.
 
     The AS rows of one generator are all equal (see the module docstring):
-    2·D when its own search reaches the key with both parities, else
-    zero, repeated per trivalent vertex."""
+    2·D when it is its own negative, else zero, repeated per trivalent
+    vertex.  Each class met, generator or term, is searched in full once;
+    every other diagram of it is found by a first-match search against
+    the keys met so far (see ``_lookup``)."""
     gens = enumerate_diagrams(i, grading) if generators is None else generators
     columns = tuple(k for k, _ in gens)
     col_index = {k: j for j, k in enumerate(columns)}
+    known: dict = {}
     rows = []
 
     def column(key):
@@ -457,8 +529,8 @@ def relation_matrix(i: int, grading: str = "grope",
         # rationally zero and dropped
         if diag.has_tadpole():
             return None
-        key, sign = canonical_form(diag)
-        return column(key), sign
+        key, parities = _lookup(known, diag)
+        return column(key), -1 if parities == 2 else 1
 
     def term_vector(own, others) -> dict:
         vec: dict = {}
@@ -473,8 +545,8 @@ def relation_matrix(i: int, grading: str = "grope",
         tri = [idx for idx, v in enumerate(diag.vertices) if len(v) == 3]
         if not tri:
             continue
-        # the generator is a term of each of its rows: search it once
-        own_key, parities = _search(diag)
+        # the generator is a term of each of its rows: look it up once
+        own_key, parities = _lookup(known, diag)
         own = column(own_key), -1 if parities == 2 else 1
         rows.extend({own[0]: 2} if parities == 3 else {} for _ in tri)
         owner = diag.owner

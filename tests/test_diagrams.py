@@ -6,6 +6,8 @@ import pytest
 from knotbench.diagrams import (
     UniTrivalentGraph,
     _ihx_terms,
+    _lookup,
+    _search,
     canonical_form,
     dim_graded_piece,
     enumerate_diagrams,
@@ -178,6 +180,31 @@ class TestCanonicalForm:
                     (ref_key, sign)
 
 
+class TestLookup:
+    @pytest.mark.parametrize("grading,degree",
+                             [("grope", i) for i in range(2, 9)]
+                             + [("vassiliev", n) for n in range(1, 5)])
+    def test_first_match_agrees_with_oracles(self, grading, degree):
+        # once the generators are known, relabelled copies with random
+        # rotation reversals are found by the first-match search, with the
+        # (key, sign) of canonical_form and of the reference search
+        gens = enumerate_diagrams(degree, grading)
+        known = {}
+        for _, d in gens:
+            assert _lookup(known, d)[0] == canonical_form(d)[0]
+        rng = random.Random(degree)
+        for _, d in gens:
+            tri = [v for v, rot in enumerate(d.vertices) if len(rot) == 3]
+            for _ in range(3):
+                flips = tuple(v for v in tri if rng.random() < 0.5)
+                copy = relabel(d, rng.random(), flips=flips)
+                assert _search(copy, known) is not None
+                got_key, parities = _lookup(known, copy)
+                got = got_key, -1 if parities == 2 else 1
+                assert got == canonical_form(copy) == \
+                    canonical_form_reference(copy)
+
+
 class TestEnumeration:
     def test_degree_2_is_exactly_y(self):
         gens = enumerate_diagrams(2)
@@ -317,6 +344,21 @@ class TestRelationMatrix:
         assert rel.n_rows == count
         text = "\n".join(repr(sorted(row.items())) for row in rel.rows)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_pinned_vassiliev_5(self):
+        # key and row digests, hashed as in test_pinned_generator_keys and
+        # test_pinned_relation_rows, from the code that searched every
+        # diagram in full; the cell is built once for both
+        gens = enumerate_diagrams(5, "vassiliev")
+        keys = [k for k, _ in gens]
+        assert len(keys) == 297 and keys == sorted(keys)
+        sha = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        assert sha[:16] == "d610679ce947cbf0"
+        rel = relation_matrix(5, "vassiliev", generators=gens)
+        assert rel.n_rows == 5559
+        text = "\n".join(repr(sorted(row.items())) for row in rel.rows)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+            "58da59bc08bfb61f"
 
     def test_ihx_rows_have_at_most_three_terms(self):
         # an AS row has two terms and an IHX row three, before cancellation
