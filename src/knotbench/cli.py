@@ -11,8 +11,9 @@ Alexander polynomial ("possibly singular").
 Each command imports only the modules it uses, and none needs a package
 outside the standard library.  ``invariants`` and ``table`` are exact and
 never load ``knotbench.intervals``; ``rho`` and ``sigfn`` load it to
-render jump angles.  The package's records are named tuples and plain
-classes, so no command loads the data-class or type-hint modules.
+render jump angles.  The package's records are named tuples, and its
+other values (intervals, angles, polynomials, diagrams) plain classes, so
+no command loads the data-class or type-hint modules.
 """
 
 from __future__ import annotations

@@ -56,6 +56,7 @@ tadpole terms, but generation never joins two legs on one vertex, and
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
@@ -458,25 +459,13 @@ def enumerate_diagrams(i: int, grading: str = "grope") -> list:
 # relations
 
 
-class RelationMatrix:
+class RelationMatrix(namedtuple("RelationMatrix", "columns rows")):
     """AS and IHX relation instances over a fixed generator basis:
     `columns` holds the sorted canonical keys, `rows` one
-    {column_index: int coefficient} dict per relation.  Mutable, so equal
-    by value and unhashable."""
+    {column_index: int coefficient} dict per relation.  The fields are
+    read-only; `rows` is a list of dicts, so the record is unhashable."""
 
-    __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: tuple, rows: list):
-        self.columns = columns
-        self.rows = rows
-
-    def __eq__(self, o):
-        if o.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.columns, self.rows) == (o.columns, o.rows)
-
-    def __repr__(self):
-        return f"RelationMatrix(columns={self.columns!r}, rows={self.rows!r})"
+    __slots__ = ()
 
     @property
     def n_rows(self) -> int:

@@ -29,6 +29,8 @@ class PossiblySingularError(KnotbenchError):
 
 def as_integer(v, what: str) -> int:
     """v as an int; bools, floats and strings are refused, not truncated."""
+    if type(v) is int:  # first, as every letter of a FreeWord product is one
+        return v
     import operator
 
     if isinstance(v, bool) or not hasattr(type(v), "__index__"):

@@ -28,6 +28,7 @@ them all.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
@@ -43,14 +44,13 @@ MAGNUS_RANK_BUDGET = 4
 MAGNUS_CUTOFF_BUDGET = 8
 
 
-class GropeTree:
-    """A surface stage: `pairs` lists the (a, b) slot pairs, one per genus.
+class GropeTree(namedtuple("GropeTree", "pairs")):
+    """A surface stage: `pairs` lists the (a, b) slot pairs, one per genus;
+    a slot is bare (None) or a child stage."""
 
-    Read-only; stages are equal, and hash alike, when their pairs are."""
+    __slots__ = ()
 
-    __slots__ = ("_pairs",)
-
-    def __init__(self, pairs: Sequence):
+    def __new__(cls, pairs: Sequence):
         pairs = tuple((a, b) for a, b in pairs)
         if not pairs:
             raise InputError("stage genus must be >= 1")
@@ -58,22 +58,7 @@ class GropeTree:
             for s in (a, b):
                 if s is not None and not isinstance(s, GropeTree):
                     raise InputError("slot must be bare (None) or a GropeTree")
-        self._pairs = pairs
-
-    @property
-    def pairs(self) -> tuple:
-        return self._pairs
-
-    def __eq__(self, o):
-        if o.__class__ is not self.__class__:
-            return NotImplemented
-        return self._pairs == o._pairs
-
-    def __hash__(self):
-        return hash((self._pairs,))
-
-    def __repr__(self):
-        return f"GropeTree(pairs={self._pairs!r})"
+        return super().__new__(cls, pairs)
 
     @property
     def genus(self) -> int:
@@ -81,7 +66,7 @@ class GropeTree:
 
     @classmethod
     def bare(cls, genus: int = 1) -> "GropeTree":
-        return cls([(None, None)] * genus)
+        return cls([(None, None)] * as_integer(genus, "genus"))
 
     def to_json_dict(self) -> dict:
         def slot(s):
@@ -128,6 +113,7 @@ def symmetric_grope(h: int | Fraction, genus: int = 1) -> GropeTree:
     pinned by class(height 3/2) = 3.
     """
     h = Fraction(h)
+    genus = as_integer(genus, "genus")
     if h < 1 or (2 * h).denominator != 1:
         raise PreconditionError("height must be a half-integer >= 1")
     if genus < 1:
@@ -180,23 +166,19 @@ def height_of(t: GropeTree) -> Fraction | None:
 # brackets and free words
 
 
-class Bracket:
-    """Formal commutator expression over named generators."""
+class Bracket(namedtuple("Bracket", "left right name")):
+    """Formal commutator expression over named generators: a generator has
+    only a `name`, a commutator only its `left` and `right` children."""
 
-    __slots__ = ("left", "right", "name")
+    __slots__ = ()
 
-    def __init__(self, left=None, right=None, name: str | None = None):
+    def __new__(cls, left=None, right=None, name: str | None = None):
         if name is not None:
             if left is not None or right is not None:
                 raise InputError("a generator bracket has no children")
-            self.name = name
-            self.left = self.right = None
-        else:
-            if not isinstance(left, Bracket) or not isinstance(right, Bracket):
-                raise InputError("commutator needs two bracket children")
-            self.left = left
-            self.right = right
-            self.name = None
+        elif not isinstance(left, Bracket) or not isinstance(right, Bracket):
+            raise InputError("commutator needs two bracket children")
+        return super().__new__(cls, left, right, name)
 
     @classmethod
     def generator(cls, name: str) -> "Bracket":
@@ -214,13 +196,6 @@ class Bracket:
         if self.is_generator:
             return self.name
         return f"[{self.left},{self.right}]"
-
-    def __eq__(self, o):
-        return (isinstance(o, Bracket) and self.name == o.name
-                and self.left == o.left and self.right == o.right)
-
-    def __hash__(self):
-        return hash((self.name, self.left, self.right))
 
 
 def parse_bracket(text: str) -> Bracket:
@@ -280,50 +255,28 @@ def bracket_to_grope(b: Bracket) -> GropeTree:
     return GropeTree([(realize(b.left), realize(b.right))])
 
 
-class FreeWord:
+class FreeWord(namedtuple("FreeWord", "generators letters")):
     """Freely reduced word in the free group on named generators.
 
     `generators` holds the names (rank = len) and `letters` nonzero ints,
-    sign = inverse, |value| - 1 = index.  Read-only; words are equal, and
-    hash alike, when both are."""
+    sign = inverse, |value| - 1 = index."""
 
-    __slots__ = ("_generators", "_letters")
+    __slots__ = ()
 
-    def __init__(self, generators: Sequence[str], letters: Sequence[int]):
+    def __new__(cls, generators: Sequence[str], letters: Sequence[int]):
         generators = tuple(generators)
         if len(set(generators)) != len(generators):
             raise InputError("duplicate generator names")
         reduced: list = []
         for x in letters:
-            x = int(x)
+            x = as_integer(x, "word letter")
             if x == 0 or abs(x) > len(generators):
                 raise InputError(f"letter {x} out of range")
             if reduced and reduced[-1] == -x:
                 reduced.pop()
             else:
                 reduced.append(x)
-        self._generators = generators
-        self._letters = tuple(reduced)
-
-    @property
-    def generators(self) -> tuple:
-        return self._generators
-
-    @property
-    def letters(self) -> tuple:
-        return self._letters
-
-    def __eq__(self, o):
-        if o.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._generators, self._letters) == (o._generators, o._letters)
-
-    def __hash__(self):
-        return hash((self._generators, self._letters))
-
-    def __repr__(self):
-        return (f"FreeWord(generators={self._generators!r}, "
-                f"letters={self._letters!r})")
+        return super().__new__(cls, generators, tuple(reduced))
 
     @property
     def rank(self) -> int:
@@ -431,6 +384,7 @@ def magnus_depth(w: FreeWord, cutoff: int = MAGNUS_CUTOFF_BUDGET) -> int | None:
     zero exactly when every part is: any(part) and any(map(any, top))
     are exact.
     """
+    cutoff = as_integer(cutoff, "cutoff")
     if w.rank > MAGNUS_RANK_BUDGET:
         raise BudgetExceededError(f"rank {w.rank} exceeds {MAGNUS_RANK_BUDGET}")
     if not 1 <= cutoff <= MAGNUS_CUTOFF_BUDGET:

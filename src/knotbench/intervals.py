@@ -34,7 +34,7 @@ class IntervalReal:
     """Closed interval [lo, hi] guaranteed to contain the represented real.
 
     lo > hi raises PreconditionError.  Immutable: the ends are read-only
-    properties."""
+    properties.  Not a named tuple, so that no interval equals a bare pair."""
 
     __slots__ = ("_lo", "_hi")
 
@@ -279,7 +279,8 @@ class AlgebraicAngle:
     given, is the exact value of the branch in (0, 1/2), a rational k/n
     for a root of unity; the flag applies to it as to the box, so
     ``conjugate`` keeps it correct.  Values are immutable: the fields are
-    read-only properties, and refinement returns a new angle.
+    read-only properties, and refinement returns a new angle.  Not a
+    named tuple, so that no angle equals the bare tuple of its fields.
     """
 
     __slots__ = ("_key",)

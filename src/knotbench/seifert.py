@@ -42,7 +42,7 @@ def _array(x):
     return x
 
 
-class SeifertMatrix:
+class SeifertMatrix(namedtuple("SeifertMatrix", "rows")):
     """Integer Seifert matrix V with unimodular skew part V - V^T.
 
     The size is 2g for the genus g of the underlying surface; the skew
@@ -50,9 +50,9 @@ class SeifertMatrix:
     pairing of a genus-g surface with one boundary circle.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
+    def __new__(cls, rows: Sequence[Sequence[int]]):
         try:
             rows = tuple(tuple(as_integer(v, "Seifert entry")
                                for v in _array(row)) for row in _array(rows))
@@ -66,7 +66,7 @@ class SeifertMatrix:
         skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
         if integer_determinant(skew) != 1:
             raise InputError("det(V - V^T) != 1: not a Seifert matrix")
-        self.rows = rows
+        return super().__new__(cls, rows)
 
     @property
     def size(self) -> int:
@@ -81,12 +81,6 @@ class SeifertMatrix:
         n = self.size
         return [[self.rows[i][j] + self.rows[j][i] for j in range(n)]
                 for i in range(n)]
-
-    def __eq__(self, o):
-        return isinstance(o, SeifertMatrix) and self.rows == o.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"SeifertMatrix({[list(r) for r in self.rows]!r})"

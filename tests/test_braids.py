@@ -10,11 +10,17 @@ from knotbench.braids import (
     seifert_matrix_from_braid,
     serialize_braid,
 )
+from knotbench.diagrams import relation_matrix
 from knotbench.errors import InputError, PreconditionError
+from knotbench.gropes import GropeTree, bracket_word, parse_bracket
 from knotbench.invariants import alexander_polynomial, signature_function
 from knotbench.polynomials import LaurentPoly
 from knotbench.rho import rho0
-from knotbench.seifert import KnotTableEntry, integer_determinant
+from knotbench.seifert import (
+    KnotTableEntry,
+    SeifertMatrix,
+    integer_determinant,
+)
 
 from conftest import random_knot_braid
 from oracles import alexander_via_burau, unit_normalize_symmetric
@@ -168,7 +174,13 @@ _TREFOIL = BraidWord(2, [1, 1, 1])
     (lambda: signature_function(seifert_matrix_from_braid(_TREFOIL)), "half"),
     (lambda: rho0(seifert_matrix_from_braid(_TREFOIL)), "value"),
     (lambda: KnotTableEntry("3_1", _TREFOIL, None, {}), "braid"),
-], ids=["BraidWord", "SignatureStepFunction", "RhoResult", "KnotTableEntry"])
+    (lambda: SeifertMatrix([[-1, 1], [0, -1]]), "rows"),
+    (lambda: GropeTree.bare(2), "pairs"),
+    (lambda: parse_bracket("[x,y]").left, "name"),
+    (lambda: bracket_word(parse_bracket("[x,y]")), "letters"),
+    (lambda: relation_matrix(3), "rows"),
+], ids=["BraidWord", "SignatureStepFunction", "RhoResult", "KnotTableEntry",
+        "SeifertMatrix", "GropeTree", "Bracket", "FreeWord", "RelationMatrix"])
 def test_records_are_immutable(make, field):
     # neither a field nor a new attribute can be set on a record
     record = make()

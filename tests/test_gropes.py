@@ -210,6 +210,24 @@ class TestFreeWords:
             parse_free_word("x z", generators=("x", "y"))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: FreeWord(("x", "y"), [1.9, -2.2]),
+    lambda: FreeWord(("x", "y"), ["1", True]),
+    lambda: magnus_depth(parse_free_word("x y"), 2.5),
+    lambda: magnus_depth(parse_free_word("x y"), True),
+    lambda: symmetric_grope(2, genus=1.5),
+    lambda: symmetric_grope(2, genus=True),
+    lambda: GropeTree.bare(True),
+    lambda: GropeTree.bare(1.5),
+], ids=["word-float-letters", "word-str-bool-letters", "magnus-float-cutoff",
+        "magnus-bool-cutoff", "symmetric-float-genus", "symmetric-bool-genus",
+        "bare-bool-genus", "bare-float-genus"])
+def test_integer_parameters_refuse_non_integers(call):
+    # truncating or reading True as 1 would answer a different question
+    with pytest.raises(InputError, match="is not an integer"):
+        call()
+
+
 class TestMagnus:
     def test_examples(self):
         assert magnus_depth(parse_free_word("x"), 6) == 1
