@@ -22,14 +22,13 @@ Seifert pairing of basis loops, worked out from the disk-and-band model
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from collections.abc import Iterable
 
-from .errors import InputError, PreconditionError, as_integer
+from .errors import InputError, PreconditionError, as_integer, record
 from .seifert import SeifertMatrix
 
 
-class BraidWord(namedtuple("BraidWord", "strands letters")):
+class BraidWord(record("BraidWord", "strands letters")):
     """A word in the braid group on `strands` strands."""
 
     __slots__ = ()

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all modules, and the input readers that
-raise it: integer entries, UTF-8 files and JSON text."""
+"""Exception hierarchy shared by all modules, the input readers that
+raise it (integer entries, UTF-8 files and JSON text), and the base of
+the records that validate their fields."""
 
 
 class KnotbenchError(Exception):
@@ -60,3 +61,15 @@ def parse_json(text: str, where: str):
         raise InputError(f"{where}:{e.lineno}: {e.msg}") from None
     except ValueError as e:
         raise InputError(f"{where}: {e}") from None
+
+
+def record(typename: str, fields: str) -> type:
+    """A named-tuple base for a record class whose ``__new__`` validates.
+    Its ``_make``, which ``_replace`` calls, builds through ``cls(*items)``
+    and so through those checks; the named tuple's own ``_make`` calls
+    ``tuple.__new__`` and would skip them."""
+    from collections import namedtuple
+
+    base = namedtuple(typename, fields)
+    base._make = classmethod(lambda cls, items: cls(*items))
+    return base

@@ -28,7 +28,6 @@ them all.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
@@ -38,13 +37,14 @@ from .errors import (
     InputError,
     PreconditionError,
     as_integer,
+    record,
 )
 
 MAGNUS_RANK_BUDGET = 4
 MAGNUS_CUTOFF_BUDGET = 8
 
 
-class GropeTree(namedtuple("GropeTree", "pairs")):
+class GropeTree(record("GropeTree", "pairs")):
     """A surface stage: `pairs` lists the (a, b) slot pairs, one per genus;
     a slot is bare (None) or a child stage."""
 
@@ -110,8 +110,11 @@ def symmetric_grope(h: int | Fraction, genus: int = 1) -> GropeTree:
     Integer heights attach height-(h-1) gropes to every slot; height
     m + 1/2 attaches height m to one slot of each pair and height m - 1
     to its dual, with height 0 meaning a bare slot.  The convention is
-    pinned by class(height 3/2) = 3.
+    pinned by class(height 3/2) = 3.  A height that is neither an int nor
+    a Fraction (a bool, float or string) raises InputError.
     """
+    if isinstance(h, bool) or not isinstance(h, (int, Fraction)):
+        raise InputError(f"height {h!r} is not an integer or a Fraction")
     h = Fraction(h)
     genus = as_integer(genus, "genus")
     if h < 1 or (2 * h).denominator != 1:
@@ -166,7 +169,7 @@ def height_of(t: GropeTree) -> Fraction | None:
 # brackets and free words
 
 
-class Bracket(namedtuple("Bracket", "left right name")):
+class Bracket(record("Bracket", "left right name")):
     """Formal commutator expression over named generators: a generator has
     only a `name`, a commutator only its `left` and `right` children."""
 
@@ -255,7 +258,7 @@ def bracket_to_grope(b: Bracket) -> GropeTree:
     return GropeTree([(realize(b.left), realize(b.right))])
 
 
-class FreeWord(namedtuple("FreeWord", "generators letters")):
+class FreeWord(record("FreeWord", "generators letters")):
     """Freely reduced word in the free group on named generators.
 
     `generators` holds the names (rank = len) and `letters` nonzero ints,

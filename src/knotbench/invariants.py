@@ -12,9 +12,11 @@ root of unity, found by trial division by the cyclotomic factors Psi_n,
 also keeps its exact angle k/n.  The Fox-Milnor condition is decided by
 factoring P and, where needed, the lifts t^d Q(t + 1/t) of its
 irreducible factors Q.  The signature is constant on the arcs between
-the jumps, so each arc value is the signature of a Hermitian matrix over
-Z[i] at one rational point tan(pi theta) = p/q of the arc; intervals only
-locate a given theta among the roots.
+the jumps.  The first arc is 0 and each jump is at most 2m for the
+largest root multiplicity m of P, so ``signature_function`` runs an exact
+Hermitian elimination over Z[i], at one rational point
+tan(pi theta) = p/q of an arc, only on the arcs whose value those bounds
+leave open; intervals only locate a given theta among the roots.
 
 Delta, the determinant, Arf (the determinant mod 8, by Levine's rule) and
 sigma(-1) = sign(V + V^T) are integers and need no interval arithmetic.
@@ -252,7 +254,8 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction) -> int:
     root of Delta, as |Delta(-1)| = |det(V + V^T)| and V + V^T = V - V^T
     mod 2 give det(V + V^T) = det(V - V^T) = 1 mod 2.  Elsewhere it is the
     signature at the rational point that ``_arcs`` picks on theta's arc,
-    found by ``_arc_index``, as in ``signature_function``; so it equals
+    found by ``_arc_index``.  It is always evaluated, also on the arcs
+    whose value ``signature_function`` infers, and it equals
     ``signature_function(v).value_at(theta)``, errors included.  Raises
     PreconditionError for theta outside (0, 1), and PossiblySingularError
     when omega is a root of Delta.
@@ -413,20 +416,68 @@ def _jumps(ps: tuple, boxes: list) -> tuple:
     return tuple(low)
 
 
+def _arc_values(v: SeifertMatrix, points: list, m: int) -> tuple:
+    """The signature on each arc of ``points`` (from ``_arcs``), given
+    that the first arc is 0 and that each jump is at most 2m (see
+    ``signature_function``).  The last arc is evaluated; between two known
+    arcs a < b that differ by 2m(b - a), every jump is 2m with that one
+    sign, and otherwise the middle arc is evaluated and both halves
+    recurse.  A larger difference is impossible and raises
+    PreconditionError."""
+    half = [0] + [None] * (len(points) - 1)
+
+    def fill(a: int, b: int) -> None:
+        diff, bound = half[b] - half[a], 2 * m * (b - a)
+        if abs(diff) > bound:
+            raise PreconditionError(
+                f"arc values {half[a]} and {half[b]} differ by more than"
+                f" {bound} across {b - a} jumps of nullity at most {m}")
+        if abs(diff) == bound:
+            for k in range(a + 1, b):
+                half[k] = half[a] + diff // (b - a) * (k - a)
+        elif b - a > 1:
+            c = (a + b) // 2
+            half[c] = _arc_signature(v, points[c])
+            fill(a, c)
+            fill(c, b)
+
+    if len(points) > 1:
+        half[-1] = _arc_signature(v, points[-1])
+        fill(0, len(points) - 1)
+    return tuple(half)
+
+
 def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     """Full signature step function: exact jump angles plus arc values.
 
-    The n roots of the x-polynomial in (-2, 2) cut theta in (0, 1/2] into
-    n + 1 arcs.  Each arc but the last is evaluated at a rational point of
-    the x-gap between its Sturm boxes; the last one holds theta = 1/2.
-    Only these jumps and arcs are stored: those in [1/2, 1) mirror them,
-    as sigma(theta) = sigma(1 - theta).  ``_jumps`` gives each box its
+    The n roots of the x-polynomial P in (-2, 2) cut theta in (0, 1/2]
+    into n + 1 arcs.  Each arc but the last has a rational point in the
+    x-gap between its Sturm boxes; the last one holds theta = 1/2.  Only
+    these jumps and arcs are stored: those in [1/2, 1) mirror them, as
+    sigma(theta) = sigma(1 - theta).  ``_jumps`` gives each box its
     minimal polynomial, and its exact angle k/n at a root of unity.
+
+    ``_arc_values`` evaluates only the arcs that two facts leave open.
+    (i) The first arc is 0.  With 1 - omega = -2i sin(pi theta)
+    exp(i pi theta), H(theta) = (1 - omega)V + (1 - conj omega)V^T is
+    2 sin(pi theta) times i(exp(-i pi theta)V^T - exp(i pi theta)V),
+    which tends to i(V^T - V) as theta -> 0+.  That limit is nonsingular,
+    as V - V^T is unimodular, so near 0 the signature is that of i times
+    a real skew matrix, whose eigenvalues come in pairs +-lambda: 0.  A
+    knot with no jump therefore needs no elimination.  (ii) Each jump is
+    at most 2m for m = 1 + deg P - deg ps, ps the squarefree part of P.
+    Across a jump theta_j the signature changes by at most twice the
+    nullity of H(theta_j), which is at most the order of vanishing of
+    det H there, each analytic eigenvalue that vanishes contributing at
+    least 1.  det H = (1 - omega)^n det(V - conj(omega) V^T)
+    = (1 - omega)^n conj(omega)^g P(2cos 2 pi theta), and
+    d/dtheta 2cos 2 pi theta is nonzero on (0, 1/2), so that order is the
+    multiplicity of x_j = 2cos 2 pi theta_j as a root of P, at most m.
     """
     p = x_polynomial(v)
     ps, boxes, points = _arcs(p)
     low = _jumps(ps, boxes)
-    half = tuple(_arc_signature(v, r) for r in points)
+    half = _arc_values(v, points, len(p) - len(ps) + 1)
     return SignatureStepFunction(low, half, ps, _lift(p))
 
 

@@ -7,7 +7,7 @@ import os
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
-from .errors import InputError, as_integer, parse_json, read_text
+from .errors import InputError, as_integer, parse_json, read_text, record
 
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -42,7 +42,7 @@ def _array(x):
     return x
 
 
-class SeifertMatrix(namedtuple("SeifertMatrix", "rows")):
+class SeifertMatrix(record("SeifertMatrix", "rows")):
     """Integer Seifert matrix V with unimodular skew part V - V^T.
 
     The size is 2g for the genus g of the underlying surface; the skew

@@ -189,6 +189,20 @@ def test_records_are_immutable(make, field):
             setattr(record, name, getattr(record, field))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SeifertMatrix([[-1, 1], [0, -1]])._replace(rows=((1,),)),
+    lambda: _TREFOIL._replace(letters=(5, 0)),
+    lambda: GropeTree._make([()]),
+    lambda: parse_bracket("[x,y]")._replace(name="z"),
+    lambda: bracket_word(parse_bracket("[x,y]"))._replace(letters=(3,)),
+], ids=["SeifertMatrix", "BraidWord", "GropeTree", "Bracket", "FreeWord"])
+def test_record_copies_are_validated(make):
+    # _replace and _make build through the record's own checks, not
+    # through tuple.__new__
+    with pytest.raises(InputError):
+        make()
+
+
 def test_braid_word_repr_and_hash():
     b = BraidWord(2, [1, 1, 1])
     assert repr(b) == "BraidWord(strands=2, letters=(1, 1, 1))"

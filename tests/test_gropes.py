@@ -219,9 +219,15 @@ class TestFreeWords:
     lambda: symmetric_grope(2, genus=True),
     lambda: GropeTree.bare(True),
     lambda: GropeTree.bare(1.5),
+    lambda: symmetric_grope("3/2"),
+    lambda: symmetric_grope(1.5),
+    lambda: symmetric_grope(True),
+    lambda: symmetric_grope("abc"),
 ], ids=["word-float-letters", "word-str-bool-letters", "magnus-float-cutoff",
         "magnus-bool-cutoff", "symmetric-float-genus", "symmetric-bool-genus",
-        "bare-bool-genus", "bare-float-genus"])
+        "bare-bool-genus", "bare-float-genus", "symmetric-str-height",
+        "symmetric-float-height", "symmetric-bool-height",
+        "symmetric-word-height"])
 def test_integer_parameters_refuse_non_integers(call):
     # truncating or reading True as 1 would answer a different question
     with pytest.raises(InputError, match="is not an integer"):

@@ -46,7 +46,7 @@ from conftest import (random_seifert, random_unimodular, torus,
                       torus_step_function)
 from oracles import (arf_by_majority, fox_milnor_by_delta_factors,
                      jumps_by_factoring, omega_is_alexander_root_t_side,
-                     poly_matrix_det,
+                     poly_matrix_det, realified_arc_signature,
                      sample_levine_tristram_float, sympy_factor_list,
                      sympy_is_irreducible, symmetric_signature_reference,
                      tan_in_gap_by_doubling, torus_jumps, totient,
@@ -536,6 +536,93 @@ class TestSignatureFunction:
         assert lines[4] == "0.833333333333,1,0"
         # byte-identical on rerun
         assert out == signature_csv(signature_function(trefoil), digits=12)
+
+
+def _count_eliminations(monkeypatch):
+    """A list that ``signature_function`` extends with the point of every
+    arc it evaluates through ``_arc_signature``."""
+    calls = []
+    real = invariants._arc_signature
+
+    def counted(v, r):
+        calls.append(r)
+        return real(v, r)
+
+    monkeypatch.setattr(invariants, "_arc_signature", counted)
+    return calls
+
+
+def _every_arc(v):
+    _, _, points = invariants._arcs(x_polynomial(v))
+    return tuple(invariants._arc_signature(v, r) for r in points)
+
+
+T23 = torus(2, 3)
+# sigma is not monotone on (0, 1/2): its half is (0, -2, 0, -2), so the
+# jump bound leaves inner arcs open and the bisection evaluates them
+T25_MINUS_T23 = connected_sum(torus(2, 5), mirror(T23))
+
+
+class TestArcBisection:
+    def test_half_equals_every_arc(self, corpus):
+        rng = random.Random(61)
+        forms = (list(corpus.values())
+                 + [torus(p, q) for p, q in TORUS_FAMILY]
+                 + [random_seifert(rng, 1 + k % 5) for k in range(200)]
+                 + [connected_sum(T23, T23), T25_MINUS_T23])
+        # P not squarefree, and sigma not monotone when J has jumps
+        for _ in range(20):
+            k = random_seifert(rng, rng.randint(1, 2))
+            j = random_seifert(rng, rng.randint(1, 2))
+            forms.append(connected_sum(connected_sum(k, k), mirror(j)))
+        for v in forms:
+            assert signature_function(v).half == _every_arc(v), v
+
+    def test_monotone_torus_knots_evaluate_one_arc(self, monkeypatch):
+        calls = _count_eliminations(monkeypatch)
+        for p, q in TORUS_FAMILY:
+            del calls[:]
+            sf = signature_function(torus(p, q))
+            # only the arc holding 1/2 is evaluated
+            assert calls == [None], (p, q)
+            assert len(sf.half) >= 2
+
+    def test_knots_without_jumps_evaluate_nothing(self, monkeypatch,
+                                                  figure_eight):
+        calls = _count_eliminations(monkeypatch)
+        for v in (UNKNOT, figure_eight):
+            assert signature_function(v).half == (0,)
+        assert calls == []
+
+    def test_open_arcs_are_evaluated(self, monkeypatch):
+        calls = _count_eliminations(monkeypatch)
+        assert signature_function(T25_MINUS_T23).half == (0, -2, 0, -2)
+        assert len(calls) > 1
+
+    def test_impossible_arc_values_raise(self, monkeypatch):
+        real = invariants._arc_signature
+        # the trefoil's last arc is -2; its one jump allows at most 2
+        monkeypatch.setattr(invariants, "_arc_signature",
+                            lambda v, r: 6 if r is None else real(v, r))
+        with pytest.raises(PreconditionError, match="differ by more than 2"):
+            signature_function(T23)
+        # of (0, -2, 0, -2), arc 1 and then arc 2 are evaluated; arc 2
+        # read as -6 is 4 from arc 1 across one jump of at most 2
+        arc2 = invariants._arcs(x_polynomial(T25_MINUS_T23))[2][2]
+        monkeypatch.setattr(invariants, "_arc_signature",
+                            lambda v, r: -6 if r == arc2 else real(v, r))
+        with pytest.raises(PreconditionError,
+                           match="-2 and -6 differ by more than 2"):
+            signature_function(T25_MINUS_T23)
+
+    def test_first_arc_is_zero_by_the_oracle(self, corpus):
+        # the first arc is never evaluated; the realified form confirms 0
+        rng = random.Random(67)
+        forms = (list(corpus.values()) + [T25_MINUS_T23, torus(3, 4)]
+                 + [random_seifert(rng, 1 + k % 3) for k in range(40)])
+        for v in forms:
+            _, _, points = invariants._arcs(x_polynomial(v))
+            assert realified_arc_signature(v, points[0]) == 0, v
 
 
 class TestFiberedObstruction:
