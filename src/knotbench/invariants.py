@@ -21,7 +21,7 @@ leave open; intervals only locate a given theta among the roots.
 Delta, the determinant, Arf (the determinant mod 8, by Levine's rule) and
 sigma(-1) = sign(V + V^T) are integers and need no interval arithmetic.
 ``intervals`` is imported only inside the three functions that enclose a
-jump angle or a given theta: ``_arc_index``, ``signature_function`` and
+jump angle or a given theta: ``_arc_index``, ``_jumps`` and
 ``signature_csv``.  So the ``invariants`` and ``table`` commands never
 load it; ``rho`` and ``sigfn`` do.
 """

@@ -3,8 +3,8 @@
 Polynomials are dense tuples of integer coefficients, lowest degree first,
 with no trailing zeros; the zero polynomial is the empty tuple.  Laurent
 polynomials carry a sparse exponent -> coefficient map and may have negative
-exponents.  Division, gcds and Sturm chains stay in Z (exact division and
-pseudo-remainders); ``Fraction`` appears only for rational points such as
+exponents.  Division, squarefree parts and Sturm chains stay in Z (exact
+division and pseudo-remainders); ``Fraction`` appears only for rational
 interval ends and widths.  No floats.
 """
 
@@ -17,7 +17,12 @@ import random
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-from .errors import BudgetExceededError, InputError, PreconditionError
+from .errors import (
+    BudgetExceededError,
+    InputError,
+    PreconditionError,
+    as_integer,
+)
 from .seifert import integer_determinant
 
 Coeffs = tuple  # integer coefficients, index = degree
@@ -149,21 +154,10 @@ def poly_primitive(p: Sequence) -> Coeffs:
     return tuple(a // c for a in p)
 
 
-def poly_gcd(p: Sequence, q: Sequence) -> Coeffs:
-    """Primitive gcd over Z with positive leading coefficient."""
-    a, b = poly_trim(p), poly_trim(q)
-    while b:
-        a, b = b, _prem(a, b)
-    return poly_primitive(a)
-
-
 def poly_squarefree_part(p: Sequence) -> Coeffs:
-    if not p:
-        return ()
-    g = poly_gcd(p, poly_derivative(p))
-    if poly_degree(g) <= 0:
-        return poly_primitive(p)
-    return poly_primitive(poly_div_exact(poly_primitive(p), g))
+    """p / gcd(p, p'), primitive with positive leading coefficient, from
+    the first member of p's Sturm chain; () for p = 0."""
+    return poly_primitive(sturm_sequence(p)[0]) if poly_trim(p) else ()
 
 
 def _terms_to_str(terms: Iterable, var: str) -> str:
@@ -213,18 +207,30 @@ def _scaled_value(p: Sequence, n: int, d: int) -> int:
 
 
 def sturm_sequence(p: Sequence) -> list:
-    """Sturm chain of the squarefree integer polynomial p.
+    """Sturm chain of the squarefree part of the integer polynomial p: the
+    signed remainder sequence of p and p', each member divided by the last
+    one, g = gcd(p, p').  The zero polynomial raises InputError.
 
-    p must be squarefree; callers pass ``poly_squarefree_part`` or an
-    irreducible factor.  Every member after p is the primitive integer
-    polynomial that is a positive multiple of the classical one, so it has
-    the same signs; remainders are integer pseudo-remainders (``_prem``).
+    Members are positive multiples of the classical ones, as remainders
+    are integer pseudo-remainders (``_prem``).  The quotients are a Sturm
+    chain of p / g (Basu, Pollack and Roy, *Algorithms in Real Algebraic
+    Geometry*, ch. 2).  g divides every member, as it divides the two after
+    it.  Consecutive quotients have no common root.  At a root of a middle
+    quotient q_i, q_(i-1) = c q_i - k q_(i+1) with k > 0 gives its
+    neighbours opposite signs.  At a root x0 of p / g, with
+    p = (x - x0)^m h and g = (x - x0)^(m-1) k, p' / g is
+    m h(x0) / k(x0) = m (p / g)'(x0).  g is primitive, so each quotient is
+    integral by Gauss's lemma.
     """
-    chain = [tuple(p), _prem(poly_derivative(p), p)]  # p' mod p is p'
+    p = poly_trim(p)
+    if not p:
+        raise InputError("indeterminate roots")
+    chain = [p, _prem(poly_derivative(p), p)]  # p' mod p is p'
     while chain[-1]:
         chain.append(poly_neg(_prem(chain[-2], chain[-1])))
     chain.pop()
-    return chain
+    g = chain[-1]
+    return [_quotient(q, g) for q in chain] if len(g) > 1 else chain
 
 
 def _sign_variations(chain, x) -> int:
@@ -239,15 +245,13 @@ def count_roots_halfopen(chain, a, b) -> int:
 
 def count_real_roots(p: Sequence, lo, hi) -> int:
     """Distinct real roots of p in the open interval (lo, hi)."""
-    if not poly_trim(p):
-        raise InputError("indeterminate roots")
+    chain = sturm_sequence(p)
     lo = Fraction(lo)
     hi = Fraction(hi)
     if not lo < hi:
         return 0
-    sf = poly_squarefree_part(p)
-    n = count_roots_halfopen(sturm_sequence(sf), lo, hi)
-    return n - (poly_sign_at(sf, hi) == 0)
+    n = count_roots_halfopen(chain, lo, hi)
+    return n - (poly_sign_at(chain[0], hi) == 0)
 
 
 def sturm_isolate(p: Sequence, lo, hi) -> list:
@@ -259,14 +263,12 @@ def sturm_isolate(p: Sequence, lo, hi) -> list:
     midpoint, or, when that is a root, at the first non-root of the points
     halfway towards the left end.
     """
-    if not poly_trim(p):
-        raise InputError("indeterminate roots")
+    chain = sturm_sequence(p)
+    sf = chain[0]
     lo = Fraction(lo)
     hi = Fraction(hi)
     if not lo < hi:
         return []
-    sf = poly_squarefree_part(p)
-    chain = sturm_sequence(sf)
 
     def count_open(a, b):
         return count_roots_halfopen(chain, a, b) - (poly_sign_at(sf, b) == 0)
@@ -312,9 +314,9 @@ def refine_isolating_interval(p_sf: Sequence, a: Fraction, b: Fraction,
     k = deg p, and those at the endpoints carry over from the step that
     found them (times 2^k when den doubles).
 
-    Endpoint signs must differ (simple root); an endpoint that is a root
-    raises PreconditionError.  Returned endpoints are never roots, and
-    their signs differ.
+    Endpoint signs must differ (simple root): an endpoint that is a root,
+    or endpoints of equal sign, raise PreconditionError.  Returned
+    endpoints are never roots, and their signs differ.
     """
     a, b, width = Fraction(a), Fraction(b), Fraction(width)
     den = math.lcm(a.denominator, b.denominator)
@@ -324,6 +326,9 @@ def refine_isolating_interval(p_sf: Sequence, a: Fraction, b: Fraction,
     if f_lo == 0 or f_hi == 0:
         raise PreconditionError(
             "isolating interval endpoints must not be roots")
+    if (f_lo > 0) == (f_hi > 0):
+        raise PreconditionError(
+            "isolating interval endpoints must have opposite signs")
     pos_lo = f_lo > 0  # the sign left of the root
     gap = hi - lo
     two_k = 1 << (len(p_sf) - 1)
@@ -419,17 +424,17 @@ def _ppow(b: Sequence, e: int, f: Sequence, m: int) -> Coeffs:
     return out
 
 
-def _good_primes(f: Sequence):
-    """The odd primes p, ascending, for which f mod p keeps the degree of f
-    and is squarefree.  f must be squarefree over Z: otherwise no prime is
-    good, and the generator never yields."""
+def _good_prime(f: Sequence) -> int:
+    """The first odd prime p for which f mod p keeps the degree of f and is
+    squarefree.  f must be squarefree over Z: otherwise no prime is good,
+    and the search never ends."""
     primes = (p for p in itertools.count(3, 2)
               if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
     for p in primes:
         fp = _pmod(f, p)
         if (len(fp) == len(f)
                 and len(_pgcd(fp, _pmod(poly_derivative(fp), p), p)) == 1):
-            yield p
+            return p
 
 
 def _distinct_degree(f: Coeffs, p: int) -> list:
@@ -504,7 +509,7 @@ def _zassenhaus(f: Coeffs, rng) -> list:
     and f(0) != 0, lifted from its factors modulo the first good prime."""
     if len(f) == 2:
         return [f]
-    p = next(_good_primes(f))
+    p = _good_prime(f)
     dd = _distinct_degree(_monic(_pmod(f, p), p), p)
     facs = [u for g, d in dd for u in _equal_degree(g, d, p, rng)]
     # every factor of f times lc(f) has coefficients below the bound
@@ -575,7 +580,9 @@ def factor_integer_poly(p: Sequence):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with big-integer coefficients."""
+    """Sparse Laurent polynomial with big-integer coefficients.  Exponents
+    and coefficients must be integers: bools, floats and strings raise
+    InputError."""
 
     __slots__ = ("_c",)
 
@@ -586,10 +593,11 @@ class LaurentPoly:
             items = coeffs
         c = {}
         for e, a in items:
+            e, a = as_integer(e, "exponent"), as_integer(a, "coefficient")
             if a:
-                c[int(e)] = c.get(int(e), 0) + int(a)
-                if not c[int(e)]:
-                    del c[int(e)]
+                c[e] = c.get(e, 0) + a
+                if not c[e]:
+                    del c[e]
         self._c = c
 
     @classmethod

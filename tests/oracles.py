@@ -247,8 +247,8 @@ def alexander_via_burau(b: BraidWord) -> LaurentPoly:
 def charpoly_signature(rows) -> int:
     """Signature of an exact rational symmetric matrix via Sturm counts on
     the characteristic polynomial (Faddeev-LeVerrier, exact, with
-    multiplicities recovered through iterated gcds)."""
-    from knotbench.polynomials import poly_degree, poly_derivative, poly_gcd
+    multiplicities recovered through iterated sympy gcds)."""
+    from knotbench.polynomials import poly_degree, poly_derivative
 
     n = len(rows)
     if n == 0:
@@ -281,7 +281,7 @@ def charpoly_signature(rows) -> int:
     while poly_degree(q) >= 1:
         pos += count_real_roots(q, 0, bound)
         neg += count_real_roots(q, -bound, 0)
-        q = poly_gcd(q, poly_derivative(q))
+        q = sympy_gcd(q, poly_derivative(q))
     return pos - neg
 
 

@@ -238,6 +238,12 @@ class TestAlgebraicAngle:
         with pytest.raises(InputError, match="width must be positive"):
             a.enclosure_to_width(width)
 
+    def test_box_without_a_sign_change_refused(self):
+        # x^2 - 2 is negative on all of [1/2, 1], which holds no root
+        a = AlgebraicAngle((-2, 0, 1), Fraction(1, 2), Fraction(1))
+        with pytest.raises(PreconditionError, match="opposite signs"):
+            a.enclosure_to_width(Fraction(1, 1000))
+
     def test_conjugate_pairing(self):
         a = AlgebraicAngle((-1, 1), Fraction(1, 2), Fraction(3, 2))
         u = a.conjugate()

@@ -27,7 +27,6 @@ from knotbench.polynomials import (
     poly_matrix_det,
     poly_mul,
     poly_neg,
-    poly_scale,
     poly_sign_at,
     poly_squarefree_part,
     poly_trim,
@@ -134,6 +133,44 @@ class TestCountRoots:
             assert count_real_roots(p, lo, hi) == expect
 
 
+class TestSquarefreeProducts:
+    """p = f g^2 and f g^3 against sympy: the squarefree part up to sign,
+    and Sturm boxes and counts of the distinct real roots."""
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_against_sympy(self, k):
+        import sympy
+
+        x = sympy.symbols("x")
+        rng = random.Random(70 + k)
+        checked = repeated = 0
+        while checked < 40:
+            f = poly_trim([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
+            g = poly_trim([rng.randint(-4, 4) for _ in range(rng.randint(2, 3))])
+            if len(g) < 2 or not f:
+                continue
+            checked += 1
+            p = poly_mul(f, _power(g, k))
+            sp = sympy.Poly(list(reversed(p)), x)
+            want = poly_trim(tuple(reversed(
+                [int(c) for c in sp.sqf_part().all_coeffs()])))
+            got = poly_squarefree_part(p)
+            assert got in (want, poly_neg(want)), p
+            roots = sympy.Poly(list(reversed(got)), x).real_roots()
+            # g has a root in (-8, 8), which p repeats
+            repeated += sympy.Poly(list(reversed(g)), x).count_roots(-8, 8) != 0
+            boxes = sturm_isolate(p, -8, 8)
+            inside = [r for r in roots if -8 < r < 8]
+            assert len(boxes) == len(inside), p
+            for (a, b), r in zip(boxes, inside):
+                assert a < r < b
+            lo, hi = sorted(Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                            for _ in range(2))
+            assert count_real_roots(p, lo, hi) == sum(
+                1 for r in roots if lo < r < hi), (p, lo, hi)
+        assert repeated > 10
+
+
 class TestSignAt:
     def test_matches_fraction_horner(self):
         rng = random.Random(13)
@@ -202,6 +239,13 @@ class TestRefineIsolatingInterval:
         with pytest.raises(PreconditionError, match="must not be roots"):
             refine_isolating_interval((-1, 1), Fraction(1), Fraction(2),
                                       Fraction(1, 8))
+
+    @pytest.mark.parametrize("lo, hi", [(2, 3), (-3, 3)])
+    def test_endpoints_of_equal_sign_rejected(self, lo, hi):
+        # x^2 - 2 is positive at both ends: (2, 3) holds no root, (-3, 3) two
+        with pytest.raises(PreconditionError, match="opposite signs"):
+            refine_isolating_interval((-2, 0, 1), Fraction(lo), Fraction(hi),
+                                      Fraction(1, 1000))
 
     def test_newton_steps_are_accepted(self, monkeypatch):
         # plain bisection needs about 333 sign evaluations for 2^-332; each
@@ -369,30 +413,36 @@ class TestIntegerRemainders:
                         for a, b in zip(want, want[1:]))
         assert gaps > 15
 
-    def test_gcd_against_sympy(self):
-        rng = random.Random(61)
-        for _ in range(150):
-            g = _sparse_negative_lc(rng, rng.randint(0, 4))
-            a = poly_mul(g, _sparse_negative_lc(rng, rng.randint(0, 5)))
-            b = poly_mul(g, _sparse_negative_lc(rng, rng.randint(0, 5)))
-            b = poly_scale(b, rng.choice((-6, -1, 1, 4)))
-            want = oracles.sympy_gcd(a, b)
-            assert polynomials.poly_gcd(a, b) == want, (a, b)
-            assert polynomials.poly_gcd(b, a) == want, (a, b)
-        assert polynomials.poly_gcd((), ()) == ()
-        assert polynomials.poly_gcd((0, -4, -6), ()) == (0, 2, 3)
+    def test_chains_of_non_squarefree_p_are_divided_classical(self):
+        # p = f g^k: the classical chain ends in gcd(p, p') of degree at
+        # least k - 1, and dividing each member by it gives the signs
+        rng = random.Random(67)
+        for _ in range(200):
+            g = _sparse_negative_lc(rng, rng.randint(1, 3))
+            p = poly_mul(_sparse_negative_lc(rng, rng.randint(0, 4)),
+                         _power(g, rng.choice((2, 3))))
+            want = oracles.classical_sturm_chain(p)
+            last = want[-1]
+            assert len(last) > 1, p
+            chain = polynomials.sturm_sequence(p)
+            assert len(chain) == len(want), p
+            assert len(chain[-1]) == 1, (p, chain)
+            for got, ref in zip(chain, want):
+                quo, rem = oracles.rational_divmod(ref, last)
+                assert not rem
+                assert all(type(c) is int for c in got)
+                assert _positive_multiple(got, quo), (p, got, quo)
 
     def test_kernel_creates_no_fraction(self, corpus, monkeypatch):
-        # squarefree parts, gcds and Sturm chains stay in Z: a Fraction
-        # created by the polynomial module fails the test
+        # Sturm chains, squarefree or not, stay in Z: a Fraction created
+        # by the polynomial module fails the test
         def refuse(*args):
             raise AssertionError("Fraction created in polynomial division")
 
         polys = [p for p in _knot_polys(corpus.values()) if len(p) > 1]
         monkeypatch.setattr(polynomials, "Fraction", refuse)
         for p in polys:
-            polynomials.sturm_sequence(poly_squarefree_part(p))
-            polynomials.poly_gcd(p, polynomials.poly_derivative(p))
+            polynomials.sturm_sequence(p)
 
 
 class TestFactorInteger:
@@ -589,6 +639,16 @@ class TestLaurentPoly:
             op(p)
         for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
             assert getattr(p, name)("x") is NotImplemented, name
+
+    @pytest.mark.parametrize("coeffs", [
+        {0.5: 1.7, 1: 2}, {1: 1.9, 0: -1, -1: 1}, {"1": "3"}, {1: "3"},
+        {True: 1}, {1: True}, [(1.0, 1)]],
+        ids=["float-both", "float-coefficient", "str-both", "str-coefficient",
+             "bool-exponent", "bool-coefficient", "float-exponent-pair"])
+    def test_non_integers_refused(self, coeffs):
+        # truncating them would answer for a different polynomial
+        with pytest.raises(InputError, match="is not an integer"):
+            LaurentPoly(coeffs)
 
     def test_reciprocal(self):
         p = LaurentPoly({2: 3, -1: 4})
