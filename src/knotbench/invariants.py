@@ -38,6 +38,7 @@ from .errors import InputError, PossiblySingularError, PreconditionError
 from .hermitian import hermitian_signature
 from .polynomials import (
     LaurentPoly,
+    _isolate,
     _quotient,
     count_roots_halfopen,
     cyclotomic_poly,
@@ -46,11 +47,9 @@ from .polynomials import (
     poly_mul,
     poly_primitive,
     poly_sign_at,
-    poly_squarefree_part,
     poly_to_str,
     poly_trim,
     refine_isolating_interval,
-    sturm_isolate,
     sturm_sequence,
 )
 from .seifert import SeifertMatrix, integer_determinant
@@ -330,9 +329,9 @@ def _arcs(p: tuple) -> tuple:
     (0, 1/2] that those roots cut, from theta = 0 on: r = tan(pi theta) in
     the x-gap between consecutive boxes, then None for the last arc, which
     holds theta = 1/2."""
-    ps = poly_squarefree_part(p)
-    boxes = sturm_isolate(p, Fraction(-2), Fraction(2)) if len(p) > 1 else []
-    boxes = _separate_boxes(ps, boxes)
+    chain = sturm_sequence(p)
+    ps = poly_primitive(chain[0])
+    boxes = _separate_boxes(ps, _isolate(chain, -2, 2))
     edges = [Fraction(2)] + [x for lo, hi in reversed(boxes) for x in (hi, lo)]
     points = [_tan_in_gap(edges[2 * k + 1], edges[2 * k])
               for k in range(len(boxes))]

@@ -263,7 +263,12 @@ def sturm_isolate(p: Sequence, lo, hi) -> list:
     midpoint, or, when that is a root, at the first non-root of the points
     halfway towards the left end.
     """
-    chain = sturm_sequence(p)
+    return _isolate(sturm_sequence(p), lo, hi)
+
+
+def _isolate(chain, lo, hi) -> list:
+    """``sturm_isolate`` from the Sturm chain of p, for a caller that
+    already holds it."""
     sf = chain[0]
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -426,8 +431,16 @@ def _ppow(b: Sequence, e: int, f: Sequence, m: int) -> Coeffs:
 
 def _good_prime(f: Sequence) -> int:
     """The first odd prime p for which f mod p keeps the degree of f and is
-    squarefree.  f must be squarefree over Z: otherwise no prime is good,
-    and the search never ends."""
+    squarefree.
+
+    For squarefree f of degree n, a prime is bad only if it divides
+    lc(f) disc(f), and disc(f) != 0 has |disc f| <= n^n ||f||_2^(2n-2)
+    (Mahler's bound).  So once the product of the rejected primes exceeds
+    |lc f| times that bound, f is not squarefree, and PreconditionError
+    is raised rather than searching on forever."""
+    n = len(f) - 1
+    bound = abs(f[-1]) * n ** n * sum(a * a for a in f) ** (n - 1)
+    rejected = 1
     primes = (p for p in itertools.count(3, 2)
               if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
     for p in primes:
@@ -435,6 +448,9 @@ def _good_prime(f: Sequence) -> int:
         if (len(fp) == len(f)
                 and len(_pgcd(fp, _pmod(poly_derivative(fp), p), p)) == 1):
             return p
+        rejected *= p
+        if rejected > bound:
+            raise PreconditionError(f"{poly_to_str(f)} is not squarefree")
 
 
 def _distinct_degree(f: Coeffs, p: int) -> list:

@@ -11,27 +11,59 @@ from .errors import InputError, as_integer, parse_json, read_text, record
 
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination that leaves
+    alone the rows with a zero in the pivot column.
+
+    Write p_k for the pivot of step k, and p_(-1) = 1.  Step k replaces
+    the entries j > k of each row i > k by (a_ij p_k - a_ik a_kj) / p_(k-1),
+    which is a minor of the row-permuted matrix, so the division is exact.
+    Where a_ik = 0, the step only multiplies row i by p_k / p_(k-1), so
+    the row is not touched: ``den[i]`` keeps p_(s-1), the divisor of the
+    step s at which the row was last exact.  After steps s, ..., k - 1
+    have skipped it, the stored row is the true one times
+    p_(s-1) / p_(k-1), a nonzero factor, so a zero test on it is exact.
+    Updating it at step k with the divisor p_(s-1) in place of p_(k-1)
+    gives the true new row, and the division is exact as the result is
+    again a minor.  A stale pivot row, swapped in or not, and the last
+    entry are scaled by p_(k-1) / p_(s-1) once, exactly for the same
+    reason.  A dense matrix skips no row and runs the classical
+    elimination.
+    """
     n = len(rows)
     if n == 0:
         return 1
     a = [[int(v) for v in row] for row in rows]
+    den = [1] * n
+    prev = 1  # p_(k-1)
     sign = 1
-    prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
+        ak = a[k]
+        if ak[k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+                    a[k], a[i] = a[i], ak
+                    den[k], den[i] = den[i], den[k]
+                    ak = a[k]
                     sign = -sign
                     break
             else:
                 return 0
+        d = den[k]
+        if d != prev:
+            for j in range(k, n):
+                ak[j] = ak[j] * prev // d
+        pk = ak[k]
         for i in range(k + 1, n):
+            row = a[i]
+            aik = row[k]
+            if aik == 0:
+                continue
+            d = den[i]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                row[j] = (row[j] * pk - aik * ak[j]) // d
+            den[i] = pk
+        prev = pk
+    return sign * (a[n - 1][n - 1] * prev // den[n - 1])
 
 
 def _array(x):

@@ -625,6 +625,29 @@ class TestArcBisection:
             assert realified_arc_signature(v, points[0]) == 0, v
 
 
+class TestOneSturmChainPerArcs:
+    def test_arcs_isolate_from_the_chain_of_the_squarefree_part(
+            self, corpus, monkeypatch):
+        # one remainder sequence per x-polynomial, with the squarefree part
+        # and boxes that poly_squarefree_part and sturm_isolate give
+        chains = []
+        sequence = invariants.sturm_sequence
+        monkeypatch.setattr(invariants, "sturm_sequence",
+                            lambda p: chains.append(p) or sequence(p))
+        rng = random.Random(71)
+        forms = (list(corpus.values())
+                 + [torus(p, q) for p, q in TORUS_FAMILY]
+                 + [random_seifert(rng, 1 + k % 4) for k in range(40)]
+                 + [UNKNOT, connected_sum(T23, T23), T25_MINUS_T23])
+        for v in forms:
+            p = x_polynomial(v)
+            del chains[:]
+            ps, boxes, _ = invariants._arcs(p)
+            assert chains == [p], v
+            assert ps == poly_squarefree_part(p), v
+            assert boxes == _separate_boxes(ps, sturm_isolate(p, -2, 2)), v
+
+
 class TestFiberedObstruction:
     def test_examples(self, trefoil):
         assert fibered_obstruction(trefoil, 1) is None

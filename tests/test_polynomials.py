@@ -465,6 +465,18 @@ class TestFactorInteger:
         with pytest.raises(BudgetExceededError, match="degree too large"):
             factor_integer_poly(tuple([1] * 26))
 
+    @pytest.mark.parametrize("f", [
+        (1, -2, 1),                        # (x - 1)^2
+        (3, 1, 6, 2, 3, 1),                # (x^2 + 1)^2 (x + 3)
+        (4, 12, 12, 4),                    # 4 (x + 1)^3
+        (5, 19, 16, -3, 4, 4),             # (2x + 1)^2 (x^3 - x + 5)
+    ])
+    def test_good_prime_refuses_non_squarefree(self, f):
+        # every prime is bad, so the search stops once the rejected primes
+        # multiply past lc(f) n^n ||f||^(2n - 2), the bound on |lc disc|
+        with pytest.raises(PreconditionError, match="is not squarefree"):
+            polynomials._good_prime(f)
+
     def test_product_reconstructs_input(self):
         rng = random.Random(5)
         for _ in range(30):

@@ -1,4 +1,5 @@
 import json
+import random
 import textwrap
 
 import pytest
@@ -12,6 +13,8 @@ from knotbench.seifert import (
     load_knot_table,
     mirror,
 )
+
+from conftest import torus
 
 
 class TestSeifertMatrix:
@@ -54,6 +57,133 @@ class TestSeifertMatrix:
         assert integer_determinant([[0, 1], [-1, 0]]) == 1
         assert integer_determinant([[2, 0], [0, 3]]) == 6
         assert integer_determinant([[1, 2], [2, 4]]) == 0
+
+
+def _berkowitz(m):
+    import sympy
+
+    return int(sympy.Matrix(m).det(method="berkowitz")) if m else 1
+
+
+def _banded(rng, n, lower):
+    return [[rng.randint(-4, 4) if -lower <= j - i <= 2 else 0
+             for j in range(n)] for i in range(n)]
+
+
+def _permuted(rng, m):
+    rows, cols = list(range(len(m))), list(range(len(m)))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[m[i][j] for j in cols] for i in rows]
+
+
+def _block_diagonal(rng, n):
+    m = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        end = min(n, start + rng.randint(1, 4))
+        for i in range(start, end):
+            for j in range(start, end):
+                m[i][j] = rng.randint(-5, 5)
+        start = end
+    return m
+
+
+def _sparse(rng, n):
+    density = rng.uniform(0.1, 1)
+    return [[rng.randint(-6, 6) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(n)]
+
+
+def _duplicate_row(rng, n):
+    m = _sparse(rng, n)
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        m[i] = list(m[j])
+    return m
+
+
+def _emptying_column(rng, n):
+    """Column c is a combination of the columns before it, so its entries
+    in rows c and below are 0 after step c - 1."""
+    m = _sparse(rng, n)
+    if n > 1:
+        c = rng.randrange(1, n)
+        coef = [rng.randint(-2, 2) for _ in range(c)]
+        for row in m:
+            row[c] = sum(a * row[t] for t, a in enumerate(coef))
+    return m
+
+
+def _stale_pivot(rng, n):
+    """A nonsingular s x s block over rows 0 .. s - 1, and below it rows
+    that are 0 in columns 0 .. s - 1, so steps 0 .. s - 1 skip them.  Rows
+    s .. n - 2 are 0 in column s too, so step s swaps in the last row,
+    skipped for s steps; the lower right block is a cyclic shift of a
+    triangular one with a nonzero diagonal, so the matrix is nonsingular."""
+    s = rng.randrange(1, n - 1)
+    while True:
+        m = [[rng.randint(-5, 5) if rng.random() < 0.6 else 0
+              for _ in range(n)] for _ in range(s)]
+        if _berkowitz([row[:s] for row in m]):
+            break
+    for i in range(s, n):
+        lead = s if i == n - 1 else i + 1
+        m.append([0] * lead + [rng.choice((-3, -1, 1, 2))]
+                 + [rng.randint(-5, 5) for _ in range(n - lead - 1)])
+    return m
+
+
+def _matrices():
+    rng = random.Random(20260417)
+    for n in range(13):
+        for lower in (1, 2, 3):
+            band = _banded(rng, n, lower)
+            yield f"banded{lower}-{n}", band
+            yield f"banded{lower}-permuted-{n}", _permuted(rng, band)
+        yield f"block-{n}", _block_diagonal(rng, n)
+        for t in range(3):
+            yield f"density-{n}-{t}", _sparse(rng, n)
+        yield f"duplicate-row-{n}", _duplicate_row(rng, n)
+        yield f"emptying-column-{n}", _emptying_column(rng, n)
+        if n >= 3:
+            for t in range(3):
+                yield f"stale-pivot-{n}-{t}", _stale_pivot(rng, n)
+
+
+class TestIntegerDeterminantAgainstSympy:
+    """Rows with a zero in the pivot column are left alone and scaled up
+    to date when next needed; these shapes skip rows for one step or
+    many, swap skipped rows in as pivots, and end singular."""
+
+    @pytest.mark.parametrize("name,m", list(_matrices()))
+    def test_matches_berkowitz(self, name, m):
+        assert integer_determinant(m) == _berkowitz(m)
+
+    def test_shapes_reach_every_case(self):
+        dets = {name: integer_determinant(m) for name, m in _matrices()}
+        assert dets["duplicate-row-12"] == dets["emptying-column-12"] == 0
+        assert all(d for name, d in dets.items()
+                   if name.startswith("stale-pivot"))
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (2, 7), (2, 9), (2, 13),
+                                     (2, 21), (3, 4), (3, 5), (4, 3),
+                                     (2, 41), (7, 8)])
+    def test_braid_forms_v_minus_k_vt(self, p, q):
+        """det(V - kV^T) = k^g Delta(k) for T(p, q), where t^g Delta(t) is
+        (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), 1 at t = 0 and t = 1.
+        Berkowitz checks every k up to genus 10; past it, where it takes
+        seconds per form, only k = 0, 2 and g."""
+        v = torus(p, q)
+        n, rows, g = v.size, v.rows, v.genus
+        for k in range(g + 1):
+            m = [[rows[i][j] - k * rows[j][i] for j in range(n)]
+                 for i in range(n)]
+            det = integer_determinant(m)
+            assert det == (1 if k < 2 else (k ** (p * q) - 1) * (k - 1)
+                           // ((k ** p - 1) * (k ** q - 1))), k
+            if g <= 10 or k in (0, 2, g):
+                assert det == _berkowitz(m), k
 
 
 class TestConnectedSumAndMirror:
