@@ -248,7 +248,7 @@ def cmd_magnus(args) -> None:
 
     w = parse_free_word(args.word)
     depth = magnus_depth(w, args.cutoff)
-    _emit(_report({"word": str(w), "cutoff": args.cutoff}, {
+    _emit(_report({"word": args.word, "cutoff": args.cutoff}, {
         "depth": depth if depth is not None else f">= {args.cutoff}",
         "word_reduced": str(w),
     }))

@@ -10,20 +10,15 @@ derived series; a symmetric grope of height h has class 2^h.
 On the group-theory side, formal commutator brackets carry weight (lower
 central class) and derived depth, and free-group words get their lower
 central depth from the truncated Magnus expansion x -> 1 + X over the free
-associative ring, with degrees packed into integers of signed slots
-(Kronecker substitution): the word g_1 ... g_d of 0-based generator
-indices has the slot sum g_i r^(i-1) at rank r.  Below the top two
-degrees, one integer holds a whole degree.  The top degree D, which the
-pass never reads, and degree D - 1 are split by their last letters into
-parts that are never shifted: degree D - 1 into r parts part[h], degree
-D into r^2 parts top[g][h] for the last two letters h g, each indexed by
-the first D - 2 letters.  A reader of single coefficients (Milnor
-invariants, say) can reassemble degree D as the sum of
-top[g][h] << bits (h r^(D-2) + g r^(D-1)), and degree D - 1 as the sum
-of part[h] << bits h r^(D-2).
-A word of length L has degree-d coefficients of at most C(L+d-1, d),
-largest at d = D, so slots one sign bit wider than C(L + D - 1, D) hold
-them all.
+associative ring.  Only the lowest nonzero degree matters, and it is a
+Lie element, so one pass per letter x_j reads just the coefficients of
+words that start with X_j, on the word with the earlier letters deleted
+(``magnus_depth`` gives the proof).  A pass packs each degree into an
+integer of signed slots (Kronecker substitution), splits the top degree
+by last letters and leaves out the block that ends in X_j.  The pass
+keeps no coefficient of a word that starts with another letter, so a
+reader of every coefficient (Milnor invariants, say) needs the whole
+expansion, packed degree by degree as in the tests' oracle.
 """
 
 from __future__ import annotations
@@ -359,33 +354,52 @@ def magnus_depth(w: FreeWord, cutoff: int = MAGNUS_CUTOFF_BUDGET) -> int | None:
     k-th but not the (k+1)-st lower central subgroup.  None means "no term
     below the cutoff", in particular for the identity.
 
-    The pass keeps degrees 0 .. D of M(w), D = cutoff - 1, and runs at
-    cutoff 3 when the cutoff is 1 or 2, dropping the degrees it did not
-    ask for.  Degree d <= D - 2 is one integer acc[d] of ``bits``-wide
-    signed slots; slot k holds the word whose generator indices are the
-    base-r digits of k, last letter most significant, so appending X_g
-    shifts by bits * g * r^(d-1).  Degree D - 1 is held as part[h], the
-    words ending in X_h with that letter dropped, and degree D as
-    top[g][h], the words ending in X_h X_g with both dropped; all of them
-    have r^(D-2) slots and are never shifted.  Appending X_g to a degree
-    D - 1 word ending in X_h gives a degree D word ending in X_h X_g, and
-    appending it to a degree D - 2 word one ending in X_g.  So a letter
-    x_g adds acc[d-1] X_g to acc[d], top degree first: top[g][h] +=
-    part[h] for every h, then part[g] += acc[D-2], then the shifts below.
-    A letter x_g^-1 solves new (1 + X_g) = acc by the same steps in
-    reverse order, subtracting the new values.
+    One pass per letter.  Let k be the depth of w.  The degree-k part P_k
+    of M(w) is a Lie element, since log M(w) is a Lie series whose lowest
+    term is P_k (Magnus; Chen, Fox and Lyndon, Ann. of Math. 68 (1958)),
+    and so is each of its multihomogeneous parts.  Order the letters
+    X_1 < X_2 < ...  In the Lyndon basis, P_l = l + larger words for a
+    Lyndon word l (Reutenauer, Free Lie Algebras (1993), Thm 5.1), so a
+    nonzero Lie element keeps, on its least Lyndon word with a nonzero
+    basis coefficient, that coefficient.  A Lyndon word starts with its
+    least letter.  So a nonzero multihomogeneous part of P_k either has a
+    nonzero coefficient on a word that starts with X_1, or holds no X_1 at
+    all.  X_1 = 0 is a ring map that sends M(w) to M(w') for w' the word w
+    with x_1 deleted and freely reduced, and depth(w') >= k.  Hence
+    depth(w) = min(the least d with a nonzero X_1-initial coefficient,
+    depth(w')), and depth(w') follows in the same way from X_2, and so on.
+    Pass j reads only the coefficients of words that start with X_j, on
+    the word with x_1 .. x_(j-1) deleted; it is skipped when x_j is
+    absent, runs below the least depth found so far, and the loop stops at
+    depth 1 or at the empty word.
+
+    The pass keeps degrees 1 .. D, D = cutoff - 1, and runs at cutoff 3
+    when the cutoff is 1 or 2, dropping the degrees it did not ask for.
+    Degree 1 is the scalar coefficient of X_j.  Degree 2 <= d < D is one
+    integer acc[d - 1] of ``bits``-wide signed slots: the word X_j u has
+    slot k when the letter indices of u, less j, are the base-(r - j + 1)
+    digits of k, last letter most significant, so appending X_g shifts
+    the degree-d integer by bits * (g - j) * (r - j + 1)^(d - 1).  Degree
+    D is held as top[g - j], the words X_j u X_g with X_g dropped, which
+    are never shifted.  Its block g = j is left out: when the lower
+    degrees of M of the pass's word are zero, a nonzero multihomogeneous
+    part of degree D >= 2 that holds X_j has a nonzero coefficient on its
+    least Lyndon word, which starts with X_j and ends in a greater
+    letter, as a Lyndon word is less than its last letter.  When a lower
+    degree is nonzero the pass may miss a degree-D term, but a later pass
+    then finds a depth below D.  A letter x_g adds the degree-(d-1) part
+    times X_g to degree d, top degree first, then adds X_j to degree 1
+    when g = j; a letter x_g^-1 solves new (1 + X_g) = old by the same
+    steps in reverse order, subtracting the new values.
 
     Zero tests.  A coefficient of degree d <= D of a word of L letters
     sums at most C(L+d-1, d) terms +-1 (one per way of spreading its d
-    letters, in order, over the L factors), and this grows with d,
-    so |c| <= C(L+D-1, D) < 2^(bits-1) for every coefficient of every
-    prefix.  An integer sum c_k 2^(bits k) of such slots with a highest
-    nonzero c_k is nonzero, since the lower slots sum to less than
-    2^(bits k) in absolute value; so each integer is 0 exactly when all
-    its coefficients are.  The parts of degree D - 1 (and of D) hold
-    disjoint sets of its words, together all of them, so the degree is
-    zero exactly when every part is: any(part) and any(map(any, top))
-    are exact.
+    letters, in order, over the L factors), and this grows with d, so
+    |c| <= C(L+D-1, D) < 2^(bits-1) for every coefficient of every prefix
+    of the pass's word, L its length.  An integer sum c_k 2^(bits k) of
+    such slots with a highest nonzero c_k is nonzero, since the lower
+    slots sum to less than 2^(bits k) in absolute value; so each integer
+    is 0 exactly when all its coefficients are.
     """
     cutoff = as_integer(cutoff, "cutoff")
     if w.rank > MAGNUS_RANK_BUDGET:
@@ -393,31 +407,44 @@ def magnus_depth(w: FreeWord, cutoff: int = MAGNUS_CUTOFF_BUDGET) -> int | None:
     if not 1 <= cutoff <= MAGNUS_CUTOFF_BUDGET:
         raise BudgetExceededError(
             f"cutoff {cutoff} outside 1..{MAGNUS_CUTOFF_BUDGET}")
-    r, top_degree = w.rank, max(cutoff, 3) - 1
-    bits = comb(len(w.letters) + top_degree - 1, top_degree).bit_length() + 1
-    up = [[(d, d - 1, bits * g * r ** (d - 1))
-           for d in range(top_degree - 2, 0, -1)] for g in range(r)]
+    letters, depth = w.letters, cutoff
+    for j in range(1, w.rank + 1):
+        if not letters or depth == 1:
+            break
+        if j in letters or -j in letters:
+            depth = _initial_depth(letters, w.rank, j, depth)
+        letters = FreeWord(w.generators,
+                           [x for x in letters if abs(x) != j]).letters
+    return depth if depth < cutoff else None
+
+
+def _initial_depth(letters: Sequence, r: int, j: int, cutoff: int) -> int:
+    """The least d < cutoff with a nonzero coefficient of M on a word that
+    starts with X_j, for a word with letters of index j .. r only; cutoff
+    when there is none (see ``magnus_depth`` for degree cutoff - 1)."""
+    top_degree, base = max(cutoff, 3) - 1, r - j + 1
+    bits = comb(len(letters) + top_degree - 1, top_degree).bit_length() + 1
+    up = [[(d, bits * g * base ** (d - 1))
+           for d in range(top_degree - 2, 0, -1)] for g in range(base)]
     down = [steps[::-1] for steps in up]
-    acc = [1] + [0] * (top_degree - 2)
-    part = [0] * r
-    top = [[0] * r for _ in range(r)]
-    last = range(r)
-    for x in w.letters:
+    acc = [0] * (top_degree - 1)
+    top = [0] * base
+    for x in letters:
         if x > 0:
-            g = x - 1
-            top_g = top[g]
-            for h in last:
-                top_g[h] += part[h]
-            part[g] += acc[-1]
-            for d, e, s in up[g]:
-                acc[d] += acc[e] << s
+            g = x - j
+            if g:
+                top[g] += acc[-1]
+            for d, s in up[g]:
+                acc[d] += acc[d - 1] << s
+            if not g:
+                acc[0] += 1
         else:
-            g = -x - 1
-            for d, e, s in down[g]:
-                acc[d] -= acc[e] << s
-            part[g] -= acc[-1]
-            top_g = top[g]
-            for h in last:
-                top_g[h] -= part[h]
-    nonzero = [*map(bool, acc[1:]), any(part), any(map(any, top))]
-    return next((d for d in range(1, cutoff) if nonzero[d - 1]), None)
+            g = -x - j
+            if not g:
+                acc[0] -= 1
+            for d, s in down[g]:
+                acc[d] -= acc[d - 1] << s
+            if g:
+                top[g] -= acc[-1]
+    nonzero = [*map(bool, acc), any(top)]
+    return next((d for d in range(1, cutoff) if nonzero[d - 1]), cutoff)

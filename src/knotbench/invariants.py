@@ -217,23 +217,26 @@ def _tan_in_gap(x_lo: Fraction, x_hi: Fraction) -> Fraction:
         m += 1
 
 
-def _arc_index(ps: tuple, theta: Fraction) -> int:
+def _arc_index(chain: list, theta: Fraction) -> int:
     """The index of theta's arc in (0, 1/2], from theta = 0 on, among the
-    arcs that the roots of the squarefree x-polynomial ps cut: the number
-    of roots of ps in (x, 2) for x = 2cos(2 pi theta), which theta and
-    1 - theta share.  x is enclosed at a precision that doubles until the
-    enclosure misses every root.  Raises PreconditionError for theta
-    outside (0, 1), and PossiblySingularError when theta is a jump, that
-    is when omega is a root of Delta."""
+    arcs that the roots of the squarefree x-polynomial ps cut, given a
+    Sturm chain of ps: the number of roots of ps in (x, 2) for
+    x = 2cos(2 pi theta), which theta and 1 - theta share.  The chain's
+    first member, a nonzero multiple of ps, stands in for ps: it has the
+    same roots, and each Psi_n divides it when it divides ps.  x is
+    enclosed at a precision that doubles until the enclosure misses every
+    root.  Raises PreconditionError for theta outside (0, 1), and
+    PossiblySingularError when theta is a jump, that is when omega is a
+    root of Delta."""
     from .intervals import cos_2pi
 
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise PreconditionError("theta must lie in (0, 1)")
+    ps = chain[0]
     if _omega_is_alexander_root(ps, theta):
         raise PossiblySingularError(
             "possibly singular: omega is a root of the Alexander polynomial")
-    chain = sturm_sequence(ps)
     prec = _BASE_PREC
     while True:
         c = cos_2pi(theta, prec)
@@ -262,8 +265,8 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction) -> int:
     theta = Fraction(theta)
     if theta == Fraction(1, 2):
         return _arc_signature(v, None)
-    ps, _, points = _arcs(x_polynomial(v))
-    return _arc_signature(v, points[_arc_index(ps, theta)])
+    chain, _, points = _arcs(x_polynomial(v))
+    return _arc_signature(v, points[_arc_index(chain, theta)])
 
 
 def _laurent_to_x(delta: LaurentPoly) -> tuple:
@@ -308,7 +311,7 @@ class SignatureStepFunction(namedtuple(
         return self.half + self.half[-2::-1]
 
     def value_at(self, theta: Fraction) -> int:
-        return self.half[_arc_index(self.x_poly, theta)]
+        return self.half[_arc_index(sturm_sequence(self.x_poly), theta)]
 
 
 def _separate_boxes(ps: tuple, boxes: list) -> list:
@@ -324,18 +327,19 @@ def _separate_boxes(ps: tuple, boxes: list) -> list:
 
 
 def _arcs(p: tuple) -> tuple:
-    """The squarefree part ps of the x-polynomial p, separated Sturm boxes
-    of its roots in (-2, 2), ascending, and one point per arc of theta in
-    (0, 1/2] that those roots cut, from theta = 0 on: r = tan(pi theta) in
-    the x-gap between consecutive boxes, then None for the last arc, which
-    holds theta = 1/2."""
+    """The Sturm chain of the x-polynomial p, which is a chain of its
+    squarefree part ps = poly_primitive(chain[0]); separated Sturm boxes
+    of the roots of ps in (-2, 2), ascending; and one point per arc of
+    theta in (0, 1/2] that those roots cut, from theta = 0 on:
+    r = tan(pi theta) in the x-gap between consecutive boxes, then None
+    for the last arc, which holds theta = 1/2."""
     chain = sturm_sequence(p)
     ps = poly_primitive(chain[0])
     boxes = _separate_boxes(ps, _isolate(chain, -2, 2))
     edges = [Fraction(2)] + [x for lo, hi in reversed(boxes) for x in (hi, lo)]
     points = [_tan_in_gap(edges[2 * k + 1], edges[2 * k])
               for k in range(len(boxes))]
-    return ps, boxes, points + [None]
+    return chain, boxes, points + [None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -474,7 +478,8 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     multiplicity of x_j = 2cos 2 pi theta_j as a root of P, at most m.
     """
     p = x_polynomial(v)
-    ps, boxes, points = _arcs(p)
+    chain, boxes, points = _arcs(p)
+    ps = poly_primitive(chain[0])
     low = _jumps(ps, boxes)
     half = _arc_values(v, points, len(p) - len(ps) + 1)
     return SignatureStepFunction(low, half, ps, _lift(p))

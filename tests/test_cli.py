@@ -503,6 +503,16 @@ class TestGropeAndMagnus:
         code, out, _ = run(capsys, "magnus", "x x^-1", "--cutoff", "6")
         assert json.loads(out)["results"]["depth"] == ">= 6"
 
+    def test_magnus_echoes_the_word_as_given(self, capsys):
+        # input.word is the request; results.word_reduced its reduction
+        for word, reduced in (("x x^-1", "1"), ("x  y y^-1 z", "x z"),
+                              ("x y x^-1 y^-1", "x y x^-1 y^-1")):
+            code, out, _ = run(capsys, "magnus", word)
+            payload = json.loads(out)
+            assert code == 0
+            assert payload["input"]["word"] == word
+            assert payload["results"]["word_reduced"] == reduced
+
     def test_magnus_budget_exit(self, capsys):
         code, _, err = run(capsys, "magnus", "x", "--cutoff", "12")
         assert code == 2

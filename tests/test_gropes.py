@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from knotbench import gropes
 from knotbench.errors import BudgetExceededError, InputError, PreconditionError
 from knotbench.gropes import (
     Bracket,
@@ -321,10 +322,10 @@ class TestMagnus:
                 assert magnus_depth(w, cutoff) == 1, (k, cutoff)
 
     def test_matches_packed_oracle(self):
-        # the kernel splits degrees cutoff - 2 and cutoff - 1 by their last
-        # letters; the oracle packs every degree whole.  Words of weight
-        # cutoff - 2, cutoff - 1 and cutoff put the answer in each part
-        # of the split and past it
+        # the kernel reads only words that start with each pass's letter
+        # and splits degree cutoff - 1 by last letters; the oracle packs
+        # every degree whole.  Words of weight cutoff - 2, cutoff - 1 and
+        # cutoff put the answer below the split, in it and past it
         rng = random.Random(29)
         words = [left_normed(idx) for wgt in range(2, 7)
                  for idx in itertools.product("xyz", repeat=wgt)
@@ -356,3 +357,79 @@ class TestMagnus:
                     want = wgt if wgt < cutoff else None
                     assert magnus_depth_packed(w, cutoff) == want
                     assert magnus_depth(w, cutoff) == want, (str(w), cutoff)
+
+
+class TestMagnusLyndonPasses:
+    """Words whose depth only a pass after the first finds: the part of
+    M(w) on words that start with the least letter X_1 is zero below the
+    depth, and the depth is read after x_1 (and maybe x_2) is deleted."""
+
+    @staticmethod
+    def over(names, w):
+        return parse_free_word(str(w), names)
+
+    def test_conjugate_of_a_later_commutator(self):
+        w = parse_free_word("x y z y^-1 z^-1 x^-1")
+        assert gropes._initial_depth(w.letters, 3, 1, 8) == 3
+        assert magnus_depth(w, 8) == 2
+        assert_matches_full_product(w)
+
+    def test_conjugates_by_earlier_letters(self):
+        # c u c^-1 with u over the letters after those of c: X_1-initial
+        # terms start one degree above the depth of u
+        for c in ("x", "x^-1", "x y^-1", "x x y", "x^-1 y x", "y x"):
+            for u in ("y z y^-1 z^-1", "z y z^-1 y^-1 z", "y", "y y z^-1",
+                      "y z y^-1 z^-1 y z^-1 y^-1 z"):
+                cw, uw = (parse_free_word(t, "xyz") for t in (c, u))
+                assert_matches_full_product(cw * uw * cw.inverse())
+
+    def test_rank_4_lowest_term_in_z_and_w(self):
+        # the lowest term lives in {z, w}: the passes over x and y find
+        # nothing below it, the pass over z finds it
+        inner = [bracket_word(left_normed(idx)) for idx in
+                 ("zw", "wz", "zwz", "wzw", "zwzw", "zwwz")]
+        outer = [parse_free_word(t, "xyzw") for t in
+                 ("x", "y", "x y", "y^-1 x", "x y x^-1", "y x y")]
+        for u in inner:
+            u = self.over("xyzw", u)
+            for c in outer:
+                w = c * u * c.inverse()
+                assert magnus_depth(w, 8) == magnus_depth(u, 8)
+                assert_matches_full_product(w)
+                assert_matches_full_product(c * u * c.inverse() * u)
+
+    def test_top_degree_brackets_over_later_letters(self):
+        # weight cutoff - 1 puts the lowest term at the top degree, whose
+        # block of words ending in X_j each pass leaves out
+        rng = random.Random(61)
+        for cutoff in range(3, 9):
+            for _ in range(2):
+                names = rng.sample("yzw", rng.randint(2, 3))
+                idx = rng.sample(names, 2) + rng.choices(names, k=cutoff - 3)
+                u = self.over("xyzw", bracket_word(left_normed(idx)))
+                for c in ("", "x", "x^-1 y"):
+                    cw = parse_free_word(c, "xyzw")
+                    w = cw * u * cw.inverse()
+                    assert magnus_depth(w, cutoff) == cutoff - 1
+                    assert magnus_depth(w, cutoff - 1) is None
+                    assert_matches_full_product(w)
+
+    def test_seeded_conjugated_words(self):
+        # words built from later letters, then conjugated by earlier ones
+        rng = random.Random(83)
+        for _ in range(300):
+            r = rng.randint(2, 4)
+            names = "xyzw"[:r]
+            lo = rng.randint(2, r)
+
+            def rand_word(first, k):
+                return FreeWord(names, [rng.randint(first, r)
+                                        * rng.choice((1, -1))
+                                        for _ in range(rng.randint(1, k))])
+
+            w = rand_word(lo, 4)
+            for _ in range(rng.randint(0, 2)):
+                u = rand_word(lo, 3)
+                w = w * u * w.inverse() * u.inverse()
+            c = rand_word(1, 3)
+            assert_matches_full_product(c * w * c.inverse())

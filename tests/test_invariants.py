@@ -36,9 +36,9 @@ from knotbench.invariants import (
 from knotbench.intervals import cos_2pi
 from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly,
                                    count_real_roots, cyclotomic_poly,
-                                   poly_eval, poly_mul, poly_sign_at,
-                                   poly_squarefree_part, poly_trim,
-                                   sturm_isolate)
+                                   poly_eval, poly_mul, poly_primitive,
+                                   poly_sign_at, poly_squarefree_part,
+                                   poly_trim, sturm_isolate)
 from knotbench.seifert import (SeifertMatrix, UNKNOT, connected_sum,
                                integer_determinant, mirror)
 
@@ -642,10 +642,32 @@ class TestOneSturmChainPerArcs:
         for v in forms:
             p = x_polynomial(v)
             del chains[:]
-            ps, boxes, _ = invariants._arcs(p)
+            chain, boxes, _ = invariants._arcs(p)
             assert chains == [p], v
+            ps = poly_primitive(chain[0])
             assert ps == poly_squarefree_part(p), v
             assert boxes == _separate_boxes(ps, sturm_isolate(p, -2, 2)), v
+
+
+class TestOneSturmChainPerLevineTristram:
+    def test_levine_tristram_reuses_the_chain_of_arcs(
+            self, corpus, monkeypatch):
+        # _arcs builds the remainder sequence of the x-polynomial, and
+        # _arc_index counts roots with that same chain
+        chains = []
+        sequence = invariants.sturm_sequence
+        monkeypatch.setattr(invariants, "sturm_sequence",
+                            lambda p: chains.append(p) or sequence(p))
+        forms = (list(corpus.values())
+                 + [torus(p, q) for p, q in TORUS_FAMILY[:4]]
+                 + [UNKNOT, connected_sum(T23, T23), T25_MINUS_T23])
+        for v in forms:
+            p = x_polynomial(v)
+            for theta in (Fraction(1, 7), Fraction(2, 5), Fraction(5, 9)):
+                del chains[:]
+                sigma = levine_tristram(v, theta)
+                assert chains == [p], (v, theta)
+                assert sigma == signature_function(v).value_at(theta)
 
 
 class TestFiberedObstruction:
