@@ -23,7 +23,7 @@ expansion, packed degree by degree as in the tests' oracle.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb
 
@@ -298,6 +298,19 @@ class FreeWord(record("FreeWord", "generators letters")):
         return " ".join(out)
 
 
+def _free_reduce(letters: Iterable[int]) -> tuple:
+    """The free reduction of int letters already known to be valid: a
+    letter that cancels the last one kept (x after -x) deletes both, as in
+    ``FreeWord``, which also validates each letter."""
+    reduced: list = []
+    for x in letters:
+        if reduced and reduced[-1] == -x:
+            reduced.pop()
+        else:
+            reduced.append(x)
+    return tuple(reduced)
+
+
 def parse_free_word(text: str, generators: Sequence[str] | None = None) -> FreeWord:
     """Parse space-separated tokens like "x y x^-1 y^-1"."""
     tokens = text.split()
@@ -413,8 +426,7 @@ def magnus_depth(w: FreeWord, cutoff: int = MAGNUS_CUTOFF_BUDGET) -> int | None:
             break
         if j in letters or -j in letters:
             depth = _initial_depth(letters, w.rank, j, depth)
-        letters = FreeWord(w.generators,
-                           [x for x in letters if abs(x) != j]).letters
+        letters = _free_reduce(x for x in letters if abs(x) != j)
     return depth if depth < cutoff else None
 
 

@@ -3,26 +3,29 @@
 Everything here is exact and starts from one integer polynomial.  For a
 2g x 2g Seifert matrix V, det(V - tV^T) = t^g P(t + 1/t) for an integer
 polynomial P of degree at most g, the x-polynomial; it is interpolated
-from the integer determinants det(V - kV^T) at k = 0, 2, 3, ..., g
-(k = 1 gives 1 for every Seifert matrix).  The Alexander polynomial is
+from the integer determinants det(V - kV^T) at k = 0, 2, 3, ..., g (k = 1
+gives 1 for every Seifert matrix).  The Alexander polynomial is
 Delta(t) = P(t + 1/t).  The substitution x = t + 1/t turns unit-circle
 roots of Delta into real roots of P in (-2, 2), so jump angles of the
 signature function are kept as algebraic numbers through P; a jump at a
 root of unity, found by trial division by the cyclotomic factors Psi_n,
-also keeps its exact angle k/n.  The Fox-Milnor condition is decided by
-factoring P and, where needed, the lifts t^d Q(t + 1/t) of its
-irreducible factors Q.  The signature is constant on the arcs between
-the jumps.  The first arc is 0 and each jump is at most 2m for the
-largest root multiplicity m of P, so ``signature_function`` runs an exact
-Hermitian elimination over Z[i], at one rational point
-tan(pi theta) = p/q of an arc, only on the arcs whose value those bounds
-leave open; intervals only locate a given theta among the roots.
+also keeps its exact angle k/n.  Roots are isolated by Sturm's method only
+when some root of P in (-2, 2) is not at a root of unity: the jumps of a
+torus knot, all at roots of unity, are boxed from their exact angles.
+The Fox-Milnor condition is decided by factoring P and, where needed, the
+lifts t^d Q(t + 1/t) of its irreducible factors Q.  The signature is
+constant on the arcs between the jumps.  The first arc is 0 and each jump
+is at most 2m for the largest root multiplicity m of P, so
+``signature_function`` runs an exact Hermitian elimination over Z[i], at
+one rational point tan(pi theta) = p/q of an arc, only on the arcs whose
+value those bounds leave open; intervals only box the jumps at roots of
+unity and locate a given theta among the roots.
 
 Delta, the determinant, Arf (the determinant mod 8, by Levine's rule) and
 sigma(-1) = sign(V + V^T) are integers and need no interval arithmetic.
-``intervals`` is imported only inside the three functions that enclose a
-jump angle or a given theta: ``_arc_index``, ``_jumps`` and
-``signature_csv``.  So the ``invariants`` and ``table`` commands never
+``intervals`` is imported only inside the four functions that enclose a
+jump angle or a given theta: ``_arc_index``, ``_unit_box``, ``_jumps``
+and ``signature_csv``.  So the ``invariants`` and ``table`` commands never
 load it; ``rho`` and ``sigfn`` do.
 """
 
@@ -101,9 +104,10 @@ def x_polynomial(v: SeifertMatrix) -> tuple:
     k = 1 is det(V - V^T) = 1 for every Seifert matrix, so
     P(2) = Delta(1) = 1.
     """
-    g, rows, n = v.genus, v.rows, v.size
+    g, rows = v.genus, v.rows
+    pairs = list(zip(rows, zip(*rows)))  # (row i of V, row i of V^T)
     ys = [1 if k == 1 else integer_determinant(
-        [[rows[i][j] - k * rows[j][i] for j in range(n)] for i in range(n)])
+        [[a - k * b for a, b in zip(row, col)] for row, col in pairs])
           for k in range(g + 1)]
     w, d = _x_interpolant(g)
     return poly_trim([sum(c * y for c, y in zip(row, ys)) // d for row in w])
@@ -217,26 +221,32 @@ def _tan_in_gap(x_lo: Fraction, x_hi: Fraction) -> Fraction:
         m += 1
 
 
+def _check_theta(p: tuple, theta: Fraction) -> Fraction:
+    """theta as a Fraction, checked with no Sturm chain: PreconditionError
+    outside (0, 1), and PossiblySingularError when theta is a jump, that
+    is when omega is a root of Delta, for the x-polynomial or its
+    squarefree part ``p`` (``_omega_is_alexander_root``)."""
+    theta = Fraction(theta)
+    if not 0 < theta < 1:
+        raise PreconditionError("theta must lie in (0, 1)")
+    if _omega_is_alexander_root(p, theta):
+        raise PossiblySingularError(
+            "possibly singular: omega is a root of the Alexander polynomial")
+    return theta
+
+
 def _arc_index(chain: list, theta: Fraction) -> int:
     """The index of theta's arc in (0, 1/2], from theta = 0 on, among the
     arcs that the roots of the squarefree x-polynomial ps cut, given a
     Sturm chain of ps: the number of roots of ps in (x, 2) for
     x = 2cos(2 pi theta), which theta and 1 - theta share.  The chain's
     first member, a nonzero multiple of ps, stands in for ps: it has the
-    same roots, and each Psi_n divides it when it divides ps.  x is
-    enclosed at a precision that doubles until the enclosure misses every
-    root.  Raises PreconditionError for theta outside (0, 1), and
-    PossiblySingularError when theta is a jump, that is when omega is a
-    root of Delta."""
+    same roots.  x is enclosed at a precision that doubles until the
+    enclosure misses every root, which ends for a theta that passed
+    ``_check_theta``, as x is then no root."""
     from .intervals import cos_2pi
 
-    theta = Fraction(theta)
-    if not 0 < theta < 1:
-        raise PreconditionError("theta must lie in (0, 1)")
     ps = chain[0]
-    if _omega_is_alexander_root(ps, theta):
-        raise PossiblySingularError(
-            "possibly singular: omega is a root of the Alexander polynomial")
     prec = _BASE_PREC
     while True:
         c = cos_2pi(theta, prec)
@@ -255,18 +265,20 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction) -> int:
     signature is that of V + V^T, taken directly: omega = -1 is never a
     root of Delta, as |Delta(-1)| = |det(V + V^T)| and V + V^T = V - V^T
     mod 2 give det(V + V^T) = det(V - V^T) = 1 mod 2.  Elsewhere it is the
-    signature at the rational point that ``_arcs`` picks on theta's arc,
+    signature at the rational point that ``_arcs`` gives theta's arc,
     found by ``_arc_index``.  It is always evaluated, also on the arcs
     whose value ``signature_function`` infers, and it equals
     ``signature_function(v).value_at(theta)``, errors included.  Raises
     PreconditionError for theta outside (0, 1), and PossiblySingularError
-    when omega is a root of Delta.
+    when omega is a root of Delta, before any Sturm chain is built.
     """
     theta = Fraction(theta)
     if theta == Fraction(1, 2):
         return _arc_signature(v, None)
-    chain, _, points = _arcs(x_polynomial(v))
-    return _arc_signature(v, points[_arc_index(chain, theta)])
+    p = x_polynomial(v)
+    theta = _check_theta(p, theta)
+    chain, _, _, point = _arcs(p)
+    return _arc_signature(v, point(_arc_index(chain, theta)))
 
 
 def _laurent_to_x(delta: LaurentPoly) -> tuple:
@@ -296,8 +308,9 @@ class SignatureStepFunction(namedtuple(
     values on the arcs between them, from theta = 0 to the arc holding 1/2.
     ``jumps`` and ``values`` mirror them onto the whole circle.  The value
     exactly at a jump is not defined: ``value_at`` raises
-    PossiblySingularError there, as ``levine_tristram`` does.  ``x_poly``
-    is the squarefree part of the x-polynomial.
+    PossiblySingularError there, as ``levine_tristram`` does, and it
+    checks theta before it builds the one Sturm chain a call needs.
+    ``x_poly`` is the squarefree part of the x-polynomial.
     """
 
     __slots__ = ()
@@ -311,6 +324,7 @@ class SignatureStepFunction(namedtuple(
         return self.half + self.half[-2::-1]
 
     def value_at(self, theta: Fraction) -> int:
+        theta = _check_theta(self.x_poly, theta)
         return self.half[_arc_index(sturm_sequence(self.x_poly), theta)]
 
 
@@ -327,19 +341,101 @@ def _separate_boxes(ps: tuple, boxes: list) -> list:
 
 
 def _arcs(p: tuple) -> tuple:
-    """The Sturm chain of the x-polynomial p, which is a chain of its
-    squarefree part ps = poly_primitive(chain[0]); separated Sturm boxes
-    of the roots of ps in (-2, 2), ascending; and one point per arc of
-    theta in (0, 1/2] that those roots cut, from theta = 0 on:
-    r = tan(pi theta) in the x-gap between consecutive boxes, then None
-    for the last arc, which holds theta = 1/2."""
+    """The arcs of theta in (0, 1/2] that the roots of the x-polynomial p
+    cut, as (chain, boxes, angles, point).
+
+    ``chain`` is the Sturm chain of p, a chain of its squarefree part
+    ps = poly_primitive(chain[0]).  ``boxes`` holds an x-box (lo, hi) for
+    each root of ps in (-2, 2), from the top root down, that is in
+    ascending theta: box k holds the k-th jump.  ``angles`` lists the
+    exact angles (k/n, n), ascending, of the roots of the Psi_n that
+    divide ps.  ``point(k)`` is r = tan(pi theta) at a rational point of
+    arc k, the arc between jumps k - 1 and k, found by ``_tan_in_gap``
+    only when asked; the last arc, which holds theta = 1/2, gives None.
+
+    The chain counts the roots of ps in (-2, 2), as neither end is a root
+    of an x-polynomial: P(2) = Delta(1) = 1, and P(-2) = Delta(-1) is odd.
+    All deg Psi_n roots of a Psi_n that divides ps are among them, so only
+    the n of ``_cyclotomic_candidates(count)`` can divide it, and each
+    that does is divided out in turn.  When these account for every root,
+    as for every torus knot, the roots are the 2cos(2 pi k/n) of
+    ``angles``, which descend as theta ascends, and box k is the
+    ``_unit_box`` of the k-th angle: nothing is isolated.  Otherwise the
+    roots of ps are isolated on its chain, and each box is refined until
+    it lies strictly below the one above it and below 2.
+
+    A point of arc k lies in the open x-gap between the top of box k and
+    the bottom of box k - 1 (or 2, for k = 0).  A root at a jump j >= k is
+    at most the root in box k, so at most the top of box k, and a root at
+    a jump j < k is at least the bottom of box k - 1; so the gap holds no
+    root, and a point in it lies on arc k.  Unit boxes are not separated
+    up front, so two may overlap, or the top one reach 2.  Only when an
+    arc is asked for across such a pair are its two ends taken again from
+    ``_unit_box`` at a precision that doubles until the gap opens, which
+    it does, as both enclosures shrink to their own, distinct roots.
+    """
     chain = sturm_sequence(p)
     ps = poly_primitive(chain[0])
-    boxes = _separate_boxes(ps, _isolate(chain, -2, 2))
-    edges = [Fraction(2)] + [x for lo, hi in reversed(boxes) for x in (hi, lo)]
-    points = [_tan_in_gap(edges[2 * k + 1], edges[2 * k])
-              for k in range(len(boxes))]
-    return chain, boxes, points + [None]
+    left = count_roots_halfopen(chain, -2, 2)
+    ns, rest = [], ps
+    for n in _cyclotomic_candidates(left):
+        psi = _psi(n)
+        if len(psi) - 1 > left:
+            continue
+        q = _quotient(rest, psi)
+        if q is None:
+            continue
+        rest, left = q, left - (len(psi) - 1)
+        ns.append(n)
+        if not left:
+            break
+    angles = sorted((Fraction(k, n), n) for n in ns
+                    for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
+    if left:
+        boxes = _separate_boxes(ps, _isolate(chain, -2, 2))[::-1]
+    else:
+        boxes = [_unit_box(theta, n) for theta, n in angles]
+
+    def point(k: int) -> Fraction | None:
+        if k == len(boxes):
+            return None
+        x_lo, x_hi = boxes[k][1], boxes[k - 1][0] if k else Fraction(2)
+        prec = _BASE_PREC
+        while x_lo >= x_hi:  # only unit boxes are not separated
+            prec *= 2
+            x_lo = _unit_box(*angles[k], prec)[1]
+            if k:
+                x_hi = _unit_box(*angles[k - 1], prec)[0]
+        return _tan_in_gap(x_lo, x_hi)
+
+    return chain, boxes, angles, point
+
+
+def _unit_box(theta: Fraction, n: int, prec: int = _BASE_PREC) -> tuple:
+    """An x-box (lo, hi) that holds x = 2cos(2 pi theta), theta = k/n with
+    gcd(k, n) = 1 and 0 < k < n/2, and no other root of Psi_n, with no
+    root of Psi_n at either end: 2 times the ``cos_2pi`` enclosure of
+    cos(2 pi theta), at ``prec`` bits doubled until it is narrower than
+    16/n^2.
+
+    Distinct roots of Psi_n are at least 16/n^2 apart.  For
+    0 < k < j < n/2 they differ by
+    2cos(2 pi k/n) - 2cos(2 pi j/n) = 4 sin(pi (j + k)/n) sin(pi (j - k)/n),
+    and as 1 <= j - k < j + k < n both angles lie in [pi/n, pi - pi/n],
+    where sin is at least sin(pi/n) >= 2/n (sin t >= 2t/pi on [0, pi/2]).
+    So a closed box narrower than 16/n^2 holds at most one root.  The error
+    bound of ``cos_2pi`` is strict, so x lies strictly inside the box
+    unless an end is clipped to x = +-2, which is no root of Psi_n; either
+    way no end is a root.
+    """
+    from .intervals import cos_2pi
+
+    while True:
+        c = cos_2pi(theta, prec)
+        lo, hi = 2 * c.lo, 2 * c.hi
+        if (hi - lo) * (n * n) < 16:
+            return lo, hi
+        prec *= 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -373,61 +469,56 @@ def _psi(n: int) -> tuple:
     return _laurent_to_x(LaurentPoly.from_int_poly(phi_n, (1 - len(phi_n)) // 2))
 
 
-def _jumps(ps: tuple, boxes: list) -> tuple:
-    """The jump angles of the boxes (ascending in x) of the squarefree ps,
-    from the top box down, that is in ascending theta.
+def _jumps(ps: tuple, boxes: list, angles: list) -> tuple:
+    """The jump angles of the squarefree ps, in ascending theta, from its
+    ``boxes`` and the exact ``angles`` (k/n, n) of the roots of the Psi_n
+    that divide it, both as ``_arcs`` gives them.
 
-    Each box holds one simple root of ps and none at its ends, so exactly
-    one irreducible factor of ps changes sign across it: its minimal
-    polynomial.  Every Psi_n that divides ps is divided out first.  The
-    r = len(boxes) roots of ps in (-2, 2) include all deg Psi_n roots of
-    each such Psi_n, so only the n of ``_cyclotomic_candidates(r)`` can
-    divide it.  The roots 2cos(2 pi k/n) ascend as k descends, so the boxes
-    of Psi_n, taken from the top down, get the exact angles k/n for
-    k = 1, 2, ... in turn.  The cofactor is factored only when some roots
-    are not at roots of unity, and its factors get no exact angle.
+    When these angles are all the jumps, box k is the unit box of the k-th
+    of them.  Otherwise each box holds one simple root of ps and none at
+    its ends, so exactly one irreducible factor of ps changes sign across
+    it: its minimal polynomial.  The Psi_n are tried first, and the boxes
+    of Psi_n, taken in ascending theta, get its angles k/n in ascending
+    order.  The cofactor of the Psi_n is factored, and its factors get no
+    exact angle.
     """
     from .intervals import AlgebraicAngle
 
-    claims = []  # (minimal polynomial, its exact angles from the top down)
-    left = len(boxes)
-    for n in _cyclotomic_candidates(left):
-        psi = _psi(n)
-        if len(psi) - 1 > left:
-            continue
-        q = _quotient(ps, psi)
-        if q is None:
-            continue
-        ps, left = q, left - (len(psi) - 1)
-        ks = [k for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1]
-        claims.append((psi, iter([Fraction(k, n) for k in ks])))
-        if not left:
-            break
-    if left:
-        claims += [(f, itertools.repeat(None))
-                   for f, _mult in factor_integer_poly(ps)[1]]
+    if len(angles) == len(boxes):
+        return tuple(AlgebraicAngle(_psi(n), lo, hi, theta=theta)
+                     for (theta, n), (lo, hi) in zip(angles, boxes))
+    by_n = {}  # n -> the exact angles of Psi_n, ascending
+    for theta, n in angles:
+        by_n.setdefault(n, []).append(theta)
+    claims = []  # (minimal polynomial, its exact angles in ascending theta)
+    for n in sorted(by_n):
+        ps = _quotient(ps, _psi(n))
+        claims.append((_psi(n), iter(by_n[n])))
+    claims += [(f, itertools.repeat(None))
+               for f, _mult in factor_integer_poly(ps)[1]]
     low = []
-    for lo, hi in reversed(boxes):
-        for f, angles in claims:
+    for lo, hi in boxes:
+        for f, thetas in claims:
             if poly_sign_at(f, lo) != poly_sign_at(f, hi):
                 break
         else:
             raise PreconditionError(
                 f"no irreducible factor of {poly_to_str(ps)} has its"
                 f" root in ({lo}, {hi})")
-        low.append(AlgebraicAngle(f, lo, hi, theta=next(angles)))
+        low.append(AlgebraicAngle(f, lo, hi, theta=next(thetas)))
     return tuple(low)
 
 
-def _arc_values(v: SeifertMatrix, points: list, m: int) -> tuple:
-    """The signature on each arc of ``points`` (from ``_arcs``), given
-    that the first arc is 0 and that each jump is at most 2m (see
-    ``signature_function``).  The last arc is evaluated; between two known
+def _arc_values(v: SeifertMatrix, point, arcs: int, m: int) -> tuple:
+    """The signature on each of the ``arcs`` arcs, given that the first
+    arc is 0 and that each jump is at most 2m (see ``signature_function``).
+    The last arc, which holds theta = 1/2, is evaluated; between two known
     arcs a < b that differ by 2m(b - a), every jump is 2m with that one
-    sign, and otherwise the middle arc is evaluated and both halves
-    recurse.  A larger difference is impossible and raises
-    PreconditionError."""
-    half = [0] + [None] * (len(points) - 1)
+    sign, and otherwise the middle arc is evaluated, at ``point(c)`` of
+    ``_arcs``, and both halves recurse.  So a sample point is found only
+    for an arc that is evaluated.  A larger difference is impossible and
+    raises PreconditionError."""
+    half = [0] + [None] * (arcs - 1)
 
     def fill(a: int, b: int) -> None:
         diff, bound = half[b] - half[a], 2 * m * (b - a)
@@ -440,13 +531,13 @@ def _arc_values(v: SeifertMatrix, points: list, m: int) -> tuple:
                 half[k] = half[a] + diff // (b - a) * (k - a)
         elif b - a > 1:
             c = (a + b) // 2
-            half[c] = _arc_signature(v, points[c])
+            half[c] = _arc_signature(v, point(c))
             fill(a, c)
             fill(c, b)
 
-    if len(points) > 1:
-        half[-1] = _arc_signature(v, points[-1])
-        fill(0, len(points) - 1)
+    if arcs > 1:
+        half[-1] = _arc_signature(v, None)
+        fill(0, arcs - 1)
     return tuple(half)
 
 
@@ -454,11 +545,14 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     """Full signature step function: exact jump angles plus arc values.
 
     The n roots of the x-polynomial P in (-2, 2) cut theta in (0, 1/2]
-    into n + 1 arcs.  Each arc but the last has a rational point in the
-    x-gap between its Sturm boxes; the last one holds theta = 1/2.  Only
-    these jumps and arcs are stored: those in [1/2, 1) mirror them, as
-    sigma(theta) = sigma(1 - theta).  ``_jumps`` gives each box its
-    minimal polynomial, and its exact angle k/n at a root of unity.
+    into n + 1 arcs.  ``_arcs`` boxes the roots: from the exact angles k/n
+    with no isolation when every root is at a root of unity, and by Sturm
+    isolation otherwise.  Each arc but the last has a rational point in
+    the x-gap between its boxes, found only for an arc that is evaluated;
+    the last one holds theta = 1/2.  Only these jumps and arcs are stored:
+    those in [1/2, 1) mirror them, as sigma(theta) = sigma(1 - theta).
+    ``_jumps`` gives each box its minimal polynomial, and its exact angle
+    k/n at a root of unity.
 
     ``_arc_values`` evaluates only the arcs that two facts leave open.
     (i) The first arc is 0.  With 1 - omega = -2i sin(pi theta)
@@ -478,10 +572,10 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     multiplicity of x_j = 2cos 2 pi theta_j as a root of P, at most m.
     """
     p = x_polynomial(v)
-    chain, boxes, points = _arcs(p)
+    chain, boxes, angles, point = _arcs(p)
     ps = poly_primitive(chain[0])
-    low = _jumps(ps, boxes)
-    half = _arc_values(v, points, len(p) - len(ps) + 1)
+    low = _jumps(ps, boxes, angles)
+    half = _arc_values(v, point, len(boxes) + 1, len(p) - len(ps) + 1)
     return SignatureStepFunction(low, half, ps, _lift(p))
 
 
@@ -638,8 +732,9 @@ def algebraically_concordant_test(v1: SeifertMatrix,
     p1, p2 = x_polynomial(v1), x_polynomial(v2)
     # both signature functions are constant on every arc cut by the roots
     # of Delta_1 Delta_2, so they agree iff they agree at one point of each
-    _, _, points = _arcs(poly_mul(p1, p2))
-    if any(_arc_signature(v1, r) != _arc_signature(v2, r) for r in points):
+    _, boxes, _, point = _arcs(poly_mul(p1, p2))
+    if any(_arc_signature(v1, r) != _arc_signature(v2, r)
+           for r in map(point, range(len(boxes) + 1))):
         found.append("signature function")
 
     if not _fox_milnor(p1, p2):

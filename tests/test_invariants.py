@@ -35,10 +35,11 @@ from knotbench.invariants import (
 )
 from knotbench.intervals import cos_2pi
 from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly,
-                                   count_real_roots, cyclotomic_poly,
-                                   poly_eval, poly_mul, poly_primitive,
-                                   poly_sign_at, poly_squarefree_part,
-                                   poly_trim, sturm_isolate)
+                                   count_real_roots, count_roots_halfopen,
+                                   cyclotomic_poly, poly_eval, poly_mul,
+                                   poly_primitive, poly_sign_at,
+                                   poly_squarefree_part, poly_trim,
+                                   sturm_isolate, sturm_sequence)
 from knotbench.seifert import (SeifertMatrix, UNKNOT, connected_sum,
                                integer_determinant, mirror)
 
@@ -435,6 +436,24 @@ class TestSignatureFunction:
             with pytest.raises(PreconditionError):
                 sf.value_at(theta)
 
+    def test_theta_checked_before_any_chain(self, trefoil, monkeypatch):
+        # theta outside (0, 1) and a jump at a root of unity raise before
+        # a remainder sequence is built; a valid theta builds one
+        sf = signature_function(trefoil)
+        chains = []
+        sequence = invariants.sturm_sequence
+        monkeypatch.setattr(invariants, "sturm_sequence",
+                            lambda p: chains.append(p) or sequence(p))
+        for f in (sf.value_at, lambda theta: levine_tristram(trefoil, theta)):
+            for theta in (Fraction(0), Fraction(1), Fraction(3, 2)):
+                with pytest.raises(PreconditionError):
+                    f(theta)
+            with pytest.raises(PossiblySingularError):
+                f(Fraction(1, 6))
+        assert chains == []
+        assert sf.value_at(Fraction(1, 3)) == -2
+        assert chains == [sf.x_poly]
+
     def test_levine_tristram_is_value_at(self, corpus):
         # one path for sigma at an angle: levine_tristram and value_at give
         # the same value or both raise PossiblySingularError, at fixed
@@ -510,20 +529,31 @@ class TestSignatureFunction:
         assert sf.values == (0, -4, 0)
 
     def test_pinned_jumps_and_values(self, corpus):
-        # sha256 of every jump (minimal polynomial and Sturm box) and arc
-        # value over the table and 100 seeded forms, as computed when ps
-        # was factored for every knot
-        rng = random.Random(53)
-        forms = list(corpus.values()) + [
-            random_seifert(rng, g)
-            for g, count in ((1, 40), (2, 30), (3, 20), (4, 10))
-            for _ in range(count)]
+        # sha256 of every jump (minimal polynomial and x-box) and arc value
+        # over the table and 100 seeded forms; the x-box of a jump at a
+        # root of unity is its _unit_box, and every other box is the
+        # separated Sturm box
         h = hashlib.sha256()
-        for v in forms:
+        for v in _pinned_forms(corpus):
             sf = signature_function(v)
             h.update(f"{sf.jumps!r} {sf.values!r}\n".encode())
         assert h.hexdigest() == (
-            "d1bfc4e73d5d8379c9af2c52f74c2e5901acc39229a36b7253d7aa22a2d14b5a")
+            "60086406d27313a30458beb74bb59bf9f7d5b67ae0a965c00e399613b07eef48")
+
+    def test_pinned_jumps_and_values_without_boxes(self, corpus):
+        # sha256 of every jump's minimal polynomial, exact angle and branch,
+        # its enclosure to width 1e-30, and the arc values, over the forms
+        # of test_pinned_jumps_and_values: no x-box enters it, so it holds
+        # however a box is found
+        width = Fraction(1, 10 ** 30)
+        h = hashlib.sha256()
+        for v in _pinned_forms(corpus):
+            sf = signature_function(v)
+            jumps = [(a.poly, a.theta, a.upper, a.enclosure_to_width(width))
+                     for a in sf.jumps]
+            h.update(f"{jumps!r} {sf.values!r}\n".encode())
+        assert h.hexdigest() == (
+            "6c3a712cb7ec0d0f7634c6305fe8713114627959076ee21135fa4862c7b90af8")
 
     def test_csv_export(self, trefoil):
         out = signature_csv(signature_function(trefoil), digits=12)
@@ -536,6 +566,15 @@ class TestSignatureFunction:
         assert lines[4] == "0.833333333333,1,0"
         # byte-identical on rerun
         assert out == signature_csv(signature_function(trefoil), digits=12)
+
+
+def _pinned_forms(corpus):
+    """The table and 100 seeded forms of genus 1 to 4."""
+    rng = random.Random(53)
+    return list(corpus.values()) + [
+        random_seifert(rng, g)
+        for g, count in ((1, 40), (2, 30), (3, 20), (4, 10))
+        for _ in range(count)]
 
 
 def _count_eliminations(monkeypatch):
@@ -553,8 +592,9 @@ def _count_eliminations(monkeypatch):
 
 
 def _every_arc(v):
-    _, _, points = invariants._arcs(x_polynomial(v))
-    return tuple(invariants._arc_signature(v, r) for r in points)
+    _, boxes, _, point = invariants._arcs(x_polynomial(v))
+    return tuple(invariants._arc_signature(v, point(k))
+                 for k in range(len(boxes) + 1))
 
 
 T23 = torus(2, 3)
@@ -608,7 +648,7 @@ class TestArcBisection:
             signature_function(T23)
         # of (0, -2, 0, -2), arc 1 and then arc 2 are evaluated; arc 2
         # read as -6 is 4 from arc 1 across one jump of at most 2
-        arc2 = invariants._arcs(x_polynomial(T25_MINUS_T23))[2][2]
+        arc2 = invariants._arcs(x_polynomial(T25_MINUS_T23))[3](2)
         monkeypatch.setattr(invariants, "_arc_signature",
                             lambda v, r: -6 if r == arc2 else real(v, r))
         with pytest.raises(PreconditionError,
@@ -621,15 +661,142 @@ class TestArcBisection:
         forms = (list(corpus.values()) + [T25_MINUS_T23, torus(3, 4)]
                  + [random_seifert(rng, 1 + k % 3) for k in range(40)])
         for v in forms:
-            _, _, points = invariants._arcs(x_polynomial(v))
-            assert realified_arc_signature(v, points[0]) == 0, v
+            point = invariants._arcs(x_polynomial(v))[3]
+            assert realified_arc_signature(v, point(0)) == 0, v
+
+
+def _count_calls(monkeypatch, *names):
+    """name -> the argument tuples of every call of each named function of
+    ``invariants``."""
+    calls = {}
+    for name in names:
+        real = getattr(invariants, name)
+        calls[name] = []
+        monkeypatch.setattr(
+            invariants, name,
+            lambda *args, real=real, seen=calls[name]:
+            seen.append(args) or real(*args))
+    return calls
+
+
+class TestRootsOfUnityFirst:
+    """Jumps at roots of unity are boxed from their exact angles k/n, with
+    no Sturm isolation, and an arc gets a sample point only when it is
+    evaluated."""
+
+    def test_torus_knots_isolate_nothing(self, monkeypatch, trefoil):
+        calls = _count_calls(monkeypatch, "_isolate", "_separate_boxes",
+                             "_tan_in_gap")
+        evaluated = _count_eliminations(monkeypatch)
+        for p, q in TORUS_FAMILY:
+            del evaluated[:]
+            sf = signature_function(torus(p, q))
+            assert None not in [a.theta for a in sf.jumps], (p, q)
+            assert evaluated == [None], (p, q)
+        assert calls == {"_isolate": [], "_separate_boxes": [],
+                         "_tan_in_gap": []}
+        # a jump off the roots of unity isolates, and its arcs still get
+        # no point when none is evaluated
+        signature_function(connected_sum(trefoil, twist(-2)))
+        assert len(calls["_isolate"]) == 1 and calls["_tan_in_gap"] == []
+
+    def test_unit_boxes_hold_one_root_of_their_psi(self):
+        width = Fraction(1, 10 ** 30)
+        for p, q in EXACT_TORUS:
+            for a in torus_step_function(p, q).low:
+                n = a.theta.denominator
+                assert a.poly == _psi(n)
+                assert a.x_hi - a.x_lo < Fraction(16, n * n)
+                chain = sturm_sequence(a.poly)
+                assert poly_sign_at(a.poly, a.x_lo) != 0, (p, q, a)
+                assert poly_sign_at(a.poly, a.x_hi) != 0, (p, q, a)
+                assert count_roots_halfopen(chain, a.x_lo, a.x_hi) == 1
+                for prec in (64, 256):
+                    c = cos_2pi(a.theta, prec)
+                    assert a.x_lo <= 2 * c.lo and 2 * c.hi <= a.x_hi
+                # the box's root is the exact angle's
+                assert a.refine_x(width).enclosure(128).contains(a.theta)
+
+    def test_repeated_interleaved_and_mixed_jumps(self, monkeypatch):
+        rng = random.Random(3)
+        while True:
+            form = random_seifert(rng, 2)
+            sf = signature_function(form)
+            if sf.jumps and None in [a.theta for a in sf.jumps]:
+                break
+        t25 = torus(2, 5)
+        sixth = Fraction(1, 6)
+        tenths = [Fraction(1, 10), Fraction(3, 10)]
+        # (knot, its half or None, its exact angles, whether an arc below
+        # the one holding 1/2 is evaluated)
+        cases = (
+            # Psi_6^2 divides P: one jump, of 4
+            (connected_sum(T23, T23), (0, -4), [sixth], False),
+            # Psi_10 Psi_6: the two factors' jumps interleave
+            (connected_sum(T23, t25), (0, -2, -4, -6),
+             [tenths[0], sixth, tenths[1]], False),
+            # sigma is not monotone, so arcs between unit boxes are evaluated
+            (T25_MINUS_T23, (0, -2, 0, -2), [tenths[0], sixth, tenths[1]],
+             True),
+            # a jump off the roots of unity: Sturm boxes for all of them
+            (connected_sum(t25, form), None, tenths, True),
+        )
+        for v, half, exact, inner_evaluated in cases:
+            calls = _count_calls(monkeypatch, "_tan_in_gap")
+            evaluated = _count_eliminations(monkeypatch)
+            sf = signature_function(v)
+            monkeypatch.undo()
+            # a point for each arc evaluated below the one holding 1/2, and
+            # for no other
+            inner = [r for r in evaluated if r is not None]
+            assert len(calls["_tan_in_gap"]) == len(inner), v
+            assert bool(inner) == inner_evaluated, v
+            if half is not None:
+                assert sf.half == half, v
+            thetas = [a.theta for a in sf.low]
+            assert [t for t in thetas if t is not None] == exact, v
+            assert sf.half == _every_arc(v), v
+            plain = jumps_by_factoring(sf)
+            assert [a.poly for a in plain.jumps] == [a.poly
+                                                     for a in sf.jumps], v
+
+    def test_overlapping_unit_boxes_are_refined_for_a_point(
+            self, monkeypatch):
+        # T(2,11) # T(2,13) jumps at 1/26 and 1/22, 0.023 apart in x.
+        # cos_2pi at the base precision is widened to a valid enclosure of
+        # nearly 16/n^2 in x, so those two unit boxes overlap, and a point
+        # between them needs the enclosures at doubled precision
+        import knotbench.intervals as intervals
+
+        v = connected_sum(torus(2, 11), torus(2, 13))
+        want = signature_function(v)
+        real = intervals.cos_2pi
+
+        def wide(theta, prec_bits):
+            c = real(theta, prec_bits)
+            if prec_bits > 64:
+                return c
+            pad = Fraction(39, 10 * theta.denominator ** 2)
+            return intervals.IntervalReal(c.lo - pad, c.hi + pad)
+
+        monkeypatch.setattr(intervals, "cos_2pi", wide)
+        sf = signature_function(v)
+        boxes = {a.theta: (a.x_lo, a.x_hi) for a in sf.low}
+        assert boxes[Fraction(1, 26)][0] < boxes[Fraction(1, 22)][1]
+        for a in sf.low:
+            assert count_roots_halfopen(sturm_sequence(a.poly),
+                                        a.x_lo, a.x_hi) == 1
+        assert sf.half == want.half == _every_arc(v)
+        assert len(set(sf.half)) == len(sf.half)  # monotone: each arc told
 
 
 class TestOneSturmChainPerArcs:
     def test_arcs_isolate_from_the_chain_of_the_squarefree_part(
             self, corpus, monkeypatch):
         # one remainder sequence per x-polynomial, with the squarefree part
-        # and boxes that poly_squarefree_part and sturm_isolate give
+        # that poly_squarefree_part gives, and, when a root is off the
+        # roots of unity, the boxes that sturm_isolate gives, in ascending
+        # theta; otherwise the unit boxes of the exact angles
         chains = []
         sequence = invariants.sturm_sequence
         monkeypatch.setattr(invariants, "sturm_sequence",
@@ -642,11 +809,16 @@ class TestOneSturmChainPerArcs:
         for v in forms:
             p = x_polynomial(v)
             del chains[:]
-            chain, boxes, _ = invariants._arcs(p)
+            chain, boxes, angles, _ = invariants._arcs(p)
             assert chains == [p], v
             ps = poly_primitive(chain[0])
             assert ps == poly_squarefree_part(p), v
-            assert boxes == _separate_boxes(ps, sturm_isolate(p, -2, 2)), v
+            if len(angles) < len(boxes):
+                assert boxes == _separate_boxes(
+                    ps, sturm_isolate(p, -2, 2))[::-1], v
+            else:
+                assert boxes == [invariants._unit_box(theta, n)
+                                 for theta, n in angles], v
 
 
 class TestOneSturmChainPerLevineTristram:
@@ -965,7 +1137,7 @@ class TestCyclotomicJumps:
         # 2x - 3 is no Psi_n, and its root 3/2 lies outside the box (0, 1)
         with pytest.raises(PreconditionError,
                            match=r"no irreducible factor of 2\*x - 3"):
-            _jumps((-3, 2), [(Fraction(0), Fraction(1))])
+            _jumps((-3, 2), [(Fraction(0), Fraction(1))], [])
 
 
 def _x_poly_of(f):
