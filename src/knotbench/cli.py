@@ -115,8 +115,9 @@ def _add_knot_args(p):
     p.add_argument("--input", help="path to a knot spec JSON file")
 
 
-def _classical_invariants(v) -> dict:
-    """The invariants that ``invariants`` and ``table`` both report."""
+def _classical_invariants(v) -> tuple:
+    """The invariants that ``invariants`` and ``table`` both report, and
+    the Alexander polynomial they are read from."""
     from .invariants import (
         _arf_of_determinant,
         _delta_of_x,
@@ -137,15 +138,16 @@ def _classical_invariants(v) -> dict:
         "arf": _arf_of_determinant(det),
         "signature_at_minus_1": levine_tristram(v, Fraction(1, 2)),
         "fox_milnor": _fox_milnor(p),
-    }
+    }, delta
 
 
 def cmd_invariants(args) -> None:
-    from .invariants import fibered_obstruction
+    from .invariants import _check_claimed_genus, _fibered_reason
 
     echo, v = _load_knot(args)
-    reason = fibered_obstruction(v, args.claimed_genus)
-    results = _classical_invariants(v)
+    _check_claimed_genus(args.claimed_genus)
+    results, delta = _classical_invariants(v)
+    reason = _fibered_reason(delta, args.claimed_genus)
     results.update(fibered_obstruction={"passes": reason is None,
                                         "reason": reason},
                    surface_genus=v.genus)
@@ -261,7 +263,7 @@ def cmd_table(args) -> None:
     rows = []
     n_mismatch = 0
     for entry in entries:
-        results = _classical_invariants(entry.seifert_matrix())
+        results, _ = _classical_invariants(entry.seifert_matrix())
         mismatches = []
         for key, want in entry.expected.items():
             if key in results and results[key] != want:

@@ -2,17 +2,18 @@
 
 ``IntervalReal`` only holds an enclosure [lo, hi] of ``Fraction``s and
 does no arithmetic.  A jump angle at a root of unity, theta = k/n, is
-rational and carries its exact value, which
-``AlgebraicAngle.enclosure_to_width`` returns as a point (1 - theta for
-the conjugate), so rho0 sums and rendered cyclotomic jumps enclose
-nothing.  The two transcendental functions the package needs, the angle
-theta = arccos(x/2) / (2 pi) of a jump off the roots of unity and
-cos(2 pi theta) at a given rational theta, are computed in integer fixed
-point at w bits: each kernel computes an integer A and a bound E with
-|A - 2^w f| < E, proved in its docstring, and the enclosure is widened
-by exactly E before it is rounded outward to a multiple of 2^-w.  Such a
-jump angle is never taken through arccos: it is the half-angle form
-atan(sqrt((2 - x)/(2 + x))) / pi, whose argument is an exact rational.
+rational and is held by its exact value alone, with no x-box:
+``AlgebraicAngle.enclosure`` and ``enclosure_to_width`` return it as a
+point (1 - theta for the conjugate), so rho0 sums and rendered cyclotomic
+jumps enclose nothing.  The two transcendental functions the package
+needs, the angle theta = arccos(x/2) / (2 pi) of a jump off the roots of
+unity and cos(2 pi theta) at a given rational theta, are computed in
+integer fixed point at w bits: each kernel computes an integer A and a
+bound E with |A - 2^w f| < E, proved in its docstring, and the enclosure
+is widened by exactly E before it is rounded outward to a multiple of
+2^-w.  Such a jump angle is never taken through arccos: it is the
+half-angle form atan(sqrt((2 - x)/(2 + x))) / pi, whose argument is an
+exact rational.
 """
 
 from __future__ import annotations
@@ -273,33 +274,41 @@ def cos_2pi(theta: Fraction, prec_bits: int = 64) -> IntervalReal:
 class AlgebraicAngle:
     """An angle theta in (0, 1) with x = 2*cos(2*pi*theta) algebraic.
 
-    The angle is stored as a squarefree integer polynomial with a rational
-    isolating interval for x in (-2, 2), plus a flag selecting theta (the
-    branch in (0, 1/2)) or its conjugate 1 - theta.  ``theta``, when
-    given, is the exact value of the branch in (0, 1/2), a rational k/n
-    for a root of unity; the flag applies to it as to the box, so
-    ``conjugate`` keeps it correct.  Values are immutable: the fields are
-    read-only properties, and refinement returns a new angle.  Not a
-    named tuple, so that no angle equals the bare tuple of its fields.
+    The angle is stored as a squarefree integer polynomial with a root x in
+    (-2, 2), plus a flag selecting theta (the branch in (0, 1/2)) or its
+    conjugate 1 - theta.  At a root of unity the root is named by
+    ``theta``, the exact value k/n of the branch in (0, 1/2), and the angle
+    is (poly, theta, branch) alone: ``x_lo`` and ``x_hi`` are None, and a
+    box passed with ``theta`` is not kept.  Otherwise it is named by a
+    rational isolating interval (x_lo, x_hi) of x in (-2, 2).  An angle
+    with neither raises PreconditionError.  Values are immutable: the
+    fields are read-only properties, and refinement returns a new angle.
+    Not a named tuple, so that no angle equals the bare tuple of its fields.
     """
 
     __slots__ = ("_key",)
 
-    def __init__(self, poly, x_lo, x_hi, upper: bool = False,
+    def __init__(self, poly, x_lo=None, x_hi=None, upper: bool = False,
                  theta: Fraction | None = None):
-        self._key = (tuple(poly), Fraction(x_lo), Fraction(x_hi), upper,
-                     None if theta is None else Fraction(theta))
+        if theta is not None:
+            self._key = (tuple(poly), None, None, upper, Fraction(theta))
+        elif x_lo is None or x_hi is None:
+            raise PreconditionError(
+                "an angle needs an x-box or an exact theta")
+        else:
+            self._key = (tuple(poly), Fraction(x_lo), Fraction(x_hi), upper,
+                         None)
 
     @property
     def poly(self) -> tuple:
         return self._key[0]
 
     @property
-    def x_lo(self) -> Fraction:
+    def x_lo(self) -> Fraction | None:
         return self._key[1]
 
     @property
-    def x_hi(self) -> Fraction:
+    def x_hi(self) -> Fraction | None:
         return self._key[2]
 
     @property
@@ -323,13 +332,20 @@ class AlgebraicAngle:
                               not self.upper, self.theta)
 
     def refine_x(self, width: Fraction) -> "AlgebraicAngle":
-        """The same angle with an x-interval of width at most ``width``."""
+        """The same angle with an x-interval of width at most ``width``;
+        an exact angle, which has none, raises PreconditionError."""
+        if self.theta is not None:
+            raise PreconditionError("an exact angle has no x-box to refine")
         lo, hi = refine_isolating_interval(
             self.poly, self.x_lo, self.x_hi, Fraction(width))
-        return AlgebraicAngle(self.poly, lo, hi, self.upper, self.theta)
+        return AlgebraicAngle(self.poly, lo, hi, self.upper)
 
     def enclosure(self, prec_bits: int = 64) -> IntervalReal:
-        """Certified enclosure of theta from the stored x-interval."""
+        """Certified enclosure of theta from the stored x-interval; the
+        exact point for an exact angle."""
+        if self.theta is not None:
+            return IntervalReal.exact(1 - self.theta if self.upper
+                                      else self.theta)
         base = angle_from_cos_half(
             IntervalReal(self.x_lo, self.x_hi), prec_bits)
         if self.upper:
@@ -345,9 +361,8 @@ class AlgebraicAngle:
         once, to width 3 (2 - m) width, which spreads theta by at most
         width / 2; a box touching +-2 is halved first until it does not.
         One enclosure at about log2(1/width) + 32 bits then adds rounding of
-        order 2^-32 width.  An angle with an exact ``theta`` is returned
-        as the point theta, or 1 - theta for the conjugate, with no
-        enclosure.  A width <= 0 raises InputError.
+        order 2^-32 width.  An exact angle is returned as its point, with
+        no enclosure.  A width <= 0 raises InputError.
         """
         width = Fraction(width)
         if width <= 0:
@@ -366,8 +381,10 @@ class AlgebraicAngle:
 
     def __repr__(self):
         branch = "1-acos" if self.upper else "acos"
+        where = (f"x in ({self.x_lo}, {self.x_hi})" if self.theta is None
+                 else f"theta={self.theta}")
         return (f"AlgebraicAngle({branch}(x/2)/2pi, {poly_to_str(self.poly)},"
-                f" x in ({self.x_lo}, {self.x_hi}))")
+                f" {where})")
 
 
 def format_jumps(low, digits: int) -> list:

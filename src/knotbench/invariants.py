@@ -9,24 +9,23 @@ Delta(t) = P(t + 1/t).  The substitution x = t + 1/t turns unit-circle
 roots of Delta into real roots of P in (-2, 2), so jump angles of the
 signature function are kept as algebraic numbers through P; a jump at a
 root of unity, found by trial division by the cyclotomic factors Psi_n,
-also keeps its exact angle k/n.  Roots are isolated by Sturm's method only
-when some root of P in (-2, 2) is not at a root of unity: the jumps of a
-torus knot, all at roots of unity, are boxed from their exact angles.
+is its exact angle k/n, with no x-box.  Roots are isolated by Sturm's
+method only when some root of P in (-2, 2) is not at a root of unity.
 The Fox-Milnor condition is decided by factoring P and, where needed, the
 lifts t^d Q(t + 1/t) of its irreducible factors Q.  The signature is
 constant on the arcs between the jumps.  The first arc is 0 and each jump
 is at most 2m for the largest root multiplicity m of P, so
 ``signature_function`` runs an exact Hermitian elimination over Z[i], at
 one rational point tan(pi theta) = p/q of an arc, only on the arcs whose
-value those bounds leave open; intervals only box the jumps at roots of
-unity and locate a given theta among the roots.
+value those bounds leave open; intervals only locate a given theta among
+the roots and place a point of an evaluated arc between two exact jumps.
 
 Delta, the determinant, Arf (the determinant mod 8, by Levine's rule) and
 sigma(-1) = sign(V + V^T) are integers and need no interval arithmetic.
-``intervals`` is imported only inside the four functions that enclose a
-jump angle or a given theta: ``_arc_index``, ``_unit_box``, ``_jumps``
-and ``signature_csv``.  So the ``invariants`` and ``table`` commands never
-load it; ``rho`` and ``sigfn`` do.
+``intervals`` is imported only inside the functions that build a jump
+angle or enclose an angle: ``_arc_index``, the point lookup of ``_arcs``,
+``_jumps`` and ``signature_csv``.  So the ``invariants`` and ``table``
+commands never load it; ``rho`` and ``sigfn`` do.
 """
 
 from __future__ import annotations
@@ -345,34 +344,32 @@ def _arcs(p: tuple) -> tuple:
     cut, as (chain, boxes, angles, point).
 
     ``chain`` is the Sturm chain of p, a chain of its squarefree part
-    ps = poly_primitive(chain[0]).  ``boxes`` holds an x-box (lo, hi) for
-    each root of ps in (-2, 2), from the top root down, that is in
-    ascending theta: box k holds the k-th jump.  ``angles`` lists the
-    exact angles (k/n, n), ascending, of the roots of the Psi_n that
-    divide ps.  ``point(k)`` is r = tan(pi theta) at a rational point of
-    arc k, the arc between jumps k - 1 and k, found by ``_tan_in_gap``
-    only when asked; the last arc, which holds theta = 1/2, gives None.
+    ps = poly_primitive(chain[0]).  ``angles`` lists the exact angles
+    (k/n, n), ascending, of the roots of the Psi_n that divide ps.  When
+    some root of ps in (-2, 2) is off the roots of unity, ``boxes`` holds
+    an x-box (lo, hi) for each root, from the top root down, that is in
+    ascending theta: box k holds the k-th jump.  When every root is at a
+    root of unity, ``boxes`` is empty and ``angles`` are the jumps; so
+    there are len(boxes or angles) jumps.  ``point(k)`` is
+    r = tan(pi theta) at a rational point of arc k, the arc between jumps
+    k - 1 and k, found by ``_tan_in_gap`` only when asked; the last arc,
+    which holds theta = 1/2, gives None.
 
     The chain counts the roots of ps in (-2, 2), as neither end is a root
     of an x-polynomial: P(2) = Delta(1) = 1, and P(-2) = Delta(-1) is odd.
     All deg Psi_n roots of a Psi_n that divides ps are among them, so only
     the n of ``_cyclotomic_candidates(count)`` can divide it, and each
     that does is divided out in turn.  When these account for every root,
-    as for every torus knot, the roots are the 2cos(2 pi k/n) of
-    ``angles``, which descend as theta ascends, and box k is the
-    ``_unit_box`` of the k-th angle: nothing is isolated.  Otherwise the
-    roots of ps are isolated on its chain, and each box is refined until
-    it lies strictly below the one above it and below 2.
+    as for every torus knot, nothing is isolated and nothing is boxed.
+    Otherwise the roots of ps are isolated on its chain, and each box is
+    refined until it lies strictly below the one above it and below 2.
 
-    A point of arc k lies in the open x-gap between the top of box k and
-    the bottom of box k - 1 (or 2, for k = 0).  A root at a jump j >= k is
-    at most the root in box k, so at most the top of box k, and a root at
-    a jump j < k is at least the bottom of box k - 1; so the gap holds no
-    root, and a point in it lies on arc k.  Unit boxes are not separated
-    up front, so two may overlap, or the top one reach 2.  Only when an
-    arc is asked for across such a pair are its two ends taken again from
-    ``_unit_box`` at a precision that doubles until the gap opens, which
-    it does, as both enclosures shrink to their own, distinct roots.
+    A point of arc k lies in an open x-gap inside (x_k, x_(k-1)), for the
+    roots x_k of jump k and x_(k-1) of jump k - 1 (x_(-1) = 2); no root
+    lies between them.  The gap runs from the top of box k to the bottom
+    of box k - 1, or between twice the ``cos_2pi`` enclosures of angles k
+    and k - 1, at a precision that doubles from 64 bits until the gap
+    opens, as it does when both shrink to their distinct roots.
     """
     chain = sturm_sequence(p)
     ps = poly_primitive(chain[0])
@@ -391,51 +388,26 @@ def _arcs(p: tuple) -> tuple:
             break
     angles = sorted((Fraction(k, n), n) for n in ns
                     for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
-    if left:
-        boxes = _separate_boxes(ps, _isolate(chain, -2, 2))[::-1]
-    else:
-        boxes = [_unit_box(theta, n) for theta, n in angles]
+    boxes = _separate_boxes(ps, _isolate(chain, -2, 2))[::-1] if left else []
 
     def point(k: int) -> Fraction | None:
-        if k == len(boxes):
+        if k == len(boxes or angles):
             return None
-        x_lo, x_hi = boxes[k][1], boxes[k - 1][0] if k else Fraction(2)
+        if boxes:
+            top = boxes[k - 1][0] if k else Fraction(2)
+            return _tan_in_gap(boxes[k][1], top)
+        from .intervals import cos_2pi
+
         prec = _BASE_PREC
-        while x_lo >= x_hi:  # only unit boxes are not separated
+        while True:
+            bottom = 2 * cos_2pi(angles[k][0], prec).hi
+            top = (2 * cos_2pi(angles[k - 1][0], prec).lo if k
+                   else Fraction(2))
+            if bottom < top:
+                return _tan_in_gap(bottom, top)
             prec *= 2
-            x_lo = _unit_box(*angles[k], prec)[1]
-            if k:
-                x_hi = _unit_box(*angles[k - 1], prec)[0]
-        return _tan_in_gap(x_lo, x_hi)
 
     return chain, boxes, angles, point
-
-
-def _unit_box(theta: Fraction, n: int, prec: int = _BASE_PREC) -> tuple:
-    """An x-box (lo, hi) that holds x = 2cos(2 pi theta), theta = k/n with
-    gcd(k, n) = 1 and 0 < k < n/2, and no other root of Psi_n, with no
-    root of Psi_n at either end: 2 times the ``cos_2pi`` enclosure of
-    cos(2 pi theta), at ``prec`` bits doubled until it is narrower than
-    16/n^2.
-
-    Distinct roots of Psi_n are at least 16/n^2 apart.  For
-    0 < k < j < n/2 they differ by
-    2cos(2 pi k/n) - 2cos(2 pi j/n) = 4 sin(pi (j + k)/n) sin(pi (j - k)/n),
-    and as 1 <= j - k < j + k < n both angles lie in [pi/n, pi - pi/n],
-    where sin is at least sin(pi/n) >= 2/n (sin t >= 2t/pi on [0, pi/2]).
-    So a closed box narrower than 16/n^2 holds at most one root.  The error
-    bound of ``cos_2pi`` is strict, so x lies strictly inside the box
-    unless an end is clipped to x = +-2, which is no root of Psi_n; either
-    way no end is a root.
-    """
-    from .intervals import cos_2pi
-
-    while True:
-        c = cos_2pi(theta, prec)
-        lo, hi = 2 * c.lo, 2 * c.hi
-        if (hi - lo) * (n * n) < 16:
-            return lo, hi
-        prec *= 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -472,21 +444,19 @@ def _psi(n: int) -> tuple:
 def _jumps(ps: tuple, boxes: list, angles: list) -> tuple:
     """The jump angles of the squarefree ps, in ascending theta, from its
     ``boxes`` and the exact ``angles`` (k/n, n) of the roots of the Psi_n
-    that divide it, both as ``_arcs`` gives them.
-
-    When these angles are all the jumps, box k is the unit box of the k-th
-    of them.  Otherwise each box holds one simple root of ps and none at
-    its ends, so exactly one irreducible factor of ps changes sign across
-    it: its minimal polynomial.  The Psi_n are tried first, and the boxes
-    of Psi_n, taken in ascending theta, get its angles k/n in ascending
-    order.  The cofactor of the Psi_n is factored, and its factors get no
-    exact angle.
+    that divide it, both as ``_arcs`` gives them; with no boxes, these
+    angles are all the jumps.  Otherwise each box holds one simple root of
+    ps and none at its ends, so exactly one irreducible factor of ps
+    changes sign across it: its minimal polynomial.  The Psi_n are tried
+    first, and the boxes of Psi_n, taken in ascending theta, get its
+    angles k/n in ascending order, which replace the box.  The cofactor of
+    the Psi_n is factored, and its factors keep their boxes.
     """
     from .intervals import AlgebraicAngle
 
-    if len(angles) == len(boxes):
-        return tuple(AlgebraicAngle(_psi(n), lo, hi, theta=theta)
-                     for (theta, n), (lo, hi) in zip(angles, boxes))
+    if not boxes:
+        return tuple(AlgebraicAngle(_psi(n), theta=theta)
+                     for theta, n in angles)
     by_n = {}  # n -> the exact angles of Psi_n, ascending
     for theta, n in angles:
         by_n.setdefault(n, []).append(theta)
@@ -545,14 +515,14 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     """Full signature step function: exact jump angles plus arc values.
 
     The n roots of the x-polynomial P in (-2, 2) cut theta in (0, 1/2]
-    into n + 1 arcs.  ``_arcs`` boxes the roots: from the exact angles k/n
-    with no isolation when every root is at a root of unity, and by Sturm
-    isolation otherwise.  Each arc but the last has a rational point in
-    the x-gap between its boxes, found only for an arc that is evaluated;
-    the last one holds theta = 1/2.  Only these jumps and arcs are stored:
+    into n + 1 arcs.  ``_arcs`` finds them: as the exact angles k/n, with
+    no isolation, when every root is at a root of unity, and as Sturm boxes
+    otherwise.  Each arc but the last has a rational point in an x-gap
+    between its two jumps, found only for an arc that is evaluated; the
+    last one holds theta = 1/2.  Only these jumps and arcs are stored:
     those in [1/2, 1) mirror them, as sigma(theta) = sigma(1 - theta).
-    ``_jumps`` gives each box its minimal polynomial, and its exact angle
-    k/n at a root of unity.
+    ``_jumps`` gives each jump its minimal polynomial, and a jump at a
+    root of unity its exact angle k/n in place of a box.
 
     ``_arc_values`` evaluates only the arcs that two facts leave open.
     (i) The first arc is 0.  With 1 - omega = -2i sin(pi theta)
@@ -575,7 +545,7 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     chain, boxes, angles, point = _arcs(p)
     ps = poly_primitive(chain[0])
     low = _jumps(ps, boxes, angles)
-    half = _arc_values(v, point, len(boxes) + 1, len(p) - len(ps) + 1)
+    half = _arc_values(v, point, len(low) + 1, len(p) - len(ps) + 1)
     return SignatureStepFunction(low, half, ps, _lift(p))
 
 
@@ -603,10 +573,18 @@ def fibered_obstruction(v: SeifertMatrix,
     and span equal to twice the claimed genus when one is supplied.
     Returns the text of the first condition that fails, or None when both
     hold, which does not prove the knot fibered.  A negative claimed genus
-    raises InputError."""
+    raises InputError, before any determinant."""
+    _check_claimed_genus(claimed_genus)
+    return _fibered_reason(alexander_polynomial(v), claimed_genus)
+
+
+def _check_claimed_genus(claimed_genus: int | None) -> None:
     if claimed_genus is not None and claimed_genus < 0:
         raise InputError(f"claimed genus {claimed_genus} is negative")
-    delta = alexander_polynomial(v)
+
+
+def _fibered_reason(delta: LaurentPoly, claimed_genus) -> str | None:
+    """``fibered_obstruction`` from Delta, for a checked claimed genus."""
     lead = delta.coeff(delta.max_exp)
     if abs(lead) != 1:
         return "not monic"
@@ -732,9 +710,9 @@ def algebraically_concordant_test(v1: SeifertMatrix,
     p1, p2 = x_polynomial(v1), x_polynomial(v2)
     # both signature functions are constant on every arc cut by the roots
     # of Delta_1 Delta_2, so they agree iff they agree at one point of each
-    _, boxes, _, point = _arcs(poly_mul(p1, p2))
+    _, boxes, angles, point = _arcs(poly_mul(p1, p2))
     if any(_arc_signature(v1, r) != _arc_signature(v2, r)
-           for r in map(point, range(len(boxes) + 1))):
+           for r in map(point, range(len(boxes or angles) + 1))):
         found.append("signature function")
 
     if not _fox_milnor(p1, p2):

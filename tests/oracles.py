@@ -70,6 +70,7 @@ from knotbench.polynomials import (
     poly_neg,
     poly_sub,
     poly_trim,
+    sturm_isolate,
 )
 from knotbench.seifert import SeifertMatrix
 
@@ -503,18 +504,23 @@ def torus_rho0(p: int, q: int) -> Fraction:
 
 
 def jumps_by_factoring(sf: SignatureStepFunction) -> SignatureStepFunction:
-    """``sf`` with every jump's minimal polynomial taken from the
-    factorisation of its squarefree x-polynomial, as the irreducible
-    factor that changes sign across the jump's x-box, and with no exact
-    angle: each angle is then enclosed from its box."""
+    """``sf`` with every jump found again apart from the package's boxes:
+    the roots of its squarefree x-polynomial in (-2, 2) isolated by
+    ``sturm_isolate``, from the top root down (ascending theta), each with
+    the irreducible factor that changes sign across its box as minimal
+    polynomial, the branch of the jump it stands for, and no exact angle:
+    each angle is then enclosed from its box."""
     _, factors = factor_integer_poly(sf.x_poly)
+    boxes = sturm_isolate(sf.x_poly, -2, 2)[::-1]
+    assert len(boxes) == len(sf.low)
 
-    def plain(a):
+    def plain(a, box):
+        lo, hi = box
         minpoly = next(f for f, _ in factors
-                       if poly_sign_at(f, a.x_lo) != poly_sign_at(f, a.x_hi))
-        return AlgebraicAngle(minpoly, a.x_lo, a.x_hi, a.upper)
+                       if poly_sign_at(f, lo) != poly_sign_at(f, hi))
+        return AlgebraicAngle(minpoly, lo, hi, a.upper)
 
-    return sf._replace(low=tuple(plain(a) for a in sf.low))
+    return sf._replace(low=tuple(map(plain, sf.low, boxes)))
 
 
 def rho0_by_arcs(sf: SignatureStepFunction, width: Fraction) -> tuple:

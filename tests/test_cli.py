@@ -132,6 +132,39 @@ class TestInvariantsCommand:
         assert code == 0
         assert json.loads(out)["results"]["fibered_obstruction"]["passes"]
 
+    # sha256 of the report, one for each fibered outcome: monic at the
+    # claimed genus, a wrong claimed genus, not monic, and no claim
+    _INVARIANTS_DIGESTS = {
+        ("--braid", "n=2; 1 1 1", "--claimed-genus", "1"):
+        "62b14baef307a4d152479bb4ec80e0d40915feb489d9bab4f25cf737a69897a3",
+        ("--braid", "n=2; 1 1 1", "--claimed-genus", "2"):
+        "0ace0cad2d620da5d5107cb4489a05167a543254ad35d5d50d166339cdf84df9",
+        ("--seifert", "[[1,1],[0,-2]]"):
+        "6079ecc56ef3bfb07e6db087606005ae1f3577d9ca4e56eea5cb4b9abf20669c",
+        ("--braid", "n=3; 1 2 1 2 1 2 1 2"):
+        "437d9e08d461fe3cc9994a3e65536186ba4c3a50064db832b51768e5b058f01b",
+    }
+
+    def test_one_x_polynomial_per_request(self, capsys, monkeypatch):
+        # the report and its fibered check read one x-polynomial, and a
+        # negative claimed genus is refused before any determinant
+        import knotbench.invariants as invariants
+
+        calls = []
+        for name in ("x_polynomial", "integer_determinant"):
+            monkeypatch.setattr(invariants, name, lambda arg, real=getattr(
+                invariants, name), name=name: calls.append(name) or real(arg))
+        for argv, want in self._INVARIANTS_DIGESTS.items():
+            del calls[:]
+            code, out, _ = run(capsys, "invariants", *argv)
+            assert code == 0
+            assert calls.count("x_polynomial") == 1, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+        del calls[:]
+        code, _, _ = run(capsys, "invariants", "--braid", "n=2; 1 1 1",
+                         "--claimed-genus", "-1")
+        assert code == 1 and calls == []
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "invariants", "--braid", "n=3; 1 -2 1 -2")
         _, out2, _ = run(capsys, "invariants", "--braid", "n=3; 1 -2 1 -2")

@@ -224,6 +224,30 @@ class TestExactAngle:
         with pytest.raises(InputError, match="width must be positive"):
             a.enclosure_to_width(0)
 
+    def test_exact_angle_has_no_box(self):
+        # theta alone names the root: a box passed with it is not kept,
+        # enclosure at every precision is the point, and refine_x refuses
+        eighth = Fraction(1, 8)
+        a = AlgebraicAngle((-2, 0, 1), Fraction(1), Fraction(3, 2),
+                           theta=eighth)
+        assert a == AlgebraicAngle((-2, 0, 1), theta=eighth)
+        assert (a.x_lo, a.x_hi) == (None, None)
+        for prec in (1, 64, 1000):
+            assert a.enclosure(prec) == IntervalReal.exact(eighth)
+            assert a.conjugate().enclosure(prec) == IntervalReal.exact(
+                Fraction(7, 8))
+        assert repr(a.conjugate()) == (
+            "AlgebraicAngle(1-acos(x/2)/2pi, x^2 - 2, theta=1/8)")
+        with pytest.raises(PreconditionError, match="no x-box"):
+            a.refine_x(Fraction(1, 10))
+
+    @pytest.mark.parametrize("box", [(), (Fraction(1),),
+                                     (None, Fraction(3, 2))])
+    def test_angle_without_box_or_theta_refused(self, box):
+        with pytest.raises(PreconditionError,
+                           match="needs an x-box or an exact theta"):
+            AlgebraicAngle((-2, 0, 1), *box)
+
 
 class TestAlgebraicAngle:
     def test_sixth_root_angle(self):

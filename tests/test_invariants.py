@@ -33,13 +33,12 @@ from knotbench.invariants import (
     signature_function,
     x_polynomial,
 )
-from knotbench.intervals import cos_2pi
+from knotbench.intervals import IntervalReal, cos_2pi
 from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly,
-                                   count_real_roots, count_roots_halfopen,
-                                   cyclotomic_poly, poly_eval, poly_mul,
-                                   poly_primitive, poly_sign_at,
-                                   poly_squarefree_part, poly_trim,
-                                   sturm_isolate, sturm_sequence)
+                                   count_real_roots, cyclotomic_poly,
+                                   poly_eval, poly_mul, poly_primitive,
+                                   poly_sign_at, poly_squarefree_part,
+                                   poly_trim, sturm_isolate)
 from knotbench.seifert import (SeifertMatrix, UNKNOT, connected_sum,
                                integer_determinant, mirror)
 
@@ -246,7 +245,7 @@ class TestArf:
             x_polynomial(v)
             needed = len(calls)
             calls.clear()
-            report = _classical_invariants(v)
+            report, _ = _classical_invariants(v)
             assert len(calls) == needed > 0, name
             assert report["arf"] == arf(v) == arf_by_majority(v), name
             assert report["arf"] == _arf_of_determinant(-report["determinant"])
@@ -410,8 +409,10 @@ class TestSignatureFunction:
             n = len(low)
             assert len(half) == n + 1
             assert all(not a.upper for a in low)
-            assert [(a.x_lo, a.x_hi) for a in low] == sorted(
-                ((a.x_lo, a.x_hi) for a in low), reverse=True)
+            # ascending theta, told apart by enclosures: an exact jump
+            # has no x-box to order by
+            encs = [a.enclosure_to_width(Fraction(1, 10 ** 12)) for a in low]
+            assert all(e.hi < f.lo for e, f in zip(encs, encs[1:]))
             assert sf.jumps == low + tuple(
                 a.conjugate() for a in reversed(low))
             assert sf.values == half + half[-2::-1]
@@ -529,16 +530,16 @@ class TestSignatureFunction:
         assert sf.values == (0, -4, 0)
 
     def test_pinned_jumps_and_values(self, corpus):
-        # sha256 of every jump (minimal polynomial and x-box) and arc value
-        # over the table and 100 seeded forms; the x-box of a jump at a
-        # root of unity is its _unit_box, and every other box is the
-        # separated Sturm box
+        # sha256 of every jump's repr and every arc value over the table
+        # and 100 seeded forms; a jump at a root of unity prints its
+        # minimal polynomial Psi_n and exact angle k/n, and every other jump
+        # its minimal polynomial and separated Sturm box
         h = hashlib.sha256()
         for v in _pinned_forms(corpus):
             sf = signature_function(v)
             h.update(f"{sf.jumps!r} {sf.values!r}\n".encode())
         assert h.hexdigest() == (
-            "60086406d27313a30458beb74bb59bf9f7d5b67ae0a965c00e399613b07eef48")
+            "549904f26ed9fbe8cc71064c7d7a0b1cc5e427071738c84464d9730b8700c491")
 
     def test_pinned_jumps_and_values_without_boxes(self, corpus):
         # sha256 of every jump's minimal polynomial, exact angle and branch,
@@ -592,9 +593,9 @@ def _count_eliminations(monkeypatch):
 
 
 def _every_arc(v):
-    _, boxes, _, point = invariants._arcs(x_polynomial(v))
+    _, boxes, angles, point = invariants._arcs(x_polynomial(v))
     return tuple(invariants._arc_signature(v, point(k))
-                 for k in range(len(boxes) + 1))
+                 for k in range(len(boxes or angles) + 1))
 
 
 T23 = torus(2, 3)
@@ -679,43 +680,68 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
+def _count_cos_2pi(monkeypatch):
+    """A list that gets the angle of every ``intervals.cos_2pi`` call."""
+    import knotbench.intervals as intervals
+
+    calls = []
+    real = intervals.cos_2pi
+    monkeypatch.setattr(intervals, "cos_2pi", lambda theta, prec_bits=64:
+                        calls.append(theta) or real(theta, prec_bits))
+    return calls
+
+
 class TestRootsOfUnityFirst:
-    """Jumps at roots of unity are boxed from their exact angles k/n, with
-    no Sturm isolation, and an arc gets a sample point only when it is
+    """Jumps at roots of unity are their exact angles k/n, with no Sturm
+    isolation and no x-box, and an arc gets a sample point only when it is
     evaluated."""
 
     def test_torus_knots_isolate_nothing(self, monkeypatch, trefoil):
         calls = _count_calls(monkeypatch, "_isolate", "_separate_boxes",
                              "_tan_in_gap")
+        enclosed = _count_cos_2pi(monkeypatch)
         evaluated = _count_eliminations(monkeypatch)
         for p, q in TORUS_FAMILY:
             del evaluated[:]
             sf = signature_function(torus(p, q))
             assert None not in [a.theta for a in sf.jumps], (p, q)
+            assert {(a.x_lo, a.x_hi) for a in sf.jumps} == {(None, None)}
             assert evaluated == [None], (p, q)
         assert calls == {"_isolate": [], "_separate_boxes": [],
                          "_tan_in_gap": []}
+        assert enclosed == []
         # a jump off the roots of unity isolates, and its arcs still get
         # no point when none is evaluated
         signature_function(connected_sum(trefoil, twist(-2)))
         assert len(calls["_isolate"]) == 1 and calls["_tan_in_gap"] == []
+        assert enclosed == []
 
-    def test_unit_boxes_hold_one_root_of_their_psi(self):
-        width = Fraction(1, 10 ** 30)
-        for p, q in EXACT_TORUS:
-            for a in torus_step_function(p, q).low:
-                n = a.theta.denominator
-                assert a.poly == _psi(n)
-                assert a.x_hi - a.x_lo < Fraction(16, n * n)
-                chain = sturm_sequence(a.poly)
-                assert poly_sign_at(a.poly, a.x_lo) != 0, (p, q, a)
-                assert poly_sign_at(a.poly, a.x_hi) != 0, (p, q, a)
-                assert count_roots_halfopen(chain, a.x_lo, a.x_hi) == 1
-                for prec in (64, 256):
-                    c = cos_2pi(a.theta, prec)
-                    assert a.x_lo <= 2 * c.lo and 2 * c.hi <= a.x_hi
-                # the box's root is the exact angle's
-                assert a.refine_x(width).enclosure(128).contains(a.theta)
+    def test_a_sixth_is_one_angle_however_it_is_found(self, trefoil):
+        # the jump at 1/6 of T(2,3), of T(2,3) # T(2,5) (found with the
+        # jumps of Psi_10) and of T(2,3) # 5_2 (found among Sturm boxes)
+        # is one value: equal, with one hash and one repr
+        sixths = []
+        for v in (trefoil, connected_sum(trefoil, torus(2, 5)),
+                  connected_sum(trefoil, twist(-2))):
+            sixths += [a for a in signature_function(v).low
+                       if a.theta == Fraction(1, 6)]
+        assert len(sixths) == 3
+        assert len(set(sixths)) == 1 and len(set(map(hash, sixths))) == 1
+        assert {repr(a) for a in sixths} == {
+            "AlgebraicAngle(acos(x/2)/2pi, x - 1, theta=1/6)"}
+        assert sixths[0].enclosure(64) == IntervalReal.exact(Fraction(1, 6))
+
+    def test_levine_tristram_encloses_only_its_arc(self, monkeypatch):
+        # T(2,21) jumps at k/42; theta = 1/7 = 6/42 lies on the arc between
+        # 5/42 and 1/6: one enclosure of x at 1/7 to place it, and one for
+        # each of the two exact angles that bound its arc
+        calls = _count_cos_2pi(monkeypatch)
+        t221 = torus(2, 21)
+        sigma = levine_tristram(t221, Fraction(1, 7))
+        assert len(calls) <= 3, calls
+        assert set(calls) <= {Fraction(1, 7), Fraction(5, 42), Fraction(1, 6)}
+        monkeypatch.undo()
+        assert sigma == signature_function(t221).value_at(Fraction(1, 7))
 
     def test_repeated_interleaved_and_mixed_jumps(self, monkeypatch):
         rng = random.Random(3)
@@ -760,19 +786,24 @@ class TestRootsOfUnityFirst:
             assert [a.poly for a in plain.jumps] == [a.poly
                                                      for a in sf.jumps], v
 
-    def test_overlapping_unit_boxes_are_refined_for_a_point(
+    def test_overlapping_enclosures_are_refined_for_a_point(
             self, monkeypatch):
         # T(2,11) # T(2,13) jumps at 1/26 and 1/22, 0.023 apart in x.
-        # cos_2pi at the base precision is widened to a valid enclosure of
-        # nearly 16/n^2 in x, so those two unit boxes overlap, and a point
-        # between them needs the enclosures at doubled precision
+        # cos_2pi at the base precision is widened to a valid enclosure
+        # 15.6/n^2 wide in x, so the enclosures of those two angles
+        # overlap, and a point of the arc between them needs them again at
+        # doubled precision; every arc's point still lands on its arc
         import knotbench.intervals as intervals
 
         v = connected_sum(torus(2, 11), torus(2, 13))
-        want = signature_function(v)
+        _, _, angles, point = invariants._arcs(x_polynomial(v))
+        k = angles.index((Fraction(1, 22), 22))
+        assert angles[k - 1] == (Fraction(1, 26), 26)
         real = intervals.cos_2pi
+        precs = []
 
         def wide(theta, prec_bits):
+            precs.append(prec_bits)
             c = real(theta, prec_bits)
             if prec_bits > 64:
                 return c
@@ -780,14 +811,19 @@ class TestRootsOfUnityFirst:
             return intervals.IntervalReal(c.lo - pad, c.hi + pad)
 
         monkeypatch.setattr(intervals, "cos_2pi", wide)
-        sf = signature_function(v)
-        boxes = {a.theta: (a.x_lo, a.x_hi) for a in sf.low}
-        assert boxes[Fraction(1, 26)][0] < boxes[Fraction(1, 22)][1]
-        for a in sf.low:
-            assert count_roots_halfopen(sturm_sequence(a.poly),
-                                        a.x_lo, a.x_hi) == 1
-        assert sf.half == want.half == _every_arc(v)
-        assert len(set(sf.half)) == len(sf.half)  # monotone: each arc told
+        assert 2 * wide(Fraction(1, 26), 64).lo < 2 * wide(Fraction(1, 22),
+                                                           64).hi
+        del precs[:]
+        r = point(k)
+        assert precs == [64, 64, 128, 128]
+        x = 2 * (1 - r * r) / (1 + r * r)
+        assert 2 * real(Fraction(1, 22), 64).hi < x
+        assert x < 2 * real(Fraction(1, 26), 64).lo
+        got = signature_function(v).half, _every_arc(v)
+        monkeypatch.undo()
+        half = signature_function(v).half
+        assert got == (half, half)
+        assert len(set(half)) == len(half)  # monotone: each arc told
 
 
 class TestOneSturmChainPerArcs:
@@ -796,7 +832,7 @@ class TestOneSturmChainPerArcs:
         # one remainder sequence per x-polynomial, with the squarefree part
         # that poly_squarefree_part gives, and, when a root is off the
         # roots of unity, the boxes that sturm_isolate gives, in ascending
-        # theta; otherwise the unit boxes of the exact angles
+        # theta; otherwise no box: the exact angles are every jump
         chains = []
         sequence = invariants.sturm_sequence
         monkeypatch.setattr(invariants, "sturm_sequence",
@@ -817,8 +853,8 @@ class TestOneSturmChainPerArcs:
                 assert boxes == _separate_boxes(
                     ps, sturm_isolate(p, -2, 2))[::-1], v
             else:
-                assert boxes == [invariants._unit_box(theta, n)
-                                 for theta, n in angles], v
+                assert boxes == [], v
+                assert len(angles) == count_real_roots(p, -2, 2), v
 
 
 class TestOneSturmChainPerLevineTristram:
@@ -1132,6 +1168,12 @@ class TestCyclotomicJumps:
             assert None in low
             plain = jumps_by_factoring(sf)
             assert [a.poly for a in plain.jumps] == [a.poly for a in sf.jumps]
+            # each exact angle lies in its independent 1e-30 enclosure
+            width = Fraction(1, 10 ** 30)
+            for a, b in zip(sf.jumps, plain.jumps):
+                if a.theta is not None:
+                    theta = a.enclosure(64).lo
+                    assert b.enclosure_to_width(width).contains(theta)
 
     def test_box_that_no_factor_claims(self):
         # 2x - 3 is no Psi_n, and its root 3/2 lies outside the box (0, 1)

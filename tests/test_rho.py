@@ -8,7 +8,7 @@ from knotbench.braids import BraidWord, seifert_matrix_from_braid
 from knotbench.cli import main
 from knotbench.errors import InputError
 from knotbench.intervals import AlgebraicAngle, IntervalReal
-from knotbench.invariants import _unit_box, signature_csv, signature_function
+from knotbench.invariants import signature_csv, signature_function
 from knotbench.rho import rho0, rho0_from_step_function
 from knotbench.seifert import UNKNOT, SeifertMatrix, connected_sum, mirror
 
@@ -91,15 +91,20 @@ class TestRho0:
 
     def test_jump_bounds_unchanged_by_evaluation(self):
         # angles held by a step function are values: evaluating rho0, the
-        # step function and its CSV rendering must not narrow them
-        sf = signature_function(
-            seifert_matrix_from_braid(BraidWord(2, [1] * 5)))
-        before = [(a.x_lo, a.x_hi) for a in sf.jumps]
-        assert before[0] == _unit_box(Fraction(1, 10), 10)
-        rho0_from_step_function(sf, PREC)
-        assert sf.value_at(Fraction(1, 7)) == sf.values[1]
-        signature_csv(sf)
-        assert [(a.x_lo, a.x_hi) for a in sf.jumps] == before
+        # step function and its CSV rendering must not narrow them.  T(2,5)
+        # jumps at 1/10 and 3/10, exact angles with no x-box; 5_2 # T(2,5)
+        # adds a jump at x = 3/2, whose Sturm box only copies refine
+        t25 = seifert_matrix_from_braid(BraidWord(2, [1] * 5))
+        mixed = connected_sum(t25, SeifertMatrix([[-1, 1], [0, -2]]))
+        for v, arc in ((t25, 1), (mixed, 2)):
+            sf = signature_function(v)
+            before = [(a.x_lo, a.x_hi, a.theta) for a in sf.jumps]
+            assert before[0] == (None, None, Fraction(1, 10))
+            rho0_from_step_function(sf, PREC)
+            assert sf.value_at(Fraction(1, 7)) == sf.values[arc]
+            signature_csv(sf)
+            assert [(a.x_lo, a.x_hi, a.theta) for a in sf.jumps] == before
+        assert before[1][2] is None and before[1][0] < 1.5 < before[1][1]
 
     def test_reevaluate_at_fifty_digits(self, trefoil):
         r = rho0(trefoil, PREC)
