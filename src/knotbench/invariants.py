@@ -7,10 +7,12 @@ from the integer determinants det(V - kV^T) at k = 0, 2, 3, ..., g (k = 1
 gives 1 for every Seifert matrix).  The Alexander polynomial is
 Delta(t) = P(t + 1/t).  The substitution x = t + 1/t turns unit-circle
 roots of Delta into real roots of P in (-2, 2), so jump angles of the
-signature function are kept as algebraic numbers through P; a jump at a
-root of unity, found by trial division by the cyclotomic factors Psi_n,
-is its exact angle k/n, with no x-box.  Roots are isolated by Sturm's
-method only when some root of P in (-2, 2) is not at a root of unity.
+signature function are kept as algebraic numbers through P, in one list
+of jumps in ascending theta: a jump at a root of unity, found by trial
+division by the cyclotomic factors Psi_n, is its exact angle k/n, with no
+x-box, and any other jump is a Sturm box of its root with its minimal
+polynomial.  Roots are isolated by Sturm's method only when some root of
+P in (-2, 2) is not at a root of unity.
 The Fox-Milnor condition is decided by factoring P and, where needed, the
 lifts t^d Q(t + 1/t) of its irreducible factors Q.  The signature is
 constant on the arcs between the jumps.  The first arc is 0 and each jump
@@ -18,20 +20,19 @@ is at most 2m for the largest root multiplicity m of P, so
 ``signature_function`` runs an exact Hermitian elimination over Z[i], at
 one rational point tan(pi theta) = p/q of an arc, only on the arcs whose
 value those bounds leave open; intervals only locate a given theta among
-the roots and place a point of an evaluated arc between two exact jumps.
+the roots and place a point of an evaluated arc next to an exact jump.
 
 Delta, the determinant, Arf (the determinant mod 8, by Levine's rule) and
 sigma(-1) = sign(V + V^T) are integers and need no interval arithmetic.
 ``intervals`` is imported only inside the functions that build a jump
-angle or enclose an angle: ``_arc_index``, the point lookup of ``_arcs``,
-``_jumps`` and ``signature_csv``.  So the ``invariants`` and ``table``
-commands never load it; ``rho`` and ``sigfn`` do.
+angle or enclose an angle: ``_x_range``, ``_arcs``, ``signature_function``
+and ``signature_csv``.  So the ``invariants`` and ``table`` commands never
+load it; ``rho`` and ``sigfn`` do.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -208,8 +209,10 @@ def _tan_in_gap(x_lo: Fraction, x_hi: Fraction) -> Fraction:
     Requires -2 < x_lo < x_hi <= 2.  x decreases in r and
     r^2 = (2 - x)/(2 + x); r is k/2^m with m, then k, as small as possible:
     m counts up from 0, and each m tries the least k with k/2^m above the
-    r-gap's lower end.
+    r-gap's lower end.  Any other gap raises PreconditionError.
     """
+    if not -2 < x_lo < x_hi <= 2:
+        raise PreconditionError(f"no rational tangent in ({x_lo}, {x_hi})")
     lo2 = (2 - x_hi) / (2 + x_hi)
     hi2 = (2 - x_lo) / (2 + x_lo)
     m = 0
@@ -234,6 +237,15 @@ def _check_theta(p: tuple, theta: Fraction) -> Fraction:
     return theta
 
 
+def _x_range(theta: Fraction, prec: int) -> tuple:
+    """(x_lo, x_hi), twice the ``cos_2pi`` enclosure of theta at ``prec``
+    bits, clipped to [-2, 2]: it holds x = 2cos(2 pi theta)."""
+    from .intervals import cos_2pi
+
+    c = cos_2pi(theta, prec)
+    return max(2 * c.lo, Fraction(-2)), min(2 * c.hi, Fraction(2))
+
+
 def _arc_index(chain: list, theta: Fraction) -> int:
     """The index of theta's arc in (0, 1/2], from theta = 0 on, among the
     arcs that the roots of the squarefree x-polynomial ps cut, given a
@@ -243,13 +255,10 @@ def _arc_index(chain: list, theta: Fraction) -> int:
     same roots.  x is enclosed at a precision that doubles until the
     enclosure misses every root, which ends for a theta that passed
     ``_check_theta``, as x is then no root."""
-    from .intervals import cos_2pi
-
     ps = chain[0]
     prec = _BASE_PREC
     while True:
-        c = cos_2pi(theta, prec)
-        x_lo, x_hi = max(2 * c.lo, Fraction(-2)), min(2 * c.hi, Fraction(2))
+        x_lo, x_hi = _x_range(theta, prec)
         above = count_roots_halfopen(chain, x_hi, 2)
         if (poly_sign_at(ps, x_lo) and poly_sign_at(ps, x_hi)
                 and count_roots_halfopen(chain, x_lo, 2) == above):
@@ -276,7 +285,7 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction) -> int:
         return _arc_signature(v, None)
     p = x_polynomial(v)
     theta = _check_theta(p, theta)
-    chain, _, _, point = _arcs(p)
+    chain, _, point = _arcs(p)
     return _arc_signature(v, point(_arc_index(chain, theta)))
 
 
@@ -303,8 +312,10 @@ class SignatureStepFunction(namedtuple(
     """The Levine-Tristram signature as a step function of theta in (0, 1).
 
     It is stored by its half on (0, 1/2], as sigma(theta) = sigma(1 - theta):
-    ``low`` lists the jump angles in (0, 1/2) ascending, and ``half`` the
-    values on the arcs between them, from theta = 0 to the arc holding 1/2.
+    ``low`` lists the jump angles in (0, 1/2) ascending, one list in which
+    a jump at a root of unity is its exact angle and any other jump a
+    Sturm box with its minimal polynomial, and ``half`` the values on the
+    arcs between them, from theta = 0 to the arc holding 1/2.
     ``jumps`` and ``values`` mirror them onto the whole circle.  The value
     exactly at a jump is not defined: ``value_at`` raises
     PossiblySingularError there, as ``levine_tristram`` does, and it
@@ -340,74 +351,83 @@ def _separate_boxes(ps: tuple, boxes: list) -> list:
 
 
 def _arcs(p: tuple) -> tuple:
-    """The arcs of theta in (0, 1/2] that the roots of the x-polynomial p
-    cut, as (chain, boxes, angles, point).
+    """The jumps of theta in (0, 1/2] that the roots of the x-polynomial p
+    cut into arcs, as (chain, low, point).
 
     ``chain`` is the Sturm chain of p, a chain of its squarefree part
-    ps = poly_primitive(chain[0]).  ``angles`` lists the exact angles
-    (k/n, n), ascending, of the roots of the Psi_n that divide ps.  When
-    some root of ps in (-2, 2) is off the roots of unity, ``boxes`` holds
-    an x-box (lo, hi) for each root, from the top root down, that is in
-    ascending theta: box k holds the k-th jump.  When every root is at a
-    root of unity, ``boxes`` is empty and ``angles`` are the jumps; so
-    there are len(boxes or angles) jumps.  ``point(k)`` is
-    r = tan(pi theta) at a rational point of arc k, the arc between jumps
-    k - 1 and k, found by ``_tan_in_gap`` only when asked; the last arc,
-    which holds theta = 1/2, gives None.
+    ps = poly_primitive(chain[0]).  ``low`` lists one ``AlgebraicAngle``
+    per root of ps in (-2, 2), in ascending theta: a root at a root of
+    unity is its exact angle k/n with minimal polynomial Psi_n, and any
+    other root is the separated Sturm box (lo, hi) that holds it, named by
+    the cofactor ``rest`` of the Psi_n, which ``signature_function`` factors
+    to give it its minimal polynomial.  ``point(k)`` is r = tan(pi theta)
+    at a rational point of arc k, the arc between jumps k - 1 and k, found
+    by ``_tan_in_gap`` only when asked; the last arc, which holds
+    theta = 1/2, gives None.
 
     The chain counts the roots of ps in (-2, 2), as neither end is a root
     of an x-polynomial: P(2) = Delta(1) = 1, and P(-2) = Delta(-1) is odd.
     All deg Psi_n roots of a Psi_n that divides ps are among them, so only
     the n of ``_cyclotomic_candidates(count)`` can divide it, and each
-    that does is divided out in turn.  When these account for every root,
-    as for every torus knot, nothing is isolated and nothing is boxed.
-    Otherwise the roots of ps are isolated on its chain, and each box is
-    refined until it lies strictly below the one above it and below 2.
+    that does is divided out of ``rest`` in turn.  When these account for
+    every root, as for every torus knot, nothing is isolated.  Otherwise
+    every root of ps is isolated on its chain, and each box is refined
+    until it lies strictly below the one above it and below 2.  A box holds
+    one root of ps and none at its ends, so ``rest`` changes sign across it
+    iff its root is a root of ``rest``; the other boxes, in ascending
+    theta, hold the roots of the Psi_n, and take the exact angles in
+    ascending theta; were there more or fewer of them than exact angles,
+    PreconditionError would be raised.
 
     A point of arc k lies in an open x-gap inside (x_k, x_(k-1)), for the
     roots x_k of jump k and x_(k-1) of jump k - 1 (x_(-1) = 2); no root
-    lies between them.  The gap runs from the top of box k to the bottom
-    of box k - 1, or between twice the ``cos_2pi`` enclosures of angles k
-    and k - 1, at a precision that doubles from 64 bits until the gap
-    opens, as it does when both shrink to their distinct roots.
+    lies between them.  The gap runs from the top of the x-range of jump k
+    to the bottom of that of jump k - 1: a box is its own x-range, and an
+    exact angle has the ``_x_range`` of its theta, at a precision that
+    doubles from 64 bits until the gap opens, as it does when each range
+    shrinks to its root.
     """
+    from .intervals import AlgebraicAngle
+
     chain = sturm_sequence(p)
     ps = poly_primitive(chain[0])
     left = count_roots_halfopen(chain, -2, 2)
-    ns, rest = [], ps
+    exact, rest = [], ps
     for n in _cyclotomic_candidates(left):
         psi = _psi(n)
-        if len(psi) - 1 > left:
-            continue
-        q = _quotient(rest, psi)
-        if q is None:
+        if len(psi) - 1 > left or (q := _quotient(rest, psi)) is None:
             continue
         rest, left = q, left - (len(psi) - 1)
-        ns.append(n)
+        exact += [AlgebraicAngle(psi, theta=Fraction(k, n))
+                  for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1]
         if not left:
             break
-    angles = sorted((Fraction(k, n), n) for n in ns
-                    for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
-    boxes = _separate_boxes(ps, _isolate(chain, -2, 2))[::-1] if left else []
+    low = tuple(sorted(exact, key=lambda a: a.theta))
+    if left:
+        boxes = _separate_boxes(ps, _isolate(chain, -2, 2))[::-1]
+        on_rest = [poly_sign_at(rest, lo) != poly_sign_at(rest, hi)
+                   for lo, hi in boxes]
+        if on_rest.count(False) != len(low):
+            raise PreconditionError(f"boxes of {poly_to_str(ps)} miss a root")
+        angles = iter(low)
+        low = tuple(AlgebraicAngle(rest, lo, hi) if claimed else next(angles)
+                    for (lo, hi), claimed in zip(boxes, on_rest))
+
+    def jump_x_range(a, prec: int) -> tuple:
+        return (a.x_lo, a.x_hi) if a.theta is None else _x_range(a.theta, prec)
 
     def point(k: int) -> Fraction | None:
-        if k == len(boxes or angles):
+        if k == len(low):
             return None
-        if boxes:
-            top = boxes[k - 1][0] if k else Fraction(2)
-            return _tan_in_gap(boxes[k][1], top)
-        from .intervals import cos_2pi
-
         prec = _BASE_PREC
         while True:
-            bottom = 2 * cos_2pi(angles[k][0], prec).hi
-            top = (2 * cos_2pi(angles[k - 1][0], prec).lo if k
-                   else Fraction(2))
+            bottom = jump_x_range(low[k], prec)[1]
+            top = jump_x_range(low[k - 1], prec)[0] if k else Fraction(2)
             if bottom < top:
                 return _tan_in_gap(bottom, top)
             prec *= 2
 
-    return chain, boxes, angles, point
+    return chain, low, point
 
 
 @functools.lru_cache(maxsize=None)
@@ -441,47 +461,10 @@ def _psi(n: int) -> tuple:
     return _laurent_to_x(LaurentPoly.from_int_poly(phi_n, (1 - len(phi_n)) // 2))
 
 
-def _jumps(ps: tuple, boxes: list, angles: list) -> tuple:
-    """The jump angles of the squarefree ps, in ascending theta, from its
-    ``boxes`` and the exact ``angles`` (k/n, n) of the roots of the Psi_n
-    that divide it, both as ``_arcs`` gives them; with no boxes, these
-    angles are all the jumps.  Otherwise each box holds one simple root of
-    ps and none at its ends, so exactly one irreducible factor of ps
-    changes sign across it: its minimal polynomial.  The Psi_n are tried
-    first, and the boxes of Psi_n, taken in ascending theta, get its
-    angles k/n in ascending order, which replace the box.  The cofactor of
-    the Psi_n is factored, and its factors keep their boxes.
-    """
-    from .intervals import AlgebraicAngle
-
-    if not boxes:
-        return tuple(AlgebraicAngle(_psi(n), theta=theta)
-                     for theta, n in angles)
-    by_n = {}  # n -> the exact angles of Psi_n, ascending
-    for theta, n in angles:
-        by_n.setdefault(n, []).append(theta)
-    claims = []  # (minimal polynomial, its exact angles in ascending theta)
-    for n in sorted(by_n):
-        ps = _quotient(ps, _psi(n))
-        claims.append((_psi(n), iter(by_n[n])))
-    claims += [(f, itertools.repeat(None))
-               for f, _mult in factor_integer_poly(ps)[1]]
-    low = []
-    for lo, hi in boxes:
-        for f, thetas in claims:
-            if poly_sign_at(f, lo) != poly_sign_at(f, hi):
-                break
-        else:
-            raise PreconditionError(
-                f"no irreducible factor of {poly_to_str(ps)} has its"
-                f" root in ({lo}, {hi})")
-        low.append(AlgebraicAngle(f, lo, hi, theta=next(thetas)))
-    return tuple(low)
-
-
 def _arc_values(v: SeifertMatrix, point, arcs: int, m: int) -> tuple:
-    """The signature on each of the ``arcs`` arcs, given that the first
-    arc is 0 and that each jump is at most 2m (see ``signature_function``).
+    """The signature on each of the ``arcs`` arcs, one more than the jumps
+    ``low`` of ``_arcs``, given that the first arc is 0 and that each jump
+    is at most 2m (see ``signature_function``).
     The last arc, which holds theta = 1/2, is evaluated; between two known
     arcs a < b that differ by 2m(b - a), every jump is 2m with that one
     sign, and otherwise the middle arc is evaluated, at ``point(c)`` of
@@ -515,14 +498,17 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     """Full signature step function: exact jump angles plus arc values.
 
     The n roots of the x-polynomial P in (-2, 2) cut theta in (0, 1/2]
-    into n + 1 arcs.  ``_arcs`` finds them: as the exact angles k/n, with
-    no isolation, when every root is at a root of unity, and as Sturm boxes
-    otherwise.  Each arc but the last has a rational point in an x-gap
-    between its two jumps, found only for an arc that is evaluated; the
-    last one holds theta = 1/2.  Only these jumps and arcs are stored:
-    those in [1/2, 1) mirror them, as sigma(theta) = sigma(1 - theta).
-    ``_jumps`` gives each jump its minimal polynomial, and a jump at a
-    root of unity its exact angle k/n in place of a box.
+    into n + 1 arcs.  ``_arcs`` lists the n jumps in ascending theta: a
+    root at a root of unity as its exact angle k/n with minimal polynomial
+    Psi_n, found with no isolation, and any other root as a Sturm box,
+    named by the cofactor ``rest`` of the Psi_n.  Each arc but the last has
+    a rational point in an x-gap between its two jumps, found only for an
+    arc that is evaluated; the last one holds theta = 1/2.  Only these
+    jumps and arcs are stored: those in [1/2, 1) mirror them, as
+    sigma(theta) = sigma(1 - theta).  ``rest`` is factored once, and each
+    boxed jump is named by its minimal polynomial, the one irreducible
+    factor that changes sign across its box: the box holds one simple root
+    of ``rest`` and none at its ends.
 
     ``_arc_values`` evaluates only the arcs that two facts leave open.
     (i) The first arc is 0.  With 1 - omega = -2i sin(pi theta)
@@ -541,10 +527,24 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     d/dtheta 2cos 2 pi theta is nonzero on (0, 1/2), so that order is the
     multiplicity of x_j = 2cos 2 pi theta_j as a root of P, at most m.
     """
+    from .intervals import AlgebraicAngle
+
     p = x_polynomial(v)
-    chain, boxes, angles, point = _arcs(p)
+    chain, low, point = _arcs(p)
     ps = poly_primitive(chain[0])
-    low = _jumps(ps, boxes, angles)
+    rest = next((a.poly for a in low if a.theta is None), None)
+    if rest is not None:
+        factors = [f for f, _mult in factor_integer_poly(rest)[1]]
+
+        def named(a):
+            for f in factors:
+                if poly_sign_at(f, a.x_lo) != poly_sign_at(f, a.x_hi):
+                    return AlgebraicAngle(f, a.x_lo, a.x_hi)
+            raise PreconditionError(
+                f"no irreducible factor of {poly_to_str(rest)} has its"
+                f" root in ({a.x_lo}, {a.x_hi})")
+
+        low = tuple(a if a.theta is not None else named(a) for a in low)
     half = _arc_values(v, point, len(low) + 1, len(p) - len(ps) + 1)
     return SignatureStepFunction(low, half, ps, _lift(p))
 
@@ -710,9 +710,9 @@ def algebraically_concordant_test(v1: SeifertMatrix,
     p1, p2 = x_polynomial(v1), x_polynomial(v2)
     # both signature functions are constant on every arc cut by the roots
     # of Delta_1 Delta_2, so they agree iff they agree at one point of each
-    _, boxes, angles, point = _arcs(poly_mul(p1, p2))
+    _, low, point = _arcs(poly_mul(p1, p2))
     if any(_arc_signature(v1, r) != _arc_signature(v2, r)
-           for r in map(point, range(len(boxes or angles) + 1))):
+           for r in map(point, range(len(low) + 1))):
         found.append("signature function")
 
     if not _fox_milnor(p1, p2):

@@ -30,8 +30,8 @@ def symmetric_signature(rows):
 def arc_points(v):
     """One point r = tan(pi theta) per arc of theta in (0, 1/2], as
     ``signature_function`` evaluates them; None is theta = 1/2."""
-    _, boxes, angles, point = _arcs(_laurent_to_x(alexander_polynomial(v)))
-    return [point(k) for k in range(len(boxes or angles) + 1)]
+    _, low, point = _arcs(_laurent_to_x(alexander_polynomial(v)))
+    return [point(k) for k in range(len(low) + 1)]
 
 
 def eigen_signature(re, im):

@@ -13,7 +13,6 @@ from knotbench.invariants import (
     _arf_of_determinant,
     _cyclotomic_candidates,
     _fox_milnor,
-    _jumps,
     _laurent_to_x,
     _lift,
     _lift_splits,
@@ -33,7 +32,7 @@ from knotbench.invariants import (
     signature_function,
     x_polynomial,
 )
-from knotbench.intervals import IntervalReal, cos_2pi
+from knotbench.intervals import AlgebraicAngle, IntervalReal, cos_2pi
 from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly,
                                    count_real_roots, cyclotomic_poly,
                                    poly_eval, poly_mul, poly_primitive,
@@ -209,6 +208,17 @@ class TestTanInGap:
             x_hi = min(x_lo + Fraction(rng.randint(1, 999),
                                        2 ** rng.randint(0, 120)), Fraction(2))
             self.check(x_lo, x_hi)
+
+    @pytest.mark.parametrize("x_lo,x_hi", [
+        (Fraction(1), Fraction(1)),          # empty gap: looped for ever
+        (Fraction(1), Fraction(1, 2)),       # reversed
+        (Fraction(-2), Fraction(1)),         # x = -2: division by zero
+        (Fraction(-3), Fraction(1)),
+        (Fraction(1), Fraction(5, 2)),       # past x = 2
+    ])
+    def test_gaps_outside_the_precondition_raise(self, x_lo, x_hi):
+        with pytest.raises(PreconditionError, match="no rational tangent"):
+            _tan_in_gap(x_lo, x_hi)
 
 
 class TestArf:
@@ -593,9 +603,9 @@ def _count_eliminations(monkeypatch):
 
 
 def _every_arc(v):
-    _, boxes, angles, point = invariants._arcs(x_polynomial(v))
+    _, low, point = invariants._arcs(x_polynomial(v))
     return tuple(invariants._arc_signature(v, point(k))
-                 for k in range(len(boxes or angles) + 1))
+                 for k in range(len(low) + 1))
 
 
 T23 = torus(2, 3)
@@ -649,7 +659,7 @@ class TestArcBisection:
             signature_function(T23)
         # of (0, -2, 0, -2), arc 1 and then arc 2 are evaluated; arc 2
         # read as -6 is 4 from arc 1 across one jump of at most 2
-        arc2 = invariants._arcs(x_polynomial(T25_MINUS_T23))[3](2)
+        arc2 = invariants._arcs(x_polynomial(T25_MINUS_T23))[2](2)
         monkeypatch.setattr(invariants, "_arc_signature",
                             lambda v, r: -6 if r == arc2 else real(v, r))
         with pytest.raises(PreconditionError,
@@ -662,7 +672,7 @@ class TestArcBisection:
         forms = (list(corpus.values()) + [T25_MINUS_T23, torus(3, 4)]
                  + [random_seifert(rng, 1 + k % 3) for k in range(40)])
         for v in forms:
-            point = invariants._arcs(x_polynomial(v))[3]
+            point = invariants._arcs(x_polynomial(v))[2]
             assert realified_arc_signature(v, point(0)) == 0, v
 
 
@@ -743,7 +753,8 @@ class TestRootsOfUnityFirst:
         monkeypatch.undo()
         assert sigma == signature_function(t221).value_at(Fraction(1, 7))
 
-    def test_repeated_interleaved_and_mixed_jumps(self, monkeypatch):
+    def test_repeated_interleaved_and_mixed_jumps(self, corpus,
+                                                  monkeypatch):
         rng = random.Random(3)
         while True:
             form = random_seifert(rng, 2)
@@ -766,6 +777,13 @@ class TestRootsOfUnityFirst:
              True),
             # a jump off the roots of unity: Sturm boxes for all of them
             (connected_sum(t25, form), None, tenths, True),
+            # 5_2 # mirror(T(2,5)): exact, boxed, exact, with evaluated
+            # arcs between them
+            (connected_sum(corpus["5_2"], mirror(t25)), (0, 2, 0, 2),
+             tenths, True),
+            # 6_2 # mirror(T(2,7)): two exact jumps, a boxed one, an exact
+            (connected_sum(corpus["6_2"], mirror(torus(2, 7))),
+             (0, 2, 4, 2, 4), [Fraction(k, 14) for k in (1, 3, 5)], True),
         )
         for v, half, exact, inner_evaluated in cases:
             calls = _count_calls(monkeypatch, "_tan_in_gap")
@@ -796,9 +814,9 @@ class TestRootsOfUnityFirst:
         import knotbench.intervals as intervals
 
         v = connected_sum(torus(2, 11), torus(2, 13))
-        _, _, angles, point = invariants._arcs(x_polynomial(v))
-        k = angles.index((Fraction(1, 22), 22))
-        assert angles[k - 1] == (Fraction(1, 26), 26)
+        _, low, point = invariants._arcs(x_polynomial(v))
+        k = low.index(AlgebraicAngle(_psi(22), theta=Fraction(1, 22)))
+        assert low[k - 1] == AlgebraicAngle(_psi(26), theta=Fraction(1, 26))
         real = intervals.cos_2pi
         precs = []
 
@@ -830,9 +848,11 @@ class TestOneSturmChainPerArcs:
     def test_arcs_isolate_from_the_chain_of_the_squarefree_part(
             self, corpus, monkeypatch):
         # one remainder sequence per x-polynomial, with the squarefree part
-        # that poly_squarefree_part gives, and, when a root is off the
-        # roots of unity, the boxes that sturm_isolate gives, in ascending
-        # theta; otherwise no box: the exact angles are every jump
+        # that poly_squarefree_part gives, and one jump per root in
+        # (-2, 2): the roots at roots of unity are their exact angles, and
+        # the others keep the separated boxes that sturm_isolate gives, in
+        # ascending theta, and each exact angle takes the place of the box
+        # of its root; a knot with every root at a root of unity has no box
         chains = []
         sequence = invariants.sturm_sequence
         monkeypatch.setattr(invariants, "sturm_sequence",
@@ -841,20 +861,35 @@ class TestOneSturmChainPerArcs:
         forms = (list(corpus.values())
                  + [torus(p, q) for p, q in TORUS_FAMILY]
                  + [random_seifert(rng, 1 + k % 4) for k in range(40)]
-                 + [UNKNOT, connected_sum(T23, T23), T25_MINUS_T23])
+                 + [UNKNOT, connected_sum(T23, T23), T25_MINUS_T23]
+                 # mixed: exact jumps and boxes interleave
+                 + [connected_sum(T23, twist(-2)),
+                    connected_sum(corpus["5_2"], mirror(torus(2, 5))),
+                    connected_sum(corpus["6_2"], mirror(torus(2, 7))),
+                    connected_sum(connected_sum(T23, twist(-2)),
+                                  corpus["6_2"])])
         for v in forms:
             p = x_polynomial(v)
             del chains[:]
-            chain, boxes, angles, _ = invariants._arcs(p)
+            chain, low, _ = invariants._arcs(p)
             assert chains == [p], v
             ps = poly_primitive(chain[0])
             assert ps == poly_squarefree_part(p), v
-            if len(angles) < len(boxes):
-                assert boxes == _separate_boxes(
-                    ps, sturm_isolate(p, -2, 2))[::-1], v
-            else:
-                assert boxes == [], v
-                assert len(angles) == count_real_roots(p, -2, 2), v
+            assert len(low) == count_real_roots(p, -2, 2), v
+            # the roots off the roots of unity, by factoring: a box whose
+            # sign-changing factor of ps is no Psi_n
+            psis = {_psi(n) for n in _cyclotomic_candidates(len(ps) - 1)}
+            factors = [f for f, _ in sympy_factor_list(ps)[1]]
+            boxes = _separate_boxes(ps, sturm_isolate(p, -2, 2))[::-1]
+            on_psi = [next(f for f in factors if poly_sign_at(f, lo)
+                           != poly_sign_at(f, hi)) in psis
+                      for lo, hi in boxes]
+            off = [box for box, exact in zip(boxes, on_psi) if not exact]
+            assert [(a.x_lo, a.x_hi) for a in low if a.theta is None] == off, v
+            for a, (lo, hi), exact in zip(low, boxes, on_psi):
+                if exact:
+                    x = cos_2pi(a.theta, 256)
+                    assert lo < 2 * x.lo and 2 * x.hi < hi, (v, a)
 
 
 class TestOneSturmChainPerLevineTristram:
@@ -1149,10 +1184,12 @@ class TestCyclotomicJumps:
         assert sf.jumps[-1] == low.conjugate()
         assert low.conjugate().conjugate() == low
 
-    def test_mixed_jumps(self, trefoil):
-        # trefoil # 5_2 and T(2,5) # a form with a jump off the roots of
-        # unity: the cyclotomic jumps are exact, the others are not, and
-        # the factoring oracle finds the same minimal polynomials
+    def test_mixed_jumps(self, trefoil, corpus):
+        # trefoil # 5_2, T(2,5) # a form with a jump off the roots of
+        # unity, and trefoil # 5_2 # 6_2, whose cofactor (2x - 3)(x^2 -
+        # 3x + 1) of Psi_6 is reducible: the cyclotomic jumps are exact,
+        # the others are not, and the factoring oracle finds the same
+        # minimal polynomials
         rng = random.Random(3)
         while True:
             form = random_seifert(rng, 2)
@@ -1161,7 +1198,9 @@ class TestCyclotomicJumps:
                 break
         for v, want in ((connected_sum(trefoil, twist(-2)), [Fraction(1, 6)]),
                         (connected_sum(torus(2, 5), form),
-                         [Fraction(k, 10) for k in (1, 3)])):
+                         [Fraction(k, 10) for k in (1, 3)]),
+                        (connected_sum(connected_sum(trefoil, twist(-2)),
+                                       corpus["6_2"]), [Fraction(1, 6)])):
             sf = signature_function(v)
             low = [a.theta for a in sf.jumps if not a.upper]
             assert sorted(t for t in low if t is not None) == want
@@ -1175,11 +1214,26 @@ class TestCyclotomicJumps:
                     theta = a.enclosure(64).lo
                     assert b.enclosure_to_width(width).contains(theta)
 
-    def test_box_that_no_factor_claims(self):
+    def test_boxes_that_miss_an_exact_root_raise(self, trefoil,
+                                                 monkeypatch):
+        # trefoil # 5_2: ps = (x - 1)(2x - 3), and only the box of 3/2
+        # kept: no box is left for the exact angle 1/6
+        separate = invariants._separate_boxes
+        monkeypatch.setattr(invariants, "_separate_boxes",
+                            lambda ps, boxes: separate(ps, boxes)[1:])
+        with pytest.raises(PreconditionError,
+                           match=r"boxes of 2\*x\^2 - 5\*x \+ 3 miss a root"):
+            signature_function(connected_sum(trefoil, twist(-2)))
+
+    def test_box_that_no_factor_claims(self, monkeypatch):
         # 2x - 3 is no Psi_n, and its root 3/2 lies outside the box (0, 1)
+        chain, _, point = invariants._arcs((-3, 2))
+        monkeypatch.setattr(
+            invariants, "_arcs",
+            lambda p: (chain, (AlgebraicAngle((-3, 2), 0, 1),), point))
         with pytest.raises(PreconditionError,
                            match=r"no irreducible factor of 2\*x - 3"):
-            _jumps((-3, 2), [(Fraction(0), Fraction(1))], [])
+            signature_function(twist(-2))
 
 
 def _x_poly_of(f):
