@@ -239,7 +239,14 @@ def _check_theta(p: tuple, theta: Fraction) -> Fraction:
 
 def _x_range(theta: Fraction, prec: int) -> tuple:
     """(x_lo, x_hi), twice the ``cos_2pi`` enclosure of theta at ``prec``
-    bits, clipped to [-2, 2]: it holds x = 2cos(2 pi theta)."""
+    bits, clipped to [-2, 2]: it holds x = 2cos(2 pi theta).
+
+    For prec >= 64 it is narrower than 2^(-prec/2).  ``cos_2pi`` works at
+    w = prec + 16 bits and widens its sum by 3(n + 1) + E_pi // 4 + 2 ulps
+    on each side.  Each series term is at most 0.32 times the one before,
+    so n < 0.61w + 1; and E_pi < 3.75w + 40.  That is fewer than 4w ulps,
+    so the range is narrower than 16w 2^-w <= 2^(-prec/2).
+    """
     from .intervals import cos_2pi
 
     c = cos_2pi(theta, prec)
@@ -350,6 +357,41 @@ def _separate_boxes(ps: tuple, boxes: list) -> list:
     return out
 
 
+def _gap_precision(ps: tuple, below, above) -> int:
+    """A precision at which the x-gap of ``_arcs`` between the jumps
+    ``below`` and ``above`` (None for x = 2) is open, if their roots lie
+    in that order.
+
+    Let B be an integer with 1/B at most the distance between the two
+    roots, or between an exact root and a fixed rational end e.  An
+    x-range is narrower than 2^(-prec/2) (``_x_range``), and that is at
+    most 1/(2B) once prec >= 2 bitlen(2B).  Then the gap is open.
+    - Two exact roots are distinct roots of the squarefree ps, of degree n.
+      They lie more than sqrt(3) n^(-(n+2)/2) ||ps||^(1-n) apart, by
+      Mahler's root-separation bound with |disc ps| >= 1.  So B^2 may be
+      n^(n+2) ||ps||^(2n-2).
+    - An exact root x of Psi = sum c_i x^i lies beside the end e of a box,
+      or beside e = 2, and Psi(e) != 0.  By Liouville,
+      |Psi(e)| >= den(e)^(-deg Psi).  Also |Psi(e)| = |Psi(e) - Psi(x)|
+      <= |e - x| M, for M = sum i |c_i| 2^(i-1) >= |Psi'| on [-2, 2].
+      So B = den(e)^(deg Psi) M.
+    - Two boxes, or a box below 2, are apart at any precision: B = 1.
+    """
+    if below.theta is None and (above is None or above.theta is None):
+        bound = 1
+    elif below.theta is None or above is None or above.theta is None:
+        exact, e = ((above, below.x_hi) if below.theta is None else
+                    (below, Fraction(2) if above is None else above.x_lo))
+        psi = exact.poly
+        bound = e.denominator ** (len(psi) - 1) * sum(
+            i * abs(c) << (i - 1) for i, c in enumerate(psi[1:], 1))
+    else:
+        n = len(ps) - 1
+        bound = math.isqrt(n ** (n + 2)
+                           * sum(c * c for c in ps) ** (n - 1)) + 1
+    return 2 * (2 * bound).bit_length()
+
+
 def _arcs(p: tuple) -> tuple:
     """The jumps of theta in (0, 1/2] that the roots of the x-polynomial p
     cut into arcs, as (chain, low, point).
@@ -385,7 +427,9 @@ def _arcs(p: tuple) -> tuple:
     to the bottom of that of jump k - 1: a box is its own x-range, and an
     exact angle has the ``_x_range`` of its theta, at a precision that
     doubles from 64 bits until the gap opens, as it does when each range
-    shrinks to its root.
+    shrinks to its root.  A gap still shut at the ``_gap_precision`` of
+    its two jumps means they are out of order, and PreconditionError is
+    raised.
     """
     from .intervals import AlgebraicAngle
 
@@ -419,12 +463,17 @@ def _arcs(p: tuple) -> tuple:
     def point(k: int) -> Fraction | None:
         if k == len(low):
             return None
-        prec = _BASE_PREC
+        prec, cap = _BASE_PREC, None
+        above = low[k - 1] if k else None
         while True:
             bottom = jump_x_range(low[k], prec)[1]
-            top = jump_x_range(low[k - 1], prec)[0] if k else Fraction(2)
+            top = jump_x_range(above, prec)[0] if k else Fraction(2)
             if bottom < top:
                 return _tan_in_gap(bottom, top)
+            cap = cap or _gap_precision(ps, low[k], above)
+            if prec >= cap:
+                raise PreconditionError(
+                    f"jumps {k - 1} and {k} of {poly_to_str(ps)} overlap")
             prec *= 2
 
     return chain, low, point
@@ -639,11 +688,17 @@ def _lift_splits(q: tuple) -> bool:
     map to the d distinct s(a) = s(b) + 1/s(b); so f has no two roots b,
     1/b, f and f* share no root, and R = c f f*.  (iii) A split R has
     |R(1)| = f(1)^2 and |R(-1)| = f(-1)^2, and R(+-1) = (+-1)^d Q(+-2), so
-    R is factored only when |Q(2)| and |Q(-2)| are squares.
+    R is factored only when |Q(2)| and |Q(-2)| are squares.  (iv) For
+    Q = q1 x + q0 nothing is factored: R = q1 t^2 + q0 t + q1 splits iff
+    its discriminant q0^2 - 4 q1^2 = Q(2) Q(-2) is a square.  Once |Q(2)|
+    and |Q(-2)| are squares, that holds iff Q(2) Q(-2) >= 0, which takes
+    in Q = x -+ 2, where it is 0.
     """
     q = poly_primitive(q)
     if not _squares_at_pm2(q):
         return False
+    if len(q) == 2:
+        return poly_eval(q, 2) * poly_eval(q, -2) >= 0
     return sum(m for _, m in factor_integer_poly(_lift(q))[1]) > 1
 
 

@@ -382,12 +382,16 @@ def refine_isolating_interval(p_sf: Sequence, a: Fraction, b: Fraction,
 #
 # Zassenhaus's algorithm as in von zur Gathen & Gerhard, *Modern Computer
 # Algebra* (3rd ed.), ch. 14-16: distinct- and equal-degree factorisation
-# mod a small prime p (Algorithms 14.3 and 14.8), quadratic Hensel lifting
-# of all modular factors along a binary factor tree (Algorithms 15.10 and
-# 15.17) to p^(2^j) past twice the Mignotte bound, and recombination of the
-# lifted factors by subsets of growing size (Algorithm 15.19), each
-# candidate tested by exact division.  Polynomials mod m are coefficient
-# tuples reduced into [0, m).
+# mod a small prime p (Algorithms 14.3 and 14.8).  A polynomial that stays
+# irreducible mod p is irreducible.  Otherwise each linear modular factor
+# is lifted as a root by scalar p-adic Newton iteration and tried as a
+# rational root, each candidate tested by exact division.  Only a cofactor
+# of degree 4 or more with two or more modular factors left goes on to
+# quadratic Hensel lifting of its modular factors along a binary factor
+# tree (Algorithms 15.10 and 15.17) to p^(2^j) past twice the Mignotte
+# bound, and recombination of the lifted factors by subsets of growing
+# size (Algorithm 15.19).  Polynomials mod m are coefficient tuples
+# reduced into [0, m).
 
 
 def _pmod(p: Sequence, m: int) -> Coeffs:
@@ -470,11 +474,13 @@ def _distinct_degree(f: Coeffs, p: int) -> list:
     return out
 
 
-def _equal_degree(g: Coeffs, d: int, p: int, rng) -> list:
+def _equal_degree(g: Coeffs, d: int, p: int, rng=None) -> list:
     """The monic degree-d irreducible factors of g mod the odd prime p, by
-    Cantor-Zassenhaus splitting."""
+    Cantor-Zassenhaus splitting; a random generator seeded with 0 is made
+    only when g has more than one of them."""
     if len(g) - 1 == d:
         return [g]
+    rng = rng or random.Random(0)
     while True:
         a = poly_trim([rng.randrange(p) for _ in range(len(g) - 1)])
         b = _pmod(poly_sub(_ppow(a, (p ** d - 1) // 2, g, p), (1,)), p)
@@ -520,22 +526,61 @@ def _hensel_lift(f: Coeffs, facs: list, p: int, steps: int) -> list:
             + _hensel_lift(h, facs[half:], p, steps))
 
 
-def _zassenhaus(f: Coeffs, rng) -> list:
+def _zassenhaus(f: Coeffs) -> list:
     """Irreducible factors of the primitive squarefree f with lc(f) > 0
-    and f(0) != 0, lifted from its factors modulo the first good prime."""
+    and f(0) != 0, from its factors modulo the first good prime p.
+
+    (i) If f mod p is irreducible, so is f, and nothing is lifted.
+    (ii) Rational roots first.  A rational root a/b of f has b | lc(f).  As
+    p does not divide lc(f) disc(f), a/b mod p is a simple root r of f mod
+    p, the root of a linear modular factor x - r, and its lift mod m is
+    unique; the scalar p-adic Newton iteration r <- r - f(r) f'(r)^(-1)
+    mod p^(2^k) finds it.  |a/b| <= 1 + max |f_i| (Cauchy), so
+    |lc(f) a/b| <= lc(f) (1 + ||f||) < bound/2 < m/2, and the symmetric
+    residue c of lc(f) r mod m is lc(f) a/b exactly: the candidate
+    poly_primitive((-c, lc f)) is b x - a.  A candidate that does not
+    divide f marks a modular root that is no rational root.  After each
+    division f is the cofactor, whose lc divides the old one, so the same
+    holds for it, and the next root is lifted on it and its own f'.
+    (iii) The modular factors left are exactly the monic modular
+    factorisation of the cofactor, which has no rational root left.  Every
+    proper factorisation of a polynomial of degree <= 3 has a linear
+    factor, so a cofactor of degree <= 3 is irreducible, as is one with
+    fewer than two modular factors.  (iv) Otherwise those factors are
+    Hensel-lifted and recombined.  The bound of f still holds for the
+    cofactor, as its factors divide f and |lc(cofactor)| <= lc(f).
+    """
     if len(f) == 2:
         return [f]
     p = _good_prime(f)
     dd = _distinct_degree(_monic(_pmod(f, p), p), p)
-    facs = [u for g, d in dd for u in _equal_degree(g, d, p, rng)]
+    if dd[0][1] == len(f) - 1:  # one factor of full degree
+        return [f]
     # every factor of f times lc(f) has coefficients below the bound
     bound = 2 ** len(f) * f[-1] * (math.isqrt(sum(a * a for a in f)) + 1)
     steps = 0
     while p ** 2 ** steps <= bound:
         steps += 1
     m = p ** 2 ** steps
+    out, facs = [], []
+    for u in (u for g, d in dd for u in _equal_degree(g, d, p)):
+        if len(u) == 2:
+            r, df, k = -u[0], poly_derivative(f), p
+            while k < m:
+                k *= k
+                r = (r - poly_eval(f, r) * pow(poly_eval(df, r), -1, k)) % k
+            c = f[-1] * r % m
+            g = poly_primitive((m - c if 2 * c > m else -c, f[-1]))
+            q = _quotient(f, g)
+            if q is not None:
+                out.append(g)
+                f = q
+                continue
+        facs.append(u)
+    if len(f) <= 4 or len(facs) < 2:
+        return out + [f] if len(f) > 1 else out
     lifted = _hensel_lift(f, facs, p, steps)
-    out, size = [], 1
+    size = 1
     while 2 * size <= len(lifted):
         for subset in itertools.combinations(range(len(lifted)), size):
             # the constant term of lc(f) g divides lc(f) f(0) for a factor g
@@ -567,7 +612,9 @@ def factor_integer_poly(p: Sequence):
     factor is primitive with positive leading coefficient and irreducible
     over Q, and content * prod(factor^mult) reproduces the input exactly.
     The squarefree part of the primitive part is factored by
-    ``_zassenhaus``; multiplicities come from exact division.
+    ``_zassenhaus``, which stops at irreducibility mod p or at rational
+    roots, and lifts polynomial factors only for a cofactor of degree 4 or
+    more; multiplicities come from exact division.
     """
     p = poly_trim(p)
     if not p:
@@ -576,13 +623,12 @@ def factor_integer_poly(p: Sequence):
         raise BudgetExceededError("degree too large")
     if poly_degree(p) == 0:
         return p[0], []
-    rng = random.Random(0)
     f = poly_primitive(p)
     low = next(i for i, a in enumerate(f) if a)
     f = f[low:]
     out = [((0, 1), low)] if low else []
     if len(f) > 1:
-        for g in _zassenhaus(poly_squarefree_part(f), rng):
+        for g in _zassenhaus(poly_squarefree_part(f)):
             mult, q = 0, _quotient(f, g)
             while q is not None:
                 f, mult, q = q, mult + 1, _quotient(q, g)

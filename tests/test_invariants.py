@@ -19,6 +19,7 @@ from knotbench.invariants import (
     _omega_is_alexander_root,
     _psi,
     _separate_boxes,
+    _squares_at_pm2,
     _tan_in_gap,
     alexander_polynomial,
     algebraically_concordant_test,
@@ -1225,6 +1226,30 @@ class TestCyclotomicJumps:
                            match=r"boxes of 2\*x\^2 - 5\*x \+ 3 miss a root"):
             signature_function(connected_sum(trefoil, twist(-2)))
 
+    @pytest.mark.parametrize("run", [
+        # an inner arc between two exact jumps: Mahler's separation of ps
+        lambda corpus: signature_function(T25_MINUS_T23),
+        # exact, boxed, exact: an exact root beside a box end (Liouville)
+        lambda corpus: signature_function(
+            connected_sum(corpus["5_2"], mirror(torus(2, 5)))),
+        # the arc below the exact jump 1/6 of T(2,3) ends at x = 2
+        lambda corpus: algebraically_concordant_test(T23, UNKNOT),
+    ], ids=["exact-exact", "exact-box", "exact-two"])
+    def test_gap_that_never_opens_raises(self, run, corpus, monkeypatch):
+        # every exact angle spans all of [-2, 2] at every precision, so no
+        # gap beside one opens: the doubling stops at a bounded precision
+        precs = []
+
+        def everywhere(theta, prec):
+            precs.append(prec)
+            return Fraction(-2), Fraction(2)
+
+        monkeypatch.setattr(invariants, "_x_range", everywhere)
+        with pytest.raises(PreconditionError,
+                           match=r"jumps -?\d+ and \d+ of .* overlap"):
+            run(corpus)
+        assert precs and max(precs) < 2 ** 12
+
     def test_box_that_no_factor_claims(self, monkeypatch):
         # 2x - 3 is no Psi_n, and its root 3/2 lies outside the box (0, 1)
         chain, _, point = invariants._arcs((-3, 2))
@@ -1278,6 +1303,22 @@ class TestLiftLemma:
         splits = [self.sympy_splits(q) for q in qs]
         assert [_lift_splits(q) for q in qs] == splits
         assert 20 <= sum(splits) < len(qs)
+
+    def test_linear_lifts_factor_nothing(self, monkeypatch):
+        # R = q1 t^2 + q0 t + q1 splits iff Q(2) Q(-2) >= 0 once |Q(2)| and
+        # |Q(-2)| are squares: 2x -+ 5 split, 5x -+ 6 do not
+        rng = random.Random(53)
+        qs = [(-2, 1), (2, 1), (-5, 2), (5, 2), (-6, 5), (6, 5), (-15, 6),
+              (-3, 1), (0, 1), (-10, 4)]
+        while len(qs) < 60:
+            q = (rng.randint(-40, 40), rng.randint(1, 20))
+            if _squares_at_pm2(q):
+                qs.append(q)
+        splits = [self.sympy_splits(q) for q in qs]
+        calls = _count_factor_calls(monkeypatch)
+        assert [_lift_splits(q) for q in qs] == splits
+        assert calls == []
+        assert 0 < sum(splits) < len(qs)
 
 
 class TestAlgebraicConcordance:

@@ -12,9 +12,11 @@ import oracles
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
 from knotbench.errors import BudgetExceededError, InputError, PreconditionError
 from knotbench.invariants import (
+    _arcs,
     _laurent_to_x,
     alexander_polynomial,
     signature_function,
+    x_polynomial,
 )
 from knotbench.polynomials import (
     LaurentPoly,
@@ -477,6 +479,26 @@ class TestFactorInteger:
         with pytest.raises(PreconditionError, match="is not squarefree"):
             polynomials._good_prime(f)
 
+    def test_small_inputs_lift_no_polynomial(self, monkeypatch):
+        # the x-polynomials of genus 1-3 forms, their squarefree parts and
+        # the cofactors ``rest`` that name their boxed jumps have degree
+        # <= 3: a rational root or irreducibility decides each of them
+        rng = random.Random(67)
+        inputs = set()
+        for _ in range(300):
+            p = x_polynomial(random_seifert(rng, rng.randint(1, 3)))
+            inputs |= {p, poly_squarefree_part(p)}
+            inputs |= {a.poly for a in _arcs(p)[1] if a.theta is None}
+        inputs = sorted(q for q in inputs if len(q) > 1)
+        assert len(inputs) > 300 and max(map(len, inputs)) == 4
+        lifts = []
+        real = polynomials._hensel_lift
+        monkeypatch.setattr(polynomials, "_hensel_lift",
+                            lambda *args: lifts.append(args) or real(*args))
+        for q in inputs:
+            factor_integer_poly(q)
+        assert lifts == []
+
     def test_product_reconstructs_input(self):
         rng = random.Random(5)
         for _ in range(30):
@@ -582,6 +604,35 @@ class TestFactorAgainstSympy:
                     rng.randint(-999, 999) for _ in range(rng.randint(0, 3)))
                 p = poly_mul(p, f + (rng.randint(1, 30),))
             self.check(p)
+
+    def test_non_monic_rational_roots(self):
+        # 2-4 linear factors b x - a with b <= 9 times an irreducible
+        # cofactor of degree 0-5: the leading coefficient of the cofactor
+        # changes as each rational root is divided out
+        rng = random.Random(71)
+        for _ in range(60):
+            degree = rng.randint(0, 5)
+            while True:
+                rest = poly_trim([rng.randint(-9, 9) for _ in range(degree)]
+                                 + [rng.choice((-3, -1, 1, 2, 5))])
+                if degree == 0 or oracles.sympy_is_irreducible(rest):
+                    break
+            p = rest
+            for _ in range(rng.randint(2, 4)):
+                p = poly_mul(p, (-rng.randint(-20, 20), rng.randint(1, 9)))
+            self.check(p)
+
+    def test_irreducible_cubics_that_split_mod_p(self):
+        # each splits into a linear and a quadratic factor modulo its first
+        # good prime, but its lifted root is no rational root
+        for f in ((1021, 3924, -4091, 937), (15441, -12165, -226, 1224)):
+            p = polynomials._good_prime(f)
+            dd = polynomials._distinct_degree(
+                polynomials._monic(polynomials._pmod(f, p), p), p)
+            assert [d for _, d in dd] == [1, 2]
+            assert factor_integer_poly(f) == (1, [(f, 1)])
+            self.check(f)
+            self.check(poly_mul(f, (7, -3)))
 
     def test_dense_at_the_degree_budget(self):
         # degree 12 to FACTOR_DEGREE_BUDGET = 24, every coefficient random
