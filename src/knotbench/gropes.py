@@ -265,16 +265,13 @@ class FreeWord(record("FreeWord", "generators letters")):
         generators = tuple(generators)
         if len(set(generators)) != len(generators):
             raise InputError("duplicate generator names")
-        reduced: list = []
+        valid = []
         for x in letters:
             x = as_integer(x, "word letter")
             if x == 0 or abs(x) > len(generators):
                 raise InputError(f"letter {x} out of range")
-            if reduced and reduced[-1] == -x:
-                reduced.pop()
-            else:
-                reduced.append(x)
-        return super().__new__(cls, generators, tuple(reduced))
+            valid.append(x)
+        return super().__new__(cls, generators, _free_reduce(valid))
 
     @property
     def rank(self) -> int:
@@ -300,8 +297,8 @@ class FreeWord(record("FreeWord", "generators letters")):
 
 def _free_reduce(letters: Iterable[int]) -> tuple:
     """The free reduction of int letters already known to be valid: a
-    letter that cancels the last one kept (x after -x) deletes both, as in
-    ``FreeWord``, which also validates each letter."""
+    letter that cancels the last one kept (x after -x) deletes both.
+    ``FreeWord`` validates each letter and then reduces them here."""
     reduced: list = []
     for x in letters:
         if reduced and reduced[-1] == -x:

@@ -18,16 +18,18 @@ lifts t^d Q(t + 1/t) of its irreducible factors Q.  The signature is
 constant on the arcs between the jumps.  The first arc is 0 and each jump
 is at most 2m for the largest root multiplicity m of P, so
 ``signature_function`` runs an exact Hermitian elimination over Z[i], at
-one rational point tan(pi theta) = p/q of an arc, only on the arcs whose
-value those bounds leave open; intervals only locate a given theta among
-the roots and place a point of an evaluated arc next to an exact jump.
+one rational point tan(pi theta) = r of an arc, only on the arcs whose
+value those bounds leave open.  That point comes from the Sturm chain
+alone: x = 2(1 - r^2)/(1 + r^2) is rational, and the chain counts the
+roots above it exactly.  Intervals only locate a given theta among the
+roots.
 
 Delta, the determinant, Arf (the determinant mod 8, by Levine's rule) and
 sigma(-1) = sign(V + V^T) are integers and need no interval arithmetic.
 ``intervals`` is imported only inside the functions that build a jump
-angle or enclose an angle: ``_x_range``, ``_arcs``, ``signature_function``
-and ``signature_csv``.  So the ``invariants`` and ``table`` commands never
-load it; ``rho`` and ``sigfn`` do.
+angle or enclose x at a given theta: ``_arc_index``, ``_arcs``,
+``signature_function`` and ``signature_csv``.  So the ``invariants`` and
+``table`` commands never load it; ``rho`` and ``sigfn`` do.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ from .polynomials import (
     sturm_sequence,
 )
 from .seifert import SeifertMatrix, integer_determinant
-
-_BASE_PREC = 64
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +203,6 @@ def _arc_signature(v: SeifertMatrix, r: Fraction | None) -> int:
     return hermitian_signature(re, im)
 
 
-def _tan_in_gap(x_lo: Fraction, x_hi: Fraction) -> Fraction:
-    """A rational r > 0 with x_lo < 2(1 - r^2)/(1 + r^2) < x_hi.
-
-    Requires -2 < x_lo < x_hi <= 2.  x decreases in r and
-    r^2 = (2 - x)/(2 + x); r is k/2^m with m, then k, as small as possible:
-    m counts up from 0, and each m tries the least k with k/2^m above the
-    r-gap's lower end.  Any other gap raises PreconditionError.
-    """
-    if not -2 < x_lo < x_hi <= 2:
-        raise PreconditionError(f"no rational tangent in ({x_lo}, {x_hi})")
-    lo2 = (2 - x_hi) / (2 + x_hi)
-    hi2 = (2 - x_lo) / (2 + x_lo)
-    m = 0
-    while True:
-        k = math.isqrt(math.floor(lo2 * 4 ** m)) + 1
-        if k * k < hi2 * 4 ** m:
-            return Fraction(k, 2 ** m)
-        m += 1
-
-
 def _check_theta(p: tuple, theta: Fraction) -> Fraction:
     """theta as a Fraction, checked with no Sturm chain: PreconditionError
     outside (0, 1), and PossiblySingularError when theta is a jump, that
@@ -237,40 +217,65 @@ def _check_theta(p: tuple, theta: Fraction) -> Fraction:
     return theta
 
 
-def _x_range(theta: Fraction, prec: int) -> tuple:
-    """(x_lo, x_hi), twice the ``cos_2pi`` enclosure of theta at ``prec``
-    bits, clipped to [-2, 2]: it holds x = 2cos(2 pi theta).
-
-    For prec >= 64 it is narrower than 2^(-prec/2).  ``cos_2pi`` works at
-    w = prec + 16 bits and widens its sum by 3(n + 1) + E_pi // 4 + 2 ulps
-    on each side.  Each series term is at most 0.32 times the one before,
-    so n < 0.61w + 1; and E_pi < 3.75w + 40.  That is fewer than 4w ulps,
-    so the range is narrower than 16w 2^-w <= 2^(-prec/2).
-    """
-    from .intervals import cos_2pi
-
-    c = cos_2pi(theta, prec)
-    return max(2 * c.lo, Fraction(-2)), min(2 * c.hi, Fraction(2))
-
-
 def _arc_index(chain: list, theta: Fraction) -> int:
     """The index of theta's arc in (0, 1/2], from theta = 0 on, among the
     arcs that the roots of the squarefree x-polynomial ps cut, given a
     Sturm chain of ps: the number of roots of ps in (x, 2) for
     x = 2cos(2 pi theta), which theta and 1 - theta share.  The chain's
     first member, a nonzero multiple of ps, stands in for ps: it has the
-    same roots.  x is enclosed at a precision that doubles until the
-    enclosure misses every root, which ends for a theta that passed
-    ``_check_theta``, as x is then no root."""
+    same roots.  x lies in twice the ``cos_2pi`` enclosure of theta,
+    clipped to [-2, 2], whose precision doubles from 64 bits until it
+    misses every root; that ends for a theta that passed ``_check_theta``,
+    as x is then no root."""
+    from .intervals import cos_2pi
+
     ps = chain[0]
-    prec = _BASE_PREC
+    prec = 64
     while True:
-        x_lo, x_hi = _x_range(theta, prec)
+        c = cos_2pi(theta, prec)
+        x_lo, x_hi = max(2 * c.lo, Fraction(-2)), min(2 * c.hi, Fraction(2))
         above = count_roots_halfopen(chain, x_hi, 2)
         if (poly_sign_at(ps, x_lo) and poly_sign_at(ps, x_hi)
                 and count_roots_halfopen(chain, x_lo, 2) == above):
             return above
         prec *= 2
+
+
+def _arc_point(chain: list, k: int) -> Fraction | None:
+    """r = tan(pi theta) at a rational point of arc k, the arc between
+    jumps k - 1 and k in ascending theta, given a Sturm chain of the
+    squarefree x-polynomial ps; None for the last arc, k = n for the n
+    roots of ps in (-2, 2), which holds theta = 1/2.  Any other k raises
+    PreconditionError.
+
+    x(r) = 2(1 - r^2)/(1 + r^2) is rational for a rational r > 0 and
+    falls from 2 towards -2 as r rises.  So the number c(r) of roots of ps
+    in (x(r), 2), which the chain counts exactly, as 2 is no root, is a
+    nondecreasing step function of r, and arc k is the open r-interval of
+    positive length on which c(r) = k and x(r) is no root.  An r lies
+    below arc k when c(r) < k, and above it when c(r) > k or when
+    c(r) = k and x(r) is a root, the arc's upper end.  r starts at 1 and
+    doubles while it lies below the arc, then bisects between the last r
+    below and the first above.  Each step halves a dyadic interval that
+    holds the arc, so the search ends on any chain, at a dyadic of least
+    denominator in the arc.
+    """
+    n = count_roots_halfopen(chain, -2, 2)
+    if not 0 <= k <= n:
+        raise PreconditionError(f"no arc {k} among the {n + 1} of the chain")
+    if k == n:
+        return None
+    lo, hi, r = Fraction(0), None, Fraction(1)
+    while True:
+        x = 2 * (1 - r * r) / (1 + r * r)
+        c = count_roots_halfopen(chain, x, 2)
+        if poly_sign_at(chain[0], x) and c == k:
+            return r
+        if c >= k:
+            hi = r
+        else:
+            lo = r
+        r = 2 * r if hi is None else (lo + hi) / 2
 
 
 def levine_tristram(v: SeifertMatrix, theta: Fraction) -> int:
@@ -280,20 +285,22 @@ def levine_tristram(v: SeifertMatrix, theta: Fraction) -> int:
     signature is that of V + V^T, taken directly: omega = -1 is never a
     root of Delta, as |Delta(-1)| = |det(V + V^T)| and V + V^T = V - V^T
     mod 2 give det(V + V^T) = det(V - V^T) = 1 mod 2.  Elsewhere it is the
-    signature at the rational point that ``_arcs`` gives theta's arc,
-    found by ``_arc_index``.  It is always evaluated, also on the arcs
-    whose value ``signature_function`` infers, and it equals
-    ``signature_function(v).value_at(theta)``, errors included.  Raises
-    PreconditionError for theta outside (0, 1), and PossiblySingularError
-    when omega is a root of Delta, before any Sturm chain is built.
+    signature at the rational point ``_arc_point`` finds on theta's arc,
+    which ``_arc_index`` names, both from the one Sturm chain of the
+    x-polynomial: no jump is built and no root isolated.  It is always
+    evaluated, also on the arcs whose value ``signature_function`` infers,
+    and it equals ``signature_function(v).value_at(theta)``, errors
+    included.  Raises PreconditionError for theta outside (0, 1), and
+    PossiblySingularError when omega is a root of Delta, before any Sturm
+    chain is built.
     """
     theta = Fraction(theta)
     if theta == Fraction(1, 2):
         return _arc_signature(v, None)
     p = x_polynomial(v)
     theta = _check_theta(p, theta)
-    chain, _, point = _arcs(p)
-    return _arc_signature(v, point(_arc_index(chain, theta)))
+    chain = sturm_sequence(p)
+    return _arc_signature(v, _arc_point(chain, _arc_index(chain, theta)))
 
 
 def _laurent_to_x(delta: LaurentPoly) -> tuple:
@@ -347,7 +354,14 @@ class SignatureStepFunction(namedtuple(
 
 def _separate_boxes(ps: tuple, boxes: list) -> list:
     """Refine Sturm boxes (ascending in x) until each lies strictly below
-    the next one and below x = 2, so every arc has an open x-gap."""
+    the next one and below x = 2.
+
+    No arc point needs the gaps this opens: ``_arc_point`` reads only the
+    Sturm chain.  It stays because the boxes are the stored jumps: each
+    ``AlgebraicAngle`` off the roots of unity keeps its box, so its repr,
+    the pinned jump digests and the rho0 enclosures refined from it all
+    start from these boxes.  Without separation they would change, and no
+    time would be saved."""
     out = list(boxes)
     for i, (lo, hi) in enumerate(out):
         upper = out[i + 1][0] if i + 1 < len(out) else 2
@@ -357,55 +371,18 @@ def _separate_boxes(ps: tuple, boxes: list) -> list:
     return out
 
 
-def _gap_precision(ps: tuple, below, above) -> int:
-    """A precision at which the x-gap of ``_arcs`` between the jumps
-    ``below`` and ``above`` (None for x = 2) is open, if their roots lie
-    in that order.
-
-    Let B be an integer with 1/B at most the distance between the two
-    roots, or between an exact root and a fixed rational end e.  An
-    x-range is narrower than 2^(-prec/2) (``_x_range``), and that is at
-    most 1/(2B) once prec >= 2 bitlen(2B).  Then the gap is open.
-    - Two exact roots are distinct roots of the squarefree ps, of degree n.
-      They lie more than sqrt(3) n^(-(n+2)/2) ||ps||^(1-n) apart, by
-      Mahler's root-separation bound with |disc ps| >= 1.  So B^2 may be
-      n^(n+2) ||ps||^(2n-2).
-    - An exact root x of Psi = sum c_i x^i lies beside the end e of a box,
-      or beside e = 2, and Psi(e) != 0.  By Liouville,
-      |Psi(e)| >= den(e)^(-deg Psi).  Also |Psi(e)| = |Psi(e) - Psi(x)|
-      <= |e - x| M, for M = sum i |c_i| 2^(i-1) >= |Psi'| on [-2, 2].
-      So B = den(e)^(deg Psi) M.
-    - Two boxes, or a box below 2, are apart at any precision: B = 1.
-    """
-    if below.theta is None and (above is None or above.theta is None):
-        bound = 1
-    elif below.theta is None or above is None or above.theta is None:
-        exact, e = ((above, below.x_hi) if below.theta is None else
-                    (below, Fraction(2) if above is None else above.x_lo))
-        psi = exact.poly
-        bound = e.denominator ** (len(psi) - 1) * sum(
-            i * abs(c) << (i - 1) for i, c in enumerate(psi[1:], 1))
-    else:
-        n = len(ps) - 1
-        bound = math.isqrt(n ** (n + 2)
-                           * sum(c * c for c in ps) ** (n - 1)) + 1
-    return 2 * (2 * bound).bit_length()
-
-
 def _arcs(p: tuple) -> tuple:
     """The jumps of theta in (0, 1/2] that the roots of the x-polynomial p
-    cut into arcs, as (chain, low, point).
+    cut into arcs, as (chain, low).
 
     ``chain`` is the Sturm chain of p, a chain of its squarefree part
-    ps = poly_primitive(chain[0]).  ``low`` lists one ``AlgebraicAngle``
-    per root of ps in (-2, 2), in ascending theta: a root at a root of
-    unity is its exact angle k/n with minimal polynomial Psi_n, and any
-    other root is the separated Sturm box (lo, hi) that holds it, named by
-    the cofactor ``rest`` of the Psi_n, which ``signature_function`` factors
-    to give it its minimal polynomial.  ``point(k)`` is r = tan(pi theta)
-    at a rational point of arc k, the arc between jumps k - 1 and k, found
-    by ``_tan_in_gap`` only when asked; the last arc, which holds
-    theta = 1/2, gives None.
+    ps = poly_primitive(chain[0]), from which ``_arc_point`` places a point
+    on any arc.  ``low`` lists one ``AlgebraicAngle`` per root of ps in
+    (-2, 2), in ascending theta: a root at a root of unity is its exact
+    angle k/n with minimal polynomial Psi_n, and any other root is the
+    separated Sturm box (lo, hi) that holds it, named by the cofactor
+    ``rest`` of the Psi_n, which ``signature_function`` factors to give it
+    its minimal polynomial.
 
     The chain counts the roots of ps in (-2, 2), as neither end is a root
     of an x-polynomial: P(2) = Delta(1) = 1, and P(-2) = Delta(-1) is odd.
@@ -420,16 +397,6 @@ def _arcs(p: tuple) -> tuple:
     theta, hold the roots of the Psi_n, and take the exact angles in
     ascending theta; were there more or fewer of them than exact angles,
     PreconditionError would be raised.
-
-    A point of arc k lies in an open x-gap inside (x_k, x_(k-1)), for the
-    roots x_k of jump k and x_(k-1) of jump k - 1 (x_(-1) = 2); no root
-    lies between them.  The gap runs from the top of the x-range of jump k
-    to the bottom of that of jump k - 1: a box is its own x-range, and an
-    exact angle has the ``_x_range`` of its theta, at a precision that
-    doubles from 64 bits until the gap opens, as it does when each range
-    shrinks to its root.  A gap still shut at the ``_gap_precision`` of
-    its two jumps means they are out of order, and PreconditionError is
-    raised.
     """
     from .intervals import AlgebraicAngle
 
@@ -456,27 +423,7 @@ def _arcs(p: tuple) -> tuple:
         angles = iter(low)
         low = tuple(AlgebraicAngle(rest, lo, hi) if claimed else next(angles)
                     for (lo, hi), claimed in zip(boxes, on_rest))
-
-    def jump_x_range(a, prec: int) -> tuple:
-        return (a.x_lo, a.x_hi) if a.theta is None else _x_range(a.theta, prec)
-
-    def point(k: int) -> Fraction | None:
-        if k == len(low):
-            return None
-        prec, cap = _BASE_PREC, None
-        above = low[k - 1] if k else None
-        while True:
-            bottom = jump_x_range(low[k], prec)[1]
-            top = jump_x_range(above, prec)[0] if k else Fraction(2)
-            if bottom < top:
-                return _tan_in_gap(bottom, top)
-            cap = cap or _gap_precision(ps, low[k], above)
-            if prec >= cap:
-                raise PreconditionError(
-                    f"jumps {k - 1} and {k} of {poly_to_str(ps)} overlap")
-            prec *= 2
-
-    return chain, low, point
+    return chain, low
 
 
 @functools.lru_cache(maxsize=None)
@@ -510,16 +457,18 @@ def _psi(n: int) -> tuple:
     return _laurent_to_x(LaurentPoly.from_int_poly(phi_n, (1 - len(phi_n)) // 2))
 
 
-def _arc_values(v: SeifertMatrix, point, arcs: int, m: int) -> tuple:
+def _arc_values(v: SeifertMatrix, chain: list, arcs: int, m: int) -> tuple:
     """The signature on each of the ``arcs`` arcs, one more than the jumps
-    ``low`` of ``_arcs``, given that the first arc is 0 and that each jump
-    is at most 2m (see ``signature_function``).
+    ``low`` of ``_arcs``, given the Sturm chain of ``_arcs``, that the
+    first arc is 0 and that each jump is at most 2m (see
+    ``signature_function``).
     The last arc, which holds theta = 1/2, is evaluated; between two known
     arcs a < b that differ by 2m(b - a), every jump is 2m with that one
-    sign, and otherwise the middle arc is evaluated, at ``point(c)`` of
-    ``_arcs``, and both halves recurse.  So a sample point is found only
-    for an arc that is evaluated.  A larger difference is impossible and
-    raises PreconditionError."""
+    sign, and otherwise the middle arc c is evaluated, at
+    ``_arc_point(chain, c)``, and both halves recurse.  So a sample point
+    is found only for an arc that is evaluated, and the value does not
+    depend on which point of the arc it is.  A larger difference is
+    impossible and raises PreconditionError."""
     half = [0] + [None] * (arcs - 1)
 
     def fill(a: int, b: int) -> None:
@@ -533,7 +482,7 @@ def _arc_values(v: SeifertMatrix, point, arcs: int, m: int) -> tuple:
                 half[k] = half[a] + diff // (b - a) * (k - a)
         elif b - a > 1:
             c = (a + b) // 2
-            half[c] = _arc_signature(v, point(c))
+            half[c] = _arc_signature(v, _arc_point(chain, c))
             fill(a, c)
             fill(c, b)
 
@@ -551,13 +500,14 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     root at a root of unity as its exact angle k/n with minimal polynomial
     Psi_n, found with no isolation, and any other root as a Sturm box,
     named by the cofactor ``rest`` of the Psi_n.  Each arc but the last has
-    a rational point in an x-gap between its two jumps, found only for an
-    arc that is evaluated; the last one holds theta = 1/2.  Only these
-    jumps and arcs are stored: those in [1/2, 1) mirror them, as
-    sigma(theta) = sigma(1 - theta).  ``rest`` is factored once, and each
-    boxed jump is named by its minimal polynomial, the one irreducible
-    factor that changes sign across its box: the box holds one simple root
-    of ``rest`` and none at its ends.
+    a rational point r = tan(pi theta), which ``_arc_point`` finds from the
+    Sturm chain of P alone, with no interval, and only for an arc that is
+    evaluated; the last one holds theta = 1/2.  So no ``cos_2pi`` call is
+    made.  Only these jumps and arcs are stored: those in [1/2, 1) mirror
+    them, as sigma(theta) = sigma(1 - theta).  ``rest`` is factored once,
+    and each boxed jump is named by its minimal polynomial, the one
+    irreducible factor that changes sign across its box: the box holds one
+    simple root of ``rest`` and none at its ends.
 
     ``_arc_values`` evaluates only the arcs that two facts leave open.
     (i) The first arc is 0.  With 1 - omega = -2i sin(pi theta)
@@ -579,7 +529,7 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
     from .intervals import AlgebraicAngle
 
     p = x_polynomial(v)
-    chain, low, point = _arcs(p)
+    chain, low = _arcs(p)
     ps = poly_primitive(chain[0])
     rest = next((a.poly for a in low if a.theta is None), None)
     if rest is not None:
@@ -594,7 +544,7 @@ def signature_function(v: SeifertMatrix) -> SignatureStepFunction:
                 f" root in ({a.x_lo}, {a.x_hi})")
 
         low = tuple(a if a.theta is not None else named(a) for a in low)
-    half = _arc_values(v, point, len(low) + 1, len(p) - len(ps) + 1)
+    half = _arc_values(v, chain, len(low) + 1, len(p) - len(ps) + 1)
     return SignatureStepFunction(low, half, ps, _lift(p))
 
 
@@ -765,9 +715,10 @@ def algebraically_concordant_test(v1: SeifertMatrix,
     p1, p2 = x_polynomial(v1), x_polynomial(v2)
     # both signature functions are constant on every arc cut by the roots
     # of Delta_1 Delta_2, so they agree iff they agree at one point of each
-    _, low, point = _arcs(poly_mul(p1, p2))
+    chain = sturm_sequence(poly_mul(p1, p2))
+    arcs = count_roots_halfopen(chain, -2, 2) + 1
     if any(_arc_signature(v1, r) != _arc_signature(v2, r)
-           for r in map(point, range(len(low) + 1))):
+           for r in (_arc_point(chain, k) for k in range(arcs))):
         found.append("signature function")
 
     if not _fox_milnor(p1, p2):

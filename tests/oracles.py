@@ -468,19 +468,6 @@ def magnus_depth_packed(w, cutoff: int):
     return next((d for d in range(1, cutoff) if acc[d]), None)
 
 
-def tan_in_gap_by_doubling(x_lo: Fraction, x_hi: Fraction) -> Fraction:
-    """The least k/q, q = 1, 2, 4, ... doubling, then k, with
-    x_lo < 2(1 - r^2)/(1 + r^2) < x_hi for r = k/q."""
-    lo2 = (2 - x_hi) / (2 + x_hi)
-    hi2 = (2 - x_lo) / (2 + x_lo)
-    q = 1
-    while True:
-        k = math.isqrt(math.floor(lo2 * q * q)) + 1
-        if k * k < hi2 * q * q:
-            return Fraction(k, q)
-        q *= 2
-
-
 def totient(n: int) -> int:
     """Euler's phi by trial division: n prod (1 - 1/p) over primes p | n."""
     out, m, p = n, n, 2

@@ -193,6 +193,32 @@ class TestFreeWords:
         assert w.letters == (1,)
         assert str(w) == "x"
 
+    def test_reduction_deletes_adjacent_inverses(self):
+        # against deleting the first adjacent pair x, -x until none is left
+        rng = random.Random(23)
+        for _ in range(300):
+            letters = [rng.choice((1, -1, 2, -2, 3, -3))
+                       for _ in range(rng.randint(0, 16))]
+            want = list(letters)
+            while True:
+                i = next((i for i in range(len(want) - 1)
+                          if want[i] == -want[i + 1]), None)
+                if i is None:
+                    break
+                del want[i:i + 2]
+            assert FreeWord("xyz", letters).letters == tuple(want), letters
+
+    def test_first_bad_letter_raises(self):
+        # letters are checked in turn: the first bad one names the error,
+        # also when a later letter is bad in another way, or when the
+        # letters before it cancel
+        for letters, match in (([1, 3, 1.5], "letter 3 out of range"),
+                               ([1, 1.5, 3], "is not an integer"),
+                               ([1, -1, 0], "letter 0 out of range"),
+                               ([2, -3, 3, 0], "letter -3 out of range")):
+            with pytest.raises(InputError, match=match):
+                FreeWord(("x", "y"), letters)
+
     def test_inverse_and_product(self):
         w = parse_free_word("x y")
         assert str(w.inverse()) == "y^-1 x^-1"

@@ -7,11 +7,12 @@ import pytest
 from knotbench.errors import PossiblySingularError
 from knotbench.hermitian import hermitian_signature
 from knotbench.invariants import (
+    _arc_point,
     _arc_signature,
-    _arcs,
     _laurent_to_x,
     alexander_polynomial,
 )
+from knotbench.polynomials import count_roots_halfopen, sturm_sequence
 from knotbench.seifert import integer_determinant
 
 from conftest import random_seifert
@@ -30,8 +31,9 @@ def symmetric_signature(rows):
 def arc_points(v):
     """One point r = tan(pi theta) per arc of theta in (0, 1/2], as
     ``signature_function`` evaluates them; None is theta = 1/2."""
-    _, low, point = _arcs(_laurent_to_x(alexander_polynomial(v)))
-    return [point(k) for k in range(len(low) + 1)]
+    chain = sturm_sequence(_laurent_to_x(alexander_polynomial(v)))
+    return [_arc_point(chain, k)
+            for k in range(count_roots_halfopen(chain, -2, 2) + 1)]
 
 
 def eigen_signature(re, im):

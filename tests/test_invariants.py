@@ -10,6 +10,7 @@ import knotbench.invariants as invariants
 from knotbench.braids import BraidWord, seifert_matrix_from_braid
 from knotbench.errors import InputError, PossiblySingularError, PreconditionError
 from knotbench.invariants import (
+    _arc_point,
     _arf_of_determinant,
     _cyclotomic_candidates,
     _fox_milnor,
@@ -20,7 +21,6 @@ from knotbench.invariants import (
     _psi,
     _separate_boxes,
     _squares_at_pm2,
-    _tan_in_gap,
     alexander_polynomial,
     algebraically_concordant_test,
     arf,
@@ -38,7 +38,7 @@ from knotbench.polynomials import (FACTOR_DEGREE_BUDGET, LaurentPoly,
                                    count_real_roots, cyclotomic_poly,
                                    poly_eval, poly_mul, poly_primitive,
                                    poly_sign_at, poly_squarefree_part,
-                                   poly_trim, sturm_isolate)
+                                   poly_trim, sturm_isolate, sturm_sequence)
 from knotbench.seifert import (SeifertMatrix, UNKNOT, connected_sum,
                                integer_determinant, mirror)
 
@@ -49,8 +49,7 @@ from oracles import (arf_by_majority, fox_milnor_by_delta_factors,
                      poly_matrix_det, realified_arc_signature,
                      sample_levine_tristram_float, sympy_factor_list,
                      sympy_is_irreducible, symmetric_signature_reference,
-                     tan_in_gap_by_doubling, torus_jumps, totient,
-                     unit_normalize_symmetric)
+                     torus_jumps, totient, unit_normalize_symmetric)
 
 K61 = SeifertMatrix([[1, 1], [0, -2]])
 # det V = 0: Delta = 1, and deg P < g in every connected sum with it
@@ -158,68 +157,63 @@ class TestD0AndDeterminant:
             assert determinant(v) == abs(poly_eval(coeffs, -1)), v
 
 
-def _signature_gaps(v):
-    """The x-gaps between Sturm boxes that signature_function evaluates."""
-    ps = signature_function(v).x_poly
-    boxes = _separate_boxes(ps, sturm_isolate(ps, -2, 2))
-    edges = [Fraction(2)] + [x for lo, hi in reversed(boxes) for x in (hi, lo)]
-    return [(edges[2 * k + 1], edges[2 * k]) for k in range(len(boxes))]
+def _assert_points_on_arcs(p):
+    """Every arc of the roots of p in (-2, 2) but the one holding 1/2 gets
+    an r > 0 whose x(r) = 2(1 - r^2)/(1 + r^2) is no root of ps, the
+    squarefree part of p, and has exactly k roots of ps above it; the last
+    arc gets None."""
+    chain = sturm_sequence(p)
+    ps = poly_squarefree_part(p)
+    n = count_real_roots(ps, -2, 2)
+    for k in range(n):
+        r = _arc_point(chain, k)
+        x = 2 * (1 - r * r) / (1 + r * r)
+        assert r > 0 and poly_sign_at(ps, x), (p, k, r)
+        assert count_real_roots(ps, x, 2) == k, (p, k, r)
+    assert _arc_point(chain, n) is None, p
 
 
-class TestTanInGap:
-    T_2_21 = seifert_matrix_from_braid(BraidWord(2, [1] * 21))
+class TestArcPoint:
+    """``_arc_point`` places a rational tan(pi theta) on an arc from the
+    Sturm chain alone, by exact root counts."""
 
-    def check(self, x_lo, x_hi):
-        r = _tan_in_gap(x_lo, x_hi)
-        assert r == tan_in_gap_by_doubling(x_lo, x_hi)
-        assert x_lo < 2 * (1 - r * r) / (1 + r * r) < x_hi
+    def test_every_arc_point_lands_on_its_arc(self, corpus):
+        rng = random.Random(37)
+        forms = (list(corpus.values())
+                 + [random_seifert(rng, 1 + k % 4) for k in range(100)]
+                 # exact jumps at 1/26 and 1/22, 0.023 apart in x
+                 + [connected_sum(torus(2, 11), mirror(torus(2, 13)))])
+        for v in forms:
+            _assert_points_on_arcs(x_polynomial(v))
+        # the products P1 P2 whose arcs algebraically_concordant_test
+        # compares, for every pair of table knots
+        for (_, v1), (_, v2) in itertools.combinations_with_replacement(
+                sorted(corpus.items()), 2):
+            _assert_points_on_arcs(poly_mul(x_polynomial(v1),
+                                            x_polynomial(v2)))
 
-    def test_signature_function_gaps(self, trefoil):
-        for v in (trefoil, self.T_2_21):
-            gaps = _signature_gaps(v)
-            assert gaps
-            for x_lo, x_hi in gaps:
-                self.check(x_lo, x_hi)
-
-    @pytest.mark.parametrize("e", [60, 100])
-    def test_levine_tristram_enclosures_near_a_jump(self, trefoil, e):
-        # jumps at 1/6 (trefoil) and 1/42 (T(2,21)): the cos_2pi
-        # enclosures of x at 2^-e from them, at the first precision from
-        # 64 bits on, doubling, that misses every root, as levine_tristram
-        # locates theta; 2^-64-wide and narrower gaps next to a root
-        for v, jump in ((trefoil, Fraction(1, 6)),
-                        (self.T_2_21, Fraction(1, 42))):
-            ps = signature_function(v).x_poly
-            for theta in (jump - Fraction(1, 2 ** e), jump + Fraction(1, 2 ** e)):
-                prec = 64
-                while True:
-                    c = cos_2pi(theta, prec)
-                    x_lo, x_hi = 2 * c.lo, 2 * c.hi
-                    if (poly_sign_at(ps, x_lo) and poly_sign_at(ps, x_hi)
-                            and count_real_roots(ps, x_lo, x_hi) == 0):
-                        break
-                    prec *= 2
-                assert x_hi - x_lo < Fraction(1, 2 ** 56)
-                self.check(x_lo, x_hi)
-
-    def test_random_gaps(self):
+    def test_random_chains(self):
+        # the search ends on any chain with no root at +-2: repeated roots,
+        # roots outside (-2, 2), and roots 2^-e apart for e up to 100
         rng = random.Random(31)
-        for _ in range(300):
-            x_lo = Fraction(rng.randint(-1999, 1999), 1000)
-            x_hi = min(x_lo + Fraction(rng.randint(1, 999),
-                                       2 ** rng.randint(0, 120)), Fraction(2))
-            self.check(x_lo, x_hi)
+        for _ in range(200):
+            p = (1,)
+            for _ in range(rng.randint(1, 5)):
+                b = rng.randint(1, 9)
+                a = rng.randint(-3 * b, 3 * b)
+                p = poly_mul(p, (-a, b))
+                if rng.random() < 0.4:  # a root at a/b + 2^-e
+                    e = rng.randint(1, 100)
+                    p = poly_mul(p, (-(a << e) - b, b << e))
+            if poly_sign_at(p, 2) and poly_sign_at(p, -2):
+                _assert_points_on_arcs(p)
 
-    @pytest.mark.parametrize("x_lo,x_hi", [
-        (Fraction(1), Fraction(1)),          # empty gap: looped for ever
-        (Fraction(1), Fraction(1, 2)),       # reversed
-        (Fraction(-2), Fraction(1)),         # x = -2: division by zero
-        (Fraction(-3), Fraction(1)),
-        (Fraction(1), Fraction(5, 2)),       # past x = 2
-    ])
-    def test_gaps_outside_the_precondition_raise(self, x_lo, x_hi):
-        with pytest.raises(PreconditionError, match="no rational tangent"):
-            _tan_in_gap(x_lo, x_hi)
+    def test_arcs_outside_the_chain_raise(self):
+        chain = sturm_sequence(x_polynomial(T25_MINUS_T23))  # 3 jumps
+        assert _arc_point(chain, 3) is None
+        for k in (-1, 4):
+            with pytest.raises(PreconditionError, match=f"no arc {k} among"):
+                _arc_point(chain, k)
 
 
 class TestArf:
@@ -320,6 +314,21 @@ class TestLevineTristram:
                 assert levine_tristram(trefoil, theta) == want, (e, theta)
                 if e == 100:
                     assert max(precs) > 64  # the precision loop ran
+
+    @pytest.mark.parametrize("e", [60, 100])
+    def test_next_to_exact_jumps(self, trefoil, e):
+        # the first jumps of T(2,3), at 1/6, and of T(2,21), at 1/42, are
+        # exact, from 0 to -2: at 2^-e on either side of them theta is
+        # placed on its arc and evaluated at a point of that arc
+        for v, jump in ((trefoil, Fraction(1, 6)),
+                        (torus(2, 21), Fraction(1, 42))):
+            sf = signature_function(v)
+            assert sf.low[0].theta == jump and sf.half[:2] == (0, -2)
+            eps = Fraction(1, 2 ** e)
+            for theta, want in ((jump - eps, 0), (jump + eps, -2),
+                                (1 - jump - eps, -2), (1 - jump + eps, 0)):
+                assert levine_tristram(v, theta) == want, (v, theta)
+                assert sf.value_at(theta) == want, (v, theta)
 
     def test_at_minus_one_needs_no_enclosure(self, corpus, monkeypatch):
         # omega = -1: sigma(1/2) = sign(V + V^T), with no cos_2pi call and
@@ -604,8 +613,8 @@ def _count_eliminations(monkeypatch):
 
 
 def _every_arc(v):
-    _, low, point = invariants._arcs(x_polynomial(v))
-    return tuple(invariants._arc_signature(v, point(k))
+    chain, low = invariants._arcs(x_polynomial(v))
+    return tuple(invariants._arc_signature(v, _arc_point(chain, k))
                  for k in range(len(low) + 1))
 
 
@@ -660,7 +669,7 @@ class TestArcBisection:
             signature_function(T23)
         # of (0, -2, 0, -2), arc 1 and then arc 2 are evaluated; arc 2
         # read as -6 is 4 from arc 1 across one jump of at most 2
-        arc2 = invariants._arcs(x_polynomial(T25_MINUS_T23))[2](2)
+        arc2 = _arc_point(sturm_sequence(x_polynomial(T25_MINUS_T23)), 2)
         monkeypatch.setattr(invariants, "_arc_signature",
                             lambda v, r: -6 if r == arc2 else real(v, r))
         with pytest.raises(PreconditionError,
@@ -673,8 +682,8 @@ class TestArcBisection:
         forms = (list(corpus.values()) + [T25_MINUS_T23, torus(3, 4)]
                  + [random_seifert(rng, 1 + k % 3) for k in range(40)])
         for v in forms:
-            point = invariants._arcs(x_polynomial(v))[2]
-            assert realified_arc_signature(v, point(0)) == 0, v
+            r = _arc_point(sturm_sequence(x_polynomial(v)), 0)
+            assert realified_arc_signature(v, r) == 0, v
 
 
 def _count_calls(monkeypatch, *names):
@@ -709,7 +718,7 @@ class TestRootsOfUnityFirst:
 
     def test_torus_knots_isolate_nothing(self, monkeypatch, trefoil):
         calls = _count_calls(monkeypatch, "_isolate", "_separate_boxes",
-                             "_tan_in_gap")
+                             "_arc_point")
         enclosed = _count_cos_2pi(monkeypatch)
         evaluated = _count_eliminations(monkeypatch)
         for p, q in TORUS_FAMILY:
@@ -719,12 +728,12 @@ class TestRootsOfUnityFirst:
             assert {(a.x_lo, a.x_hi) for a in sf.jumps} == {(None, None)}
             assert evaluated == [None], (p, q)
         assert calls == {"_isolate": [], "_separate_boxes": [],
-                         "_tan_in_gap": []}
+                         "_arc_point": []}
         assert enclosed == []
         # a jump off the roots of unity isolates, and its arcs still get
         # no point when none is evaluated
         signature_function(connected_sum(trefoil, twist(-2)))
-        assert len(calls["_isolate"]) == 1 and calls["_tan_in_gap"] == []
+        assert len(calls["_isolate"]) == 1 and calls["_arc_point"] == []
         assert enclosed == []
 
     def test_a_sixth_is_one_angle_however_it_is_found(self, trefoil):
@@ -744,13 +753,13 @@ class TestRootsOfUnityFirst:
 
     def test_levine_tristram_encloses_only_its_arc(self, monkeypatch):
         # T(2,21) jumps at k/42; theta = 1/7 = 6/42 lies on the arc between
-        # 5/42 and 1/6: one enclosure of x at 1/7 to place it, and one for
-        # each of the two exact angles that bound its arc
+        # 5/42 and 1/6: one enclosure of x at 1/7 places it, and the point
+        # of its arc comes from root counts, with no enclosure of the two
+        # exact angles that bound it
         calls = _count_cos_2pi(monkeypatch)
         t221 = torus(2, 21)
         sigma = levine_tristram(t221, Fraction(1, 7))
-        assert len(calls) <= 3, calls
-        assert set(calls) <= {Fraction(1, 7), Fraction(5, 42), Fraction(1, 6)}
+        assert calls == [Fraction(1, 7)]
         monkeypatch.undo()
         assert sigma == signature_function(t221).value_at(Fraction(1, 7))
 
@@ -787,14 +796,14 @@ class TestRootsOfUnityFirst:
              (0, 2, 4, 2, 4), [Fraction(k, 14) for k in (1, 3, 5)], True),
         )
         for v, half, exact, inner_evaluated in cases:
-            calls = _count_calls(monkeypatch, "_tan_in_gap")
+            calls = _count_calls(monkeypatch, "_arc_point")
             evaluated = _count_eliminations(monkeypatch)
             sf = signature_function(v)
             monkeypatch.undo()
             # a point for each arc evaluated below the one holding 1/2, and
             # for no other
             inner = [r for r in evaluated if r is not None]
-            assert len(calls["_tan_in_gap"]) == len(inner), v
+            assert len(calls["_arc_point"]) == len(inner), v
             assert bool(inner) == inner_evaluated, v
             if half is not None:
                 assert sf.half == half, v
@@ -805,44 +814,76 @@ class TestRootsOfUnityFirst:
             assert [a.poly for a in plain.jumps] == [a.poly
                                                      for a in sf.jumps], v
 
-    def test_overlapping_enclosures_are_refined_for_a_point(
-            self, monkeypatch):
+    def test_overlapping_enclosures_do_not_hinder_a_point(self, monkeypatch):
         # T(2,11) # T(2,13) jumps at 1/26 and 1/22, 0.023 apart in x.
-        # cos_2pi at the base precision is widened to a valid enclosure
-        # 15.6/n^2 wide in x, so the enclosures of those two angles
-        # overlap, and a point of the arc between them needs them again at
-        # doubled precision; every arc's point still lands on its arc
+        # cos_2pi widened to a valid enclosure 15.6/n^2 wide in x makes
+        # the enclosures of those two angles overlap; the point of the arc
+        # between them comes from root counts with no enclosure, lands on
+        # its arc, and the step function does not change
         import knotbench.intervals as intervals
 
         v = connected_sum(torus(2, 11), torus(2, 13))
-        _, low, point = invariants._arcs(x_polynomial(v))
+        chain, low = invariants._arcs(x_polynomial(v))
         k = low.index(AlgebraicAngle(_psi(22), theta=Fraction(1, 22)))
         assert low[k - 1] == AlgebraicAngle(_psi(26), theta=Fraction(1, 26))
         real = intervals.cos_2pi
-        precs = []
 
-        def wide(theta, prec_bits):
-            precs.append(prec_bits)
+        def wide(theta, prec_bits=64):
             c = real(theta, prec_bits)
-            if prec_bits > 64:
-                return c
             pad = Fraction(39, 10 * theta.denominator ** 2)
             return intervals.IntervalReal(c.lo - pad, c.hi + pad)
 
+        assert 2 * wide(Fraction(1, 26)).lo < 2 * wide(Fraction(1, 22)).hi
         monkeypatch.setattr(intervals, "cos_2pi", wide)
-        assert 2 * wide(Fraction(1, 26), 64).lo < 2 * wide(Fraction(1, 22),
-                                                           64).hi
-        del precs[:]
-        r = point(k)
-        assert precs == [64, 64, 128, 128]
+        enclosed = _count_cos_2pi(monkeypatch)
+        r = _arc_point(chain, k)
         x = 2 * (1 - r * r) / (1 + r * r)
         assert 2 * real(Fraction(1, 22), 64).hi < x
         assert x < 2 * real(Fraction(1, 26), 64).lo
         got = signature_function(v).half, _every_arc(v)
+        assert enclosed == []
         monkeypatch.undo()
         half = signature_function(v).half
         assert got == (half, half)
         assert len(set(half)) == len(half)  # monotone: each arc told
+
+    def test_signature_function_encloses_nothing(self, corpus, monkeypatch):
+        # arc points come from the Sturm chain, so no knot's step function
+        # makes a cos_2pi call: exact jumps, boxes, and both interleaved,
+        # with inner arcs evaluated
+        enclosed = _count_cos_2pi(monkeypatch)
+        evaluated = _count_eliminations(monkeypatch)
+        rng = random.Random(41)
+        forms = (list(corpus.values())
+                 + [torus(p, q) for p, q in TORUS_FAMILY]
+                 + [random_seifert(rng, 1 + k % 4) for k in range(60)]
+                 + [T25_MINUS_T23,
+                    connected_sum(torus(2, 11), mirror(torus(2, 13))),
+                    connected_sum(corpus["5_2"], mirror(torus(2, 5))),
+                    connected_sum(corpus["6_2"], mirror(torus(2, 7)))])
+        for v in forms:
+            signature_function(v)
+        assert [r for r in evaluated if r is not None]
+        assert enclosed == []
+
+    def test_levine_tristram_and_concordance_isolate_nothing(
+            self, corpus, monkeypatch):
+        # both need arc points only, which the Sturm chain gives: no root
+        # is isolated, even where signature_function isolates boxes
+        calls = _count_calls(monkeypatch, "_isolate")
+        mixed = [connected_sum(T23, twist(-2)),
+                 connected_sum(corpus["5_2"], mirror(torus(2, 5))),
+                 connected_sum(corpus["6_2"], mirror(torus(2, 7)))]
+        for v in mixed:
+            for theta in (Fraction(1, 7), Fraction(2, 5), Fraction(5, 9),
+                          Fraction(1, 3)):
+                levine_tristram(v, theta)
+            algebraically_concordant_test(v, UNKNOT)
+            algebraically_concordant_test(v, T23)
+        assert calls["_isolate"] == []
+        for v in mixed:
+            signature_function(v)
+        assert len(calls["_isolate"]) == len(mixed)
 
 
 class TestOneSturmChainPerArcs:
@@ -872,7 +913,7 @@ class TestOneSturmChainPerArcs:
         for v in forms:
             p = x_polynomial(v)
             del chains[:]
-            chain, low, _ = invariants._arcs(p)
+            chain, low = invariants._arcs(p)
             assert chains == [p], v
             ps = poly_primitive(chain[0])
             assert ps == poly_squarefree_part(p), v
@@ -1226,36 +1267,12 @@ class TestCyclotomicJumps:
                            match=r"boxes of 2\*x\^2 - 5\*x \+ 3 miss a root"):
             signature_function(connected_sum(trefoil, twist(-2)))
 
-    @pytest.mark.parametrize("run", [
-        # an inner arc between two exact jumps: Mahler's separation of ps
-        lambda corpus: signature_function(T25_MINUS_T23),
-        # exact, boxed, exact: an exact root beside a box end (Liouville)
-        lambda corpus: signature_function(
-            connected_sum(corpus["5_2"], mirror(torus(2, 5)))),
-        # the arc below the exact jump 1/6 of T(2,3) ends at x = 2
-        lambda corpus: algebraically_concordant_test(T23, UNKNOT),
-    ], ids=["exact-exact", "exact-box", "exact-two"])
-    def test_gap_that_never_opens_raises(self, run, corpus, monkeypatch):
-        # every exact angle spans all of [-2, 2] at every precision, so no
-        # gap beside one opens: the doubling stops at a bounded precision
-        precs = []
-
-        def everywhere(theta, prec):
-            precs.append(prec)
-            return Fraction(-2), Fraction(2)
-
-        monkeypatch.setattr(invariants, "_x_range", everywhere)
-        with pytest.raises(PreconditionError,
-                           match=r"jumps -?\d+ and \d+ of .* overlap"):
-            run(corpus)
-        assert precs and max(precs) < 2 ** 12
-
     def test_box_that_no_factor_claims(self, monkeypatch):
         # 2x - 3 is no Psi_n, and its root 3/2 lies outside the box (0, 1)
-        chain, _, point = invariants._arcs((-3, 2))
+        chain, _ = invariants._arcs((-3, 2))
         monkeypatch.setattr(
             invariants, "_arcs",
-            lambda p: (chain, (AlgebraicAngle((-3, 2), 0, 1),), point))
+            lambda p: (chain, (AlgebraicAngle((-3, 2), 0, 1),)))
         with pytest.raises(PreconditionError,
                            match=r"no irreducible factor of 2\*x - 3"):
             signature_function(twist(-2))
